@@ -62,6 +62,8 @@ def test_smoke_traced(name):
     check_shape(res, SPEC["per_layer"])
     # spans leave every verdict and residual bit-identical
     assert res["correct"]
+    # a fixed set of instances, not as many as fit in the time
+    assert res["attempted"] == min(run.TRACE_COUNTS[name], 16)
     for layer in workloads.WORKLOADS[name].layers:
         assert res["metrics"][f"{layer}.calls"]["value"] > 0, layer
     assert res["metrics"]["trace.overhead"]["value"] > 0
@@ -96,6 +98,34 @@ def test_tail_latency_keeps_ten_samples_above():
     assert value == 90.0 and pct == 90.0
     assert sum(x > value for x in lat) == 10
     assert run.tail_latency([3.0, 1.0]) == (3.0, 100.0)
+
+
+def test_low_margin_is_tenth_percentile():
+    margins = [float(i) for i in range(1, 1001)]
+    assert 99.0 <= run.low_margin(margins) <= 101.0
+    assert run.low_margin([5.0]) == 5.0 and run.low_margin([]) == 0.0
+
+
+def test_harness_ok_needs_a_checked_outcome_per_instance():
+    good = {"latencies": [0.1, 0.2], "scales": [1.0, 1.0], "checked": 2,
+            "failures": {"PairingFailure": 1}}
+    assert run.harness_ok(good)
+    assert not run.harness_ok(dict(good, checked=1))
+    assert not run.harness_ok(dict(good, latencies=[0.1, math.nan]))
+    assert not run.harness_ok(dict(good, failures={"X": 3}))
+    assert not run.harness_ok(dict(good, latencies=[], scales=[],
+                                   checked=0))
+
+
+def test_well_formed_outcome():
+    ok = workloads.Outcome(0.01, None, (True, 1e-12), 2.0)
+    assert workloads.well_formed(ok)
+    assert workloads.well_formed(workloads.Outcome(0.01, "ValueError",
+                                                   ("ValueError",), None))
+    # a pass whose residual is over its tolerance is a checker defect
+    assert not workloads.well_formed(workloads.Outcome(0.01, None,
+                                                       (True, 1.0), -3.0))
+    assert not workloads.well_formed(workloads.Outcome(0.01, None, (), 2.0))
 
 
 def test_fails_without_sources(tmp_path):

@@ -40,9 +40,11 @@ def setup(workload: str, seed: int, pool: int | None):
 
 def run(wl, inputs, seconds: float, count: int | None, tracer=None) -> dict:
     import hostspeed       # loads numpy, so only after the timed set-up
+    import workloads
     limit = len(inputs) if count is None else min(count, len(inputs))
     deadline = time.perf_counter() + seconds
     raw, starts, margins, answers = [], [], [], []
+    checked = 0            # instances with a well-formed, checked outcome
     probes = []            # (time, probe seconds), one every PROBE_EVERY_S
     failures: Counter = Counter()
     next_probe = 0.0
@@ -57,6 +59,7 @@ def run(wl, inputs, seconds: float, count: int | None, tracer=None) -> dict:
             tracer.instance = i
         starts.append(time.perf_counter())
         out = wl.run(inputs[i])
+        checked += workloads.well_formed(out)
         raw.append(out.seconds)
         answers.append(out.answer)
         if out.error is not None:
@@ -70,6 +73,7 @@ def run(wl, inputs, seconds: float, count: int | None, tracer=None) -> dict:
         "raw_latencies": raw,
         "scales": scales,
         "margins": margins,
+        "checked": checked,
         "failures": dict(failures),
         "answers_sha256": hashlib.sha256(
             repr(answers).encode()).hexdigest(),

@@ -297,6 +297,16 @@ def _judge(seconds, verdicts, residuals) -> Outcome:
     return Outcome(seconds, error, answer, margin)
 
 
+def well_formed(out) -> bool:
+    """The harness checked this instance: a passing outcome has every
+    residual within its tolerance, a failing one names its failure."""
+    return (isinstance(out, Outcome) and math.isfinite(out.seconds)
+            and out.seconds > 0 and len(out.answer) > 0
+            and (isinstance(out.error, str)
+                 or (out.error is None and out.margin is not None
+                     and out.margin >= 0)))
+
+
 def _raised(seconds, exc) -> Outcome:
     name = type(exc).__name__
     return Outcome(seconds, name, (name,), None)
