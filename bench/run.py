@@ -2,17 +2,22 @@
 
 Run from the repository root:
 
-    python3 bench/run.py --workload census --seed 1812 --seconds 25 --trace 0
-    python3 bench/run.py --workload all            # every workload, default seeds
+    python3 bench/run.py --workload census --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload all            # every workload, seed 0
 
-One closed-loop caller runs one instance after another in a fresh worker
-process (see worker.py), with BLAS/OpenMP pinned to one thread.  Times are
-reported at a nominal host speed (see hostspeed.py); raw wall-clock figures
-are in the notes.  With ``--trace 0`` the end-to-end metrics are printed;
-with ``--trace 1`` a fixed number of instances (``TRACE_COUNTS``, the same
-on every commit) is run once untraced and once with spans around every
-public function of the traced layers, giving the per-layer metrics and the
-tracing overhead.  The last line of stdout is one JSON object:
+Every run uses the workload's pinned instance set (``workloads.WORKLOADS``:
+the same instances on every run and every commit) in an order drawn from
+``--seed``.  One closed-loop caller runs the whole set, one instance after
+another, in a fresh worker process (see worker.py) with BLAS/OpenMP pinned
+to one thread: one pass.  So ``attempted`` and ``failed`` depend only on the
+program, not on the seed or on how fast the host is.  With ``--trace 0``
+passes are repeated in fresh processes for about ``--seconds`` and
+the end-to-end metrics are taken over all of them; every pass must give the
+same answers.  Times are reported at a nominal host speed (see
+hostspeed.py); raw wall-clock figures are in the notes.  With ``--trace 1``
+one pass runs untraced and one with spans around every public function of
+the traced layers, giving the per-layer metrics and the tracing overhead.
+The last line of stdout is one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``; the lines before it name
 every metric with its unit, the failures by type and the environment.
 """
@@ -28,27 +33,22 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKER = Path(__file__).resolve().parent / "worker.py"
 WORKLOADS = ("census", "spectral", "gridsearch", "cli")
-# fixed before any result was seen; the hold-out seeds are in README.md
-DEFAULT_SEEDS = {"census": 1812, "spectral": 2718, "gridsearch": 3141,
-                 "cli": 1414}
-# A traced run covers the first this-many instances of the pool, whatever
-# the program's speed, so per-layer totals compare across commits.  About
-# 10 s untraced at the seed commit.
-TRACE_COUNTS = {"census": 240, "spectral": 400, "gridsearch": 280,
-                "cli": 170}
+SMOKE_COUNT = 16          # instances per pass with --smoke
 # err_margin_digits is taken at this low percentile of the per-instance
 # margins, so a loss of headroom on the worst tenth of instances shows.
 MARGIN_PERCENTILE = 10
-SETUP_REPEATS = 3        # set-up is timed in this many fresh processes
+SETUP_REPEATS = 5        # set-up is timed in at least this many processes
+MIN_PASSES = 2           # passes in every --trace 0 run, whatever --seconds
 WORKER_TIMEOUT = 150.0
 # The highest percentile with ten samples above it (p98-p99 at 25 s) moved
 # by 30% between seeds on gridsearch from host hiccups alone, and p95 by 12%
-# on cli; p90 keeps 35-120 samples above it at the seed commit.
+# on cli; p90 keeps 34-80 samples above it in two passes.
 TAIL_PERCENTILE = 90.0
 THREAD_ENV = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -121,30 +121,35 @@ def low_margin(margins: list[float]) -> float:
     return statistics.quantiles(margins, n=100)[MARGIN_PERCENTILE - 1]
 
 
-def end_to_end(run: dict, setup_runs: list[dict]) -> tuple[dict, dict]:
-    lat = run["latencies"]
-    n = len(lat)
-    failed = sum(run["failures"].values())
+def end_to_end(passes: list[dict], setup_runs: list[dict]
+               ) -> tuple[dict, dict]:
+    """Metrics over every pass; the answers are the same in each pass."""
+    first = passes[0]
+    n = len(first["latencies"])
+    failed = sum(first["failures"].values())
+    lat = [t for p in passes for t in p["latencies"]]
+    raw = [t for p in passes for t in p["raw_latencies"]]
     tail, pct = tail_latency(lat)
-    setups = [r["setup_s"] for r in setup_runs]
+    setups = [r["setup_s"] for r in passes + setup_runs]
     metrics = {
         "setup_s": (statistics.median(setups), "s"),
-        "throughput_ips": (n / sum(lat), "1/s"),
+        "throughput_ips": (len(lat) / sum(lat), "1/s"),
         "latency_p50_ms": (1e3 * statistics.median(lat), "ms"),
         "latency_tail_ms": (1e3 * tail, "ms"),
         "pass_frac": ((n - failed) / n, "fraction"),
-        "err_margin_digits": (low_margin(run["margins"]), "digits"),
-        "peak_rss_mb": (run["peak_rss_mb"], "MB"),
+        "err_margin_digits": (low_margin(first["margins"]), "digits"),
+        "peak_rss_mb": (statistics.median(p["peak_rss_mb"] for p in passes),
+                        "MB"),
     }
-    raw = run["raw_latencies"]
-    notes = {"samples": n, "tail_percentile": round(pct, 2),
-             "fail_frac": failed / n, "setup_samples": setups,
-             "inputs_exhausted": run["exhausted"],
-             "host_scale_mean": statistics.fmean(run["scales"]),
-             "raw_throughput_ips": n / sum(raw),
+    notes = {"passes": len(passes), "samples": len(lat),
+             "tail_percentile": round(pct, 2), "fail_frac": failed / n,
+             "setup_samples": setups,
+             "host_scale_mean": statistics.fmean(
+                 s for p in passes for s in p["scales"]),
+             "raw_throughput_ips": len(raw) / sum(raw),
              "raw_latency_p50_ms": 1e3 * statistics.median(raw),
-             "raw_setup_s": statistics.median(r["raw_setup_s"]
-                                              for r in setup_runs)}
+             "raw_setup_s": statistics.median(
+                 r["raw_setup_s"] for r in passes + setup_runs)}
     return metrics, notes
 
 
@@ -180,24 +185,33 @@ def provenance() -> dict:
 
 
 def measure(workload: str, seed: int, seconds: float, trace: bool,
-            smoke: bool) -> dict:
-    extra = ["--pool", "16"] if smoke else []
+            pool_seed: int | None, smoke: bool) -> dict:
+    extra = ["--count", str(SMOKE_COUNT)] if smoke else []
+    if pool_seed is not None:
+        extra += ["--pool-seed", str(pool_seed)]
     if not trace:
-        # set-up processes before and after the measured run, so that the
-        # median does not rest on one phase of the host's load
-        before = (SETUP_REPEATS - 1) // 2
+        # At least two passes, so every run checks that the answers repeat
+        # and no run rests on one pass; after that, another pass starts only
+        # if at least half of it fits in the time.
+        start = time.perf_counter()
+        passes, took = [], 0.0
+        while (len(passes) < MIN_PASSES
+               or time.perf_counter() - start + took / 2 < seconds):
+            begun = time.perf_counter()
+            passes.append(worker("pass", workload, seed,
+                                 "--pass", str(len(passes)), *extra))
+            took = time.perf_counter() - begun
         setups = [worker("setup", workload, seed, *extra)
-                  for _ in range(before)]
-        run = worker("measure", workload, seed, "--seconds", str(seconds),
-                     *extra)
-        setups += [worker("setup", workload, seed, *extra)
-                   for _ in range(SETUP_REPEATS - 1 - before)]
-        metrics, notes = end_to_end(run, setups + [run])
-        correct = harness_ok(run)
+                  for _ in range(SETUP_REPEATS - len(passes))]
+        metrics, notes = end_to_end(passes, setups)
+        # the program is deterministic: each pass answers alike, bit for bit
+        answers = {p["answers_sha256"] for p in passes}
+        correct = len(answers) == 1 and all(harness_ok(p) for p in passes)
+        notes["answers_identical"] = len(answers) == 1
+        run = passes[0]
     else:
-        count = str(TRACE_COUNTS[workload])
-        run = worker("measure", workload, seed, "--count", count, *extra)
-        traced = worker("trace", workload, seed, "--count", count, *extra)
+        run = worker("pass", workload, seed, *extra)
+        traced = worker("trace", workload, seed, *extra)
         metrics = per_layer(traced, run)
         # spans must not change any verdict or residual, bit for bit
         identical = traced["answers_sha256"] == run["answers_sha256"]
@@ -226,12 +240,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True,
                     choices=WORKLOADS + ("all",))
-    ap.add_argument("--seed", type=int, default=None,
-                    help="input seed (default: the workload's own)")
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the order the instances run in")
+    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--pool-seed", type=int, default=None,
+                    help="make the instance set from this seed instead of "
+                         "the workload's pinned one (hold-out checks)")
     ap.add_argument("--smoke", action="store_true",
-                    help="16 instances per workload, for the self-test")
+                    help=f"{SMOKE_COUNT} instances per pass, for the "
+                         "self-test")
     args = ap.parse_args(argv)
 
     if not (ROOT / "src" / "hkl" / "__init__.py").is_file():
@@ -241,9 +259,9 @@ def main(argv=None) -> int:
     results = []
     try:
         for name in names:
-            seed = DEFAULT_SEEDS[name] if args.seed is None else args.seed
-            results.append(measure(name, seed, args.seconds,
-                                   bool(args.trace), args.smoke))
+            results.append(measure(name, args.seed, args.seconds,
+                                   bool(args.trace), args.pool_seed,
+                                   args.smoke))
     except (BenchError, subprocess.TimeoutExpired) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

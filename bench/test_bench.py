@@ -62,11 +62,24 @@ def test_smoke_traced(name):
     check_shape(res, SPEC["per_layer"])
     # spans leave every verdict and residual bit-identical
     assert res["correct"]
-    # a fixed set of instances, not as many as fit in the time
-    assert res["attempted"] == min(run.TRACE_COUNTS[name], 16)
+    # the pinned instance set, not as many as fit in the time
+    assert res["attempted"] == run.SMOKE_COUNT
     for layer in workloads.WORKLOADS[name].layers:
         assert res["metrics"][f"{layer}.calls"]["value"] > 0, layer
     assert res["metrics"]["trace.overhead"]["value"] > 0
+
+
+def test_counts_do_not_depend_on_seed_or_speed():
+    # the same instance set in another order: same attempts and failures
+    one = result("--workload", "census", "--seed", "1", "--seconds", "2",
+                 "--trace", "0", "--smoke")
+    two = result("--workload", "census", "--seed", "2", "--seconds", "0",
+                 "--trace", "0", "--smoke")
+    assert one["correct"] and two["correct"]
+    assert one["attempted"] == two["attempted"] == run.SMOKE_COUNT
+    assert one["failed"] == two["failed"]
+    for name in ("pass_frac", "err_margin_digits"):
+        assert one["metrics"][name] == two["metrics"][name]
 
 
 def test_workloads_match_spec():
