@@ -373,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override certificate tolerances; echoed")
         sp.add_argument("--csv", type=str, default=None,
                         help="dump boundary samples theta,re,im,abs")
-        sp.add_argument("--seed", type=int, default=0)
         if batchable:
             sp.add_argument("--batch", type=str, default=None,
-                            help="process every *.json in a directory")
+                            help="process every *.json in a directory, "
+                                 "except earlier *.out.json outputs")
 
     for name in ("factor", "spectral", "companion", "norm", "baseline-split"):
         sp = sub.add_parser(name)
@@ -418,24 +418,36 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--zeros", type=str, default="",
                     help="inside:k,circle:j,outside:l")
     sp.add_argument("--emit", choices=("kernel", "trig"), default="kernel")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     return parser
 
 
-def _run_one(args) -> int:
+def _handle(args, prefix: str = ""):
+    """Run the command's handler; on a named failure report it to stderr.
+
+    Returns (output dict, boundary grid, exit code); the output is None
+    when the handler failed.  ``prefix`` starts the error line (the input
+    path in batch mode).
+    """
     handler, _ = COMMANDS[args.command]
     try:
-        out, boundary, code = handler(args)
+        return handler(args)
     except PreconditionError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        name, code, msg = type(exc).__name__, 2, str(exc)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: BadInput: {exc}", file=sys.stderr)
-        return 2
+        name, code, msg = "BadInput", 2, str(exc)
     except InternalInvariantError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        name, code, msg = type(exc).__name__, 3, str(exc)
+    print(f"{prefix}error: {name}: {msg}", file=sys.stderr)
+    return None, None, code
+
+
+def _run_one(args) -> int:
+    out, boundary, code = _handle(args)
+    if out is None:
+        return code
     if args.csv and boundary is not None:
         write_boundary_csv(args.csv, boundary)
     sys.stdout.write(dumps(out) + "\n")
@@ -444,7 +456,7 @@ def _run_one(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, arity = COMMANDS[args.command]
+    _, arity = COMMANDS[args.command]
 
     batch_dir = getattr(args, "batch", None)
     if batch_dir is None:
@@ -453,37 +465,25 @@ def main(argv=None) -> int:
             return 2
         return _run_one(args)
 
-    # batch mode: per-input output files next to the inputs, no shared writes
+    # batch mode: per-input output files next to the inputs, no shared writes;
+    # the outputs of earlier batch runs are not inputs
     if arity != 1:
         print("error: BadInput: --batch needs a single-input command",
               file=sys.stderr)
         return 2
     worst = 0
-    files = sorted(Path(batch_dir).glob("*.json"))
+    files = sorted(p for p in Path(batch_dir).glob("*.json")
+                   if not p.name.endswith(".out.json"))
     if not files:
         print(f"error: BadInput: no *.json files in {batch_dir}",
               file=sys.stderr)
         return 2
     for path in files:
         args.input = str(path)
-        out_path = path.with_suffix(f".{args.command}.out.json")
-        try:
-            out, boundary, code = handler(args)
-        except PreconditionError as exc:
-            print(f"{path}: error: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            worst = max(worst, 2)
-            continue
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"{path}: error: BadInput: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
-            continue
-        except InternalInvariantError as exc:
-            print(f"{path}: error: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            worst = max(worst, 3)
-            continue
-        out_path.write_text(dumps(out) + "\n")
+        out, _, code = _handle(args, prefix=f"{path}: ")
+        if out is not None:
+            path.with_suffix(f".{args.command}.out.json").write_text(
+                dumps(out) + "\n")
         worst = max(worst, code)
     return worst
 

@@ -29,9 +29,9 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import (NotDivisible, NotNonnegative, NullInput,
                      OddCircleMultiplicity, PairingFailure, PoleHit)
-from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly, lift,
-                       nonneg_check, refine_circle_angle, roots,
-                       self_inversive_phase, synthetic_divide)
+from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
+                       _horner, lift, nonneg_check, refine_circle_angle,
+                       roots, self_inversive_phase, synthetic_divide)
 
 PAIR_TOL = 1e-6      # relative tolerance for matching reflected zero pairs
 TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
@@ -363,13 +363,14 @@ MIRROR_MATCH_TOL = 1e-5
 
 def _newton_refine(coeffs: list[complex], start: complex) -> complex:
     c = np.asarray(coeffs, dtype=complex)
-    dc = npp.polyder(c)
+    cl, dcl = c.tolist(), npp.polyder(c).tolist()
     r = start
     for _ in range(6):
-        dv = npp.polyval(r, dc)
+        zr = complex(r)
+        dv = _horner(dcl, zr)
         if dv == 0:
             break
-        step = npp.polyval(r, c) / dv
+        step = np.complex128(_horner(cl, zr)) / dv
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             break
         r = r - step
@@ -430,9 +431,10 @@ def blaschke_mul_poly(f: Poly, j: BlaschkeProduct, *,
 
 def _check_remainder(work: list[complex], r: complex, tol_divide: float) -> None:
     """Raise NotDivisible unless (z - r) divides work to tol_divide."""
-    rem = abs(complex(npp.polyval(r, np.asarray(work))))
+    w = np.asarray(work, dtype=complex)
+    rem = abs(_horner(w.tolist(), complex(r)))
     # backward-error scale at the deflation point
-    scale = float(npp.polyval(abs(r), np.abs(np.asarray(work))))
+    scale = _horner(np.abs(w).tolist(), abs(complex(r)))
     if rem > tol_divide * scale:
         raise NotDivisible(
             f"relative remainder {rem / scale:.3e} exceeds {tol_divide:.1e}")

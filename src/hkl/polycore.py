@@ -19,6 +19,15 @@ this problem domain (every lifted nonnegative function has them), so the
 clustering step is not an optimization: without it, coefficient noise splits
 an exact double circle zero into a spurious inside/outside pair and the
 inner-outer split becomes wrong.
+
+The multiplicity clustering depends on the iteration history, so the
+engine's speed comes only from cheaper evaluation, never from fewer or
+different steps: each Aberth step evaluates p, p' and the backward-error
+scale in one fused Horner pass over stacked coefficient rows, and the
+polish and residual checks evaluate at scalar points in plain Python
+(``_horner``).  Both make the operations of ``npp.polyval`` in its order,
+so every value, and every root, is bit-identical to evaluating each
+polynomial separately with it.
 """
 
 from __future__ import annotations
@@ -92,7 +101,7 @@ class Poly:
             return npp.polyval(z, self.as_array())
         if self.is_null:
             return 0j
-        return complex(npp.polyval(complex(z), self.as_array()))
+        return _horner(self.coeffs, complex(z))
 
     # -- algebra --------------------------------------------------------
 
@@ -424,72 +433,111 @@ def _snap_self_inversive(found: list[tuple[complex, int]]) -> list[tuple[complex
     return out
 
 
-def _aberth(c: np.ndarray, tol: float, max_iter: int):
+def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Simultaneous iteration on a deflated polynomial (c[0] != 0, deg >= 1).
 
-    Returns (points, converged_flag).  Convergence is per root on the
-    relative backward error |p(z)| <= tol * sum |c_k| |z|^k, but the
-    iteration does not stop there: the backward-error ball around a
-    multiple root is much wider than the rounding floor, so a refinement
-    phase keeps running until the steps stagnate.  That is what contracts
-    the point pair at a double zero tightly enough for the multiplicity
-    clustering to recognize it.
+    Returns the points.  Convergence is per root on the relative backward
+    error |p(z)| <= tol * sum |c_k| |z|^k, but the iteration does not stop
+    there: the backward-error ball around a multiple root is much wider
+    than the rounding floor, so a refinement phase keeps running until the
+    steps stagnate.  That is what contracts the point pair at a double zero
+    tightly enough for the multiplicity clustering to recognize it.
+
+    p(z), p'(z) and the scale come from one Horner pass over the rows of a
+    (3, d+1) array: c, the coefficients of p' with a zero on top, and |c|
+    taken at |z|.  The pass makes npp.polyval's operations in its order, so
+    each row is bit-identical to a separate evaluation: 0 * z + c[k] is
+    c[k], and (a + 0j)(b + 0j) is exactly ab, so the scale row's real part
+    is the real Horner sum.  Once converged the scale row is dropped.  The
+    iteration history, which the multiplicity clustering depends on, is
+    therefore that of three separate evaluations.
     """
     c = c / np.abs(c).max()
     d = len(c) - 1
-    dc = npp.polyder(c)
-    ac = np.abs(c)
+    rows = np.zeros((3, d + 1), dtype=complex)
+    rows[0] = c
+    rows[1, :d] = npp.polyder(c)
+    rows[2] = np.abs(c)
+    cols = [rows[:, k:k + 1] for k in range(d + 1)]
+    x = np.empty((3, d), dtype=complex)
+    vals = np.empty((3, d), dtype=complex)
+    diff = np.empty((d, d), dtype=complex)
+    diag = diff.reshape(-1)[::d + 1]
     # Initial guesses on one circle whose radius is the geometric mean of the
     # root moduli (|c0/cd|)^(1/d); the angular offset breaks symmetry locks.
     r0 = max((abs(c[0]) / abs(c[-1])) ** (1.0 / d), 1e-6)
     z = r0 * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.77))
-    ok = False
+    converged = False
     extra = 0
     with np.errstate(all="ignore"):
-        for it in range(max_iter + 20):
-            pv = npp.polyval(z, c)
-            if not ok:
-                if it >= max_iter:
-                    break
-                scale = npp.polyval(np.abs(z), ac)
-                ok = bool(np.all(np.abs(pv) <= tol * scale))
-            dv = npp.polyval(z, dc)
-            dv = np.where(dv == 0, 1e-300, dv)
+        for it in range(max_iter + 16):
+            if not converged and it >= max_iter:
+                break
+            x[:2] = z
+            if not converged:
+                np.abs(z, out=x[2])
+            np.multiply(x, 0, out=vals)
+            vals += cols[d]
+            for k in range(d - 1, -1, -1):
+                vals *= x
+                vals += cols[k]
+            pv, dv = vals[0], vals[1]
+            if not converged and np.all(np.abs(pv) <= tol * vals[2].real):
+                converged = True
+                cols = [col[:2] for col in cols]
+                x, vals = x[:2], vals[:2]
+            if not dv.all():
+                dv = np.where(dv == 0, 1e-300, dv)
             w = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            diff = np.where(diff == 0, 1e-300, diff)
-            repel = (1.0 / diff).sum(axis=1)
+            np.subtract(z[:, None], z, out=diff)
+            diag[:] = np.inf
+            if not diff.all():
+                diff[diff == 0] = 1e-300
+            np.divide(1.0, diff, out=diff)
+            repel = diff.sum(axis=1)
             denom = 1.0 - w * repel
             denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
             step = w / denom
             z = z - step
-            if ok:
+            if converged:
                 # refinement phase: the pair at a double root contracts by
                 # about 1/3 per iteration, so 16 extra reach the floor
                 extra += 1
                 if extra >= 16 or np.abs(step).max() <= 1e-13 * (
                         1.0 + np.abs(z).max()):
                     break
-    if not ok:
-        pv = npp.polyval(z, c)
-        scale = npp.polyval(np.abs(z), ac)
-        ok = bool(np.all(np.abs(pv) <= tol * scale))
-    return z, ok
+    return z
 
 
-def _polish(center: complex, mult: int, derivs: list[np.ndarray],
-            step_cap: float) -> complex:
-    """Newton steps on the (mult-1)-th derivative, where the root is simple."""
-    q = derivs[mult - 1]
-    qd = derivs[mult]
+def _horner(coeffs: Sequence, z):
+    """sum(coeffs[k] * z**k) in plain Python, as npp.polyval computes it.
+
+    The same recurrence in the same order (c[-1] + z * 0, then c[k] +
+    acc * z downwards), so for Python complex or float ``coeffs`` and ``z``
+    the value equals ``npp.polyval(z, coeffs)`` bit for bit, without the
+    cost of numpy scalar arithmetic.  A Newton quotient of two such values
+    must still be taken in ``np.complex128``: Python's complex division
+    rounds differently.
+    """
+    acc = coeffs[-1] + z * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * z
+    return acc
+
+
+def _polish(center: complex, q: list, qd: list, step_cap: float) -> complex:
+    """Newton steps on q, the derivative of p in which the root is simple.
+
+    qd is the derivative of q; both are coefficient lists of Python
+    complex numbers.
+    """
     a = center
     for _ in range(4):
-        qv = npp.polyval(a, q)
-        qdv = npp.polyval(a, qd)
+        za = complex(a)
+        qdv = _horner(qd, za)
         if qdv == 0:
             break
-        step = qv / qdv
+        step = np.complex128(_horner(q, za)) / qdv
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             break
         if abs(step) > step_cap:
@@ -563,10 +611,15 @@ def _cluster_points(points: np.ndarray, tol: float,
     if len(pts) == 1:
         return [(complex(pts[0]), 1)]
 
-    derivs = [np.asarray(coeffs, dtype=complex)]
-    for _ in range(len(pts)):
-        derivs.append(npp.polyder(derivs[-1]))
-    ac = np.abs(derivs[0])
+    c0 = np.asarray(coeffs, dtype=complex)
+    ac = np.abs(c0)
+    # derivative coefficient lists, built only as deep as a tested cluster
+    derivs = [c0.tolist()]
+
+    def deriv(k: int) -> list:
+        while len(derivs) <= k:
+            derivs.append(npp.polyder(derivs[-1]).tolist())
+        return derivs[k]
 
     dist = np.abs(np.asarray(pts)[:, None] - np.asarray(pts)[None, :])
     clusters = _single_linkage_tree(dist)
@@ -576,23 +629,24 @@ def _cluster_points(points: np.ndarray, tol: float,
     def try_accept(mem: list[int]) -> tuple[complex, int] | None:
         m = len(mem)
         if m == 1:
-            a = _polish(complex(pts[mem[0]]), 1, derivs, 1e-4)
+            a = _polish(complex(pts[mem[0]]), deriv(0), deriv(1), 1e-4)
             return (a, 1)
         diam = dist[np.ix_(mem, mem)].max()
         if diam > CLUSTER_CAP:
             return None
         centroid = complex(np.mean([pts[i] for i in mem]))
-        polished = _polish(centroid, m, derivs, 4.0 * diam + 1e-8)
+        polished = _polish(centroid, deriv(m - 1), deriv(m),
+                           4.0 * diam + 1e-8)
         # deflate m times at the candidate center and recompose: the
         # difference is exactly the coefficient perturbation the claimed
         # m-fold root imposes on the data
-        work = list(derivs[0])
+        work = list(c0)
         for _ in range(m):
             work = synthetic_divide(work, polished)
         recomposed = np.asarray(work, dtype=complex)
         for _ in range(m):
             recomposed = np.convolve(recomposed, [-polished, 1.0])
-        perturbation = float(np.abs(recomposed - derivs[0]).max())
+        perturbation = float(np.abs(recomposed - c0).max())
         if perturbation <= MERGE_BACKWARD_TOL * float(ac.max()):
             return (polished, m)
         return None
@@ -654,16 +708,16 @@ def _roots_cached(coeffs: tuple, eps_circle: float, tol: float,
         r2 = a0 / q if q != 0 else -a1 / a2 - r1
         found = _cluster_points(np.array([r1, r2]), tol, carr)
     elif d > 0:
-        z, ok = _aberth(carr, tol, max_iter)
         # clustering can still rescue a stalled multiple root, so failure
-        # is judged on the clustered residuals below, not on the flag
-        found = _cluster_points(z, tol, carr)
+        # is judged on the clustered residuals below
+        found = _cluster_points(_aberth(carr, tol, max_iter), tol, carr)
 
     if found:
-        ac = np.abs(carr)
+        clist = carr.tolist()
+        aclist = np.abs(carr).tolist()
         for a, m in found:
-            resid = abs(npp.polyval(a, carr))
-            scale = npp.polyval(abs(a), ac)
+            resid = abs(_horner(clist, complex(a)))
+            scale = _horner(aclist, abs(complex(a)))
             if resid > 10.0 * tol * scale:
                 raise NonConvergence(
                     f"root residual {resid / scale:.3e} above tolerance after "

@@ -214,3 +214,33 @@ def test_tol_override_echoed(files, capsys):
     doc = json.loads(out)
     assert doc["tolerances"]["override"] == 1e-9
     assert doc["tolerances"]["tol_norm"] == 1e-9
+
+
+def test_batch_rerun_skips_earlier_outputs(tmp_path, capsys):
+    d = tmp_path / "batch"
+    d.mkdir()
+    for k, c1 in enumerate((0.5, 0.25)):
+        (d / f"g{k}.json").write_text(
+            dumps(instance_to_json(TrigPoly(1, (1.0, c1)))) + "\n")
+    code, _, err = run(capsys, ["extreme", "--n", "1", "--batch", str(d)])
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, ["spectral", "--batch", str(d)])
+    assert code == 0 and err == ""
+    assert len(list(d.glob("*.spectral.out.json"))) == 2
+    assert not list(d.glob("*.out.*.out.json"))
+
+
+def test_batch_error_names_its_input(tmp_path, capsys):
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "bad.json").write_text('{"version": "hkl-1", "type": "poly"}')
+    code, _, err = run(capsys, ["factor", "--batch", str(d)])
+    assert code == 2
+    assert err.startswith(f"{d / 'bad.json'}: error: BadInput: ")
+
+
+def test_seed_only_on_gen(files, capsys):
+    write, _ = files
+    path = write("g.json", TrigPoly(1, (1.0, 0.5)))
+    with pytest.raises(SystemExit):
+        main(["extreme", path, "--n", "1", "--seed", "3"])

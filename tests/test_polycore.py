@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_outer_poly
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 from hkl.errors import BandExceeded, NullInput
-from hkl.polycore import (Poly, Region, TrigPoly, _single_linkage_tree, lift,
-                          nonneg_check, poly_mul, roots, trig_add,
-                          trig_from_modulus_squared, trig_mul, trig_scale,
-                          unlift)
+from hkl.polycore import (Poly, Region, TrigPoly, _aberth, _horner, _polish,
+                          _single_linkage_tree, lift, nonneg_check, poly_mul,
+                          roots, trig_add, trig_from_modulus_squared,
+                          trig_mul, trig_scale, unlift)
 
 # exact zeros are fine; tiny magnitudes are excluded so products stay clear
 # of underflow, which would break the exact degree law
@@ -207,6 +209,121 @@ def test_single_linkage_tree_matches_pairwise_merging():
         pts[: npts // 3] = pts[0] + 1e-7 * rng.standard_normal(npts // 3)
         dist = np.abs(pts[:, None] - pts[None, :])
         assert _single_linkage_tree(dist) == _pairwise_linkage_tree(dist)
+
+
+def _three_polyval_aberth(c, tol, max_iter):
+    # reference: the iteration with p, p' and the backward-error scale each
+    # evaluated by its own npp.polyval call
+    c = c / np.abs(c).max()
+    d = len(c) - 1
+    dc = npp.polyder(c)
+    ac = np.abs(c)
+    r0 = max((abs(c[0]) / abs(c[-1])) ** (1.0 / d), 1e-6)
+    z = r0 * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.77))
+    ok = False
+    extra = 0
+    with np.errstate(all="ignore"):
+        for it in range(max_iter + 20):
+            pv = npp.polyval(z, c)
+            if not ok:
+                if it >= max_iter:
+                    break
+                scale = npp.polyval(np.abs(z), ac)
+                ok = bool(np.all(np.abs(pv) <= tol * scale))
+            dv = npp.polyval(z, dc)
+            dv = np.where(dv == 0, 1e-300, dv)
+            w = pv / dv
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            diff = np.where(diff == 0, 1e-300, diff)
+            repel = (1.0 / diff).sum(axis=1)
+            denom = 1.0 - w * repel
+            denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+            step = w / denom
+            z = z - step
+            if ok:
+                extra += 1
+                if extra >= 16 or np.abs(step).max() <= 1e-13 * (
+                        1.0 + np.abs(z).max()):
+                    break
+    return z
+
+
+def _aberth_cases():
+    # deflated coefficient arrays (c[0] != 0) of degree 3..24: simple
+    # random roots, and lifts of |f|^2 whose circle zeros of f are double
+    # circle zeros and whose other zeros come in reflected pairs
+    rng = np.random.default_rng(31)
+    cases = []
+    for degree in range(3, 25):
+        p, _ = _random_poly_with_roots(rng, degree)
+        cases.append(p.as_array())
+    for m in range(2, 13):
+        for circle in sorted({0, m // 2, m}):
+            f = random_outer_poly(rng, m, circle=circle)
+            cases.append(lift(trig_from_modulus_squared(f)).as_array())
+    return cases
+
+
+def test_aberth_bit_identical_to_three_polyval_reference():
+    for c in _aberth_cases():
+        for max_iter in (200, 4):    # converged, and cut off before it
+            new = _aberth(c, 1e-12, max_iter)
+            ref = _three_polyval_aberth(c, 1e-12, max_iter)
+            assert np.array_equal(new.view(float), ref.view(float))
+
+
+def _bits(v):
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+def test_horner_bit_identical_to_polyval():
+    rng = np.random.default_rng(5)
+    for degree in range(0, 25):
+        c = (rng.standard_normal(degree + 1)
+             + 1j * rng.standard_normal(degree + 1))
+        ac = np.abs(c)
+        for _ in range(8):
+            z = complex(rng.uniform(0.0, 2.0)
+                        * np.exp(2j * np.pi * rng.uniform()))
+            x = float(rng.standard_normal())
+            assert _bits(_horner(c.tolist(), z)) == _bits(npp.polyval(z, c))
+            assert _bits(_horner(c.tolist(), x)) == _bits(npp.polyval(x, c))
+            assert (_bits(_horner(ac.tolist(), abs(z)))
+                    == _bits(npp.polyval(abs(z), ac)))
+
+
+def _polyval_polish(center, q, qd, step_cap):
+    # reference: Newton on q with numpy-scalar npp.polyval evaluations
+    a = center
+    for _ in range(4):
+        qv = npp.polyval(a, q)
+        qdv = npp.polyval(a, qd)
+        if qdv == 0:
+            break
+        step = qv / qdv
+        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
+            break
+        if abs(step) > step_cap:
+            break
+        a = a - step
+    return a
+
+
+def test_polish_bit_identical_to_polyval_newton():
+    # the quotient must be taken in np.complex128: Python's complex
+    # division rounds some of these steps differently
+    rng = np.random.default_rng(8)
+    for degree in range(2, 25):
+        p, locs = _random_poly_with_roots(rng, degree)
+        q = p.as_array()
+        qd = npp.polyder(q)
+        for a in locs:
+            start = complex(a + 0.1 * (rng.standard_normal()
+                                        + 1j * rng.standard_normal()))
+            assert (_bits(_polish(start, q.tolist(), qd.tolist(), 10.0))
+                    == _bits(_polyval_polish(start, q, qd, 10.0)))
 
 
 # ---------------------------------------------------------------------------
