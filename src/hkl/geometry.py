@@ -368,7 +368,27 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     narrow, so a uniform grid alone admits perturbations up to about a
     quarter of the grid spacing, orders of magnitude above the scale this
     certificate needs to exclude.
+
+    Each block of random candidate directions passes three stages, and a
+    candidate is dropped as soon as it cannot beat the best norm so far:
+
+    1. zeros of g: the cheap-set points where g evaluates to exactly 0.  A
+       direction that does not vanish at one of them has |h|/g = inf there,
+       so its admissible step, and with it its reachable norm, is exactly
+       0.  Such a candidate can never beat the incumbent (which is >= 0),
+       so this stage only drops candidates that stage 2 would reject too.
+       At an extreme point g has double zeros on the circle, and at many
+       of the refined zero angles it rounds to 0, so this stage usually
+       drops every random direction after one narrow product.
+    2. the cheap set: the refined points near the zeros plus the 64
+       lowest uniform points bound the reachable norm from above.
+    3. the full grid, one candidate at a time, for the candidates whose
+       bound still beats the incumbent.
+
+    A band-0 mean-free h is zero, so for n = 0 the search returns 0.
     """
+    if trials < 0 or ascent_rounds < 0:
+        raise ValueError("trials and ascent_rounds must be nonnegative")
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
 
@@ -381,6 +401,11 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
         extra.append(t0 - ladder)
     refined = np.concatenate(extra) if extra else np.empty(0)
     points = np.concatenate([theta, refined])
+
+    if n == 0:
+        return PerturbationSearch(max_norm=0.0, trials=trials,
+                                  grid_size=grid_size,
+                                  n_constraints=len(points))
 
     gv = np.maximum(g.values(points), 0.0)
     with np.errstate(divide="ignore"):
@@ -397,6 +422,7 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
                                  np.argsort(gv[:grid_size])[:64]]))
     basis_cheap = basis[:, cheap_idx]
     inv_cheap = inv_gv[cheap_idx]
+    basis_zero = basis_cheap[:, np.isinf(inv_cheap)]
 
     best_norm = 0.0
     best_dir = np.zeros(n, dtype=complex)
@@ -410,6 +436,11 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
 
     def consider(coeff_block: np.ndarray) -> None:
         nonlocal best_norm, best_dir
+        if basis_zero.shape[1]:
+            coeff_block = coeff_block[
+                ~(coeff_block @ basis_zero).real.any(axis=1)]
+            if not len(coeff_block):
+                return
         ah_cheap = np.abs(2.0 * (coeff_block @ basis_cheap).real)
         top_cheap = binding(ah_cheap, inv_cheap[None, :]).max(axis=1)
         with np.errstate(divide="ignore"):

@@ -413,12 +413,12 @@ def _snap_self_inversive(found: list[tuple[complex, int]]) -> list[tuple[complex
     rounding debris of an on-circle root); everything else inside the snap
     band sits on the circle, displaced only by rounding, and is projected.
     """
-    def best_match(i: int) -> int:
-        mirror = 1.0 / found[i][0].conjugate()
-        return min(range(len(found)),
-                   key=lambda j: abs(found[j][0] - mirror))
-
-    matches = [best_match(i) for i in range(len(found))]
+    # each mirror is taken in its root's own type: Python complex and
+    # np.complex128 divide differently, and a moved mirror can move a match;
+    # argmin keeps the first of equal distances, as min does
+    locs = np.array([a for a, _ in found], dtype=complex)
+    mirrors = np.array([1.0 / a.conjugate() for a, _ in found], dtype=complex)
+    matches = np.abs(locs[None, :] - mirrors[:, None]).argmin(axis=1).tolist()
     out = []
     for i, (a, m) in enumerate(found):
         r = abs(a)

@@ -10,8 +10,8 @@ from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                         NullInput)
 from hkl.factor import blaschke_eval, fejer_riesz
 from hkl.gen import random_boundary_modulus, random_kernel_element
-from hkl.geometry import (RigidityResult, baseline_split, decompose_modulus,
-                          enumerate_solutions, is_extreme,
+from hkl.geometry import (PerturbationSearch, RigidityResult, baseline_split,
+                          decompose_modulus, enumerate_solutions, is_extreme,
                           perturbation_search, rigidity_check,
                           split_nonextreme)
 from hkl.kernel import KernelElement, companion, h2_norm
@@ -396,3 +396,105 @@ def test_search_has_teeth_on_non_extreme_points():
     assert not is_extreme(g, 2).verdict
     res = perturbation_search(g, 2, trials=500, seed=0)
     assert res.max_norm > 1e-3
+
+
+def test_search_at_order_zero():
+    g = TrigPoly(0, (1.0,))
+    assert is_extreme(g, 0).verdict
+    res = perturbation_search(g, 0, trials=100)
+    assert res.max_norm == 0.0 and res.trials == 100
+
+
+def test_search_rejects_negative_budgets():
+    g = TrigPoly(1, (1.0, 0.5))
+    with pytest.raises(ValueError):
+        perturbation_search(g, 1, trials=-5)
+    with pytest.raises(ValueError):
+        perturbation_search(g, 1, ascent_rounds=-1)
+
+
+def _two_stage_search(g, n, *, trials=10_000, seed=0, grid_size=4096,
+                      ascent_rounds=40):
+    # reference: every candidate goes through the cheap set, then the full
+    # grid; also reports whether g is exactly 0 on a cheap-set point
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    zero_angles = [float(np.angle(r.location))
+                   for r in roots(lift(g, n)).on_circle]
+    ladder = np.array([10.0 ** (-k) for k in range(3, 10)])
+    extra = [np.array(zero_angles)] if zero_angles else []
+    for t0 in zero_angles:
+        extra.append(t0 + ladder)
+        extra.append(t0 - ladder)
+    refined = np.concatenate(extra) if extra else np.empty(0)
+    points = np.concatenate([theta, refined])
+    gv = np.maximum(g.values(points), 0.0)
+    with np.errstate(divide="ignore"):
+        inv_gv = np.where(gv > 0, 1.0 / gv, np.inf)
+    basis = np.exp(1j * np.outer(np.arange(1, n + 1), points))
+    cheap_idx = (np.argsort(gv)[:64] if len(refined) == 0 else
+                 np.concatenate([np.arange(grid_size, len(points)),
+                                 np.argsort(gv[:grid_size])[:64]]))
+    basis_cheap = basis[:, cheap_idx]
+    inv_cheap = inv_gv[cheap_idx]
+    best_norm = 0.0
+    best_dir = np.zeros(n, dtype=complex)
+
+    def binding(ah, inv):
+        with np.errstate(invalid="ignore"):
+            prod = ah * inv
+        return np.where(ah == 0.0, 0.0, prod)
+
+    def consider(coeff_block):
+        nonlocal best_norm, best_dir
+        ah_cheap = np.abs(2.0 * (coeff_block @ basis_cheap).real)
+        top_cheap = binding(ah_cheap, inv_cheap[None, :]).max(axis=1)
+        with np.errstate(divide="ignore"):
+            t_bound = np.where(top_cheap > 0, 1.0 / top_cheap, np.inf)
+        cap = t_bound * 2.0 * np.abs(coeff_block).sum(axis=1)
+        for i in np.nonzero(cap > best_norm)[0]:
+            ah = np.abs(2.0 * (coeff_block[i] @ basis).real)
+            top = binding(ah, inv_gv).max()
+            nrm = ah.max() / top if top > 0 and np.isfinite(top) else 0.0
+            if nrm > best_norm:
+                best_norm = nrm
+                best_dir = coeff_block[i]
+
+    done = 0
+    while done < trials:
+        b = min(2000, trials - done)
+        consider(rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n)))
+        done += b
+    for _ in range(ascent_rounds):
+        base_dir = best_dir / max(np.abs(best_dir).max(), 1e-300)
+        consider(base_dir[None, :] + 0.3 * (
+            rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))))
+    res = PerturbationSearch(max_norm=best_norm, trials=trials,
+                             grid_size=grid_size, n_constraints=len(points))
+    return res, bool(np.isinf(inv_cheap).any())
+
+
+def _assert_same_search(g, n, **kw):
+    new = perturbation_search(g, n, **kw)
+    ref, has_zero = _two_stage_search(g, n, **kw)
+    assert new.max_norm.hex() == ref.max_norm.hex()
+    assert new == ref
+    return ref, has_zero
+
+
+def test_search_bit_identical_to_two_stage_reference():
+    rng = np.random.default_rng(79)
+    zero_columns = []
+    for i, n in enumerate(list(range(1, 9)) * 2):
+        g = random_boundary_modulus(n, 0, n, 0, rng)
+        _, has_zero = _assert_same_search(g, n, trials=2000, seed=i)
+        zero_columns.append(has_zero)
+    assert any(zero_columns) and not all(zero_columns)
+
+    g = random_boundary_modulus(3, 0, 3, 0, rng)
+    _assert_same_search(g, 3, trials=2500, seed=1)
+    _assert_same_search(g, 3, trials=2000, seed=2, ascent_rounds=0)
+
+    g = random_boundary_modulus(2, 1, 0, 0, rng)
+    ref, has_zero = _assert_same_search(g, 2, trials=500, seed=0)
+    assert not has_zero and ref.max_norm > 1e-3

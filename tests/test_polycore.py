@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
 from hkl.errors import BandExceeded, NullInput
-from hkl.polycore import (Poly, Region, TrigPoly, _aberth, _horner, _polish,
-                          _single_linkage_tree, lift, nonneg_check, poly_mul,
+from hkl.polycore import (EPS_CIRCLE, SNAP_BAND, Poly, Region, TrigPoly,
+                          _aberth, _horner, _polish, _single_linkage_tree,
+                          _snap_self_inversive, lift, nonneg_check, poly_mul,
                           roots, trig_add, trig_from_modulus_squared,
                           trig_mul, trig_scale, unlift)
 
@@ -324,6 +325,78 @@ def test_polish_bit_identical_to_polyval_newton():
                                         + 1j * rng.standard_normal()))
             assert (_bits(_polish(start, q.tolist(), qd.tolist(), 10.0))
                     == _bits(_polyval_polish(start, q, qd, 10.0)))
+
+
+def _min_loop_snap(found):
+    # reference: the nearest mirror by min over a key function, one root
+    # at a time
+    def best_match(i):
+        mirror = 1.0 / found[i][0].conjugate()
+        return min(range(len(found)),
+                   key=lambda j: abs(found[j][0] - mirror))
+
+    matches = [best_match(i) for i in range(len(found))]
+    out = []
+    for i, (a, m) in enumerate(found):
+        r = abs(a)
+        if not EPS_CIRCLE < abs(r - 1.0) <= SNAP_BAND:
+            out.append((a, m))
+            continue
+        j = matches[i]
+        if j != i and matches[j] == i:
+            out.append((a, m))
+        else:
+            out.append((a / r, m))
+    return out
+
+
+def _snap_cases():
+    rng = np.random.default_rng(11)
+    as_type = [complex, np.complex128]
+
+    def band_offset():
+        return float(rng.choice([-1, 1]) * rng.uniform(2 * EPS_CIRCLE,
+                                                       SNAP_BAND))
+
+    cases = []
+    for _ in range(300):
+        found = []
+        for _ in range(int(rng.integers(1, 13))):
+            t = cmath.exp(2j * math.pi * rng.uniform())
+            kind = rng.integers(5)
+            if kind == 0:      # lone root displaced off the circle
+                pts = [t * (1.0 + band_offset())]
+            elif kind == 1:    # reflected pair inside the snap band
+                a = t * (1.0 + band_offset())
+                pts = [a, 1.0 / a.conjugate()]
+            elif kind == 2:    # pair plus rounding debris near its mirror
+                a = t * (1.0 + band_offset())
+                b = 1.0 / a.conjugate()
+                pts = [a, b, b * (1.0 + 1e-9 * rng.standard_normal())]
+            elif kind == 3:    # off the band, and exactly on the circle
+                pts = [t * rng.uniform(0.2, 3.0), t]
+            else:              # its mirror by each division: they differ
+                a = t * (1.0 + band_offset())  # in the last bit, or tie
+                pts = [a, 1.0 / a.conjugate(),
+                       complex(1.0 / np.complex128(a).conjugate())]
+            found += [(as_type[rng.integers(2)](p), int(rng.integers(1, 3)))
+                      for p in pts]
+        cases.append(found)
+    return cases
+
+
+def test_snap_matches_min_loop_reference():
+    kept = projected = 0
+    for found in _snap_cases():
+        new = _snap_self_inversive(found)
+        ref = _min_loop_snap(found)
+        assert [(_bits(a), type(a), m) for a, m in new] == \
+            [(_bits(a), type(a), m) for a, m in ref]
+        for (a, _), (b, _) in zip(found, ref):
+            if EPS_CIRCLE < abs(abs(a) - 1.0) <= SNAP_BAND:
+                kept += _bits(a) == _bits(b)
+                projected += _bits(a) != _bits(b)
+    assert kept and projected
 
 
 # ---------------------------------------------------------------------------
