@@ -4,12 +4,19 @@ One command is one process; exit codes are part of the contract:
 0 success, 2 a named precondition was violated, 3 an internal invariant
 broke (always a bug report trigger).  Output is deterministic byte for
 byte for identical inputs, flags and seed.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused: parsing never changes it, and each call gets a fresh
+namespace, so callers that run ``main`` many times in one process (tests,
+embedders) do not rebuild it each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +52,9 @@ def _sample_trig(g: TrigPoly, size: int) -> Grid:
 def _tols(args, **defaults) -> dict:
     out = dict(defaults)
     if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(
+                f"--tol must be finite and nonnegative, got {args.tol!r}")
         for k in out:
             out[k] = args.tol
         out["override"] = args.tol
@@ -57,8 +67,8 @@ def _tols(args, **defaults) -> dict:
 
 def cmd_factor(args):
     p = _load(args.input, Poly)
-    fac = inner_outer(p)
     tols = _tols(args, tol_factor=1e-9)
+    fac = inner_outer(p)
     zeta = np.exp(2j * np.pi * np.arange(args.grid) / args.grid)
     recon = blaschke_eval(fac.inner, zeta) * fac.outer(zeta)
     residual = float(np.abs(recon - p(zeta)).max())
@@ -78,10 +88,10 @@ def cmd_factor(args):
 
 def cmd_spectral(args):
     g = _load(args.input, TrigPoly)
+    tols = _tols(args, tol_factor=1e-9)
     f = fejer_riesz(g)
     back = trig_from_modulus_squared(f)
     residual = max(abs(back.coeff(k) - g.coeff(k)) for k in range(g.n + 1))
-    tols = _tols(args, tol_factor=1e-9)
     out = {
         "command": "spectral",
         "input": jsonio.trig_to_json(g),
@@ -135,6 +145,7 @@ def cmd_extreme(args):
 
 def cmd_split(args):
     g = _load(args.input, TrigPoly)
+    tols = _tols(args, midpoint=1e-10, norms=1e-10, distinctness=1e-9)
     cert = geometry.split_nonextreme(g, args.n, quad_points=args.grid)
     out = {
         "command": "split",
@@ -153,8 +164,7 @@ def cmd_split(args):
             "extreme1": cert.checks.extreme1,
             "extreme2": cert.checks.extreme2,
         },
-        "tolerances": _tols(args, midpoint=1e-10, norms=1e-10,
-                            distinctness=1e-9),
+        "tolerances": tols,
         "conventions": {
             "rotation": jsonio.complex_pair(cert.rotation),
             "rotation_integral": jsonio.complex_pair(cert.rotation_integral),
@@ -195,8 +205,8 @@ def cmd_decompose(args):
 
 def cmd_solutions(args):
     g = _load(args.input, TrigPoly)
-    sols = geometry.enumerate_solutions(g, args.n)
     tols = _tols(args, grid_residual=1e-9)
+    sols = geometry.enumerate_solutions(g, args.n)
     zeta = np.exp(2j * np.pi * np.arange(args.grid) / args.grid)
     gv = g.values(np.angle(zeta))
     entries = []
@@ -359,6 +369,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkl",

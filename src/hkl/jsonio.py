@@ -81,9 +81,14 @@ def complex_pair(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not numbers."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _read_pair(v, what: str) -> complex:
     if not (isinstance(v, list) and len(v) == 2
-            and all(isinstance(t, (int, float)) for t in v)):
+            and all(_is_int(t) or isinstance(t, float) for t in v)):
         raise ValueError(f"{what} must be a [re, im] pair")
     return complex(float(v[0]), float(v[1]))
 
@@ -121,7 +126,7 @@ def trig_to_json(g: TrigPoly) -> dict:
 def trig_from_json(d: dict) -> TrigPoly:
     _require_fields(d, {"n", "coeffs"}, "trig")
     n = d["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("band limit must be a nonnegative integer")
     raw = d["coeffs"]
     if not isinstance(raw, dict):
@@ -132,7 +137,10 @@ def trig_from_json(d: dict) -> TrigPoly:
         try:
             k = int(key)
         except ValueError:
-            raise ValueError(f"bad frequency key {key!r}") from None
+            k = None
+        # int() also reads "+1", " 1", "01" and "1_0"; a key is canonical
+        if k is None or key != str(k):
+            raise ValueError(f"bad frequency key {key!r}")
         if abs(k) > n:
             raise ValueError(f"frequency {k} outside band {n}")
         c = _read_pair(v, f"coefficient {k}")
@@ -155,7 +163,7 @@ def kernel_to_json(x: KernelElement) -> dict:
 
 def kernel_from_json(d: dict) -> KernelElement:
     _require_fields(d, {"n", "poly"}, "kernel")
-    if not isinstance(d["n"], int):
+    if not _is_int(d["n"]):
         raise ValueError("model order must be an integer")
     return KernelElement(d["n"], poly_from_json(d["poly"]))
 

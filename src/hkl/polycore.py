@@ -671,27 +671,30 @@ def roots(p: Poly, *, eps_circle: float = EPS_CIRCLE,
     Raises NullInput for the zero polynomial and NonConvergence when the
     iteration budget is exhausted without meeting the residual target.
     A nonzero constant has no roots: the empty RootSet is returned.
-    Results are cached on the (immutable) coefficient tuple: the analysis
-    pipelines ask for the same lift repeatedly.
+    Results are cached on the deflated coefficients, p with its leading
+    zeros (powers of z) removed, and the powers of z are added back as a
+    root at 0.  The analysis pipelines ask for the same lift repeatedly,
+    and ``lift(g)`` and ``lift(g, n)`` differ only by a power of z, so
+    powers of z never cause a second solve and the two lifts agree by
+    construction.
     """
     if p.is_null:
         raise NullInput("the zero polynomial has no root set")
-    return _roots_cached(p.coeffs, eps_circle, tol, max_iter)
+    c = p.coeffs
+    m0 = 0
+    while c[m0] == 0:
+        m0 += 1
+    found = _roots_cached(c[m0:], eps_circle, tol, max_iter)
+    if not m0:
+        return found
+    return _root_set([(r.location, r.multiplicity) for r in found], m0,
+                     eps_circle)
 
 
 @functools.lru_cache(maxsize=512)
-def _roots_cached(coeffs: tuple, eps_circle: float, tol: float,
+def _roots_cached(c: tuple, eps_circle: float, tol: float,
                   max_iter: int) -> RootSet:
-    p = Poly(coeffs)
-    if p.degree == 0:
-        return RootSet(())
-
-    c = list(p.coeffs)
-    m0 = 0
-    while c[0] == 0:
-        c.pop(0)
-        m0 += 1
-
+    """The RootSet of the polynomial with coefficients c, c[0] != 0."""
     found: list[tuple[complex, int]] = []
     d = len(c) - 1
     carr = np.asarray(c, dtype=complex)
@@ -724,8 +727,16 @@ def _roots_cached(coeffs: tuple, eps_circle: float, tol: float,
                     f"{max_iter} iterations")
         if d >= 2 and self_inversive_phase(carr) is not None:
             found = _snap_self_inversive(found)
+    return _root_set(found, 0, eps_circle)
 
-    # fold near-origin clusters into the exact power of z
+
+def _root_set(found: list[tuple[complex, int]], m0: int,
+              eps_circle: float) -> RootSet:
+    """The RootSet of ``found`` and an m0-fold root at 0, sorted by location.
+
+    Near-origin clusters fold into the exact power of z, so a set that
+    already has a root at 0 can be passed back in with more of them.
+    """
     merged: list[tuple[complex, int]] = []
     for a, m in found:
         if abs(a) <= ORIGIN_TOL:

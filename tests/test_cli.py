@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hkl.cli import main
+import hkl
+from hkl.cli import build_parser, main
 from hkl.jsonio import dumps, instance_to_json
 from hkl.kernel import KernelElement
 from hkl.numeric import Grid
@@ -244,3 +249,67 @@ def test_seed_only_on_gen(files, capsys):
     path = write("g.json", TrigPoly(1, (1.0, 0.5)))
     with pytest.raises(SystemExit):
         main(["extreme", path, "--n", "1", "--seed", "3"])
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_nonnegative(files, capsys, tol):
+    write, tmp_path = files
+    path = write("g.json", TrigPoly(1, (1.0, 0.25)))
+    for command in ("extreme", "split", "solutions"):
+        code, out, err = run(capsys, [command, path, "--n", "1",
+                                      "--tol", tol])
+        assert code == 2 and out == ""
+        assert err.startswith("error: BadInput: --tol must be finite")
+    d = tmp_path / "batch"
+    d.mkdir()
+    for k, c1 in enumerate((0.5, 0.25)):
+        (d / f"g{k}.json").write_text(
+            dumps(instance_to_json(TrigPoly(1, (1.0, c1)))) + "\n")
+    code, out, err = run(capsys, ["extreme", "--n", "1", "--batch", str(d),
+                                  "--tol", tol])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert all(": error: BadInput: --tol must be finite" in ln
+               for ln in lines)
+    assert not list(d.glob("*.out.json"))
+
+
+@pytest.mark.parametrize("argv, kind, payload", [
+    (["extreme", "--n", "1"], "trig",
+     '{"n": true, "coeffs": {"0": [1.0, 0.0], "1": [0.5, 0.0]}}'),
+    (["norm"], "kernel", '{"n": true, "poly": {"coeffs": [[1.0, 0.0]]}}'),
+    (["factor"], "poly", '{"coeffs": [[true, false], [1.0, 0.0]]}'),
+    (["spectral"], "trig",
+     '{"n": 10, "coeffs": {"0": [1.0, 0.0], "1_0": [0.1, 0.0]}}'),
+])
+def test_non_json_types_exit_2(tmp_path, capsys, argv, kind, payload):
+    path = tmp_path / "x.json"
+    path.write_text('{"version": "hkl-1", "type": "%s", "payload": %s}'
+                    % (kind, payload))
+    code, out, err = run(capsys, [argv[0], str(path)] + argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: BadInput: ")
+
+
+def test_parser_is_built_once_and_reused(files, capsys):
+    write, _ = files
+    path = write("g.json", TrigPoly(1, (1.0, 0.25)))
+    assert build_parser() is build_parser()
+    argv = ["extreme", path, "--n", "2"]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hkl.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "hkl.cli"] + argv,
+                           capture_output=True, env=env, check=True).stdout
+    code, out, _ = run(capsys, argv + ["--tol", "1e-3"])
+    assert code == 0 and '"override"' in out
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and '"override"' not in out
+    assert out.encode() == fresh
+    # an argparse error leaves the next call unaffected
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.encode() == fresh

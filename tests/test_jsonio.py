@@ -96,3 +96,28 @@ def test_dumps_rejects_nonfinite():
 def test_dumps_deterministic():
     obj = instance_to_json(TrigPoly(2, (1.0, 0.1 + 0.2j, -0.05j)))
     assert dumps(obj) == dumps(obj)
+
+
+def test_bool_band_limit_rejected():
+    # JSON true is not the integer 1
+    with pytest.raises(ValueError, match="band limit"):
+        trig_from_json({"n": True, "coeffs": {"0": [1.0, 0.0]}})
+    with pytest.raises(ValueError, match="model order"):
+        kernel_from_json({"n": True, "poly": {"coeffs": [[1.0, 0.0]]}})
+
+
+def test_bool_coefficient_rejected():
+    with pytest.raises(ValueError, match=r"\[re, im\] pair"):
+        poly_from_json({"coeffs": [[True, False]]})
+    with pytest.raises(ValueError, match=r"\[re, im\] pair"):
+        trig_from_json({"n": 0, "coeffs": {"0": [1.0, False]}})
+    # integers still read as numbers
+    assert poly_from_json({"coeffs": [[1, 0]]}).coeffs == (1 + 0j,)
+
+
+@pytest.mark.parametrize("key", ["1_0", "+1", "01", " 1", "-0"])
+def test_noncanonical_frequency_key_rejected(key):
+    # int() reads each of these; "1_0" would load as frequency 10
+    d = {"n": 10, "coeffs": {"0": [1.0, 0.0], key: [0.1, 0.0]}}
+    with pytest.raises(ValueError, match="bad frequency key"):
+        trig_from_json(d)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
 from hkl.errors import BandExceeded, NullInput
-from hkl.polycore import (EPS_CIRCLE, SNAP_BAND, Poly, Region, TrigPoly,
-                          _aberth, _horner, _polish, _single_linkage_tree,
-                          _snap_self_inversive, lift, nonneg_check, poly_mul,
-                          roots, trig_add, trig_from_modulus_squared,
-                          trig_mul, trig_scale, unlift)
+from hkl.gen import random_boundary_modulus
+from hkl.polycore import (EPS_CIRCLE, SNAP_BAND, Poly, Region, Root, TrigPoly,
+                          _aberth, _horner, _polish, _roots_cached,
+                          _single_linkage_tree, _snap_self_inversive, lift,
+                          nonneg_check, poly_mul, roots, trig_add,
+                          trig_from_modulus_squared, trig_mul, trig_scale,
+                          unlift)
 
 # exact zeros are fine; tiny magnitudes are excluded so products stay clear
 # of underflow, which would break the exact degree law
@@ -174,6 +176,53 @@ def test_roots_newton_fixed_point():
             q = q.derivative()
         step = q(r.location) / q.derivative()(r.location)
         assert abs(step) <= 1e-9 * max(1.0, abs(r.location))
+
+
+def _exact(rs):
+    return [(r.location.real.hex(), r.location.imag.hex(), r.multiplicity,
+             r.region) for r in rs]
+
+
+def _plus_origin(rs, k):
+    # rs with k more roots at 0, in the root set's sorted order
+    m0 = k + sum(r.multiplicity for r in rs if r.location == 0)
+    out = [r for r in rs if r.location != 0] + [Root(0j, m0, Region.INSIDE)]
+    return sorted(out, key=lambda r: (r.location.real, r.location.imag))
+
+
+def test_roots_of_shifted_poly_bit_identical():
+    # z**k p has the roots of p, bit for bit, and k more at the origin
+    rng = np.random.default_rng(1812)
+    cases = [Poly((5.0,))]      # z**k * 5 has only the k-fold root at 0
+    for degree in (1, 2, 3, 5, 8, 12):
+        p, _ = _random_poly_with_roots(rng, degree)
+        cases.append(p)
+    # a polynomial that already has a root at 0
+    cases.append(Poly((0, -0.5, 1)))
+    # a root at 1e-13 that folds into the origin in the unshifted solve
+    near = poly_mul(poly_mul(Poly((-1e-13, 1)), Poly((-0.5, 1))),
+                    Poly((0.7, 1)))
+    assert near.coeff(0) != 0
+    assert any(r.location == 0 for r in roots(near))
+    cases.append(near)
+    for p in cases:
+        for k in (1, 2, 4):
+            got = roots(p.shifted(k))
+            assert _exact(got) == _exact(_plus_origin(roots(p), k))
+            assert got.total_multiplicity == p.degree + k
+
+
+def test_shifted_lifts_share_one_solve():
+    # lift(g, n) with g.n < n is lift(g) times a power of z: one solve
+    g = random_boundary_modulus(6, 1, 3, 2, np.random.default_rng(6586))
+    n = g.n + 3
+    assert lift(g, n).coeffs == lift(g).shifted(3).coeffs
+    _roots_cached.cache_clear()
+    base = roots(lift(g))
+    assert _roots_cached.cache_info().misses == 1
+    shifted = roots(lift(g, n))
+    assert _roots_cached.cache_info().misses == 1
+    assert _exact(shifted) == _exact(_plus_origin(base, 3))
 
 
 def _pairwise_linkage_tree(dist):
