@@ -7,7 +7,7 @@ from .errors import (AlreadyExtreme, BandExceeded, HklError,
                      NonConvergence, NotDivisible, NotInV, NotNonnegative,
                      NotNormalized, NotOnBoundary, NotUnitNorm, NullInput,
                      OddCircleMultiplicity, PoleHit, PreconditionError,
-                     TooSmall)
+                     RootOverflow, TooSmall)
 from .factor import (BlaschkeProduct, Factorization, blaschke_eval,
                      blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
 from .gen import (random_boundary_modulus, random_census_poly,
@@ -23,8 +23,8 @@ from .numeric import (DominationEstimate, Grid, SymbolTest,
                       grid_ifft, harmonic_conjugate, outer_from_modulus,
                       symbol_condition_test)
 from .polycore import (NonnegCertificate, Poly, Region, Root, RootSet,
-                       TrigPoly, lift, nonneg_check, poly_mul, roots,
-                       trig_add, trig_from_modulus_squared, trig_mul,
+                       TrigPoly, lift, nonneg_check, nonneg_tol, poly_mul,
+                       roots, trig_add, trig_from_modulus_squared, trig_mul,
                        trig_scale, unlift)
 
 __version__ = "0.1.0"

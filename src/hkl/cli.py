@@ -2,8 +2,9 @@
 
 One command is one process; exit codes are part of the contract:
 0 success, 2 a named precondition was violated, 3 an internal invariant
-broke (always a bug report trigger).  Output is deterministic byte for
-byte for identical inputs, flags and seed.
+broke or the arithmetic left the double range (never the caller's
+fault).  Output is deterministic byte for byte for identical inputs,
+flags and seed.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: parsing never changes it, and each call gets a fresh
@@ -377,11 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "model spaces; JSON in, certificates out")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, batchable=False):
+    def common(sp, *, batchable=False, tol=False):
         sp.add_argument("--grid", type=int, default=4096,
                         help="boundary sample count (power of two)")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override certificate tolerances; echoed")
+        if tol:
+            sp.add_argument("--tol", type=float, default=None,
+                            help="override certificate tolerances; echoed")
         sp.add_argument("--csv", type=str, default=None,
                         help="dump boundary samples theta,re,im,abs")
         if batchable:
@@ -389,16 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
                             help="process every *.json in a directory, "
                                  "except earlier *.out.json outputs")
 
+    # --tol only where a handler reads it (through _tols)
     for name in ("factor", "spectral", "companion", "norm", "baseline-split"):
         sp = sub.add_parser(name)
         sp.add_argument("input", nargs="?", default=None)
-        common(sp, batchable=True)
+        common(sp, batchable=True, tol=name in ("factor", "spectral"))
 
     for name in ("extreme", "split", "solutions"):
         sp = sub.add_parser(name)
         sp.add_argument("input", nargs="?", default=None)
         sp.add_argument("--n", type=int, required=True)
-        common(sp, batchable=True)
+        common(sp, batchable=True, tol=True)
 
     sp = sub.add_parser("decompose")
     sp.add_argument("input", nargs="?", default=None)
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("trig")
     sp.add_argument("kernel")
     sp.add_argument("--n", type=int, required=True)
-    common(sp)
+    common(sp, tol=True)
 
     sp = sub.add_parser("outer-grid")
     sp.add_argument("input", nargs="?", default=None)
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("symbol-test")
     sp.add_argument("phi")
     sp.add_argument("g")
-    common(sp)
+    common(sp, tol=True)
 
     sp = sub.add_parser("domination")
     sp.add_argument("kernel")

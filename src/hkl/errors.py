@@ -5,7 +5,8 @@ Two families matter for the CLI exit-code contract:
 * ``PreconditionError`` - the caller handed us an input that violates a
   documented precondition (exit code 2).
 * ``InternalInvariantError`` - an invariant the library itself guarantees
-  failed; always a bug-report trigger (exit code 3).
+  failed, or double precision could not carry the computation
+  (``RootOverflow``); never the caller's fault (exit code 3).
 """
 
 
@@ -83,3 +84,8 @@ class NonConvergence(InternalInvariantError):
 
 class PairingFailure(InternalInvariantError):
     """Zeros of a lifted nonnegative function failed to pair across the circle."""
+
+
+class RootOverflow(InternalInvariantError):
+    """The root engine left the double range: a root or its residual is not
+    finite, because the coefficients overflow in the arithmetic of the solve."""

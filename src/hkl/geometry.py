@@ -14,6 +14,12 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
                                                        (enumerate_solutions)
 * when the lift is outer, any kernel element merely dominated by
   sqrt(g) is a constant multiple of the spectral factor     (rigidity_check)
+* at an extreme point no mean-free band-n h keeps g +/- h >= 0: when the
+  lift's circle zeros have even multiplicities adding up to 2n, h must
+  vanish at each to its full order, so z**n h is divisible by the lift
+  and h = c g with c = 0 (route circle_count); otherwise a randomized
+  search bounds the largest admissible h (route sampled), whose last
+  bits depend on the BLAS thread count              (perturbation_search)
 
 Everything returns a certificate object carrying residuals and the
 conventions used, so a verdict can be audited without rerunning.
@@ -32,8 +38,9 @@ from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
 from .factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
                      divisors, fejer_riesz, inner_outer)
 from .kernel import KernelElement, Membership, h2_norm, membership_V
-from .polycore import (Poly, TrigPoly, lift, nonneg_check, roots, trig_add,
-                       trig_mul, trig_scale, trig_from_modulus_squared, unlift)
+from .polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
+                       refine_circle_angle, roots, trig_add, trig_mul,
+                       trig_scale, trig_from_modulus_squared, unlift)
 
 TOL_NORM = 1e-12        # mean-equals-one test
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
@@ -352,22 +359,79 @@ class PerturbationSearch:
     trials: int
     grid_size: int
     n_constraints: int
+    route: str = "sampled"      # circle_count | sampled: what decided max_norm
+
+    CIRCLE_COUNT = "circle_count"
+    SAMPLED = "sampled"
 
 
 def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
                         seed: int = 0, grid_size: int = 4096,
                         ascent_rounds: int = 40) -> PerturbationSearch:
-    """Randomized search for a mean-free band-n perturbation h with g +/- h >= 0.
+    """Largest mean-free band-n perturbation h with g +/- h >= 0.
 
     At an extreme point the only admissible h is zero, so the search is a
     negative certificate: it reports the largest sup-norm it could reach.
+    Two routes decide it, and ``route`` names the one that did.
+
+    circle_count: an exact count on the circle zeros of the lift z**n g,
+    read from the RootSet the sampled route needs anyway.  When every
+    circle multiplicity is even, the multiplicities add up to 2n, and
+    |g| <= nonneg_tol(g) at each zero's refined angle, no perturbation
+    survives: near a zero of order 2m, g behaves like |theta - t0|**2m,
+    and |h| <= g forces the smooth h to vanish there to order 2m too.  So
+    z**n h, of degree <= 2n, is divisible by the degree-2n circle part of
+    the lift, which is z**n g up to a constant: h = c g, and the mean-free
+    condition with mean(g) > 0 gives c = 0.  This route returns 0 at once
+    and draws no random numbers, so its certificate does not depend on
+    ``seed``, ``trials`` or the BLAS thread count.  At n = 0 the count is
+    vacuously 0 = 2n.
+
+    sampled: otherwise (an odd or short count, as when rounding returns a
+    double circle zero as two simple zeros or as a reflected pair), a
+    randomized search over ``trials`` directions plus ``ascent_rounds``
+    rounds of coordinate ascent; see ``_sampled_search``.  Its max_norm
+    may differ in the last bits with the BLAS thread count.
+    """
+    if trials < 0 or ascent_rounds < 0:
+        raise ValueError("trials and ascent_rounds must be nonnegative")
+    circle = roots(lift(g, n)).on_circle
+    if _circle_count_decides(g, n, circle):
+        # n_constraints counts the grid the sampled route would have used
+        return PerturbationSearch(
+            max_norm=0.0, trials=trials, grid_size=grid_size,
+            n_constraints=grid_size + (1 + 2 * len(_LADDER)) * len(circle),
+            route=PerturbationSearch.CIRCLE_COUNT)
+    return _sampled_search(g, n, circle, trials=trials, seed=seed,
+                           grid_size=grid_size, ascent_rounds=ascent_rounds)
+
+
+def _circle_count_decides(g: TrigPoly, n: int, circle: tuple) -> bool:
+    """Even circle multiplicities adding up to 2n, each a zero of g."""
+    if (any(r.multiplicity % 2 for r in circle)
+            or sum(r.multiplicity for r in circle) != 2 * n):
+        return False
+    refined = [refine_circle_angle(g, float(np.angle(r.location)))
+               for r in circle]
+    return bool(np.all(np.abs(g.values(refined)) <= nonneg_tol(g)))
+
+
+# angular offsets of the refined constraint points on each side of a zero
+_LADDER = np.array([10.0 ** (-k) for k in range(3, 10)])
+
+
+def _sampled_search(g: TrigPoly, n: int, circle: tuple, *, trials: int,
+                    seed: int, grid_size: int,
+                    ascent_rounds: int) -> PerturbationSearch:
+    """Randomized search for the largest admissible perturbation.
+
     Constraints are linear in h (|h| <= g pointwise) and are imposed on a
     uniform grid augmented with points geometrically accumulating at the
-    circle zeros of g.  The refinement matters: a sign dip caused by a
-    first-order perturbation near a double zero of g is quadratically
-    narrow, so a uniform grid alone admits perturbations up to about a
-    quarter of the grid spacing, orders of magnitude above the scale this
-    certificate needs to exclude.
+    circle zeros of g, the lift's roots ``circle``.  The refinement
+    matters: a sign dip caused by a first-order perturbation near a double
+    zero of g is quadratically narrow, so a uniform grid alone admits
+    perturbations up to about a quarter of the grid spacing, orders of
+    magnitude above the scale this certificate needs to exclude.
 
     Each block of random candidate directions passes three stages, and a
     candidate is dropped as soon as it cannot beat the best norm so far:
@@ -384,28 +448,17 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
        lowest uniform points bound the reachable norm from above.
     3. the full grid, one candidate at a time, for the candidates whose
        bound still beats the incumbent.
-
-    A band-0 mean-free h is zero, so for n = 0 the search returns 0.
     """
-    if trials < 0 or ascent_rounds < 0:
-        raise ValueError("trials and ascent_rounds must be nonnegative")
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
 
-    zero_angles = [float(np.angle(r.location))
-                   for r in roots(lift(g, n)).on_circle]
-    ladder = np.array([10.0 ** (-k) for k in range(3, 10)])
+    zero_angles = [float(np.angle(r.location)) for r in circle]
     extra = [np.array(zero_angles)] if zero_angles else []
     for t0 in zero_angles:
-        extra.append(t0 + ladder)
-        extra.append(t0 - ladder)
+        extra.append(t0 + _LADDER)
+        extra.append(t0 - _LADDER)
     refined = np.concatenate(extra) if extra else np.empty(0)
     points = np.concatenate([theta, refined])
-
-    if n == 0:
-        return PerturbationSearch(max_norm=0.0, trials=trials,
-                                  grid_size=grid_size,
-                                  n_constraints=len(points))
 
     gv = np.maximum(g.values(points), 0.0)
     with np.errstate(divide="ignore"):

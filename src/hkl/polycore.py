@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import BandExceeded, NonConvergence, NullInput
+from .errors import BandExceeded, NonConvergence, NullInput, RootOverflow
 
 # Tolerance policy for the root engine.  EPS_CIRCLE is the dead band of the
 # inside / on-circle / outside classification; the inner-outer split is
@@ -698,22 +698,26 @@ def _roots_cached(c: tuple, eps_circle: float, tol: float,
     found: list[tuple[complex, int]] = []
     d = len(c) - 1
     carr = np.asarray(c, dtype=complex)
-    if d == 1:
-        found = [(complex(-c[0] / c[1]), 1)]
-    elif d == 2:
-        a2, a1, a0 = c[2], c[1], c[0]
-        disc = np.sqrt(complex(a1 * a1 - 4 * a2 * a0))
-        # pick the sign that avoids cancellation in -a1 -+ disc
-        if (a1.conjugate() * disc).real > 0:
-            disc = -disc
-        q = -(a1 - disc) / 2
-        r1 = q / a2
-        r2 = a0 / q if q != 0 else -a1 / a2 - r1
-        found = _cluster_points(np.array([r1, r2]), tol, carr)
-    elif d > 0:
-        # clustering can still rescue a stalled multiple root, so failure
-        # is judged on the clustered residuals below
-        found = _cluster_points(_aberth(carr, tol, max_iter), tol, carr)
+    # coefficients near the float range overflow inside the solve; the
+    # roots then come out non-finite, which the residual check below
+    # reports as RootOverflow instead of a warning per operation
+    with np.errstate(all="ignore"):
+        if d == 1:
+            found = [(complex(-c[0] / c[1]), 1)]
+        elif d == 2:
+            a2, a1, a0 = c[2], c[1], c[0]
+            disc = np.sqrt(complex(a1 * a1 - 4 * a2 * a0))
+            # pick the sign that avoids cancellation in -a1 -+ disc
+            if (a1.conjugate() * disc).real > 0:
+                disc = -disc
+            q = -(a1 - disc) / 2
+            r1 = q / a2
+            r2 = a0 / q if q != 0 else -a1 / a2 - r1
+            found = _cluster_points(np.array([r1, r2]), tol, carr)
+        elif d > 0:
+            # clustering can still rescue a stalled multiple root, so
+            # failure is judged on the clustered residuals below
+            found = _cluster_points(_aberth(carr, tol, max_iter), tol, carr)
 
     if found:
         clist = carr.tolist()
@@ -721,7 +725,12 @@ def _roots_cached(c: tuple, eps_circle: float, tol: float,
         for a, m in found:
             resid = abs(_horner(clist, complex(a)))
             scale = _horner(aclist, abs(complex(a)))
-            if resid > 10.0 * tol * scale:
+            # written so that a NaN residual fails the check too
+            if not resid <= 10.0 * tol * scale:
+                if not math.isfinite(resid / scale):
+                    raise RootOverflow(
+                        f"root {complex(a)} has residual {resid} at scale "
+                        f"{scale}: the coefficients overflow double precision")
                 raise NonConvergence(
                     f"root residual {resid / scale:.3e} above tolerance after "
                     f"{max_iter} iterations")
@@ -811,6 +820,17 @@ def _local_dip(g: TrigPoly, theta0: float, radius: float,
     return best_val, best_theta
 
 
+def nonneg_tol(g: TrigPoly) -> float:
+    """The default tolerance at which a value of g counts as zero.
+
+    1e-10 of the sup-norm bound |g_0| + 2 sum |g_k|, and never below
+    1e-10: ``nonneg_check`` accepts a dip to -tol, and the circle count of
+    ``geometry.perturbation_search`` takes |g| <= tol as a zero of g.
+    """
+    return 1e-10 * max(1.0, abs(g.coeffs[0]) + 2 * sum(
+        abs(c) for c in g.coeffs[1:]))
+
+
 def nonneg_check(g: TrigPoly, *, grid_size: int | None = None,
                  tol: float | None = None) -> NonnegCertificate:
     """Certify g >= 0 on the circle.
@@ -829,8 +849,7 @@ def nonneg_check(g: TrigPoly, *, grid_size: int | None = None,
     if grid_size is None:
         grid_size = max(4096, 64 * g.n)
     if tol is None:
-        tol = 1e-10 * max(1.0, abs(g.coeffs[0]) + 2 * sum(
-            abs(c) for c in g.coeffs[1:]))
+        tol = nonneg_tol(g)
     if g.is_null:
         return NonnegCertificate(True, 0.0, 0.0, (), tol, grid_size)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hkl
-from hkl.cli import build_parser, main
+from hkl.cli import COMMANDS, build_parser, main
 from hkl.jsonio import dumps, instance_to_json
 from hkl.kernel import KernelElement
 from hkl.numeric import Grid
@@ -313,3 +313,45 @@ def test_parser_is_built_once_and_reused(files, capsys):
     capsys.readouterr()
     code, out, _ = run(capsys, argv)
     assert code == 0 and out.encode() == fresh
+
+
+READS_TOL = ("factor", "spectral", "extreme", "split", "solutions",
+             "rigidity", "symbol-test")
+
+
+def test_tol_only_on_commands_that_read_it(files, capsys):
+    for command, (_, arity) in COMMANDS.items():
+        argv = [command] + ["x.json", "y.json"][:arity]
+        if command in ("extreme", "split", "solutions", "rigidity", "gen"):
+            argv += ["--n", "1"]
+        if command in READS_TOL:
+            assert build_parser().parse_args(argv + ["--tol", "1e-3"]).tol \
+                == 1e-3
+        else:
+            assert not hasattr(build_parser().parse_args(argv), "tol")
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv + ["--tol", "1e-3"])
+            assert exc.value.code == 2
+    capsys.readouterr()
+
+    write, _ = files
+    path = write("k.json", KernelElement(1, Poly((0.6, 0.8))))
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", path, "--tol", "nan"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --tol nan" in out.err
+
+
+def test_overflowing_coefficients_raise_root_overflow(files):
+    # the quadratic formula overflows: the root engine must say so itself,
+    # once, without numpy warnings and without blaming the boundary grid
+    write, _ = files
+    path = write("big.json", Poly((1e308, 1e308, 1e308)))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hkl.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hkl.cli", "factor", path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: RootOverflow: ")
+    assert len(proc.stderr.splitlines()) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                         NullInput)
 from hkl.factor import blaschke_eval, fejer_riesz
 from hkl.gen import random_boundary_modulus, random_kernel_element
-from hkl.geometry import (PerturbationSearch, RigidityResult, baseline_split,
-                          decompose_modulus, enumerate_solutions, is_extreme,
+from hkl.geometry import (PerturbationSearch, RigidityResult, _sampled_search,
+                          baseline_split, decompose_modulus,
+                          enumerate_solutions, is_extreme,
                           perturbation_search, rigidity_check,
                           split_nonextreme)
 from hkl.kernel import KernelElement, companion, h2_norm
@@ -474,8 +476,15 @@ def _two_stage_search(g, n, *, trials=10_000, seed=0, grid_size=4096,
     return res, bool(np.isinf(inv_cheap).any())
 
 
+def _sampled(g, n, **kw):
+    # the sampled route alone, with perturbation_search's defaults
+    kw = dict(dict(trials=10_000, seed=0, grid_size=4096, ascent_rounds=40),
+              **kw)
+    return _sampled_search(g, n, roots(lift(g, n)).on_circle, **kw)
+
+
 def _assert_same_search(g, n, **kw):
-    new = perturbation_search(g, n, **kw)
+    new = _sampled(g, n, **kw)
     ref, has_zero = _two_stage_search(g, n, **kw)
     assert new.max_norm.hex() == ref.max_norm.hex()
     assert new == ref
@@ -498,3 +507,79 @@ def test_search_bit_identical_to_two_stage_reference():
     g = random_boundary_modulus(2, 1, 0, 0, rng)
     ref, has_zero = _assert_same_search(g, 2, trials=500, seed=0)
     assert not has_zero and ref.max_norm > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the two routes of the perturbation search
+# ---------------------------------------------------------------------------
+
+def test_circle_count_agrees_with_sampled_oracle():
+    # the first 20 points of acceptance criterion 5, searched both ways
+    rng = np.random.default_rng(555)
+    for i in range(20):
+        n = int(rng.integers(1, 9))
+        g = random_boundary_modulus(n, 0, n, 0, rng)
+        res = perturbation_search(g, n, trials=10_000, seed=i)
+        assert res.route == PerturbationSearch.CIRCLE_COUNT
+        assert res.max_norm == 0.0
+        assert _sampled(g, n, seed=i).max_norm <= 1e-6
+
+
+def test_circle_count_does_not_decide_off_extreme_points():
+    rng = np.random.default_rng(78)
+    g = random_boundary_modulus(2, 1, 0, 0, rng)
+    assert (perturbation_search(g, 2, trials=500).route
+            == PerturbationSearch.SAMPLED)
+    # cos(theta): two simple circle zeros add up to 2n, but g changes sign
+    res = perturbation_search(TrigPoly(1, (0.0, 0.5)), 1, trials=0,
+                              ascent_rounds=0)
+    assert res.route == PerturbationSearch.SAMPLED
+    # inside, outside and deficit census moduli: the circle count is short
+    rng = np.random.default_rng(80)
+    for n, census in [(3, (1, 2, 0)), (4, (2, 2, 0)), (3, (0, 2, 1)),
+                      (5, (0, 3, 2)), (4, (0, 2, 0)), (6, (0, 0, 0))]:
+        g = random_boundary_modulus(n, *census, rng)
+        assert not is_extreme(g, n).verdict
+        res = perturbation_search(g, n, trials=0, ascent_rounds=0)
+        assert res.route == PerturbationSearch.SAMPLED
+
+
+# gridsearch hold-out instance 212 (bench/run.py --pool-seed 5926), n = 5:
+# an extreme point whose double circle zero near 0.4541-0.8910i comes back
+# from the root engine as a reflected pair at |z| = 1 -/+ 3e-7
+HOLDOUT_212 = TrigPoly(5, tuple(complex(float.fromhex(re), float.fromhex(im))
+                                for re, im in (
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.2d22bd18627e7p-2", "-0x1.a00e739d6d680p-1"),
+    ("-0x1.c5b29ed0626a0p-2", "-0x1.a7896c8d7f73ep-2"),
+    ("-0x1.3cc67586c38afp-2", "0x1.62a4bdaa03d9ep-3"),
+    ("0x1.aee0efeae39b8p-5", "0x1.01c97c4da8162p-3"),
+    ("0x1.61fda037129e8p-6", "-0x1.4273ccec1b48dp-7"))))
+
+
+def test_short_circle_count_falls_back_to_sampling():
+    assert sum(r.multiplicity
+               for r in roots(lift(HOLDOUT_212, 5)).on_circle) < 10
+    res = perturbation_search(HOLDOUT_212, 5, seed=212)
+    assert res.route == PerturbationSearch.SAMPLED
+    assert res.max_norm <= 1e-6
+    assert res == _sampled(HOLDOUT_212, 5, seed=212)
+
+
+def test_circle_count_certificate_ignores_seed_and_budget(monkeypatch):
+    rng = np.random.default_rng(81)
+    g = random_boundary_modulus(4, 0, 4, 0, rng)
+    first = perturbation_search(g, 4, trials=10_000, seed=0)
+    assert first.route == PerturbationSearch.CIRCLE_COUNT
+
+    # the count route draws no random numbers, so nothing it returns can
+    # depend on the seed, the budget or the BLAS thread count
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the circle count drew random numbers")
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for trials, seed in [(0, 0), (17, 3), (50_000, 99)]:
+        res = perturbation_search(g, 4, trials=trials, seed=seed,
+                                  ascent_rounds=7)
+        assert res.trials == trials
+        assert res.max_norm.hex() == first.max_norm.hex()
+        assert dataclasses.replace(res, trials=first.trials) == first

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
-from hkl.errors import BandExceeded, NullInput
+from hkl.errors import BandExceeded, NullInput, RootOverflow
 from hkl.gen import random_boundary_modulus
 from hkl.polycore import (EPS_CIRCLE, SNAP_BAND, Poly, Region, Root, TrigPoly,
                           _aberth, _horner, _polish, _roots_cached,
@@ -111,6 +111,16 @@ def test_roots_null_and_constant():
     with pytest.raises(NullInput):
         roots(Poly())
     assert len(roots(Poly((3.0,)))) == 0
+
+
+def test_roots_overflow_is_named_not_nan():
+    # a1 * a1 overflows in the quadratic formula and both roots come out
+    # NaN; they must fail the residual check (pytest turns warnings into
+    # errors, so this also checks that no numpy warning escapes)
+    with pytest.raises(RootOverflow):
+        roots(Poly((1e308, 1e308, 1e308)))
+    # the same polynomial scaled into range has finite roots
+    assert len(roots(Poly((1.0, 1.0, 1.0)))) == 2
 
 
 def test_roots_double_circle_zero_clusters():
