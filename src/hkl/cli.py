@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gen as genmod
 from . import geometry, jsonio, numeric
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError, RootOverflow
 from .factor import blaschke_eval, fejer_riesz, inner_outer
 from .jsonio import dumps, instance_to_json
 from .kernel import KernelElement, companion, h2_norm
@@ -71,8 +71,14 @@ def cmd_factor(args):
     tols = _tols(args, tol_factor=1e-9)
     fac = inner_outer(p)
     zeta = np.exp(2j * np.pi * np.arange(args.grid) / args.grid)
-    recon = blaschke_eval(fac.inner, zeta) * fac.outer(zeta)
-    residual = float(np.abs(recon - p(zeta)).max())
+    # finite roots can still overflow here, with coefficients near the top
+    # of the double range
+    with np.errstate(all="ignore"):
+        recon = blaschke_eval(fac.inner, zeta) * fac.outer(zeta)
+        residual = float(np.abs(recon - p(zeta)).max())
+    if not math.isfinite(residual):
+        raise RootOverflow(
+            "the reconstruction on the circle overflows double precision")
     out = {
         "command": "factor",
         "input": jsonio.poly_to_json(p),
@@ -92,7 +98,11 @@ def cmd_spectral(args):
     tols = _tols(args, tol_factor=1e-9)
     f = fejer_riesz(g)
     back = trig_from_modulus_squared(f)
-    residual = max(abs(back.coeff(k) - g.coeff(k)) for k in range(g.n + 1))
+    # relative to the size of g: s = max(1, max |g_k|) is 1 for a
+    # nonnegative g with mean at most 1
+    scale = max(1.0, max(abs(c) for c in g.coeffs))
+    residual = max(abs(back.coeff(k) - g.coeff(k))
+                   for k in range(g.n + 1)) / scale
     out = {
         "command": "spectral",
         "input": jsonio.trig_to_json(g),

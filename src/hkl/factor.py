@@ -31,7 +31,8 @@ from .errors import (NotDivisible, NotNonnegative, NullInput,
                      OddCircleMultiplicity, PairingFailure, PoleHit)
 from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
                        _horner, lift, nonneg_check, refine_circle_angle,
-                       roots, self_inversive_phase, synthetic_divide)
+                       roots, self_inversive_phase, synthetic_divide,
+                       trig_scale)
 
 PAIR_TOL = 1e-6      # relative tolerance for matching reflected zero pairs
 TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
@@ -166,6 +167,10 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     coefficient equation |F|^2 = g (``_polish``), with the circle zeros
     kept exactly unimodular: the root picture fixes which factor is meant,
     the polish recovers the accuracy that the input coefficients allow.
+    When a coefficient of g exceeds 1 in modulus (s = max |g_k| > 1), F is
+    the factor of g / s times sqrt(s), so the polish works at unit scale;
+    a nonnegative g with mean at most 1 has |g_k| <= 1 and is factored as
+    it is.
 
     Raises NullInput for the zero function, NotNonnegative or
     OddCircleMultiplicity when nonnegativity fails (a confirmed sign change
@@ -175,6 +180,11 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     """
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
+    scale = max(1.0, max(abs(c) for c in g.coeffs))
+    if scale > 1.0:
+        # near the top of the double range the polish's residual norms
+        # overflow; the factor of g / scale times sqrt(scale) is the same F
+        return fejer_riesz(trig_scale(g, 1.0 / scale)).scaled(math.sqrt(scale))
     cert = nonneg_check(g)
     if cert.odd_circle_roots:
         raise OddCircleMultiplicity(
@@ -206,7 +216,17 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     circle = _circle_zeros(g, rs.on_circle)
     angles = np.array([t for t, _ in circle])
     halves = np.array([m // 2 for _, m in circle], dtype=int)
+    return _factor_from_zeros(g, cofactor, angles, halves)
 
+
+def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray, angles: np.ndarray,
+                       halves: np.ndarray) -> Poly:
+    """The spectral factor of g with the given zeros, polished and normalized.
+
+    F starts as cofactor(z) * prod (z - exp(i angle))**half, scaled to the
+    mean of g, is polished on g's coefficients (``_polish``) and is
+    returned with F(0) real positive.
+    """
     coeffs = _assemble(cofactor, angles, halves)
     scale = math.sqrt(g.mean / float(np.vdot(coeffs, coeffs).real))
     coeffs = _polish(np.asarray(g.coeffs), cofactor * scale, angles, halves)

@@ -6,6 +6,12 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
 * a boundary g is extreme iff its lift z**n g is outer            (is_extreme)
 * a non-extreme boundary g is the midpoint of two extreme points
   built from the rotated inner factor of its lift          (split_nonextreme)
+* with z**n g = G u, u = N / D inner of degree k and lam the rotation,
+  the halves g(1 +/- Re(lam u)) have lift +/-G (lam u +/- 1)**2 / (2 lam):
+  their zeros are g's circle zeros and, doubled, the k unimodular roots
+  of lam N +/- D, so their factors need no solve of degree 2n; the claim
+  is checked on each half and a half that fails it is solved as before
+                                                         (split_nonextreme)
 * a unit-norm kernel element f admits |f|^2 = (|f1|^2 + |f2|^2)/2
   with |f1| != |f2| iff f or its companion has a nonconstant
   inner factor, and otherwise is rigid                   (decompose_modulus)
@@ -34,13 +40,15 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
                      NotNonnegative, NotNormalized, NotOnBoundary, NotUnitNorm,
-                     NullInput)
-from .factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
-                     divisors, fejer_riesz, inner_outer)
+                     NullInput, OddCircleMultiplicity)
+from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
+                     blaschke_eval, blaschke_mul_poly, divisors, fejer_riesz,
+                     inner_outer)
 from .kernel import KernelElement, Membership, h2_norm, membership_V
-from .polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
-                       refine_circle_angle, roots, trig_add, trig_mul,
-                       trig_scale, trig_from_modulus_squared, unlift)
+from .polycore import (Poly, TrigPoly, grid_min, lift, nonneg_check,
+                       nonneg_grid_size, nonneg_tol, refine_circle_angle,
+                       roots, trig_add, trig_mul, trig_scale,
+                       trig_from_modulus_squared, unlift)
 
 TOL_NORM = 1e-12        # mean-equals-one test
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
@@ -120,17 +128,36 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
     With z**n g = G * u0 (outer times inner, u0 nontrivial), a unimodular
     lam is chosen so the integral of g * lam * u0 is purely imaginary; then
 
-        lift(g_j) = conj(lam) G / 2  +/-  (z**n g)  +  lam (z**n g) u0 / 2
+        lift(g_+/-) = z**n g  +/-  (conj(lam) G  +  lam (z**n g) u0) / 2
 
-    are the lifts of g(1 +/- Re(lam u0)).  Both halves have mean 1, are
-    nonnegative, extreme, and average back to g exactly.  The product
-    (z**n g) * u0 is a polynomial because zeros of the lift pair across the
-    circle, so the whole construction stays in exact polynomial arithmetic.
+    are the lifts of g_+/- = g(1 +/- Re(lam u0)), g1 = g_+ and g2 = g_-.
+    Both halves have mean 1, are nonnegative, extreme, and average back to
+    g exactly.  The product (z**n g) * u0 is a polynomial because zeros of
+    the lift pair across the circle, so the whole construction stays in
+    exact polynomial arithmetic.
 
     Convention: rotation_sign=+1 selects lam = +i conj(c)/|c|; the opposite
     sign swaps g1 and g2.  When the integral vanishes (|c| <= tol_rot) any
     rotation works and lam = 1 is fixed, a non-canonical choice recorded in
     the certificate.
+
+    The halves' factors come from the construction, not from solving their
+    lifts.  With u0 = N / D (k = deg u0 <= n), the same lifts read
+
+        lift(g_+/-) = +/- G (lam u0 +/- 1)**2 / (2 lam),
+
+    so the zeros of lift(g1) are g's circle zeros (even multiplicities,
+    from the lift of g already solved) and each root of lam N + D, doubled;
+    g2 pairs with lam N - D.  |u0| = 1 exactly on the circle, so these k
+    roots are unimodular and the degree-k solve is all that is new.  The
+    angles are refined on each half (``refine_circle_angle``).  The claim
+    is accepted when the multiplicities are even and add up to 2n with
+    |g_j| <= nonneg_tol(g_j) at each refined angle (the circle count of
+    ``perturbation_search``), g_j >= -tol on the ``nonneg_check`` grid and
+    |mean - 1| <= TOL_NORM.  Then g_j is extreme and f_j is assembled from
+    the claimed zeros and polished on g_j, as ``fejer_riesz`` does.  A half
+    that fails the claim gets ``fejer_riesz(g_j)`` and
+    ``is_extreme(g_j, n)`` instead.
     """
     cert = is_extreme(g, n)
     if not cert.norm_ok:
@@ -164,8 +191,17 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
     g1 = trig_scale(g1, 1.0 / norm1)
     g2 = trig_scale(g2, 1.0 / norm2)
 
-    f1 = fejer_riesz(g1)
-    f2 = fejer_riesz(g2)
+    # each half's claimed zeros: g's circle zeros and the doubled roots of
+    # lam N +/- D, with D zero-padded to the length of N
+    try:
+        circle = _circle_zeros(g, roots(lifted).on_circle)
+    except OddCircleMultiplicity:
+        circle = None
+    num = inner.numerator().as_array()
+    den = np.zeros(len(num), dtype=complex)
+    den[:inner.denominator().degree + 1] = inner.denominator().as_array()
+    f1, extreme1 = _split_half(g1, n, circle, lam * num + den)
+    f2, extreme2 = _split_half(g2, n, circle, lam * num - den)
 
     midpoint = max(
         abs(g1.coeff(k) + g2.coeff(k) - 2.0 * g.coeff(k)) for k in range(n + 1))
@@ -175,8 +211,8 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
         norm1=norm1,
         norm2=norm2,
         distinctness_gap=gap,
-        extreme1=is_extreme(g1, n).verdict,
-        extreme2=is_extreme(g2, n).verdict,
+        extreme1=extreme1,
+        extreme2=extreme2,
     )
     rotated = BlaschkeProduct(inner.m0, inner.zeros, lam * inner.lam)
     return SplitCertificate(
@@ -185,6 +221,31 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
         checks=checks, rotation=lam, rotation_integral=c,
         quad_points=quad_points,
     )
+
+
+def _split_half(gj: TrigPoly, n: int, circle: list | None,
+                p: np.ndarray) -> tuple[Poly, bool]:
+    """Spectral factor and extreme verdict of the split half gj.
+
+    The claim: lift(gj) vanishes at g's circle zeros ``circle`` ((angle,
+    multiplicity) pairs, None when they could not be paired) and doubly at
+    each root of the polynomial with coefficients p.  It is accepted when
+    the circle count decides (``_circle_count_decides`` on gj), gj >= -tol
+    on the ``nonneg_check`` grid and the mean of gj is 1 within TOL_NORM;
+    then gj is extreme and its factor is built from the claimed zeros.
+    Otherwise both come from solving the lift of gj.
+    """
+    if circle is not None:
+        zeros = circle + [(float(np.angle(r.location)), 2 * r.multiplicity)
+                          for r in roots(Poly(tuple(p)))]
+        angles = _circle_count_decides(gj, n, zeros)
+        if (angles is not None
+                and grid_min(gj, nonneg_grid_size(gj))[0] >= -nonneg_tol(gj)
+                and abs(gj.mean - 1.0) <= TOL_NORM):
+            halves = np.array([m // 2 for _, m in zeros], dtype=int)
+            return (_factor_from_zeros(gj, np.ones(1, dtype=complex),
+                                       np.array(angles), halves), True)
+    return fejer_riesz(gj), is_extreme(gj, n).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +457,8 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     if trials < 0 or ascent_rounds < 0:
         raise ValueError("trials and ascent_rounds must be nonnegative")
     circle = roots(lift(g, n)).on_circle
-    if _circle_count_decides(g, n, circle):
+    zeros = [(float(np.angle(r.location)), r.multiplicity) for r in circle]
+    if _circle_count_decides(g, n, zeros) is not None:
         # n_constraints counts the grid the sampled route would have used
         return PerturbationSearch(
             max_norm=0.0, trials=trials, grid_size=grid_size,
@@ -406,14 +468,20 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
                            grid_size=grid_size, ascent_rounds=ascent_rounds)
 
 
-def _circle_count_decides(g: TrigPoly, n: int, circle: tuple) -> bool:
-    """Even circle multiplicities adding up to 2n, each a zero of g."""
-    if (any(r.multiplicity % 2 for r in circle)
-            or sum(r.multiplicity for r in circle) != 2 * n):
-        return False
-    refined = [refine_circle_angle(g, float(np.angle(r.location)))
-               for r in circle]
-    return bool(np.all(np.abs(g.values(refined)) <= nonneg_tol(g)))
+def _circle_count_decides(g: TrigPoly, n: int,
+                          zeros: list) -> list[float] | None:
+    """Even circle multiplicities adding up to 2n, each a zero of g.
+
+    ``zeros`` are (angle, multiplicity) pairs.  Returns the angles refined
+    on g (``refine_circle_angle``) when the multiplicities are even, add
+    up to 2n and |g| <= nonneg_tol(g) at each refined angle; else None.
+    """
+    if any(m % 2 for _, m in zeros) or sum(m for _, m in zeros) != 2 * n:
+        return None
+    refined = [refine_circle_angle(g, t) for t, _ in zeros]
+    if np.all(np.abs(g.values(refined)) <= nonneg_tol(g)):
+        return refined
+    return None
 
 
 # angular offsets of the refined constraint points on each side of a zero

@@ -831,6 +831,20 @@ def nonneg_tol(g: TrigPoly) -> float:
         abs(c) for c in g.coeffs[1:]))
 
 
+def nonneg_grid_size(g: TrigPoly) -> int:
+    """The default grid of ``nonneg_check``: 64 points per frequency, at
+    least 4096."""
+    return max(4096, 64 * g.n)
+
+
+def grid_min(g: TrigPoly, grid_size: int) -> tuple[float, float]:
+    """The smallest value of g on the uniform grid of grid_size points,
+    and the angle where it is taken (the first, on a tie)."""
+    vals = g.grid_values(grid_size)
+    j = int(np.argmin(vals))
+    return float(vals[j]), 2.0 * math.pi * j / grid_size
+
+
 def nonneg_check(g: TrigPoly, *, grid_size: int | None = None,
                  tol: float | None = None) -> NonnegCertificate:
     """Certify g >= 0 on the circle.
@@ -847,16 +861,13 @@ def nonneg_check(g: TrigPoly, *, grid_size: int | None = None,
     found, or the offending odd-multiplicity root.
     """
     if grid_size is None:
-        grid_size = max(4096, 64 * g.n)
+        grid_size = nonneg_grid_size(g)
     if tol is None:
         tol = nonneg_tol(g)
     if g.is_null:
         return NonnegCertificate(True, 0.0, 0.0, (), tol, grid_size)
 
-    vals = g.grid_values(grid_size)
-    j = int(np.argmin(vals))
-    min_value = float(vals[j])
-    theta_min = 2.0 * math.pi * j / grid_size
+    min_value, theta_min = grid_min(g, grid_size)
 
     confirmed_odd = []
     radius = 4.0 * math.pi / grid_size

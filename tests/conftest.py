@@ -1,6 +1,10 @@
+import collections
+import functools
+
 import numpy as np
 import pytest
 
+from hkl import polycore
 from hkl.gen import random_boundary_modulus, random_kernel_element
 from hkl.polycore import Poly, poly_mul
 
@@ -82,3 +86,25 @@ def rng():
 
 def random_unit_element(n, census, seed):
     return random_kernel_element(n, *census, np.random.default_rng(seed))
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    """Root solves during the test, counted by degree.
+
+    ``polycore._roots_cached`` is replaced by an empty cache of the same
+    size around the same solver, so each cache miss is one solve; the
+    Counter maps the degree of the deflated polynomial to its solves.
+    """
+    counts = collections.Counter()
+    cached = polycore._roots_cached
+    solve = cached.__wrapped__
+
+    def counted(c, *args):
+        counts[len(c) - 1] += 1
+        return solve(c, *args)
+
+    maxsize = cached.cache_parameters()["maxsize"]
+    monkeypatch.setattr(polycore, "_roots_cached",
+                        functools.lru_cache(maxsize=maxsize)(counted))
+    return counts

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,3 +356,29 @@ def test_overflowing_coefficients_raise_root_overflow(files):
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: RootOverflow: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_overflowing_reconstruction_raises_root_overflow(files):
+    # the roots are finite (sixth roots of unity but 1); the reconstruction
+    # on the circle overflows, which is the arithmetic's fault, not the input's
+    write, _ = files
+    path = write("big.json", Poly((1e308,) * 6))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hkl.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hkl.cli", "factor", path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: RootOverflow: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_spectral_residual_is_relative_to_the_modulus(files, capsys):
+    write, _ = files
+    path = write("big.json", TrigPoly(2, (1e308, 1e307, 1e307)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["spectral", path])
+    assert code == 0 and err == ""
+    checks = json.loads(out)["checks"]
+    assert checks["residual_ok"] is True
+    assert checks["modulus_residual"] <= 1e-14

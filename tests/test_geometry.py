@@ -6,6 +6,7 @@ import pytest
 
 from conftest import census_suite
 
+from hkl import geometry
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                         NotInV, NotNormalized, NotOnBoundary, NotUnitNorm,
                         NullInput)
@@ -167,6 +168,95 @@ def test_split_ill_conditioned_inside_zero():
     assert abs(cert.checks.norm1 - 1) <= 1e-10
     assert abs(cert.checks.norm2 - 1) <= 1e-10
     assert cert.checks.extreme1 and cert.checks.extreme2
+
+
+# census hold-out instance 131 (bench/run.py --pool-seed 6586), n = 10,
+# census (0, 9, 1): solving a split half's lift returned two double circle
+# zeros 6e-4 apart as a triple zero and a simple zero off the circle
+HOLDOUT_131 = TrigPoly(10, tuple(complex(float.fromhex(re), float.fromhex(im))
+                                 for re, im in (
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("-0x1.438c7892db8d5p-2", "-0x1.e39d822444df4p-4"),
+    ("-0x1.6131f915c481bp-2", "0x1.348d01258a4e7p-1"),
+    ("0x1.39dc530be178ap-2", "-0x1.082b769bfe18bp-2"),
+    ("-0x1.8fe9e9e1bff30p-2", "-0x1.0b10660bbb78fp-2"),
+    ("0x1.3a2efb86458edp-3", "0x1.9ba81ee4fac13p-4"),
+    ("0x1.1f660a68d86c9p-2", "-0x1.22f498df7fddbp-4"),
+    ("-0x1.3cdd2741d7f5dp-3", "0x1.47e3f0f65aeacp-3"),
+    ("-0x1.b25d592d975eap-5", "0x1.6cb9d905c05adp-7"),
+    ("0x1.4f59c9a681041p-7", "-0x1.3cdc90ea278f7p-4"),
+    ("0x1.6f4d940118f5ep-7", "0x1.1f25dd10ebc8bp-6"))))
+
+
+def _grid_residual(f, g, size=4096):
+    zeta = np.exp(2j * np.pi * np.arange(size) / size)
+    return float(np.abs(np.abs(f(zeta)) ** 2 - g.grid_values(size)).max())
+
+
+def test_split_holdout_131_halves_are_extreme():
+    cert = split_nonextreme(HOLDOUT_131, 10)
+    assert cert.checks.extreme1 and cert.checks.extreme2
+    assert cert.checks.midpoint_residual <= 1e-10
+    for f, gh in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
+        assert _grid_residual(f.f, gh) <= 1e-9
+
+
+def _non_extreme_census(seed):
+    # two moduli per order 1..8 and kind, skipping draws that are extreme
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(1, 9):
+        for kind in ("inside", "outside", "deficit", "mixed"):
+            for _ in range(2):
+                if kind == "inside":
+                    k = int(rng.integers(1, min(n, 3) + 1))
+                    census = (k, n - k, 0)
+                elif kind == "outside":
+                    k = int(rng.integers(1, min(n, 3) + 1))
+                    census = (0, n - k, k)
+                elif kind == "deficit":
+                    census = (0, int(rng.integers(0, n)), 0)
+                else:
+                    k_in = int(rng.integers(0, min(n, 2) + 1))
+                    k_out = int(rng.integers(0, min(n - k_in, 2) + 1))
+                    census = (k_in, int(rng.integers(
+                        0, n - k_in - k_out + 1)), k_out)
+                if census != (0, n, 0):
+                    out.append((random_boundary_modulus(n, *census, rng), n))
+    return out
+
+
+def test_split_halves_built_without_solving_their_lifts(solve_counter):
+    # the halves' factors and verdicts come from g's circle zeros and the
+    # roots of lam N +/- D; they must agree with solving the halves' lifts
+    for g, n in _non_extreme_census(6586):
+        assert not is_extreme(g, n).verdict
+        solve_counter.clear()
+        cert = split_nonextreme(g, n)
+        # the only new solves are of lam N +/- D, of degree deg u <= n
+        assert set(solve_counter) <= {cert.u.degree}
+        assert sum(solve_counter.values()) <= 2
+        for f, gh, ext in ((cert.f1, cert.g1, cert.checks.extreme1),
+                           (cert.f2, cert.g2, cert.checks.extreme2)):
+            assert ext == is_extreme(gh, n).verdict
+            want = fejer_riesz(gh).as_array()
+            got = f.f.as_array()
+            assert len(got) == len(want)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_split_halves_fall_back_to_solving(monkeypatch, solve_counter):
+    # a claim the circle count rejects sends each half through its own lift
+    monkeypatch.setattr(geometry, "_circle_count_decides",
+                        lambda g, n, zeros: None)
+    g = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(131))
+    cert = split_nonextreme(g, 5)
+    assert solve_counter[10] == 3   # the lifts of g and of both halves
+    assert cert.checks.extreme1 and cert.checks.extreme2
+    assert cert.checks.midpoint_residual <= 1e-10
+    for f, gh in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
+        assert f.f == fejer_riesz(gh)
+        assert _grid_residual(f.f, gh) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from numpy.polynomial import polynomial as npp
 from hkl.errors import BandExceeded, NullInput, RootOverflow
 from hkl.gen import random_boundary_modulus
 from hkl.polycore import (EPS_CIRCLE, SNAP_BAND, Poly, Region, Root, TrigPoly,
-                          _aberth, _horner, _polish, _roots_cached,
-                          _single_linkage_tree, _snap_self_inversive, lift,
+                          _aberth, _horner, _polish, _single_linkage_tree,
+                          _snap_self_inversive, lift,
                           nonneg_check, poly_mul, roots, trig_add,
                           trig_from_modulus_squared, trig_mul, trig_scale,
                           unlift)
@@ -222,16 +222,15 @@ def test_roots_of_shifted_poly_bit_identical():
             assert got.total_multiplicity == p.degree + k
 
 
-def test_shifted_lifts_share_one_solve():
+def test_shifted_lifts_share_one_solve(solve_counter):
     # lift(g, n) with g.n < n is lift(g) times a power of z: one solve
     g = random_boundary_modulus(6, 1, 3, 2, np.random.default_rng(6586))
     n = g.n + 3
     assert lift(g, n).coeffs == lift(g).shifted(3).coeffs
-    _roots_cached.cache_clear()
     base = roots(lift(g))
-    assert _roots_cached.cache_info().misses == 1
+    assert solve_counter == {2 * g.n: 1}
     shifted = roots(lift(g, n))
-    assert _roots_cached.cache_info().misses == 1
+    assert solve_counter == {2 * g.n: 1}
     assert _exact(shifted) == _exact(_plus_origin(base, 3))
 
 
