@@ -399,8 +399,7 @@ def _newton_refine(coeffs: list[complex], start: complex) -> complex:
     return r
 
 
-def blaschke_mul_poly(f: Poly, j: BlaschkeProduct, *,
-                      tol_divide: float = TOL_DIVIDE) -> Poly:
+def blaschke_mul_poly(f: Poly, j: BlaschkeProduct) -> Poly:
     """The product f * j as a polynomial.
 
     Requires the denominator of j to divide f: each Blaschke zero of j must
@@ -417,7 +416,7 @@ def blaschke_mul_poly(f: Poly, j: BlaschkeProduct, *,
     zeros a themselves, the same deflation ``inner_outer`` makes to build
     the outer part, and the product agrees with that outer part to rounding
     even where the zero a is ill-conditioned.  The remainder of each
-    deflation is checked against tol_divide as on the general path.
+    deflation is checked against TOL_DIVIDE as on the general path.
     """
     if f.is_null:
         return Poly()
@@ -429,7 +428,7 @@ def blaschke_mul_poly(f: Poly, j: BlaschkeProduct, *,
             work = list(c[s:])
             for a, mult in j.zeros:
                 for _ in range(mult):
-                    _check_remainder(work, a, tol_divide)
+                    _check_remainder(work, a)
                     work = synthetic_divide(work, a)
             quo = Poly(tuple(np.conj(work[::-1]) / mu)).shifted(s)
             return quo * j.numerator()
@@ -443,18 +442,18 @@ def blaschke_mul_poly(f: Poly, j: BlaschkeProduct, *,
             if abs(r - target) > MIRROR_MATCH_TOL * max(1.0, abs(target)):
                 raise NotDivisible(
                     f"no zero of the factor near the reflected point {target}")
-            _check_remainder(work, r, tol_divide)
+            _check_remainder(work, r)
             work = synthetic_divide(work, r)
     quo = Poly(work).scaled(1.0 / constant)
     return quo * j.numerator()
 
 
-def _check_remainder(work: list[complex], r: complex, tol_divide: float) -> None:
-    """Raise NotDivisible unless (z - r) divides work to tol_divide."""
+def _check_remainder(work: list[complex], r: complex) -> None:
+    """Raise NotDivisible unless (z - r) divides work to TOL_DIVIDE."""
     w = np.asarray(work, dtype=complex)
     rem = abs(_horner(w.tolist(), complex(r)))
     # backward-error scale at the deflation point
     scale = _horner(np.abs(w).tolist(), abs(complex(r)))
-    if rem > tol_divide * scale:
+    if rem > TOL_DIVIDE * scale:
         raise NotDivisible(
-            f"relative remainder {rem / scale:.3e} exceeds {tol_divide:.1e}")
+            f"relative remainder {rem / scale:.3e} exceeds {TOL_DIVIDE:.1e}")

@@ -55,6 +55,8 @@ TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
 QUAD_POINTS = 8192      # trapezoid points for the rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
 TOL_REMAINDER = 1e-9
+TOL_UNIT_NORM = 1e-10   # |h2_norm - 1| a kernel element may have to be split
+SEARCH_GRID = 4096      # uniform constraint points of the perturbation search
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +123,7 @@ class SplitCertificate:
 
 
 def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
-                     quad_points: int = QUAD_POINTS,
-                     tol_rot: float = TOL_ROT) -> SplitCertificate:
+                     quad_points: int = QUAD_POINTS) -> SplitCertificate:
     """Write a non-extreme boundary g as the midpoint of two extreme points.
 
     With z**n g = G * u0 (outer times inner, u0 nontrivial), a unimodular
@@ -137,7 +138,7 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
     exact polynomial arithmetic.
 
     Convention: rotation_sign=+1 selects lam = +i conj(c)/|c|; the opposite
-    sign swaps g1 and g2.  When the integral vanishes (|c| <= tol_rot) any
+    sign swaps g1 and g2.  When the integral vanishes (|c| <= TOL_ROT) any
     rotation works and lam = 1 is fixed, a non-canonical choice recorded in
     the certificate.
 
@@ -174,7 +175,7 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
     uv = blaschke_eval(inner, np.exp(1j * theta))
     c = complex(np.mean(gv * uv))
 
-    if abs(c) > tol_rot:
+    if abs(c) > TOL_ROT:
         lam = rotation_sign * 1j * c.conjugate() / abs(c)
     else:
         lam = complex(1.0)
@@ -260,17 +261,17 @@ class Decomposition:
     split: SplitCertificate | None = None
 
 
-def decompose_modulus(x: KernelElement, *, tol_norm: float = 1e-10) -> Decomposition:
+def decompose_modulus(x: KernelElement) -> Decomposition:
     """Split |f|^2 into the average of two distinct unit-norm moduli, or RIGID.
 
     Rigid exactly when both f and its companion are outer, i.e. when the
     lift of |f|^2 at order n has a trivial inner factor.  The mean of |f|^2
     is renormalized to exactly 1 before splitting (it differs from 1 by at
-    most tol_norm under the precondition).
+    most TOL_UNIT_NORM under the precondition).
     """
     nrm = h2_norm(x)
-    if abs(nrm - 1.0) > tol_norm:
-        raise NotUnitNorm(f"norm {nrm} is not 1 within {tol_norm}")
+    if abs(nrm - 1.0) > TOL_UNIT_NORM:
+        raise NotUnitNorm(f"norm {nrm} is not 1 within {TOL_UNIT_NORM}")
     g = trig_from_modulus_squared(x.f)
     fac = inner_outer(lift(g, x.n))
     if fac.inner.is_trivial:
@@ -334,8 +335,7 @@ class RigidityResult:
 
 
 def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
-                   tol_remainder: float = TOL_REMAINDER,
-                   match_tol: float = ROOT_MATCH_TOL) -> RigidityResult:
+                   tol_remainder: float = TOL_REMAINDER) -> RigidityResult:
     """For outer lift, a dominated kernel element is c times the spectral factor.
 
     Domination (finiteness of the integral of |f|/sqrt(g)) is decided by an
@@ -367,7 +367,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
     for r in roots(lift(g, n)).on_circle:
         need = r.multiplicity // 2
         zc = r.location / abs(r.location)
-        have = f_roots.multiplicity_near(zc, match_tol) if f_roots else 0
+        have = f_roots.multiplicity_near(zc, ROOT_MATCH_TOL) if f_roots else 0
         if have < need:
             return RigidityResult(RigidityResult.NOT_DOMINATED, witness=zc)
 
@@ -386,7 +386,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
 # Baseline split without any band restriction
 # ---------------------------------------------------------------------------
 
-def baseline_split(g: TrigPoly, *, tol_norm: float = TOL_NORM) -> tuple[TrigPoly, TrigPoly]:
+def baseline_split(g: TrigPoly) -> tuple[TrigPoly, TrigPoly]:
     """Midpoint split g(1 +/- tau) with tau = Re(lam z)/2; band grows by one.
 
     lam = i g^(1)/|g^(1)| makes the correction mean-free when the first
@@ -398,7 +398,7 @@ def baseline_split(g: TrigPoly, *, tol_norm: float = TOL_NORM) -> tuple[TrigPoly
     cert = nonneg_check(g)
     if not cert.nonnegative or cert.odd_circle_roots:
         raise NotNonnegative("baseline split needs a nonnegative function")
-    if abs(g.mean - 1.0) > tol_norm:
+    if abs(g.mean - 1.0) > TOL_NORM:
         raise NotNormalized(f"mean {g.mean} != 1")
     c1 = g.coeff(1)
     lam = 1j * c1 / abs(c1) if abs(c1) > 0 else complex(1.0)
@@ -427,7 +427,7 @@ class PerturbationSearch:
 
 
 def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
-                        seed: int = 0, grid_size: int = 4096,
+                        seed: int = 0,
                         ascent_rounds: int = 40) -> PerturbationSearch:
     """Largest mean-free band-n perturbation h with g +/- h >= 0.
 
@@ -451,8 +451,10 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     sampled: otherwise (an odd or short count, as when rounding returns a
     double circle zero as two simple zeros or as a reflected pair), a
     randomized search over ``trials`` directions plus ``ascent_rounds``
-    rounds of coordinate ascent; see ``_sampled_search``.  Its max_norm
-    may differ in the last bits with the BLAS thread count.
+    rounds of coordinate ascent, constrained on a uniform grid of
+    SEARCH_GRID points and refined near the zeros; see ``_sampled_search``.
+    Its max_norm may differ in the last bits with the BLAS thread count.
+    Both routes report SEARCH_GRID as ``grid_size``.
     """
     if trials < 0 or ascent_rounds < 0:
         raise ValueError("trials and ascent_rounds must be nonnegative")
@@ -461,11 +463,11 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     if _circle_count_decides(g, n, zeros) is not None:
         # n_constraints counts the grid the sampled route would have used
         return PerturbationSearch(
-            max_norm=0.0, trials=trials, grid_size=grid_size,
-            n_constraints=grid_size + (1 + 2 * len(_LADDER)) * len(circle),
+            max_norm=0.0, trials=trials, grid_size=SEARCH_GRID,
+            n_constraints=SEARCH_GRID + (1 + 2 * len(_LADDER)) * len(circle),
             route=PerturbationSearch.CIRCLE_COUNT)
     return _sampled_search(g, n, circle, trials=trials, seed=seed,
-                           grid_size=grid_size, ascent_rounds=ascent_rounds)
+                           grid_size=SEARCH_GRID, ascent_rounds=ascent_rounds)
 
 
 def _circle_count_decides(g: TrigPoly, n: int,

@@ -90,10 +90,10 @@ def harmonic_conjugate(gr: Grid) -> Grid:
     return Grid(out.real.astype(complex))
 
 
-def outer_from_modulus(w: Grid, *, floor: float = W_FLOOR) -> Grid:
+def outer_from_modulus(w: Grid) -> Grid:
     """The outer function with boundary modulus w: exp(log w + i H(log w)).
 
-    Requires strictly positive samples (min >= floor); a modulus touching
+    Requires strictly positive samples (min >= W_FLOOR); a modulus touching
     zero belongs to the exact engine, where circle zeros are data instead
     of log singularities.  The value at frequency zero is exp(mean log w),
     hence real positive, matching the exact engine's phase convention.
@@ -103,8 +103,8 @@ def outer_from_modulus(w: Grid, *, floor: float = W_FLOOR) -> Grid:
     if np.abs(v.imag).max() > 1e-12 * scale:
         raise ValueError("modulus samples must be real")
     mn = float(v.real.min())
-    if mn < floor:
-        raise TooSmall(f"min sample {mn:.3e} below floor {floor:.1e}; "
+    if mn < W_FLOOR:
+        raise TooSmall(f"min sample {mn:.3e} below floor {W_FLOOR:.1e}; "
                        "the log-modulus route is unreliable here")
     logw = Grid(np.log(v.real).astype(complex))
     conj = harmonic_conjugate(logw)
@@ -160,50 +160,37 @@ class DominationEstimate:
     sizes: tuple
 
 
-def domination_integral(x: KernelElement, g: TrigPoly, *, base: int = 16,
-                        doublings: int = 3,
-                        growth: float = 1.5) -> DominationEstimate:
+def domination_integral(x: KernelElement, g: TrigPoly) -> DominationEstimate:
     """Quadrature witness for the domination integral of |f| / sqrt(g).
 
-    Midpoint sums at base, 2*base, ..., 2**doublings * base points;
-    midpoints never land on the dyadic grid, so an integrable endpoint
-    singularity inflates the estimate gradually instead of dividing by
-    zero.  DIVERGENT when the estimate grows by the given factor across
-    the doublings (or leaves the finite range); otherwise the Richardson
+    Midpoint sums at 16, 32, 64 and 128 points; midpoints never land on
+    the dyadic grid, so an integrable endpoint singularity inflates the
+    estimate gradually instead of dividing by zero.  DIVERGENT when the
+    estimate grows by a factor of 1.5 or more from the coarsest sum to
+    the finest (or leaves the finite range); otherwise the Richardson
     update of the two finest estimates is reported.
 
     A borderline (logarithmically divergent) integrand gains only a fixed
     increment per doubling, so the growth test can resolve it only from a
-    small base; the default is calibrated for that.  The exact
+    small base; the base of 16 points is calibrated for that.  The exact
     multiplicity rule in :func:`hkl.geometry.rigidity_check` is
     authoritative; this flag is corroborating evidence only.
     """
+    sizes = (16, 32, 64, 128)
     estimates = []
-    sizes = []
-    divergent = False
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(doublings + 1):
-            m = base * 2 ** k
+        for m in sizes:
             theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
             fa = np.abs(x.f(np.exp(1j * theta)))
             gv = np.maximum(g.values(theta), 0.0)
             vals = np.where(fa == 0, 0.0, fa / np.sqrt(gv))
-            est = float(np.mean(vals))
-            if not math.isfinite(est):
-                divergent = True
-            estimates.append(est)
-            sizes.append(m)
+            estimates.append(float(np.mean(vals)))
     first, last = estimates[0], estimates[-1]
-    if not divergent and first > 0 and last / first >= growth:
-        divergent = True
-    if divergent:
-        value = math.inf
-    elif len(estimates) >= 2:
-        value = estimates[-1] + (estimates[-1] - estimates[-2]) / 3.0
-    else:
-        value = estimates[-1]
+    divergent = (not all(math.isfinite(e) for e in estimates)
+                 or (first > 0 and last / first >= 1.5))
+    value = math.inf if divergent else last + (last - estimates[-2]) / 3.0
     return DominationEstimate(value=value, divergent=divergent,
-                              estimates=tuple(estimates), sizes=tuple(sizes))
+                              estimates=tuple(estimates), sizes=sizes)
 
 
 def write_boundary_csv(path, gr: Grid) -> None:

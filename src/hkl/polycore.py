@@ -379,9 +379,9 @@ class RootSet:
 SNAP_BAND = 1e-4   # self-inversive snap range; see _snap_self_inversive
 
 
-def _classify(a: complex, eps: float) -> Region:
+def _classify(a: complex) -> Region:
     r = abs(a)
-    if abs(r - 1.0) <= eps:
+    if abs(r - 1.0) <= EPS_CIRCLE:
         return Region.ON_CIRCLE
     return Region.INSIDE if r < 1.0 else Region.OUTSIDE
 
@@ -588,7 +588,7 @@ def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
     return clusters
 
 
-def _cluster_points(points: np.ndarray, tol: float,
+def _cluster_points(points: np.ndarray,
                     coeffs: np.ndarray) -> list[tuple[complex, int]]:
     """Single-linkage agglomeration, then a top-down cut of the merge tree.
 
@@ -664,8 +664,7 @@ def _cluster_points(points: np.ndarray, tol: float,
     return out
 
 
-def roots(p: Poly, *, eps_circle: float = EPS_CIRCLE,
-          tol: float = TOL_ROOT, max_iter: int = MAX_ROOT_ITER) -> RootSet:
+def roots(p: Poly) -> RootSet:
     """All roots of p with multiplicities and circle classification.
 
     Raises NullInput for the zero polynomial and NonConvergence when the
@@ -684,16 +683,14 @@ def roots(p: Poly, *, eps_circle: float = EPS_CIRCLE,
     m0 = 0
     while c[m0] == 0:
         m0 += 1
-    found = _roots_cached(c[m0:], eps_circle, tol, max_iter)
+    found = _roots_cached(c[m0:])
     if not m0:
         return found
-    return _root_set([(r.location, r.multiplicity) for r in found], m0,
-                     eps_circle)
+    return _root_set([(r.location, r.multiplicity) for r in found], m0)
 
 
 @functools.lru_cache(maxsize=512)
-def _roots_cached(c: tuple, eps_circle: float, tol: float,
-                  max_iter: int) -> RootSet:
+def _roots_cached(c: tuple) -> RootSet:
     """The RootSet of the polynomial with coefficients c, c[0] != 0."""
     found: list[tuple[complex, int]] = []
     d = len(c) - 1
@@ -713,11 +710,12 @@ def _roots_cached(c: tuple, eps_circle: float, tol: float,
             q = -(a1 - disc) / 2
             r1 = q / a2
             r2 = a0 / q if q != 0 else -a1 / a2 - r1
-            found = _cluster_points(np.array([r1, r2]), tol, carr)
+            found = _cluster_points(np.array([r1, r2]), carr)
         elif d > 0:
             # clustering can still rescue a stalled multiple root, so
             # failure is judged on the clustered residuals below
-            found = _cluster_points(_aberth(carr, tol, max_iter), tol, carr)
+            found = _cluster_points(_aberth(carr, TOL_ROOT, MAX_ROOT_ITER),
+                                    carr)
 
     if found:
         clist = carr.tolist()
@@ -726,21 +724,20 @@ def _roots_cached(c: tuple, eps_circle: float, tol: float,
             resid = abs(_horner(clist, complex(a)))
             scale = _horner(aclist, abs(complex(a)))
             # written so that a NaN residual fails the check too
-            if not resid <= 10.0 * tol * scale:
+            if not resid <= 10.0 * TOL_ROOT * scale:
                 if not math.isfinite(resid / scale):
                     raise RootOverflow(
                         f"root {complex(a)} has residual {resid} at scale "
                         f"{scale}: the coefficients overflow double precision")
                 raise NonConvergence(
                     f"root residual {resid / scale:.3e} above tolerance after "
-                    f"{max_iter} iterations")
+                    f"{MAX_ROOT_ITER} iterations")
         if d >= 2 and self_inversive_phase(carr) is not None:
             found = _snap_self_inversive(found)
-    return _root_set(found, 0, eps_circle)
+    return _root_set(found, 0)
 
 
-def _root_set(found: list[tuple[complex, int]], m0: int,
-              eps_circle: float) -> RootSet:
+def _root_set(found: list[tuple[complex, int]], m0: int) -> RootSet:
     """The RootSet of ``found`` and an m0-fold root at 0, sorted by location.
 
     Near-origin clusters fold into the exact power of z, so a set that
@@ -757,7 +754,7 @@ def _root_set(found: list[tuple[complex, int]], m0: int,
 
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return RootSet(tuple(
-        Root(a, m, _classify(a, eps_circle)) for a, m in merged))
+        Root(a, m, _classify(a)) for a, m in merged))
 
 
 # ---------------------------------------------------------------------------
@@ -801,27 +798,28 @@ def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
     return theta
 
 
-def _local_dip(g: TrigPoly, theta0: float, radius: float,
-               levels: int = 5, points: int = 257) -> tuple[float, float]:
-    """Most negative value of g near theta0, by nested local scans."""
+def _local_dip(g: TrigPoly, theta0: float,
+               radius: float) -> tuple[float, float]:
+    """Most negative value of g near theta0, by five nested scans of 257
+    points, each 257/4 times narrower than the last."""
     center = theta0
     best_val = math.inf
     best_theta = theta0
     r = radius
-    for _ in range(levels):
-        th = center + np.linspace(-r, r, points)
+    for _ in range(5):
+        th = center + np.linspace(-r, r, 257)
         vals = g.values(th)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])
             best_theta = float(th[j])
         center = float(th[j])
-        r /= points / 4.0
+        r /= 257 / 4.0
     return best_val, best_theta
 
 
 def nonneg_tol(g: TrigPoly) -> float:
-    """The default tolerance at which a value of g counts as zero.
+    """The tolerance at which a value of g counts as zero.
 
     1e-10 of the sup-norm bound |g_0| + 2 sum |g_k|, and never below
     1e-10: ``nonneg_check`` accepts a dip to -tol, and the circle count of
@@ -832,8 +830,8 @@ def nonneg_tol(g: TrigPoly) -> float:
 
 
 def nonneg_grid_size(g: TrigPoly) -> int:
-    """The default grid of ``nonneg_check``: 64 points per frequency, at
-    least 4096."""
+    """The grid of ``nonneg_check``: 64 points per frequency, at least
+    4096."""
     return max(4096, 64 * g.n)
 
 
@@ -845,8 +843,7 @@ def grid_min(g: TrigPoly, grid_size: int) -> tuple[float, float]:
     return float(vals[j]), 2.0 * math.pi * j / grid_size
 
 
-def nonneg_check(g: TrigPoly, *, grid_size: int | None = None,
-                 tol: float | None = None) -> NonnegCertificate:
+def nonneg_check(g: TrigPoly) -> NonnegCertificate:
     """Certify g >= 0 on the circle.
 
     Two half-checks together are sound: a dense grid scan catches gross
@@ -857,13 +854,12 @@ def nonneg_check(g: TrigPoly, *, grid_size: int | None = None,
     a dip below -tol: rounding can scatter the zeros of a degenerate even
     cluster into spurious odd ones, but it cannot manufacture a genuine
     dip, and a dip shallower than the tolerance is acceptable anyway.
+    The grid is ``nonneg_grid_size(g)`` and the tolerance ``nonneg_tol(g)``.
     On failure the certificate carries a witness: the most negative point
     found, or the offending odd-multiplicity root.
     """
-    if grid_size is None:
-        grid_size = nonneg_grid_size(g)
-    if tol is None:
-        tol = nonneg_tol(g)
+    grid_size = nonneg_grid_size(g)
+    tol = nonneg_tol(g)
     if g.is_null:
         return NonnegCertificate(True, 0.0, 0.0, (), tol, grid_size)
 
