@@ -93,6 +93,12 @@ def _read_pair(v, what: str) -> complex:
     return complex(float(v[0]), float(v[1]))
 
 
+def _read_pairs(v, what: str) -> list[complex]:
+    if not isinstance(v, list):
+        raise ValueError(f"{what}s must be a list of [re, im] pairs")
+    return [_read_pair(t, what) for t in v]
+
+
 def _require_fields(d: dict, fields: set[str], what: str) -> None:
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be an object")
@@ -114,7 +120,7 @@ def poly_to_json(p: Poly) -> dict:
 
 def poly_from_json(d: dict) -> Poly:
     _require_fields(d, {"coeffs"}, "poly")
-    return Poly(tuple(_read_pair(v, "coefficient") for v in d["coeffs"]))
+    return Poly(tuple(_read_pairs(d["coeffs"], "coefficient")))
 
 
 def trig_to_json(g: TrigPoly) -> dict:
@@ -174,7 +180,7 @@ def grid_to_json(gr: Grid) -> dict:
 
 def grid_from_json(d: dict) -> Grid:
     _require_fields(d, {"N", "values"}, "grid")
-    vals = [_read_pair(v, "sample") for v in d["values"]]
+    vals = _read_pairs(d["values"], "sample")
     if d["N"] != len(vals):
         raise ValueError("N does not match the number of samples")
     return Grid(np.array(vals))
@@ -227,9 +233,14 @@ def instance_from_json(d: dict):
         raise ValueError(f"unsupported version {d['version']!r}, "
                          f"expected {VERSION!r}")
     kind = d["type"]
-    if kind not in _DECODERS:
+    if not isinstance(kind, str) or kind not in _DECODERS:
         raise ValueError(f"unknown payload type {kind!r}")
-    return _DECODERS[kind](d["payload"])
+    try:
+        return _DECODERS[kind](d["payload"])
+    except OverflowError as exc:
+        # an integer beyond the float range, or a complex number whose
+        # modulus is beyond it
+        raise ValueError(f"a number exceeds double precision: {exc}") from None
 
 
 def load_instance(text: str):

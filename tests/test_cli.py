@@ -283,6 +283,12 @@ def test_tol_must_be_finite_and_nonnegative(files, capsys, tol):
     (["factor"], "poly", '{"coeffs": [[true, false], [1.0, 0.0]]}'),
     (["spectral"], "trig",
      '{"n": 10, "coeffs": {"0": [1.0, 0.0], "1_0": [0.1, 0.0]}}'),
+    pytest.param(["spectral"], "trig",
+                 '{"n": 1, "coeffs": {"0": [1%s, 0]}}' % ("0" * 400),
+                 id="int-beyond-float-range"),
+    pytest.param(["factor"], "poly", '{"coeffs": 5}', id="coeffs-not-a-list"),
+    pytest.param(["outer-grid"], "grid", '{"N": 4, "values": 5}',
+                 id="values-not-a-list"),
 ])
 def test_non_json_types_exit_2(tmp_path, capsys, argv, kind, payload):
     path = tmp_path / "x.json"

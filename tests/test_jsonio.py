@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkl.factor import BlaschkeProduct
 from hkl.jsonio import (blaschke_from_json, blaschke_to_json, dumps,
@@ -121,3 +123,57 @@ def test_noncanonical_frequency_key_rejected(key):
     d = {"n": 10, "coeffs": {"0": [1.0, 0.0], key: [0.1, 0.0]}}
     with pytest.raises(ValueError, match="bad frequency key"):
         trig_from_json(d)
+
+
+# one valid payload of each instance type; the fuzz below breaks one field
+VALID_PAYLOADS = {
+    "poly": {"coeffs": [[1.0, 0.0], [0.5, -0.25]]},
+    "trig": {"n": 2, "coeffs": {"0": [1.0, 0.0], "1": [0.25, 0.5],
+                                "-1": [0.25, -0.5], "2": [0, 1]}},
+    "kernel": {"n": 2, "poly": {"coeffs": [[0.6, 0.0], [0.0, 0.8]]}},
+    "grid": {"N": 4, "values": [[1.0, 0.0], [0.5, 0.0], [0.25, 0.0],
+                                [0.5, 0.0]]},
+}
+
+
+def _paths(node, prefix=()):
+    """Every field of a JSON document, as the keys and indices leading to it."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.integers(-10 ** 400, 10 ** 400), st.floats(), st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+# trig_from_json allocates n + 1 coefficients before reading any, so a
+# band limit is drawn small when it is drawn as an integer
+_BAND_LIMITS = st.one_of(
+    st.integers(-3, 64),
+    _JSON_VALUES.filter(lambda v: not isinstance(v, int) or isinstance(v, bool)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_loader_fuzz_raises_only_value_error(data):
+    kind = data.draw(st.sampled_from(sorted(VALID_PAYLOADS)))
+    doc = json.loads(json.dumps(
+        {"version": "hkl-1", "type": kind, "payload": VALID_PAYLOADS[kind]}))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_BAND_LIMITS if path[-1] == "n"
+                                 else _JSON_VALUES)
+    try:
+        obj = load_instance(json.dumps(doc))
+    except ValueError:
+        return
+    assert isinstance(obj, (Poly, TrigPoly, KernelElement, Grid))
