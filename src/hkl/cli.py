@@ -33,7 +33,9 @@ from .numeric import Grid, write_boundary_csv
 from .polycore import Poly, TrigPoly, trig_from_modulus_squared
 
 
-def _load(path: str, want: type):
+def _load(path: str | None, want: type):
+    if path is None:
+        raise ValueError("an input file is required")
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     obj = jsonio.load_instance(text)
     if not isinstance(obj, want):
@@ -480,21 +482,13 @@ def _run_one(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _, arity = COMMANDS[args.command]
-
     batch_dir = getattr(args, "batch", None)
     if batch_dir is None:
-        if arity == 1 and getattr(args, "input", None) is None:
-            print("error: BadInput: an input file is required", file=sys.stderr)
-            return 2
         return _run_one(args)
 
-    # batch mode: per-input output files next to the inputs, no shared writes;
-    # the outputs of earlier batch runs are not inputs
-    if arity != 1:
-        print("error: BadInput: --batch needs a single-input command",
-              file=sys.stderr)
-        return 2
+    # batch mode (single-input commands only): per-input output files next
+    # to the inputs, no shared writes; the outputs of earlier batch runs are
+    # not inputs
     worst = 0
     files = sorted(p for p in Path(batch_dir).glob("*.json")
                    if not p.name.endswith(".out.json"))

@@ -276,6 +276,12 @@ def test_tol_must_be_finite_and_nonnegative(files, capsys, tol):
     assert not list(d.glob("*.out.json"))
 
 
+def test_missing_input_exits_2(capsys):
+    code, out, err = run(capsys, ["extreme", "--n", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: BadInput: an input file is required\n"
+
+
 @pytest.mark.parametrize("argv, kind, payload", [
     (["extreme", "--n", "1"], "trig",
      '{"n": true, "coeffs": {"0": [1.0, 0.0], "1": [0.5, 0.0]}}'),
