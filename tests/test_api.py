@@ -1,0 +1,53 @@
+"""The keyword options of the library: each one has a caller that sets it.
+
+A parameter with a default that no caller sets is a configuration nobody
+runs; the tolerances of the certificates are module constants instead.
+This test lists every defaulted parameter of the functions defined in the
+library's modules, so an option cannot come back unnoticed.
+"""
+
+import importlib
+import inspect
+
+MODULES = ("polycore", "factor", "geometry", "numeric", "kernel", "cli",
+           "jsonio", "gen")
+
+# (module, function, parameter), each set by a caller in the library, the
+# benchmark or the tests
+OPTIONS = {
+    ("polycore", "lift", "n"),
+    ("geometry", "is_extreme", "tol_norm"),
+    ("geometry", "rigidity_check", "tol_remainder"),
+    ("numeric", "symbol_condition_test", "tol_factor"),
+    ("geometry", "split_nonextreme", "quad_points"),
+    ("geometry", "split_nonextreme", "rotation_sign"),
+    ("geometry", "perturbation_search", "trials"),
+    ("geometry", "perturbation_search", "seed"),
+    ("geometry", "perturbation_search", "ascent_rounds"),
+    ("cli", "_handle", "prefix"),
+    ("cli", "main", "argv"),
+}
+
+
+def _defaulted_parameters():
+    found = set()
+    for name in MODULES:
+        mod = importlib.import_module(f"hkl.{name}")
+        for attr, obj in vars(mod).items():
+            fn = inspect.unwrap(obj) if callable(obj) else None
+            if not (inspect.isfunction(fn)
+                    and fn.__module__ == mod.__name__):
+                continue
+            for p in inspect.signature(fn).parameters.values():
+                if p.default is not inspect.Parameter.empty:
+                    found.add((name, attr, p.name))
+    return found
+
+
+def test_defaulted_parameters_are_the_listed_options():
+    assert _defaulted_parameters() == OPTIONS
+
+
+def test_root_memo_is_keyed_on_the_coefficients_alone():
+    polycore = importlib.import_module("hkl.polycore")
+    assert list(inspect.signature(polycore._roots_cached).parameters) == ["c"]
