@@ -451,10 +451,9 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     sampled: otherwise (an odd or short count, as when rounding returns a
     double circle zero as two simple zeros or as a reflected pair), a
     randomized search over ``trials`` directions plus ``ascent_rounds``
-    rounds of coordinate ascent, constrained on a uniform grid of
-    SEARCH_GRID points and refined near the zeros; see ``_sampled_search``.
-    Its max_norm may differ in the last bits with the BLAS thread count.
-    Both routes report SEARCH_GRID as ``grid_size``.
+    rounds of coordinate ascent on SEARCH_GRID points (``grid_size`` on
+    both routes); see ``_sampled_search``.  Its max_norm may differ in the
+    last bits with the BLAS thread count.
     """
     if trials < 0 or ascent_rounds < 0:
         raise ValueError("trials and ascent_rounds must be nonnegative")

@@ -238,8 +238,7 @@ def instance_from_json(d: dict):
     try:
         return _DECODERS[kind](d["payload"])
     except OverflowError as exc:
-        # an integer beyond the float range, or a complex number whose
-        # modulus is beyond it
+        # an int beyond the float range, or a complex number of larger modulus
         raise ValueError(f"a number exceeds double precision: {exc}") from None
 
 
