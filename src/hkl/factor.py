@@ -147,7 +147,9 @@ def inner_outer(p: Poly) -> Factorization:
         lam = 1.0 + 0j  # exhausted convention; cannot normalize a vanishing value
     else:
         lam = value0 / abs(value0)
-    outer = Poly(work).scaled(1.0 / lam)
+    outer = Poly(work).scaled(1.0 / lam).coeffs
+    # exactly real positive at 0, not up to the rounding of the rotation
+    outer = Poly((complex(abs(outer[0])),) + outer[1:])
     inner = BlaschkeProduct(m0, tuple(inner_zeros), lam)
     return Factorization(inner, outer)
 
@@ -225,13 +227,15 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray, angles: np.ndarray,
 
     F starts as cofactor(z) * prod (z - exp(i angle))**half, scaled to the
     mean of g, is polished on g's coefficients (``_polish``) and is
-    returned with F(0) real positive.
+    returned with F(0) real positive: rotated, then set to its modulus.
     """
     coeffs = _assemble(cofactor, angles, halves)
     scale = math.sqrt(g.mean / float(np.vdot(coeffs, coeffs).real))
     coeffs = _polish(np.asarray(g.coeffs), cofactor * scale, angles, halves)
     value0 = coeffs[0]
-    return Poly(tuple(coeffs * (value0.conjugate() / abs(value0))))
+    coeffs = coeffs * (value0.conjugate() / abs(value0))
+    coeffs[0] = abs(coeffs[0])
+    return Poly(tuple(coeffs))
 
 
 def _circle_zeros(g: TrigPoly, on_circle) -> list[tuple[float, int]]:

@@ -312,9 +312,13 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
 
 
 def _normalize_lowest(f: Poly) -> Poly:
-    for c in f.coeffs:
+    """f rotated so its lowest nonzero coefficient c is real positive; c is
+    then set to its modulus, which the rotation leaves only up to rounding."""
+    for k, c in enumerate(f.coeffs):
         if c != 0:
-            return f.scaled(c.conjugate() / abs(c))
+            rotated = f.scaled(c.conjugate() / abs(c)).coeffs
+            return Poly(rotated[:k] + (complex(abs(rotated[k])),)
+                        + rotated[k + 1:])
     return f
 
 

@@ -10,7 +10,7 @@ from hkl import geometry
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                         NotInV, NotNormalized, NotOnBoundary, NotUnitNorm,
                         NullInput)
-from hkl.factor import blaschke_eval, fejer_riesz
+from hkl.factor import blaschke_eval, fejer_riesz, inner_outer
 from hkl.gen import random_boundary_modulus, random_kernel_element
 from hkl.geometry import (PerturbationSearch, RigidityResult, _sampled_search,
                           baseline_split, decompose_modulus,
@@ -673,3 +673,16 @@ def test_circle_count_certificate_ignores_seed_and_budget(monkeypatch):
         assert res.trials == trials
         assert res.max_norm.hex() == first.max_norm.hex()
         assert dataclasses.replace(res, trials=first.trials) == first
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_factor_values_at_zero_are_exactly_real_positive(seed):
+    # rotating by conj(c)/|c| leaves c off the real axis by about 1e-17
+    g = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(seed))
+    cert = split_nonextreme(g, 5)
+    lows = [next(c for c in x.f.coeffs if c != 0)
+            for x in enumerate_solutions(g, 5)]
+    values = [fejer_riesz(g).coeffs[0], cert.f1.f.coeffs[0],
+              cert.f2.f.coeffs[0], inner_outer(lift(g, 5)).outer.coeffs[0]]
+    for c in values + lows:
+        assert c.imag == 0.0 and c.real > 0
