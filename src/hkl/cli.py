@@ -44,6 +44,15 @@ def _load(path: str | None, want: type):
     return obj
 
 
+def order(text: str) -> int:
+    """The ``--n`` argument: an integer no larger than jsonio.MAX_ORDER."""
+    n = int(text)
+    if n > jsonio.MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"model order {n} exceeds {jsonio.MAX_ORDER}")
+    return n
+
+
 def _sample_poly(p: Poly, size: int) -> Grid:
     return Grid.sample(lambda z: p(z), size)
 
@@ -158,7 +167,8 @@ def cmd_extreme(args):
 
 def cmd_split(args):
     g = _load(args.input, TrigPoly)
-    tols = _tols(args, midpoint=1e-10, norms=1e-10, distinctness=1e-9)
+    # echoed with the checks below; nothing here tests them
+    tols = {"midpoint": 1e-10, "norms": 1e-10, "distinctness": 1e-9}
     cert = geometry.split_nonextreme(g, args.n, quad_points=args.grid)
     out = {
         "command": "split",
@@ -412,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("extreme", "split", "solutions"):
         sp = sub.add_parser(name)
         sp.add_argument("input", nargs="?", default=None)
-        sp.add_argument("--n", type=int, required=True)
-        common(sp, batchable=True, tol=True)
+        sp.add_argument("--n", type=order, required=True)
+        common(sp, batchable=True, tol=name != "split")
 
     sp = sub.add_parser("decompose")
     sp.add_argument("input", nargs="?", default=None)
@@ -422,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rigidity")
     sp.add_argument("trig")
     sp.add_argument("kernel")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=order, required=True)
     common(sp, tol=True)
 
     sp = sub.add_parser("outer-grid")
@@ -440,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("gen")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=order, required=True)
     sp.add_argument("--zeros", type=str, default="",
                     help="inside:k,circle:j,outside:l")
     sp.add_argument("--emit", choices=("kernel", "trig"), default="kernel")

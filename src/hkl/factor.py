@@ -159,11 +159,8 @@ def fejer_riesz(g: TrigPoly) -> Poly:
 
     Zeros of the lifted function come in pairs reflected across the circle;
     F keeps the representative outside (or on) the circle and takes half of
-    each circle multiplicity.  Every circle zero that ``nonneg_check`` did
-    not confirm as a sign change gets an even multiplicity: rounding can
-    return a double circle zero as two simple ones a hair apart, and
-    neighbouring odd zeros are merged into one even zero at the local
-    minimum of g (``_circle_zeros``).
+    each circle multiplicity, as ``_circle_zeros`` reads them: even, with
+    odd zeros that ``nonneg_check`` did not confirm merged in pairs.
 
     This root-based start is then polished by Gauss-Newton steps on the
     coefficient equation |F|^2 = g (``_polish``), with the circle zeros
@@ -211,11 +208,13 @@ def fejer_riesz(g: TrigPoly) -> Poly:
             raise PairingFailure(
                 f"zero {r.location} has no reflected partner within {PAIR_TOL}")
 
+    circle = _circle_zeros(g)
+    if circle is None:
+        raise OddCircleMultiplicity("an odd circle zero has no odd neighbour")
     cofactor = np.ones(1, dtype=complex)
     for r in outside:
         for _ in range(r.multiplicity):
             cofactor = np.convolve(cofactor, [-r.location, 1.0])
-    circle = _circle_zeros(g, rs.on_circle)
     angles = np.array([t for t, _ in circle])
     halves = np.array([m // 2 for _, m in circle], dtype=int)
     return _factor_from_zeros(g, cofactor, angles, halves)
@@ -238,27 +237,31 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray, angles: np.ndarray,
     return Poly(tuple(coeffs))
 
 
-def _circle_zeros(g: TrigPoly, on_circle) -> list[tuple[float, int]]:
-    """(angle, multiplicity) of each circle zero of g, every multiplicity even.
+def _circle_zeros(g: TrigPoly) -> list[tuple[float, int]] | None:
+    """(angle, multiplicity) of each circle zero of g, every multiplicity
+    even; None when an odd zero is left without a partner.
 
-    The caller has already rejected confirmed sign changes, so an odd
-    multiplicity here is rounding: a double zero came back as two simple
-    ones, between which g dips by less than the nonnegativity tolerance.
-    Taken in angular order, neighbouring odd zeros are merged in pairs,
-    across the arcs of smaller total length (the spurious dips are the
-    short arcs), into one zero with the summed multiplicity.  Each angle is
-    then recovered from g itself (``refine_circle_angle``), which is far
-    better conditioned than the lifted polynomial's root.
+    The one reader of the multiplicities of lift(g)'s circle roots, for
+    ``fejer_riesz`` and geometry's split, ``rigidity_check`` and
+    ``perturbation_search``.  An odd multiplicity is rounding: a double
+    zero came back as two simple ones.  Taken in angular order, odd zeros
+    are merged in pairs across the arcs of smaller total length (the
+    spurious dips are the short arcs) into one zero with the summed
+    multiplicity.  Each angle is then refined on g (``refine_circle_angle``),
+    far better conditioned than the lifted polynomial's root.  The merge
+    does not confirm that g keeps its sign: the other callers reject
+    confirmed sign changes first, and ``perturbation_search`` counts a zero
+    only where |g| <= nonneg_tol(g), which a merge across a real sign change
+    misses (cos theta: its two zeros merge at theta = 0, where g = 1).
     """
+    on_circle = roots(lift(g)).on_circle
     zeros = [(float(np.angle(r.location)), r.multiplicity) for r in on_circle
              if r.multiplicity % 2 == 0]
     odd = sorted((float(np.angle(r.location)), r.multiplicity)
                  for r in on_circle if r.multiplicity % 2 == 1)
     k = len(odd)
     if k % 2 == 1:
-        raise OddCircleMultiplicity(
-            f"circle zero at angle {odd[0][0]:.6f} of odd multiplicity has no "
-            f"odd neighbour to pair with ({k} odd circle zeros)")
+        return None
     if k:
         gaps = [(odd[(i + 1) % k][0] - odd[i][0]) % (2.0 * math.pi)
                 for i in range(k)]

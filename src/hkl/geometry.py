@@ -20,12 +20,15 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
                                                        (enumerate_solutions)
 * when the lift is outer, any kernel element merely dominated by
   sqrt(g) is a constant multiple of the spectral factor     (rigidity_check)
-* at an extreme point no mean-free band-n h keeps g +/- h >= 0: when the
-  lift's circle zeros have even multiplicities adding up to 2n, h must
-  vanish at each to its full order, so z**n h is divisible by the lift
-  and h = c g with c = 0 (route circle_count); otherwise a randomized
-  search bounds the largest admissible h (route sampled), whose last
-  bits depend on the BLAS thread count              (perturbation_search)
+* at an extreme point no mean-free band-n h keeps g +/- h >= 0: when g's
+  circle zeros have multiplicities adding up to 2n, h must vanish at each
+  to its full order, so z**n h is divisible by the lift and h = c g with
+  c = 0 (route circle_count); otherwise a randomized search bounds the
+  largest admissible h (route sampled), whose last bits depend on the
+  BLAS thread count                                 (perturbation_search)
+
+The split, the domination rule and the circle count read g's circle zeros
+and their even multiplicities from ``factor._circle_zeros`` alone.
 
 Everything returns a certificate object carrying residuals and the
 conventions used, so a verdict can be audited without rerunning.
@@ -40,7 +43,7 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
                      NotNonnegative, NotNormalized, NotOnBoundary, NotUnitNorm,
-                     NullInput, OddCircleMultiplicity)
+                     NullInput)
 from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
                      blaschke_eval, blaschke_mul_poly, divisors, fejer_riesz,
                      inner_outer)
@@ -147,13 +150,13 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
 
         lift(g_+/-) = +/- G (lam u0 +/- 1)**2 / (2 lam),
 
-    so the zeros of lift(g1) are g's circle zeros (even multiplicities,
-    from the lift of g already solved) and each root of lam N + D, doubled;
+    so the zeros of lift(g1) are g's circle zeros (``_circle_zeros``, from
+    the lift of g already solved) and each root of lam N + D, doubled;
     g2 pairs with lam N - D.  |u0| = 1 exactly on the circle, so these k
     roots are unimodular and the degree-k solve is all that is new.  The
     angles are refined on each half (``refine_circle_angle``).  The claim
-    is accepted when the multiplicities are even and add up to 2n with
-    |g_j| <= nonneg_tol(g_j) at each refined angle (the circle count of
+    is accepted when the multiplicities add up to 2n with |g_j| <=
+    nonneg_tol(g_j) at each refined angle (the circle count of
     ``perturbation_search``), g_j >= -tol on the ``nonneg_check`` grid and
     |mean - 1| <= TOL_NORM.  Then g_j is extreme and f_j is assembled from
     the claimed zeros and polished on g_j, as ``fejer_riesz`` does.  A half
@@ -194,10 +197,7 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
 
     # each half's claimed zeros: g's circle zeros and the doubled roots of
     # lam N +/- D, with D zero-padded to the length of N
-    try:
-        circle = _circle_zeros(g, roots(lifted).on_circle)
-    except OddCircleMultiplicity:
-        circle = None
+    circle = _circle_zeros(g)
     num = inner.numerator().as_array()
     den = np.zeros(len(num), dtype=complex)
     den[:inner.denominator().degree + 1] = inner.denominator().as_array()
@@ -230,22 +230,23 @@ def _split_half(gj: TrigPoly, n: int, circle: list | None,
 
     The claim: lift(gj) vanishes at g's circle zeros ``circle`` ((angle,
     multiplicity) pairs, None when they could not be paired) and doubly at
-    each root of the polynomial with coefficients p.  It is accepted when
-    the circle count decides (``_circle_count_decides`` on gj), gj >= -tol
-    on the ``nonneg_check`` grid and the mean of gj is 1 within TOL_NORM;
-    then gj is extreme and its factor is built from the claimed zeros.
+    each root of the polynomial with coefficients p.  Its angles are refined
+    on gj, and it is accepted when the circle count decides on gj, gj >=
+    -tol on the ``nonneg_check`` grid and the mean of gj is 1 within
+    TOL_NORM; then gj is extreme and its factor is built from the claimed zeros.
     Otherwise both come from solving the lift of gj.
     """
     if circle is not None:
-        zeros = circle + [(float(np.angle(r.location)), 2 * r.multiplicity)
-                          for r in roots(Poly(tuple(p)))]
-        angles = _circle_count_decides(gj, n, zeros)
-        if (angles is not None
+        claimed = circle + [(float(np.angle(r.location)), 2 * r.multiplicity)
+                            for r in roots(Poly(tuple(p)))]
+        zeros = [(refine_circle_angle(gj, t), m) for t, m in claimed]
+        if (_circle_count_decides(gj, n, zeros)
                 and grid_min(gj, nonneg_grid_size(gj))[0] >= -nonneg_tol(gj)
                 and abs(gj.mean - 1.0) <= TOL_NORM):
+            angles = np.array([t for t, _ in zeros])
             halves = np.array([m // 2 for _, m in zeros], dtype=int)
-            return (_factor_from_zeros(gj, np.ones(1, dtype=complex),
-                                       np.array(angles), halves), True)
+            return (_factor_from_zeros(gj, np.ones(1, dtype=complex), angles,
+                                       halves), True)
     return fejer_riesz(gj), is_extreme(gj, n).verdict
 
 
@@ -299,7 +300,7 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
         raise BandExceeded(
             f"band limit {g.effective_band} exceeds model order {n}")
     cert = nonneg_check(g)
-    if not cert.nonnegative or cert.odd_circle_roots:
+    if not cert.nonnegative:
         raise NotNonnegative("the prescribed modulus is not nonnegative")
 
     base = fejer_riesz(g)
@@ -343,10 +344,11 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
     """For outer lift, a dominated kernel element is c times the spectral factor.
 
     Domination (finiteness of the integral of |f|/sqrt(g)) is decided by an
-    exact multiplicity rule: at a circle zero of the lift with multiplicity
-    2m the integrand behaves like |z - zeta|**(k - m) where k is f's zero
-    multiplicity there, integrable iff k >= m.  No mean-1 hypothesis is
-    needed, so this check bypasses the membership test on purpose.
+    exact multiplicity rule: at a circle zero of g with multiplicity 2m
+    (``_circle_zeros``) the integrand behaves like |z - zeta|**(k - m)
+    where k is f's zero multiplicity there, integrable iff k >= m.  No
+    mean-1 hypothesis is needed, so this check bypasses the membership
+    test on purpose.
 
     A COUNTEREXAMPLE result (dominated but not a constant multiple) is
     impossible when the implementation is correct; returning it signals an
@@ -355,7 +357,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
     if g.is_null:
         raise NullInput("rigidity needs a non-null modulus")
     cert = nonneg_check(g)
-    if not cert.nonnegative or cert.odd_circle_roots:
+    if not cert.nonnegative:
         raise NotNonnegative("rigidity needs a nonnegative modulus")
     fac = inner_outer(lift(g, n))
     if not fac.inner.is_trivial:
@@ -368,11 +370,10 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
                               remainder=0.0)
 
     f_roots = roots(x.f) if x.f.degree > 0 else None
-    for r in roots(lift(g, n)).on_circle:
-        need = r.multiplicity // 2
-        zc = r.location / abs(r.location)
+    for t, m in _circle_zeros(g):   # not None: fejer_riesz paired them
+        zc = complex(np.exp(1j * t))
         have = f_roots.multiplicity_near(zc, ROOT_MATCH_TOL) if f_roots else 0
-        if have < need:
+        if have < m // 2:
             return RigidityResult(RigidityResult.NOT_DOMINATED, witness=zc)
 
     quo, rem = npp.polydiv(x.f.as_array(), base.as_array())
@@ -400,7 +401,7 @@ def baseline_split(g: TrigPoly) -> tuple[TrigPoly, TrigPoly]:
     if g.is_null:
         raise NullInput("cannot split the zero function")
     cert = nonneg_check(g)
-    if not cert.nonnegative or cert.odd_circle_roots:
+    if not cert.nonnegative:
         raise NotNonnegative("baseline split needs a nonnegative function")
     if abs(g.mean - 1.0) > TOL_NORM:
         raise NotNormalized(f"mean {g.mean} != 1")
@@ -439,21 +440,20 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     negative certificate: it reports the largest sup-norm it could reach.
     Two routes decide it, and ``route`` names the one that did.
 
-    circle_count: an exact count on the circle zeros of the lift z**n g,
-    read from the RootSet the sampled route needs anyway.  When every
-    circle multiplicity is even, the multiplicities add up to 2n, and
-    |g| <= nonneg_tol(g) at each zero's refined angle, no perturbation
-    survives: near a zero of order 2m, g behaves like |theta - t0|**2m,
-    and |h| <= g forces the smooth h to vanish there to order 2m too.  So
-    z**n h, of degree <= 2n, is divisible by the degree-2n circle part of
-    the lift, which is z**n g up to a constant: h = c g, and the mean-free
-    condition with mean(g) > 0 gives c = 0.  This route returns 0 at once
+    circle_count: an exact count on g's circle zeros (``_circle_zeros``).
+    When their even multiplicities add up to 2n and |g| <= nonneg_tol(g)
+    at each zero, no perturbation survives: near a zero of order 2m, g
+    behaves like |theta - t0|**2m, and |h| <= g forces the smooth h to
+    vanish there to order 2m too.  So z**n h, of degree <= 2n, is
+    divisible by the degree-2n circle part of the lift, which is z**n g up
+    to a constant: h = c g, and the mean-free condition with mean(g) > 0
+    gives c = 0.  This route returns 0 at once
     and draws no random numbers, so its certificate does not depend on
     ``seed``, ``trials`` or the BLAS thread count.  At n = 0 the count is
     vacuously 0 = 2n.
 
-    sampled: otherwise (an odd or short count, as when rounding returns a
-    double circle zero as two simple zeros or as a reflected pair), a
+    sampled: otherwise (an unpaired odd zero or a short count, as when
+    rounding returns a double circle zero as a reflected pair), a
     randomized search over ``trials`` directions plus ``ascent_rounds``
     rounds of coordinate ascent on SEARCH_GRID points (``grid_size`` on
     both routes); see ``_sampled_search``.  Its max_norm may differ in the
@@ -462,8 +462,8 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     if trials < 0 or ascent_rounds < 0:
         raise ValueError("trials and ascent_rounds must be nonnegative")
     circle = roots(lift(g, n)).on_circle
-    zeros = [(float(np.angle(r.location)), r.multiplicity) for r in circle]
-    if _circle_count_decides(g, n, zeros) is not None:
+    zeros = _circle_zeros(g)
+    if zeros is not None and _circle_count_decides(g, n, zeros):
         # n_constraints counts the grid the sampled route would have used
         return PerturbationSearch(
             max_norm=0.0, trials=trials, grid_size=SEARCH_GRID,
@@ -473,20 +473,15 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
                            grid_size=SEARCH_GRID, ascent_rounds=ascent_rounds)
 
 
-def _circle_count_decides(g: TrigPoly, n: int,
-                          zeros: list) -> list[float] | None:
-    """Even circle multiplicities adding up to 2n, each a zero of g.
+def _circle_count_decides(g: TrigPoly, n: int, zeros: list) -> bool:
+    """Circle multiplicities adding up to 2n, each at a zero of g.
 
-    ``zeros`` are (angle, multiplicity) pairs.  Returns the angles refined
-    on g (``refine_circle_angle``) when the multiplicities are even, add
-    up to 2n and |g| <= nonneg_tol(g) at each refined angle; else None.
+    ``zeros`` are (angle, multiplicity) pairs, as from ``_circle_zeros``.
     """
-    if any(m % 2 for _, m in zeros) or sum(m for _, m in zeros) != 2 * n:
-        return None
-    refined = [refine_circle_angle(g, t) for t, _ in zeros]
-    if np.all(np.abs(g.values(refined)) <= nonneg_tol(g)):
-        return refined
-    return None
+    if sum(m for _, m in zeros) != 2 * n:
+        return False
+    return bool(np.all(np.abs(g.values([t for t, _ in zeros]))
+                       <= nonneg_tol(g)))
 
 
 # angular offsets of the refined constraint points on each side of a zero

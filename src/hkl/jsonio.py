@@ -25,6 +25,11 @@ from .polycore import Poly, TrigPoly
 
 VERSION = "hkl-1"
 HERMITIAN_TOL = 1e-12
+# the largest band limit or model order read from outside, far above the 16
+# that the tests and the benchmark reach; a larger one is refused before
+# anything sized by it is allocated (the polish's dense steps grow like its
+# square)
+MAX_ORDER = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +139,8 @@ def trig_from_json(d: dict) -> TrigPoly:
     n = d["n"]
     if not _is_int(n) or n < 0:
         raise ValueError("band limit must be a nonnegative integer")
+    if n > MAX_ORDER:
+        raise ValueError(f"band limit {n} exceeds {MAX_ORDER}")
     raw = d["coeffs"]
     if not isinstance(raw, dict):
         raise ValueError("coeffs must be an object keyed by frequency")
@@ -171,6 +178,8 @@ def kernel_from_json(d: dict) -> KernelElement:
     _require_fields(d, {"n", "poly"}, "kernel")
     if not _is_int(d["n"]):
         raise ValueError("model order must be an integer")
+    if d["n"] > MAX_ORDER:
+        raise ValueError(f"model order {d['n']} exceeds {MAX_ORDER}")
     return KernelElement(d["n"], poly_from_json(d["poly"]))
 
 

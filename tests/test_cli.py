@@ -256,7 +256,7 @@ def test_seed_only_on_gen(files, capsys):
 def test_tol_must_be_finite_and_nonnegative(files, capsys, tol):
     write, tmp_path = files
     path = write("g.json", TrigPoly(1, (1.0, 0.25)))
-    for command in ("extreme", "split", "solutions"):
+    for command in ("extreme", "solutions"):
         code, out, err = run(capsys, [command, path, "--n", "1",
                                       "--tol", tol])
         assert code == 2 and out == ""
@@ -305,6 +305,45 @@ def test_non_json_types_exit_2(tmp_path, capsys, argv, kind, payload):
     assert err.startswith("error: BadInput: ")
 
 
+@pytest.mark.parametrize("argv, kind, payload", [
+    (["extreme", "--n", "1"], "trig",
+     '{"n": 10000000000000, "coeffs": {"0": [1.0, 0.0]}}'),
+    (["companion"], "kernel",
+     '{"n": 10000000000000, "poly": {"coeffs": [[1.0, 0.0]]}}'),
+])
+def test_huge_order_in_payload_exits_2(tmp_path, capsys, argv, kind, payload):
+    # refused before anything sized by the order is allocated
+    path = tmp_path / "x.json"
+    path.write_text('{"version": "hkl-1", "type": "%s", "payload": %s}'
+                    % (kind, payload))
+    code, out, err = run(capsys, [argv[0], str(path)] + argv[1:])
+    assert code == 2 and out == ""
+    assert err == ("error: BadInput: %s 10000000000000 exceeds 1024\n"
+                   % ("band limit" if kind == "trig" else "model order"))
+
+
+@pytest.mark.parametrize("command", ["extreme", "split", "solutions", "gen"])
+def test_huge_order_argument_exits_2(files, capsys, command):
+    write, _ = files
+    path = write("g.json", TrigPoly(1, (1.0, 0.25)))
+    argv = [command] + ([path] if command != "gen" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "10000000000000"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --n: model order 10000000000000 exceeds 1024" in out.err
+
+
+def test_split_echoes_fixed_tolerances(files, capsys):
+    write, _ = files
+    path = write("g.json", TrigPoly(1, (1.0, 0.25)))
+    code, out, _ = run(capsys, ["split", path, "--n", "1"])
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {
+        "midpoint": 1e-10, "norms": 1e-10, "distinctness": 1e-9}
+
+
 def test_parser_is_built_once_and_reused(files, capsys):
     write, _ = files
     path = write("g.json", TrigPoly(1, (1.0, 0.25)))
@@ -328,8 +367,8 @@ def test_parser_is_built_once_and_reused(files, capsys):
     assert code == 0 and out.encode() == fresh
 
 
-READS_TOL = ("factor", "spectral", "extreme", "split", "solutions",
-             "rigidity", "symbol-test")
+READS_TOL = ("factor", "spectral", "extreme", "solutions", "rigidity",
+             "symbol-test")
 
 
 def test_tol_only_on_commands_that_read_it(files, capsys):

@@ -656,6 +656,42 @@ def test_short_circle_count_falls_back_to_sampling():
     assert res == _sampled(HOLDOUT_212, 5, seed=212)
 
 
+# gridsearch pinned instance 23 (bench/run.py, pool seed 3141), n = 4: an
+# extreme point whose double circle zero at angle 0.239225 comes back from
+# the root engine as two simple circle roots 1.3e-7 apart
+GRID_23 = TrigPoly(4, tuple(complex(float.fromhex(re), float.fromhex(im))
+                            for re, im in (
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("-0x1.aa8664dec32eep-4", "0x1.784c53ddfa165p-1"),
+    ("-0x1.0bb90cb7247b9p-1", "0x1.fb0785c51aaa8p-6"),
+    ("0x1.2b7316e715928p-4", "-0x1.547fa013fb459p-2"),
+    ("0x1.e235d14816d69p-5", "0x1.0e2c62417f899p-4"))))
+GRID_23_ANGLE = 0.239225
+
+
+def test_split_double_zero_is_counted_on_circle():
+    simple = [r for r in roots(lift(GRID_23)).on_circle if r.multiplicity == 1]
+    assert len(simple) == 2
+    assert all(abs(np.angle(r.location) - GRID_23_ANGLE) <= 1e-6
+               for r in simple)
+    res = perturbation_search(GRID_23, 4, trials=0, ascent_rounds=0)
+    assert res.route == PerturbationSearch.CIRCLE_COUNT
+    assert res.max_norm == 0.0
+
+
+def test_rigidity_reads_split_double_zero_as_one():
+    # the spectral factor with its zero at the double circle zero moved
+    # inside: not dominated by sqrt(g) there, which the split roots hid
+    base = fejer_riesz(GRID_23).as_array()
+    w = min(roots(Poly(tuple(base))).on_circle,
+            key=lambda r: abs(r.location - np.exp(1j * GRID_23_ANGLE))).location
+    quo = np.polynomial.polynomial.polydiv(base, [-w, 1.0])[0]
+    x = KernelElement(4, Poly(tuple(np.convolve(quo, [-0.5, 1.0]))))
+    res = rigidity_check(GRID_23, 4, x)
+    assert res.kind == RigidityResult.NOT_DOMINATED
+    assert abs(res.witness - np.exp(1j * GRID_23_ANGLE)) <= 1e-6
+
+
 def test_circle_count_certificate_ignores_seed_and_budget(monkeypatch):
     rng = np.random.default_rng(81)
     g = random_boundary_modulus(4, 0, 4, 0, rng)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkl.factor import BlaschkeProduct
-from hkl.jsonio import (blaschke_from_json, blaschke_to_json, dumps,
-                        grid_from_json, grid_to_json, instance_from_json,
-                        instance_to_json, kernel_from_json, kernel_to_json,
-                        load_instance, poly_from_json, poly_to_json,
-                        trig_from_json, trig_to_json)
+from hkl.jsonio import (MAX_ORDER, blaschke_from_json, blaschke_to_json,
+                        dumps, grid_from_json, grid_to_json,
+                        instance_from_json, instance_to_json,
+                        kernel_from_json, kernel_to_json, load_instance,
+                        poly_from_json, poly_to_json, trig_from_json,
+                        trig_to_json)
 from hkl.kernel import KernelElement
 from hkl.numeric import Grid
 from hkl.polycore import Poly, TrigPoly
@@ -108,6 +109,17 @@ def test_bool_band_limit_rejected():
         kernel_from_json({"n": True, "poly": {"coeffs": [[1.0, 0.0]]}})
 
 
+def test_order_bounded_before_allocation():
+    # an order of 10**13 is refused, not allocated; MAX_ORDER itself loads
+    with pytest.raises(ValueError, match="band limit 10000000000000 exceeds"):
+        trig_from_json({"n": 10 ** 13, "coeffs": {"0": [1.0, 0.0]}})
+    with pytest.raises(ValueError, match="model order 10000000000000 exceeds"):
+        kernel_from_json({"n": 10 ** 13, "poly": {"coeffs": [[1.0, 0.0]]}})
+    assert trig_from_json({"n": MAX_ORDER, "coeffs": {}}).n == MAX_ORDER
+    assert kernel_from_json(
+        {"n": MAX_ORDER, "poly": {"coeffs": [[1.0, 0.0]]}}).n == MAX_ORDER
+
+
 def test_bool_coefficient_rejected():
     with pytest.raises(ValueError, match=r"\[re, im\] pair"):
         poly_from_json({"coeffs": [[True, False]]})
@@ -153,10 +165,10 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
-# trig_from_json allocates n + 1 coefficients before reading any, so a
-# band limit is drawn small when it is drawn as an integer
+# the loader refuses an order above MAX_ORDER before it allocates anything
+# sized by it, so a band limit may be drawn huge
 _BAND_LIMITS = st.one_of(
-    st.integers(-3, 64),
+    st.integers(-3, 10 ** 15),
     _JSON_VALUES.filter(lambda v: not isinstance(v, int) or isinstance(v, bool)))
 
 
