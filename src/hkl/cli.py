@@ -53,12 +53,21 @@ def order(text: str) -> int:
     return n
 
 
-def _sample_poly(p: Poly, size: int) -> Grid:
-    return Grid.sample(lambda z: p(z), size)
+def grid_size(text: str) -> int:
+    """The ``--grid`` argument: a power of two, at least 4."""
+    size = int(text)
+    if size < 4 or size & (size - 1):
+        raise argparse.ArgumentTypeError(
+            f"grid size {size} is not a power of two of at least 4")
+    return size
 
 
-def _sample_trig(g: TrigPoly, size: int) -> Grid:
-    return Grid(g.grid_values(size).astype(complex))
+def _poly_boundary(p: Poly, size: int):
+    return lambda: Grid.sample(p, size)
+
+
+def _trig_boundary(g: TrigPoly, size: int):
+    return lambda: Grid(g.grid_values(size).astype(complex))
 
 
 def _tols(args, **defaults) -> dict:
@@ -74,7 +83,9 @@ def _tols(args, **defaults) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (output dict, boundary grid or None, exit code)
+# command handlers: return (output dict, boundary or None, exit code); the
+# boundary is a zero-argument callable that samples the Grid for --csv, so
+# nothing is sampled without it
 # ---------------------------------------------------------------------------
 
 def cmd_factor(args):
@@ -101,7 +112,7 @@ def cmd_factor(args):
         "conventions": {"outer_value_at_zero": "real positive",
                         "phase_in": "inner.lambda"},
     }
-    return out, _sample_poly(p, args.grid), 0
+    return out, _poly_boundary(p, args.grid), 0
 
 
 def cmd_spectral(args):
@@ -123,7 +134,7 @@ def cmd_spectral(args):
         "tolerances": tols,
         "conventions": {"value_at_zero": "real positive"},
     }
-    return out, _sample_poly(f, args.grid), 0
+    return out, _poly_boundary(f, args.grid), 0
 
 
 def cmd_companion(args):
@@ -134,7 +145,7 @@ def cmd_companion(args):
         "input": jsonio.kernel_to_json(x),
         "result": jsonio.kernel_to_json(y),
     }
-    return out, _sample_poly(y.f, args.grid), 0
+    return out, _poly_boundary(y.f, args.grid), 0
 
 
 def cmd_norm(args):
@@ -144,7 +155,7 @@ def cmd_norm(args):
         "input": jsonio.kernel_to_json(x),
         "h2_norm": h2_norm(x),
     }
-    return out, _sample_poly(x.f, args.grid), 0
+    return out, _poly_boundary(x.f, args.grid), 0
 
 
 def cmd_extreme(args):
@@ -162,7 +173,7 @@ def cmd_extreme(args):
         "outer_part": jsonio.poly_to_json(cert.outer_part),
         "tolerances": tols,
     }
-    return out, _sample_trig(g, args.grid), 0
+    return out, _trig_boundary(g, args.grid), 0
 
 
 def cmd_split(args):
@@ -196,7 +207,7 @@ def cmd_split(args):
             "representatives": "outer spectral factors",
         },
     }
-    return out, _sample_trig(cert.g1, args.grid), 0
+    return out, _trig_boundary(cert.g1, args.grid), 0
 
 
 def cmd_decompose(args):
@@ -208,7 +219,7 @@ def cmd_decompose(args):
             "input": jsonio.kernel_to_json(x),
             "rigid": True,
         }
-        return out, _sample_poly(x.f, args.grid), 0
+        return out, _poly_boundary(x.f, args.grid), 0
     out = {
         "command": "decompose",
         "input": jsonio.kernel_to_json(x),
@@ -223,7 +234,7 @@ def cmd_decompose(args):
             "rotation": jsonio.complex_pair(dec.split.rotation),
         },
     }
-    return out, _sample_poly(dec.f1.f, args.grid), 0
+    return out, _poly_boundary(dec.f1.f, args.grid), 0
 
 
 def cmd_solutions(args):
@@ -250,7 +261,7 @@ def cmd_solutions(args):
         "conventions": {"normalization":
                         "lowest nonzero coefficient real positive"},
     }
-    boundary = _sample_poly(sols[0].f, args.grid) if sols else None
+    boundary = _poly_boundary(sols[0].f, args.grid) if sols else None
     return out, boundary, 0
 
 
@@ -274,7 +285,7 @@ def cmd_rigidity(args):
         "tolerances": tols,
     }
     code = 3 if res.kind == geometry.RigidityResult.COUNTEREXAMPLE else 0
-    return out, _sample_trig(g, args.grid), code
+    return out, _trig_boundary(g, args.grid), code
 
 
 def cmd_outer_grid(args):
@@ -289,7 +300,7 @@ def cmd_outer_grid(args):
         "conventions": {"zero_frequency": "real positive",
                         "nyquist_bin": "zeroed in conjugation"},
     }
-    return out, result, 0
+    return out, lambda: result, 0
 
 
 def cmd_symbol_test(args):
@@ -305,8 +316,8 @@ def cmd_symbol_test(args):
         "verdict": res.verdict,
         "tolerances": tols,
     }
-    prod = Grid(np.conj(g.points) * np.conj(phi.values) * g.values.real)
-    return out, prod, 0
+    return out, lambda: Grid(
+        np.conj(g.points) * np.conj(phi.values) * g.values.real), 0
 
 
 def cmd_domination(args):
@@ -322,10 +333,12 @@ def cmd_domination(args):
         "estimates": list(res.estimates),
         "sizes": list(res.sizes),
     }
-    theta = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    fa = np.abs(x.f(np.exp(1j * theta)))
-    gv = np.maximum(g.values(theta), 1e-300)
-    boundary = Grid((fa / np.sqrt(gv)).astype(complex))
+
+    def boundary() -> Grid:
+        theta = 2.0 * np.pi * np.arange(args.grid) / args.grid
+        fa = np.abs(x.f(np.exp(1j * theta)))
+        gv = np.maximum(g.values(theta), 1e-300)
+        return Grid((fa / np.sqrt(gv)).astype(complex))
     return out, boundary, 0
 
 
@@ -349,10 +362,10 @@ def cmd_gen(args):
     if args.emit == "trig":
         g = trig_from_modulus_squared(x.f)
         out = instance_to_json(g)
-        boundary = _sample_trig(g, args.grid)
+        boundary = _trig_boundary(g, args.grid)
     else:
         out = instance_to_json(x)
-        boundary = _sample_poly(x.f, args.grid)
+        boundary = _poly_boundary(x.f, args.grid)
     return out, boundary, 0
 
 
@@ -367,7 +380,7 @@ def cmd_baseline_split(args):
         "conventions": {
             "tau": "Re(lambda z)/2 with lambda = i g1_hat/|g1_hat|, else 1"},
     }
-    return out, _sample_trig(g1, args.grid), 0
+    return out, _trig_boundary(g1, args.grid), 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +413,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "model spaces; JSON in, certificates out")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, batchable=False, tol=False):
-        sp.add_argument("--grid", type=int, default=4096,
-                        help="boundary sample count (power of two)")
+    def common(sp, *, grid=True, batchable=False, tol=False):
+        if grid:
+            sp.add_argument("--grid", type=grid_size, default=4096,
+                            help="boundary sample count (power of two)")
         if tol:
             sp.add_argument("--tol", type=float, default=None,
                             help="override certificate tolerances; echoed")
-        sp.add_argument("--csv", type=str, default=None,
-                        help="dump boundary samples theta,re,im,abs")
+        # a batch writes one output per input, and no boundary
+        output = sp.add_mutually_exclusive_group()
+        output.add_argument("--csv", type=str, default=None,
+                            help="dump boundary samples theta,re,im,abs")
         if batchable:
-            sp.add_argument("--batch", type=str, default=None,
-                            help="process every *.json in a directory, "
-                                 "except earlier *.out.json outputs")
+            output.add_argument("--batch", type=str, default=None,
+                                help="process every *.json in a directory, "
+                                     "except earlier *.out.json outputs")
 
     # --tol only where a handler reads it (through _tols)
     for name in ("factor", "spectral", "companion", "norm", "baseline-split"):
@@ -435,14 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=order, required=True)
     common(sp, tol=True)
 
+    # --grid only where a handler reads it: these two take their grids
+    # from their inputs
     sp = sub.add_parser("outer-grid")
     sp.add_argument("input", nargs="?", default=None)
-    common(sp, batchable=True)
+    common(sp, grid=False, batchable=True)
 
     sp = sub.add_parser("symbol-test")
     sp.add_argument("phi")
     sp.add_argument("g")
-    common(sp, tol=True)
+    common(sp, grid=False, tol=True)
 
     sp = sub.add_parser("domination")
     sp.add_argument("kernel")
@@ -461,15 +479,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _handle(args, prefix: str = ""):
-    """Run the command's handler; on a named failure report it to stderr.
+    """Run the command's handler and write its --csv boundary; on a named
+    failure of either, report it to stderr.
 
-    Returns (output dict, boundary grid, exit code); the output is None
-    when the handler failed.  ``prefix`` starts the error line (the input
+    Returns (output dict, exit code); the output is None when the handler
+    or the boundary failed.  ``prefix`` starts the error line (the input
     path in batch mode).
     """
     handler, _ = COMMANDS[args.command]
     try:
-        return handler(args)
+        out, boundary, code = handler(args)
+        if args.csv and boundary is not None:
+            write_boundary_csv(args.csv, boundary())
+        return out, code
     except PreconditionError as exc:
         name, code, msg = type(exc).__name__, 2, str(exc)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -477,24 +499,17 @@ def _handle(args, prefix: str = ""):
     except InternalInvariantError as exc:
         name, code, msg = type(exc).__name__, 3, str(exc)
     print(f"{prefix}error: {name}: {msg}", file=sys.stderr)
-    return None, None, code
-
-
-def _run_one(args) -> int:
-    out, boundary, code = _handle(args)
-    if out is None:
-        return code
-    if args.csv and boundary is not None:
-        write_boundary_csv(args.csv, boundary)
-    sys.stdout.write(dumps(out) + "\n")
-    return code
+    return None, code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     batch_dir = getattr(args, "batch", None)
     if batch_dir is None:
-        return _run_one(args)
+        out, code = _handle(args)
+        if out is not None:
+            sys.stdout.write(dumps(out) + "\n")
+        return code
 
     # batch mode (single-input commands only): per-input output files next
     # to the inputs, no shared writes; the outputs of earlier batch runs are
@@ -508,7 +523,7 @@ def main(argv=None) -> int:
         return 2
     for path in files:
         args.input = str(path)
-        out, _, code = _handle(args, prefix=f"{path}: ")
+        out, code = _handle(args, prefix=f"{path}: ")
         if out is not None:
             path.with_suffix(f".{args.command}.out.json").write_text(
                 dumps(out) + "\n")

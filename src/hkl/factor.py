@@ -20,6 +20,7 @@ paths cross-validate each other on strictly positive inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -176,7 +177,18 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     still raises), OddCircleMultiplicity when an odd number of unconfirmed
     odd circle zeros leaves one without a neighbour to merge with, and
     PairingFailure when an inside zero has no reflected partner.
+
+    The factor is memoized per g (``_fejer_riesz_cached``, keyed on the
+    frozen TrigPoly like ``polycore._roots_cached``), so the pipelines that
+    ask for the factor of one g from several public calls build and polish
+    it once.  A raised error is not memoized.
     """
+    return _fejer_riesz_cached(g)
+
+
+@functools.lru_cache(maxsize=512)
+def _fejer_riesz_cached(g: TrigPoly) -> Poly:
+    """The factor of ``fejer_riesz`` for g, computed."""
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
     scale = max(1.0, max(abs(c) for c in g.coeffs))
@@ -237,7 +249,8 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray, angles: np.ndarray,
     return Poly(tuple(coeffs))
 
 
-def _circle_zeros(g: TrigPoly) -> list[tuple[float, int]] | None:
+@functools.lru_cache(maxsize=512)
+def _circle_zeros(g: TrigPoly) -> tuple[tuple[float, int], ...] | None:
     """(angle, multiplicity) of each circle zero of g, every multiplicity
     even; None when an odd zero is left without a partner.
 
@@ -253,6 +266,7 @@ def _circle_zeros(g: TrigPoly) -> list[tuple[float, int]] | None:
     confirmed sign changes first, and ``perturbation_search`` counts a zero
     only where |g| <= nonneg_tol(g), which a merge across a real sign change
     misses (cos theta: its two zeros merge at theta = 0, where g = 1).
+    The pairs are memoized per g, as a tuple, like ``fejer_riesz``'s factor.
     """
     on_circle = roots(lift(g)).on_circle
     zeros = [(float(np.angle(r.location)), r.multiplicity) for r in on_circle
@@ -269,7 +283,7 @@ def _circle_zeros(g: TrigPoly) -> list[tuple[float, int]] | None:
         for i in range(first, k + first, 2):
             (t1, m1), (_, m2) = odd[i % k], odd[(i + 1) % k]
             zeros.append((t1 + gaps[i % k] / 2.0, m1 + m2))
-    return [(refine_circle_angle(g, t), m) for t, m in zeros]
+    return tuple((refine_circle_angle(g, t), m) for t, m in zeros)
 
 
 def _assemble(cofactor: np.ndarray, angles: np.ndarray,

@@ -224,7 +224,7 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
     )
 
 
-def _split_half(gj: TrigPoly, n: int, circle: list | None,
+def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
                 p: np.ndarray) -> tuple[Poly, bool]:
     """Spectral factor and extreme verdict of the split half gj.
 
@@ -237,8 +237,9 @@ def _split_half(gj: TrigPoly, n: int, circle: list | None,
     Otherwise both come from solving the lift of gj.
     """
     if circle is not None:
-        claimed = circle + [(float(np.angle(r.location)), 2 * r.multiplicity)
-                            for r in roots(Poly(tuple(p)))]
+        claimed = list(circle) + [
+            (float(np.angle(r.location)), 2 * r.multiplicity)
+            for r in roots(Poly(tuple(p)))]
         zeros = [(refine_circle_angle(gj, t), m) for t, m in claimed]
         if (_circle_count_decides(gj, n, zeros)
                 and grid_min(gj, nonneg_grid_size(gj))[0] >= -nonneg_tol(gj)
@@ -473,7 +474,7 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
                            grid_size=SEARCH_GRID, ascent_rounds=ascent_rounds)
 
 
-def _circle_count_decides(g: TrigPoly, n: int, zeros: list) -> bool:
+def _circle_count_decides(g: TrigPoly, n: int, zeros: list | tuple) -> bool:
     """Circle multiplicities adding up to 2n, each at a zero of g.
 
     ``zeros`` are (angle, multiplicity) pairs, as from ``_circle_zeros``.

@@ -550,7 +550,8 @@ def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
     """Single-linkage merge tree of points with pairwise distances dist.
 
     Nodes 0..N-1 are the points; each later node is {"members": [...],
-    "children": (older, younger)} and the last one holds every point.  The
+    "children": (older, younger), "distance": d}, d the distance of the
+    pair that merged it, and the last one holds every point.  The
     tree is built by Kruskal's algorithm: the point pairs are visited by
     increasing distance, and a union-find joins the two components each
     pair links, so no cluster-to-cluster distance is ever recomputed.
@@ -561,7 +562,8 @@ def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
     """
     npts = len(dist)
     clusters: list[dict] = [
-        {"members": [i], "children": None} for i in range(npts)]
+        {"members": [i], "children": None, "distance": 0.0}
+        for i in range(npts)]
     parent = list(range(npts))      # union-find forest over the points
     node_of = list(range(npts))     # component root -> its merge-tree node
 
@@ -572,7 +574,8 @@ def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
         return i
 
     iu, ju = np.triu_indices(npts, 1)
-    for e in np.argsort(dist[iu, ju], kind="stable"):
+    pair_dist = dist[iu, ju]
+    for e in np.argsort(pair_dist, kind="stable"):
         ra, rb = find(int(iu[e])), find(int(ju[e]))
         if ra == rb:
             continue
@@ -580,6 +583,7 @@ def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
         clusters.append({
             "members": clusters[ca]["members"] + clusters[cb]["members"],
             "children": (ca, cb),
+            "distance": float(pair_dist[e]),
         })
         parent[rb] = ra
         node_of[ra] = len(clusters) - 1
@@ -605,7 +609,9 @@ def _cluster_points(points: np.ndarray,
     purely geometric diameter threshold gets it wrong in both directions).
 
     A rejected node's children are examined instead.  The tree comes from
-    ``_single_linkage_tree``.
+    ``_single_linkage_tree``.  A node's diameter is at least the distance
+    it was merged at, so a node merged beyond CLUSTER_CAP is rejected
+    without the diameter, as the test would reject it.
     """
     pts = list(points)
     if len(pts) == 1:
@@ -653,7 +659,8 @@ def _cluster_points(points: np.ndarray,
 
     def cut(idx: int):
         node = clusters[idx]
-        accepted = try_accept(node["members"])
+        accepted = (None if node["distance"] > CLUSTER_CAP
+                    else try_accept(node["members"]))
         if accepted is not None:
             out.append(accepted)
             return
@@ -857,7 +864,18 @@ def nonneg_check(g: TrigPoly) -> NonnegCertificate:
     The grid is ``nonneg_grid_size(g)`` and the tolerance ``nonneg_tol(g)``.
     On failure the certificate carries a witness: the most negative point
     found, or the offending odd-multiplicity root.
+
+    The certificate is memoized per g (``_nonneg_cached``, keyed on the
+    frozen TrigPoly like ``_roots_cached``): the pipelines check one g from
+    several public calls, and every check after the first returns the same
+    certificate without a new scan.
     """
+    return _nonneg_cached(g)
+
+
+@functools.lru_cache(maxsize=512)
+def _nonneg_cached(g: TrigPoly) -> NonnegCertificate:
+    """The certificate of ``nonneg_check`` for g, computed."""
     grid_size = nonneg_grid_size(g)
     tol = nonneg_tol(g)
     if g.is_null:

@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from hkl import polycore
+from hkl import factor, polycore
 from hkl.gen import random_boundary_modulus, random_kernel_element
 from hkl.polycore import Poly, poly_mul
 
@@ -94,8 +94,13 @@ def solve_counter(monkeypatch):
 
     ``polycore._roots_cached`` is replaced by an empty cache of the same
     size around the same solver, so each cache miss is one solve; the
-    Counter maps the degree of the deflated polynomial to its solves.
+    Counter maps the degree of the deflated polynomial to its solves.  The
+    per-g memos above it are emptied too, so a g checked by an earlier test
+    is solved again here.
     """
+    for memo in (polycore._nonneg_cached, factor._fejer_riesz_cached,
+                 factor._circle_zeros):
+        memo.cache_clear()
     counts = collections.Counter()
     cached = polycore._roots_cached
     solve = cached.__wrapped__

@@ -11,6 +11,7 @@ import pytest
 
 import hkl
 from hkl.cli import COMMANDS, build_parser, main
+from hkl.gen import random_boundary_modulus
 from hkl.jsonio import dumps, instance_to_json
 from hkl.kernel import KernelElement
 from hkl.numeric import Grid
@@ -365,6 +366,80 @@ def test_parser_is_built_once_and_reused(files, capsys):
     capsys.readouterr()
     code, out, _ = run(capsys, argv)
     assert code == 0 and out.encode() == fresh
+
+
+@pytest.mark.parametrize("argv", [["spectral"], ["solutions", "--n", "3"]])
+def test_memoized_analysis_repeats_fresh_output(files, capsys, argv):
+    # the second call in one process reads g's analysis from the memos;
+    # its output is the first call's, and a fresh process's, byte for byte
+    write, _ = files
+    g = random_boundary_modulus(3, 1, 1, 1, np.random.default_rng(5))
+    argv = argv[:1] + [write("g.json", g)] + argv[1:]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hkl.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "hkl.cli"] + argv,
+                           capture_output=True, env=env, check=True).stdout
+    for _ in range(2):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "" and out.encode() == fresh
+
+
+@pytest.mark.parametrize("grid", ["0", "3", "100", "-4", "x"])
+@pytest.mark.parametrize("command", ["extreme", "split", "solutions"])
+def test_bad_grid_exits_2_before_any_work(files, capsys, command, grid):
+    write, _ = files
+    path = write("g.json", TrigPoly(1, (1.0, 0.25)))
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--n", "1", "--grid", grid])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument --grid: " in out.err
+
+
+def test_grid_only_on_commands_that_read_it(capsys):
+    for command, (_, arity) in COMMANDS.items():
+        argv = [command] + ["x.json", "y.json"][:arity]
+        if command in ("extreme", "split", "solutions", "rigidity", "gen"):
+            argv += ["--n", "1"]
+        if command in ("outer-grid", "symbol-test"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv + ["--grid", "8"])
+            assert exc.value.code == 2
+        else:
+            assert build_parser().parse_args(argv + ["--grid", "8"]).grid == 8
+    capsys.readouterr()
+
+
+def test_boundary_is_sampled_only_for_csv(files, capsys):
+    # a grid no finer than 2n cannot sample g; only --csv asks for it
+    write, tmp_path = files
+    path = write("g.json", TrigPoly(2, (1.0, 0.25, 0.25)))
+    code, out, _ = run(capsys, ["extreme", path, "--n", "2", "--grid", "4"])
+    assert code == 0 and json.loads(out)["command"] == "extreme"
+    csv_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, ["extreme", path, "--n", "2", "--grid", "4",
+                                  "--csv", str(csv_path)])
+    assert code == 2 and out == "" and not csv_path.exists()
+    assert err == "error: BadInput: grid too coarse for this band limit\n"
+    # a CSV that cannot be written fails on the same error path
+    code, out, err = run(capsys, ["extreme", path, "--n", "2", "--csv",
+                                  str(tmp_path / "missing" / "out.csv")])
+    assert code == 2 and out == "" and err.startswith("error: BadInput: ")
+
+
+def test_csv_with_batch_exits_2(tmp_path, capsys):
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "a.json").write_text(dumps(instance_to_json(TrigPoly(1, (1.0, 0.5)))))
+    with pytest.raises(SystemExit) as exc:
+        main(["extreme", "--n", "1", "--batch", str(d),
+              "--csv", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --csv: not allowed with argument --batch" in out.err
+    assert sorted(p.name for p in d.iterdir()) == ["a.json"]
+    assert not (tmp_path / "out.csv").exists()
 
 
 READS_TOL = ("factor", "spectral", "extreme", "solutions", "rigidity",

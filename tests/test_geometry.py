@@ -6,7 +6,7 @@ import pytest
 
 from conftest import census_suite
 
-from hkl import geometry
+from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                         NotInV, NotNormalized, NotOnBoundary, NotUnitNorm,
                         NullInput)
@@ -257,6 +257,26 @@ def test_split_halves_fall_back_to_solving(monkeypatch, solve_counter):
     for f, gh in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
         assert f.f == fejer_riesz(gh)
         assert _grid_residual(f.f, gh) <= 1e-9
+
+
+@pytest.mark.parametrize("census", [(0, 4, 0), (1, 2, 1)])
+def test_pipeline_analyses_each_g_once(solve_counter, census):
+    # the benchmark's sequence of public calls on one g: the nonnegativity
+    # certificate, the circle zeros and the spectral factor are each
+    # computed once and read from the memo after that
+    n = 4
+    g = random_boundary_modulus(n, *census, np.random.default_rng(17))
+    cert = is_extreme(g, n)
+    assert cert.verdict == (census == (0, 4, 0))
+    if cert.verdict:
+        x = KernelElement(n, fejer_riesz(g).scaled(0.5))
+        assert rigidity_check(g, n, x).kind == RigidityResult.CONSTANT_MULTIPLE
+    else:
+        split_nonextreme(g, n)
+    enumerate_solutions(g, n)
+    for memo in (polycore._nonneg_cached, factor._circle_zeros,
+                 factor._fejer_riesz_cached):
+        assert memo.cache_info().misses == 1, memo
 
 
 # ---------------------------------------------------------------------------

@@ -236,8 +236,10 @@ def test_shifted_lifts_share_one_solve(solve_counter):
 
 def _pairwise_linkage_tree(dist):
     # reference: repeatedly merge the two active clusters at the smallest
-    # single-linkage distance, the oldest pair first on a tie
-    clusters = [{"members": [i], "children": None} for i in range(len(dist))]
+    # single-linkage distance, the oldest pair first on a tie; each merged
+    # node records that distance
+    clusters = [{"members": [i], "children": None, "distance": 0.0}
+                for i in range(len(dist))]
     active = list(range(len(clusters)))
     while len(active) > 1:
         best = None
@@ -247,11 +249,12 @@ def _pairwise_linkage_tree(dist):
                                 clusters[active[jj]]["members"])].min()
                 if best is None or d < best[0]:
                     best = (d, ii, jj)
-        _, ii, jj = best
+        d, ii, jj = best
         ca, cb = active[ii], active[jj]
         clusters.append({
             "members": clusters[ca]["members"] + clusters[cb]["members"],
             "children": (ca, cb),
+            "distance": float(d),
         })
         active = [a for a in active if a not in (ca, cb)]
         active.append(len(clusters) - 1)
@@ -259,7 +262,8 @@ def _pairwise_linkage_tree(dist):
 
 
 def test_single_linkage_tree_matches_pairwise_merging():
-    # same arithmetic (distances are only compared), so the trees are equal
+    # same arithmetic (distances are only compared), so the trees, merge
+    # distances included, are equal
     rng = np.random.default_rng(12)
     for _ in range(40):
         npts = int(rng.integers(2, 25))
@@ -267,7 +271,12 @@ def test_single_linkage_tree_matches_pairwise_merging():
         # near-coincident groups, as at multiple roots
         pts[: npts // 3] = pts[0] + 1e-7 * rng.standard_normal(npts // 3)
         dist = np.abs(pts[:, None] - pts[None, :])
-        assert _single_linkage_tree(dist) == _pairwise_linkage_tree(dist)
+        tree = _single_linkage_tree(dist)
+        assert tree == _pairwise_linkage_tree(dist)
+        # what lets the cut reject a node merged beyond the cap unmeasured
+        for node in tree:
+            mem = node["members"]
+            assert dist[np.ix_(mem, mem)].max() >= node["distance"]
 
 
 def _three_polyval_aberth(c, tol, max_iter):
