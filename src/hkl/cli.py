@@ -53,12 +53,15 @@ def order(text: str) -> int:
     return n
 
 
+MAX_GRID = 2 ** 20
+
+
 def grid_size(text: str) -> int:
-    """The ``--grid`` argument: a power of two, at least 4."""
+    """The ``--grid`` argument: a power of two from 4 to MAX_GRID."""
     size = int(text)
-    if size < 4 or size & (size - 1):
+    if size < 4 or size & (size - 1) or size > MAX_GRID:
         raise argparse.ArgumentTypeError(
-            f"grid size {size} is not a power of two of at least 4")
+            f"grid size {size} is not a power of two from 4 to {MAX_GRID}")
     return size
 
 

@@ -160,8 +160,7 @@ def fejer_riesz(g: TrigPoly) -> Poly:
 
     Zeros of the lifted function come in pairs reflected across the circle;
     F keeps the representative outside (or on) the circle and takes half of
-    each circle multiplicity, as ``_circle_zeros`` reads them: even, with
-    odd zeros that ``nonneg_check`` did not confirm merged in pairs.
+    each circle multiplicity, as ``_circle_zeros`` reads them.
 
     This root-based start is then polished by Gauss-Newton steps on the
     coefficient equation |F|^2 = g (``_polish``), with the circle zeros
@@ -174,28 +173,29 @@ def fejer_riesz(g: TrigPoly) -> Poly:
 
     Raises NullInput for the zero function, NotNonnegative or
     OddCircleMultiplicity when nonnegativity fails (a confirmed sign change
-    still raises), OddCircleMultiplicity when an odd number of unconfirmed
-    odd circle zeros leaves one without a neighbour to merge with, and
+    still raises), OddCircleMultiplicity when an unconfirmed odd circle
+    zero is left with no neighbour to merge with (``_circle_zeros``), and
     PairingFailure when an inside zero has no reflected partner.
 
-    The factor is memoized per g (``_fejer_riesz_cached``, keyed on the
-    frozen TrigPoly like ``polycore._roots_cached``), so the pipelines that
-    ask for the factor of one g from several public calls build and polish
-    it once.  A raised error is not memoized.
+    The factor is memoized per g at unit scale (``_fejer_riesz_cached``,
+    keyed on the frozen TrigPoly like ``polycore._roots_cached``), so the
+    pipelines that ask for the factor of one g from several public calls
+    build and polish it once.  A raised error is not memoized.
     """
+    scale = max(1.0, max(abs(c) for c in g.coeffs))
+    if scale > 1.0:
+        # near the top of the double range the polish's residual norms
+        # overflow; the factor of g / scale times sqrt(scale) is the same F
+        return _fejer_riesz_cached(trig_scale(g, 1.0 / scale)).scaled(
+            math.sqrt(scale))
     return _fejer_riesz_cached(g)
 
 
 @functools.lru_cache(maxsize=512)
 def _fejer_riesz_cached(g: TrigPoly) -> Poly:
-    """The factor of ``fejer_riesz`` for g, computed."""
+    """The factor of ``fejer_riesz`` for g with max |g_k| <= 1, computed."""
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
-    scale = max(1.0, max(abs(c) for c in g.coeffs))
-    if scale > 1.0:
-        # near the top of the double range the polish's residual norms
-        # overflow; the factor of g / scale times sqrt(scale) is the same F
-        return fejer_riesz(trig_scale(g, 1.0 / scale)).scaled(math.sqrt(scale))
     cert = nonneg_check(g)
     if cert.odd_circle_roots:
         raise OddCircleMultiplicity(
@@ -222,7 +222,7 @@ def _fejer_riesz_cached(g: TrigPoly) -> Poly:
 
     circle = _circle_zeros(g)
     if circle is None:
-        raise OddCircleMultiplicity("an odd circle zero has no odd neighbour")
+        raise OddCircleMultiplicity("an odd circle zero is left unmerged")
     cofactor = np.ones(1, dtype=complex)
     for r in outside:
         for _ in range(r.multiplicity):
@@ -252,38 +252,20 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray, angles: np.ndarray,
 @functools.lru_cache(maxsize=512)
 def _circle_zeros(g: TrigPoly) -> tuple[tuple[float, int], ...] | None:
     """(angle, multiplicity) of each circle zero of g, every multiplicity
-    even; None when an odd zero is left without a partner.
+    even; None when an odd circle root is left.
 
     The one reader of the multiplicities of lift(g)'s circle roots, for
     ``fejer_riesz`` and geometry's split, ``rigidity_check`` and
-    ``perturbation_search``.  An odd multiplicity is rounding: a double
-    zero came back as two simple ones.  Taken in angular order, odd zeros
-    are merged in pairs across the arcs of smaller total length (the
-    spurious dips are the short arcs) into one zero with the summed
-    multiplicity.  Each angle is then refined on g (``refine_circle_angle``),
-    far better conditioned than the lifted polynomial's root.  The merge
-    does not confirm that g keeps its sign: the other callers reject
-    confirmed sign changes first, and ``perturbation_search`` counts a zero
-    only where |g| <= nonneg_tol(g), which a merge across a real sign change
-    misses (cos theta: its two zeros merge at theta = 0, where g = 1).
-    The pairs are memoized per g, as a tuple, like ``fejer_riesz``'s factor.
+    ``perturbation_search``.  The root engine's snap has merged the roots
+    that rounding splits off a double circle zero, so an odd root left is
+    a sign change of g or a split beyond SNAP_BAND.  Each angle is refined
+    on g (``refine_circle_angle``).  Memoized per g, like ``fejer_riesz``.
     """
     on_circle = roots(lift(g)).on_circle
-    zeros = [(float(np.angle(r.location)), r.multiplicity) for r in on_circle
-             if r.multiplicity % 2 == 0]
-    odd = sorted((float(np.angle(r.location)), r.multiplicity)
-                 for r in on_circle if r.multiplicity % 2 == 1)
-    k = len(odd)
-    if k % 2 == 1:
+    if any(r.multiplicity % 2 for r in on_circle):
         return None
-    if k:
-        gaps = [(odd[(i + 1) % k][0] - odd[i][0]) % (2.0 * math.pi)
-                for i in range(k)]
-        first = 0 if sum(gaps[0::2]) <= sum(gaps[1::2]) else 1
-        for i in range(first, k + first, 2):
-            (t1, m1), (_, m2) = odd[i % k], odd[(i + 1) % k]
-            zeros.append((t1 + gaps[i % k] / 2.0, m1 + m2))
-    return tuple((refine_circle_angle(g, t), m) for t, m in zeros)
+    return tuple((refine_circle_angle(g, float(np.angle(r.location))),
+                  r.multiplicity) for r in on_circle)
 
 
 def _assemble(cofactor: np.ndarray, angles: np.ndarray,

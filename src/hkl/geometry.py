@@ -229,7 +229,7 @@ def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
     """Spectral factor and extreme verdict of the split half gj.
 
     The claim: lift(gj) vanishes at g's circle zeros ``circle`` ((angle,
-    multiplicity) pairs, None when they could not be paired) and doubly at
+    multiplicity) pairs, None when an odd circle root was left) and doubly at
     each root of the polynomial with coefficients p.  Its angles are refined
     on gj, and it is accepted when the circle count decides on gj, gj >=
     -tol on the ``nonneg_check`` grid and the mean of gj is 1 within
@@ -371,7 +371,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
                               remainder=0.0)
 
     f_roots = roots(x.f) if x.f.degree > 0 else None
-    for t, m in _circle_zeros(g):   # not None: fejer_riesz paired them
+    for t, m in _circle_zeros(g):   # not None: fejer_riesz raised on it
         zc = complex(np.exp(1j * t))
         have = f_roots.multiplicity_near(zc, ROOT_MATCH_TOL) if f_roots else 0
         if have < m // 2:
@@ -453,12 +453,11 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     ``seed``, ``trials`` or the BLAS thread count.  At n = 0 the count is
     vacuously 0 = 2n.
 
-    sampled: otherwise (an unpaired odd zero or a short count, as when
-    rounding returns a double circle zero as a reflected pair), a
-    randomized search over ``trials`` directions plus ``ascent_rounds``
-    rounds of coordinate ascent on SEARCH_GRID points (``grid_size`` on
-    both routes); see ``_sampled_search``.  Its max_norm may differ in the
-    last bits with the BLAS thread count.
+    sampled: otherwise (a sign change or a short count, as at a point that
+    is not extreme), a randomized search over ``trials`` directions plus
+    ``ascent_rounds`` rounds of coordinate ascent on SEARCH_GRID points
+    (``grid_size`` on both routes); see ``_sampled_search``.  Its max_norm
+    may differ in the last bits with the BLAS thread count.
     """
     if trials < 0 or ascent_rounds < 0:
         raise ValueError("trials and ascent_rounds must be nonnegative")

@@ -403,33 +403,48 @@ def self_inversive_phase(c: np.ndarray) -> complex | None:
     return lam
 
 
-def _snap_self_inversive(found: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
-    """Project lone near-circle roots of a self-inversive polynomial onto it.
+def _snap_self_inversive(found: list[tuple[complex, int]], c: np.ndarray,
+                         lam: complex) -> list[tuple[complex, int]]:
+    """Place the near-circle roots of the self-inversive polynomial c.
 
-    Roots of a self-inversive polynomial are exactly unimodular or come in
-    exact reflected pairs (a, 1/conj(a)).  A computed root slightly off the
-    circle is part of a genuine pair only when it and a distinct partner
-    pick each other as best match for their mirrors (a one-sided match is
-    rounding debris of an on-circle root); everything else inside the snap
-    band sits on the circle, displaced only by rounding, and is projected.
+    An m-fold circle root of c is an m-fold zero of its real function
+    q(t) = sqrt(lam) e^(-idt/2) c(e^(it)), here at unit scale (g / max|g_k|
+    for a lift z**n g; for odd degree d, q(2s), with integer frequencies).
+    Rounding splits a double circle zero into two simple roots on or near
+    the circle, but it is a simple zero of q'.  So each root within
+    SNAP_BAND of the circle but off it, and each odd root on it, goes by
+    Newton on q' from its angle (``refine_circle_angle``).  Roots that
+    reach one angle, within EPS_CIRCLE, are one circle root with the summed
+    multiplicity where |q| <= nonneg_tol(q), and a genuine reflected pair,
+    kept, where |q| is larger.  A root alone at its angle is projected onto
+    the circle.  Even roots on the circle are kept bit for bit.
     """
-    # each mirror is taken in its root's own type: Python complex and
-    # np.complex128 divide differently, and a moved mirror can move a match;
-    # argmin keeps the first of equal distances, as min does
-    locs = np.array([a for a, _ in found], dtype=complex)
-    mirrors = np.array([1.0 / a.conjugate() for a, _ in found], dtype=complex)
-    matches = np.abs(locs[None, :] - mirrors[:, None]).argmin(axis=1).tolist()
-    out = []
-    for i, (a, m) in enumerate(found):
-        r = abs(a)
-        if not EPS_CIRCLE < abs(r - 1.0) <= SNAP_BAND:
-            out.append((a, m))
-            continue
-        j = matches[i]
-        if j != i and matches[j] == i:
-            out.append((a, m))      # mutual reflected pair, keep
+    out, spots = [], []
+    for a, m in found:
+        off = abs(abs(a) - 1.0)
+        keep = off > SNAP_BAND or (off <= EPS_CIRCLE and m % 2 == 0)
+        (out if keep else spots).append((a, m))
+    if not spots:
+        return out
+    d = len(c) - 1
+    step = 1 + d % 2
+    qc = np.zeros(step * d // 2 + 1, dtype=complex)
+    qc[d % 2::step] = np.sqrt(lam) * c[(d + 1) // 2:] / np.abs(c).max()
+    q = TrigPoly(len(qc) - 1, tuple(qc))
+    spots = [(a, m, step * refine_circle_angle(q, float(np.angle(a)) / step))
+             for a, m in spots]
+    while spots:
+        hits = [abs(math.remainder(t - spots[0][2], 2.0 * math.pi))
+                <= EPS_CIRCLE for _, _, t in spots]
+        grp = [s for s, hit in zip(spots, hits) if hit]
+        spots = [s for s, hit in zip(spots, hits) if not hit]
+        a, m, t = grp[0]
+        if len(grp) == 1:
+            out.append((a if abs(abs(a) - 1) <= EPS_CIRCLE else a / abs(a), m))
+        elif abs(float(q.values(t / step))) <= nonneg_tol(q):
+            out.append((complex(np.exp(1j * t)), sum(s[1] for s in grp)))
         else:
-            out.append((a / r, m))
+            out.extend((a, m) for a, m, _ in grp)
     return out
 
 
@@ -739,8 +754,8 @@ def _roots_cached(c: tuple) -> RootSet:
                 raise NonConvergence(
                     f"root residual {resid / scale:.3e} above tolerance after "
                     f"{MAX_ROOT_ITER} iterations")
-        if d >= 2 and self_inversive_phase(carr) is not None:
-            found = _snap_self_inversive(found)
+        if d >= 2 and (lam := self_inversive_phase(carr)) is not None:
+            found = _snap_self_inversive(found, carr, lam)
     return _root_set(found, 0)
 
 
@@ -779,13 +794,13 @@ class NonnegCertificate:
 
 
 def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
-    """Sharpen the angle of an (even-order) circle zero of g.
+    """The angle of the local minimum of the real function g near theta0.
 
-    Newton on the angular derivative: the location of a local minimum of
-    the real boundary function is first-order stable under coefficient
-    noise, unlike the corresponding polynomial root, so this recovers the
-    zero's angle to near machine precision even when the lifted roots are
-    only loosely localized.
+    Newton on g': a local minimum of g is first-order stable under
+    coefficient noise, unlike the lift's root there, so this recovers the
+    angle of an even-order zero to near machine precision.  It stops where
+    g'' <= 0 or a step would exceed 1e-2.  The one angle refiner: for
+    ``factor._circle_zeros``, the split's halves and the self-inversive snap.
     """
     ks = np.arange(1, g.n + 1)
     cs = np.array(g.coeffs[1:])

@@ -384,7 +384,7 @@ def test_memoized_analysis_repeats_fresh_output(files, capsys, argv):
         assert code == 0 and err == "" and out.encode() == fresh
 
 
-@pytest.mark.parametrize("grid", ["0", "3", "100", "-4", "x"])
+@pytest.mark.parametrize("grid", ["0", "3", "100", "-4", "x", str(2**40)])
 @pytest.mark.parametrize("command", ["extreme", "split", "solutions"])
 def test_bad_grid_exits_2_before_any_work(files, capsys, command, grid):
     write, _ = files

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hkl import factor
 from hkl.errors import (NotDivisible, NotNonnegative, NullInput,
                         OddCircleMultiplicity, PoleHit)
 from hkl.factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
@@ -125,9 +126,10 @@ def test_fejer_output_is_outer():
 
 
 def test_fejer_merges_split_double_circle_zero():
-    # the first modulus of acceptance criterion 7: the lift's double zero
-    # near -0.909-0.417i comes back as two simple circle zeros 6e-8 apart,
-    # between which the rounded g dips far below the nonnegativity tolerance
+    # the first modulus of acceptance criterion 7: rounding splits the
+    # lift's double zero near -0.909-0.417i into two simple circle roots
+    # 6e-8 apart, between which the rounded g dips far below the
+    # nonnegativity tolerance
     rng = np.random.default_rng(777)
     n = int(rng.integers(1, 9))
     g = random_boundary_modulus(n, 0, n, 0, rng)
@@ -169,6 +171,19 @@ def test_fejer_polish_residual_in_high_precision():
                 - mpmath.mpc(g.coeff(k).real, g.coeff(k).imag))
             for k in range(g.n + 1))
     assert float(worst) <= 1e-12 * max(abs(c) for c in g.coeffs)
+
+
+def test_fejer_memoizes_one_entry_per_g():
+    # max |g_k| = 4 > 1: the memo holds g / 4 alone, and a repeated call
+    # hits it
+    factor._fejer_riesz_cached.cache_clear()
+    g = TrigPoly(1, (4.0, 1.5))
+    first = fejer_riesz(g)
+    info = factor._fejer_riesz_cached.cache_info()
+    assert (info.currsize, info.hits) == (1, 0)
+    assert fejer_riesz(g) == first
+    info = factor._fejer_riesz_cached.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from hkl.geometry import (PerturbationSearch, RigidityResult, _sampled_search,
                           perturbation_search, rigidity_check,
                           split_nonextreme)
 from hkl.kernel import KernelElement, companion, h2_norm
-from hkl.polycore import (Poly, TrigPoly, lift, nonneg_check, roots,
-                          trig_from_modulus_squared, trig_scale)
+from hkl.polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
+                          roots, trig_from_modulus_squared, trig_scale)
 
 SQ5 = math.sqrt(5)
 WORKED = KernelElement(1, Poly((-1 / SQ5, 2 / SQ5)))   # (2/sqrt5)(z - 1/2)
@@ -655,7 +655,7 @@ def test_circle_count_does_not_decide_off_extreme_points():
 
 
 # gridsearch hold-out instance 212 (bench/run.py --pool-seed 5926), n = 5:
-# an extreme point whose double circle zero near 0.4541-0.8910i comes back
+# an extreme point whose double circle zero near 0.4541-0.8910i came back
 # from the root engine as a reflected pair at |z| = 1 -/+ 3e-7
 HOLDOUT_212 = TrigPoly(5, tuple(complex(float.fromhex(re), float.fromhex(im))
                                 for re, im in (
@@ -665,19 +665,40 @@ HOLDOUT_212 = TrigPoly(5, tuple(complex(float.fromhex(re), float.fromhex(im))
     ("-0x1.3cc67586c38afp-2", "0x1.62a4bdaa03d9ep-3"),
     ("0x1.aee0efeae39b8p-5", "0x1.01c97c4da8162p-3"),
     ("0x1.61fda037129e8p-6", "-0x1.4273ccec1b48dp-7"))))
+HOLDOUT_212_ANGLE = -1.099440
+
+# cli hold-out instance 104 (bench/run.py --workload cli --pool-seed 2135),
+# model order 8, not extreme, 4 solutions: its double circle zero near
+# 0.3736-0.9276i came back as a reflected pair at |z| = 1 -/+ 5e-8, which
+# counted a spurious inner zero and gave 8 solutions
+CLI_104 = TrigPoly(5, tuple(complex(float.fromhex(re), float.fromhex(im))
+                            for re, im in (
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("-0x1.75d969d1c7f50p-1", "-0x1.08558e5300038p-1"),
+    ("0x1.b3f960e961eb8p-3", "0x1.36c82f55ed2a7p-1"),
+    ("0x1.950edf220f4d2p-4", "-0x1.6536f6590bdd8p-2"),
+    ("-0x1.c4e1bcc2e0788p-4", "0x1.825b2e67fd0cbp-4"),
+    ("0x1.fc12c22631304p-6", "-0x1.b1182832c0134p-9"))))
+CLI_104_ANGLE = -1.187873
 
 
-def test_short_circle_count_falls_back_to_sampling():
+def test_holdout_212_is_decided_by_circle_count():
     assert sum(r.multiplicity
-               for r in roots(lift(HOLDOUT_212, 5)).on_circle) < 10
+               for r in roots(lift(HOLDOUT_212, 5)).on_circle) == 10
+    assert is_extreme(HOLDOUT_212, 5).verdict
     res = perturbation_search(HOLDOUT_212, 5, seed=212)
-    assert res.route == PerturbationSearch.SAMPLED
-    assert res.max_norm <= 1e-6
-    assert res == _sampled(HOLDOUT_212, 5, seed=212)
+    assert res.route == PerturbationSearch.CIRCLE_COUNT
+    assert res.max_norm == 0.0
+
+
+def test_holdout_104_has_four_solutions():
+    # the generator's oracle: not extreme, 4 solutions
+    assert not is_extreme(CLI_104, 8).verdict
+    assert len(enumerate_solutions(CLI_104, 8)) == 4
 
 
 # gridsearch pinned instance 23 (bench/run.py, pool seed 3141), n = 4: an
-# extreme point whose double circle zero at angle 0.239225 comes back from
+# extreme point whose double circle zero at angle 0.239225 came back from
 # the root engine as two simple circle roots 1.3e-7 apart
 GRID_23 = TrigPoly(4, tuple(complex(float.fromhex(re), float.fromhex(im))
                             for re, im in (
@@ -690,13 +711,38 @@ GRID_23_ANGLE = 0.239225
 
 
 def test_split_double_zero_is_counted_on_circle():
-    simple = [r for r in roots(lift(GRID_23)).on_circle if r.multiplicity == 1]
-    assert len(simple) == 2
-    assert all(abs(np.angle(r.location) - GRID_23_ANGLE) <= 1e-6
-               for r in simple)
+    near = [r for r in roots(lift(GRID_23)).on_circle
+            if abs(np.angle(r.location) - GRID_23_ANGLE) <= 1e-6]
+    assert [r.multiplicity for r in near] == [2]
     res = perturbation_search(GRID_23, 4, trials=0, ascent_rounds=0)
     assert res.route == PerturbationSearch.CIRCLE_COUNT
     assert res.max_norm == 0.0
+
+
+@pytest.mark.parametrize("g, angle", [(HOLDOUT_212, HOLDOUT_212_ANGLE),
+                                      (CLI_104, CLI_104_ANGLE),
+                                      (GRID_23, GRID_23_ANGLE)])
+def test_merged_circle_zero_is_a_zero_of_g_prime_in_high_precision(g, angle):
+    # the merge is right for the rounded input itself: in 50 digits, g'
+    # has a zero within 1e-12 of the merged root's angle, where g is zero
+    # to nonneg_tol(g)
+    mpmath = pytest.importorskip("mpmath")
+    near = [r for r in roots(lift(g)).on_circle
+            if abs(np.angle(r.location) - angle) <= 1e-6]
+    assert [r.multiplicity for r in near] == [2]
+    t0 = float(np.angle(near[0].location))
+    cs = [mpmath.mpc(c.real, c.imag) for c in g.coeffs]
+
+    def terms(t, power):
+        return [(1j * k) ** power * cs[k] * mpmath.expj(k * t)
+                for k in range(1, g.n + 1)]
+
+    with mpmath.workdps(50):
+        t = mpmath.findroot(lambda t: 2 * mpmath.re(mpmath.fsum(terms(t, 1))),
+                            mpmath.mpf(t0))
+        value = cs[0].real + 2 * mpmath.re(mpmath.fsum(terms(t, 0)))
+        assert abs(t - t0) <= 1e-12
+        assert abs(value) <= nonneg_tol(g)
 
 
 def test_rigidity_reads_split_double_zero_as_one():

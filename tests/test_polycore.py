@@ -10,10 +10,10 @@ from numpy.polynomial import polynomial as npp
 
 from hkl.errors import BandExceeded, NullInput, RootOverflow
 from hkl.gen import random_boundary_modulus
-from hkl.polycore import (EPS_CIRCLE, SNAP_BAND, Poly, Region, Root, TrigPoly,
-                          _aberth, _horner, _polish, _single_linkage_tree,
-                          _snap_self_inversive, lift,
-                          nonneg_check, poly_mul, roots, trig_add,
+from hkl.polycore import (Poly, Region, Root, TrigPoly, _aberth, _horner,
+                          _polish, _single_linkage_tree, _snap_self_inversive,
+                          lift, nonneg_check, nonneg_tol, poly_mul, roots,
+                          self_inversive_phase, trig_add,
                           trig_from_modulus_squared, trig_mul, trig_scale,
                           unlift)
 
@@ -394,76 +394,36 @@ def test_polish_bit_identical_to_polyval_newton():
                     == _bits(_polyval_polish(start, q, qd, 10.0)))
 
 
-def _min_loop_snap(found):
-    # reference: the nearest mirror by min over a key function, one root
-    # at a time
-    def best_match(i):
-        mirror = 1.0 / found[i][0].conjugate()
-        return min(range(len(found)),
-                   key=lambda j: abs(found[j][0] - mirror))
-
-    matches = [best_match(i) for i in range(len(found))]
-    out = []
-    for i, (a, m) in enumerate(found):
-        r = abs(a)
-        if not EPS_CIRCLE < abs(r - 1.0) <= SNAP_BAND:
-            out.append((a, m))
-            continue
-        j = matches[i]
-        if j != i and matches[j] == i:
-            out.append((a, m))
-        else:
-            out.append((a / r, m))
-    return out
+def _snap_lift(zeros, found):
+    # the lift of g = |f|**2, f with the given zeros, and the snap of the
+    # root list ``found`` given for it
+    g = trig_from_modulus_squared(Poly(tuple(np.poly(zeros)[::-1])))
+    c = lift(g).as_array()
+    return g, _snap_self_inversive(found, c, self_inversive_phase(c))
 
 
-def _snap_cases():
-    rng = np.random.default_rng(11)
-    as_type = [complex, np.complex128]
-
-    def band_offset():
-        return float(rng.choice([-1, 1]) * rng.uniform(2 * EPS_CIRCLE,
-                                                       SNAP_BAND))
-
-    cases = []
-    for _ in range(300):
-        found = []
-        for _ in range(int(rng.integers(1, 13))):
-            t = cmath.exp(2j * math.pi * rng.uniform())
-            kind = rng.integers(5)
-            if kind == 0:      # lone root displaced off the circle
-                pts = [t * (1.0 + band_offset())]
-            elif kind == 1:    # reflected pair inside the snap band
-                a = t * (1.0 + band_offset())
-                pts = [a, 1.0 / a.conjugate()]
-            elif kind == 2:    # pair plus rounding debris near its mirror
-                a = t * (1.0 + band_offset())
-                b = 1.0 / a.conjugate()
-                pts = [a, b, b * (1.0 + 1e-9 * rng.standard_normal())]
-            elif kind == 3:    # off the band, and exactly on the circle
-                pts = [t * rng.uniform(0.2, 3.0), t]
-            else:              # its mirror by each division: they differ
-                a = t * (1.0 + band_offset())  # in the last bit, or tie
-                pts = [a, 1.0 / a.conjugate(),
-                       complex(1.0 / np.complex128(a).conjugate())]
-            found += [(as_type[rng.integers(2)](p), int(rng.integers(1, 3)))
-                      for p in pts]
-        cases.append(found)
-    return cases
-
-
-def test_snap_matches_min_loop_reference():
-    kept = projected = 0
-    for found in _snap_cases():
-        new = _snap_self_inversive(found)
-        ref = _min_loop_snap(found)
-        assert [(_bits(a), type(a), m) for a, m in new] == \
-            [(_bits(a), type(a), m) for a, m in ref]
-        for (a, _), (b, _) in zip(found, ref):
-            if EPS_CIRCLE < abs(abs(a) - 1.0) <= SNAP_BAND:
-                kept += _bits(a) == _bits(b)
-                projected += _bits(a) != _bits(b)
-    assert kept and projected
+def test_snap_merges_by_newton_on_the_derivative():
+    w = cmath.exp(0.7j)
+    # a genuine reflected pair at 1 -/+ 1e-5: |g| at the minimum between
+    # them is 2.3 times nonneg_tol(g), so the pair is kept bit for bit
+    a = (1.0 - 1e-5) * w
+    found = [(-w, 8), (a, 1), (1.0 / a.conjugate(), 1)]
+    g, snapped = _snap_lift([a] + [-w] * 4, found)
+    assert g.values(0.7) > 2.0 * nonneg_tol(g)
+    assert [(_bits(z), m) for z, m in snapped] == \
+        [(_bits(z), m) for z, m in found]
+    # a double circle zero split into a pair at 1 -/+ 5e-8 is one double root
+    b = (1.0 - 5e-8) * w
+    found = [(b, 1), (1.0 / b.conjugate(), 1), (-w, 2)]
+    _, snapped = _snap_lift([w, -w], found)
+    assert snapped[0] == (-w, 2)
+    (z, m), = snapped[1:]
+    assert m == 2 and abs(z) == pytest.approx(1.0, abs=1e-15)
+    assert abs(cmath.phase(z) - 0.7) <= 1e-12
+    # a lone double root at 1 + 1e-6 is projected onto the circle
+    found = [((1.0 + 1e-6) * w, 2), (-w, 2)]
+    _, snapped = _snap_lift([w, -w], found)
+    assert snapped == [(-w, 2), (found[0][0] / abs(found[0][0]), 2)]
 
 
 # ---------------------------------------------------------------------------
