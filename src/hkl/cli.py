@@ -183,7 +183,7 @@ def cmd_split(args):
     g = _load(args.input, TrigPoly)
     # echoed with the checks below; nothing here tests them
     tols = {"midpoint": 1e-10, "norms": 1e-10, "distinctness": 1e-9}
-    cert = geometry.split_nonextreme(g, args.n, quad_points=args.grid)
+    cert = geometry.split_nonextreme(g, args.n)
     out = {
         "command": "split",
         "input": jsonio.trig_to_json(g),
@@ -206,7 +206,6 @@ def cmd_split(args):
             "rotation": jsonio.complex_pair(cert.rotation),
             "rotation_integral": jsonio.complex_pair(cert.rotation_integral),
             "rotation_sign": "+i conj(c)/|c|; c below 1e-10 fixes lambda = 1",
-            "quad_points": cert.quad_points,
             "representatives": "outer spectral factors",
         },
     }

@@ -31,9 +31,9 @@ from numpy.polynomial import polynomial as npp
 from .errors import (NotDivisible, NotNonnegative, NullInput,
                      OddCircleMultiplicity, PairingFailure, PoleHit)
 from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
-                       _horner, lift, nonneg_check, refine_circle_angle,
-                       roots, self_inversive_phase, synthetic_divide,
-                       trig_scale)
+                       _horner, _polish as _newton_polish, lift, nonneg_check,
+                       refine_circle_angle, roots, self_inversive_phase,
+                       synthetic_divide, trig_scale)
 
 PAIR_TOL = 1e-6      # relative tolerance for matching reflected zero pairs
 TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
@@ -384,33 +384,19 @@ def divisors(inner: BlaschkeProduct) -> list[BlaschkeProduct]:
 MIRROR_MATCH_TOL = 1e-5
 
 
-def _newton_refine(coeffs: list[complex], start: complex) -> complex:
-    c = np.asarray(coeffs, dtype=complex)
-    cl, dcl = c.tolist(), npp.polyder(c).tolist()
-    r = start
-    for _ in range(6):
-        zr = complex(r)
-        dv = _horner(dcl, zr)
-        if dv == 0:
-            break
-        step = np.complex128(_horner(cl, zr)) / dv
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        r = r - step
-        if abs(step) <= 1e-15 * (1.0 + abs(r)):
-            break
-    return r
-
-
 def blaschke_mul_poly(f: Poly, j: BlaschkeProduct) -> Poly:
     """The product f * j as a polynomial.
 
     Requires the denominator of j to divide f: each Blaschke zero of j must
     be mirrored by a zero of f at the reflected point 1/conj(a); otherwise
     the product is genuinely rational and NotDivisible is raised.  The
-    division deflates f at its own refined root near each reflected point
-    (never at the constructed point itself), which keeps the remainder at
-    the residual level instead of amplifying the zero-location noise.
+    division deflates f at its own root r near each reflected point, refined
+    by Newton from that point (never at the constructed point itself), which
+    keeps the remainder at the residual level instead of amplifying the
+    zero-location noise.  The factor (z - r) is then replaced by
+    (z - 1/conj(r)) * (-r): the Blaschke zero used is the mirror of r, not
+    the given a, and the new factor has modulus |z - r| on the circle
+    whatever the rounding of a, so the product keeps f's modulus there.
 
     A self-inversive f (a lift z**n g, say) has the zero a wherever it has
     1/conj(a), and takes another path: with f = z**s p, p = prod (z - a) q
@@ -436,19 +422,23 @@ def blaschke_mul_poly(f: Poly, j: BlaschkeProduct) -> Poly:
             quo = Poly(tuple(np.conj(work[::-1]) / mu)).shifted(s)
             return quo * j.numerator()
     work = list(f.coeffs)
-    constant = 1.0 + 0j
+    mirrored = []
     for a, mult in j.zeros:
         target = 1.0 / a.conjugate()
-        constant *= (-a.conjugate()) ** mult   # (1 - conj(a) z) = -conj(a)(z - 1/conj(a))
+        cap = MIRROR_MATCH_TOL * max(1.0, abs(target))
         for _ in range(mult):
-            r = _newton_refine(work, target)
-            if abs(r - target) > MIRROR_MATCH_TOL * max(1.0, abs(target)):
+            deriv = npp.polyder(np.asarray(work, dtype=complex)).tolist()
+            r = _newton_polish(target, work, deriv, cap)
+            if abs(r - target) > cap:
                 raise NotDivisible(
                     f"no zero of the factor near the reflected point {target}")
             _check_remainder(work, r)
             work = synthetic_divide(work, r)
-    quo = Poly(work).scaled(1.0 / constant)
-    return quo * j.numerator()
+            mirrored.append(r)
+    quo = Poly(work)
+    for r in mirrored:
+        quo = quo * Poly((r / r.conjugate(), -r))
+    return quo.scaled(j.lam).shifted(j.m0)
 
 
 def _check_remainder(work: list[complex], r: complex) -> None:

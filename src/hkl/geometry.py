@@ -5,12 +5,15 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
 
 * a boundary g is extreme iff its lift z**n g is outer            (is_extreme)
 * a non-extreme boundary g is the midpoint of two extreme points
-  built from the rotated inner factor of its lift          (split_nonextreme)
-* with z**n g = G u, u = N / D inner of degree k and lam the rotation,
-  the halves g(1 +/- Re(lam u)) have lift +/-G (lam u +/- 1)**2 / (2 lam):
-  their zeros are g's circle zeros and, doubled, the k unimodular roots
-  of lam N +/- D, so their factors need no solve of degree 2n; the claim
-  is checked on each half and a half that fails it is solved as before
+  g(1 +/- Re(lam u)), with z**n g = G u outer times inner: since |u| = 1
+  on the circle, g u = z**n conj(G) there, so g Re(lam u) =
+  Re(conj(lam) z**-n G) and the rotation integral is conj(G_n); both
+  halves come from G alone                                 (split_nonextreme)
+* with u = N / D of degree k, the halves have lift +/-G (lam u +/- 1)**2
+  / (2 lam): their zeros are g's circle zeros and, doubled, the k
+  unimodular roots of lam N +/- D, so their factors need no solve of
+  degree 2n; the claim is checked on each half and a half that fails it
+  is solved as before
                                                          (split_nonextreme)
 * a unit-norm kernel element f admits |f|^2 = (|f1|^2 + |f2|^2)/2
   with |f1| != |f2| iff f or its companion has a nonconstant
@@ -45,8 +48,7 @@ from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
                      NotNonnegative, NotNormalized, NotOnBoundary, NotUnitNorm,
                      NullInput)
 from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
-                     blaschke_eval, blaschke_mul_poly, divisors, fejer_riesz,
-                     inner_outer)
+                     blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
 from .kernel import KernelElement, Membership, h2_norm, membership_V
 from .polycore import (Poly, TrigPoly, grid_min, lift, nonneg_check,
                        nonneg_grid_size, nonneg_tol, refine_circle_angle,
@@ -55,7 +57,6 @@ from .polycore import (Poly, TrigPoly, grid_min, lift, nonneg_check,
 
 TOL_NORM = 1e-12        # mean-equals-one test
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
-QUAD_POINTS = 8192      # trapezoid points for the rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
 TOL_REMAINDER = 1e-9
 TOL_UNIT_NORM = 1e-10   # |h2_norm - 1| a kernel element may have to be split
@@ -122,31 +123,26 @@ class SplitCertificate:
     checks: SplitChecks
     rotation: complex           # the unimodular constant applied to the inner factor
     rotation_integral: complex  # integral of g * (inner factor) over the circle
-    quad_points: int
 
 
-def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
-                     quad_points: int = QUAD_POINTS) -> SplitCertificate:
+def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
     """Write a non-extreme boundary g as the midpoint of two extreme points.
 
-    With z**n g = G * u0 (outer times inner, u0 nontrivial), a unimodular
-    lam is chosen so the integral of g * lam * u0 is purely imaginary; then
+    With z**n g = G * u0 (outer times inner, u0 nontrivial) and |u0| = 1 on
+    the circle, g * u0 = z**n conj(G) there, so the rotation integral c, the
+    mean of g * u0, is conj(G_n), and
 
-        lift(g_+/-) = z**n g  +/-  (conj(lam) G  +  lam (z**n g) u0) / 2
+        g * Re(lam u0) = Re(conj(lam) z**-n G).
 
-    are the lifts of g_+/- = g(1 +/- Re(lam u0)), g1 = g_+ and g2 = g_-.
-    Both halves have mean 1, are nonnegative, extreme, and average back to
-    g exactly.  The product (z**n g) * u0 is a polynomial because zeros of
-    the lift pair across the circle, so the whole construction stays in
-    exact polynomial arithmetic.
-
-    Convention: rotation_sign=+1 selects lam = +i conj(c)/|c|; the opposite
-    sign swaps g1 and g2.  When the integral vanishes (|c| <= TOL_ROT) any
-    rotation works and lam = 1 is fixed, a non-canonical choice recorded in
-    the certificate.
+    A unimodular lam = +i conj(c)/|c| makes that perturbation mean-free,
+    and the halves g1 = g(1 + Re(lam u0)) and g2 = g(1 - Re(lam u0)) are
+    built from G alone.  Both have mean 1, are nonnegative, extreme, and
+    average back to g exactly.  When the integral vanishes (|c| <= TOL_ROT)
+    any rotation works and lam = 1 is fixed, a non-canonical choice recorded
+    in the certificate.
 
     The halves' factors come from the construction, not from solving their
-    lifts.  With u0 = N / D (k = deg u0 <= n), the same lifts read
+    lifts.  With u0 = N / D (k = deg u0 <= n), their lifts read
 
         lift(g_+/-) = +/- G (lam u0 +/- 1)**2 / (2 lam),
 
@@ -169,25 +165,17 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
     if cert.verdict:
         raise AlreadyExtreme("the lift is already outer; nothing to split")
 
-    lifted = lift(g, n)
     outer = cert.outer_part
     inner = cert.inner_factor
-
-    theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
-    gv = g.grid_values(quad_points)
-    uv = blaschke_eval(inner, np.exp(1j * theta))
-    c = complex(np.mean(gv * uv))
-
+    c = outer.coeff(n).conjugate()
     if abs(c) > TOL_ROT:
-        lam = rotation_sign * 1j * c.conjugate() / abs(c)
+        lam = 1j * c.conjugate() / abs(c)
     else:
         lam = complex(1.0)
 
-    lifted_u = blaschke_mul_poly(lifted, inner)
-    half_outer = outer.scaled(0.5 * lam.conjugate())
-    half_rot = lifted_u.scaled(0.5 * lam)
-    g1 = unlift(half_outer + lifted + half_rot, n)
-    g2 = unlift(half_outer.scaled(-1) + lifted + half_rot.scaled(-1), n)
+    h = unlift(outer.scaled(lam.conjugate()), n)
+    g1 = trig_add(g, h)
+    g2 = trig_add(g, trig_scale(h, -1.0))
 
     # the as-built means certify the construction; the returned halves are
     # then normalized exactly so downstream membership tests see mean 1
@@ -220,7 +208,6 @@ def split_nonextreme(g: TrigPoly, n: int, *, rotation_sign: int = +1,
         g1=g1, g2=g2, u=rotated,
         f1=KernelElement(n, f1), f2=KernelElement(n, f2),
         checks=checks, rotation=lam, rotation_integral=c,
-        quad_points=quad_points,
     )
 
 
@@ -268,17 +255,18 @@ def decompose_modulus(x: KernelElement) -> Decomposition:
 
     Rigid exactly when both f and its companion are outer, i.e. when the
     lift of |f|^2 at order n has a trivial inner factor.  The mean of |f|^2
-    is renormalized to exactly 1 before splitting (it differs from 1 by at
-    most TOL_UNIT_NORM under the precondition).
+    is renormalized to exactly 1 first (it differs from 1 by at most
+    TOL_UNIT_NORM under the precondition), so the rigidity test and the
+    split read one lift and its root solve is memoized for both.
     """
     nrm = h2_norm(x)
     if abs(nrm - 1.0) > TOL_UNIT_NORM:
         raise NotUnitNorm(f"norm {nrm} is not 1 within {TOL_UNIT_NORM}")
     g = trig_from_modulus_squared(x.f)
+    g = trig_scale(g, 1.0 / g.mean)
     fac = inner_outer(lift(g, x.n))
     if fac.inner.is_trivial:
         return Decomposition(rigid=True)
-    g = trig_scale(g, 1.0 / g.mean)
     cert = split_nonextreme(g, x.n)
     return Decomposition(rigid=False, f1=cert.f1, f2=cert.f2, split=cert)
 

@@ -19,8 +19,6 @@ OPTIONS = {
     ("geometry", "is_extreme", "tol_norm"),
     ("geometry", "rigidity_check", "tol_remainder"),
     ("numeric", "symbol_condition_test", "tol_factor"),
-    ("geometry", "split_nonextreme", "quad_points"),
-    ("geometry", "split_nonextreme", "rotation_sign"),
     ("geometry", "perturbation_search", "trials"),
     ("geometry", "perturbation_search", "seed"),
     ("geometry", "perturbation_search", "ascent_rounds"),

@@ -345,6 +345,18 @@ def test_split_echoes_fixed_tolerances(files, capsys):
         "midpoint": 1e-10, "norms": 1e-10, "distinctness": 1e-9}
 
 
+def test_split_output_does_not_depend_on_grid(files, capsys):
+    # the split reads no quadrature: --grid sizes only the --csv boundary
+    write, _ = files
+    g = random_boundary_modulus(4, 1, 2, 1, np.random.default_rng(5))
+    path = write("g.json", g)
+    coarse = run(capsys, ["split", path, "--n", "4", "--grid", "64"])
+    fine = run(capsys, ["split", path, "--n", "4", "--grid", "8192"])
+    assert coarse[0] == 0
+    assert coarse == fine
+    assert "quad_points" not in json.loads(coarse[1])["conventions"]
+
+
 def test_parser_is_built_once_and_reused(files, capsys):
     write, _ = files
     path = write("g.json", TrigPoly(1, (1.0, 0.25)))

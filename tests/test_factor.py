@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import census_suite
+
 from hkl import factor
 from hkl.errors import (NotDivisible, NotNonnegative, NullInput,
                         OddCircleMultiplicity, PoleHit)
@@ -270,16 +272,20 @@ def test_blaschke_mul_preserves_modulus():
 
 def test_blaschke_mul_self_inversive_lift():
     # a lift z**n g is self-inversive: its product with the lift's inner
-    # factor is built from the deflation at the inner zeros themselves
+    # factor is built from the deflation at the inner zeros themselves.
+    # Instance #360 of the 711 census suite (n = 12, census (3, 9, 0)) has
+    # an ill-conditioned inside zero with |a| = 0.753: this path gives
+    # about 5e-15 on it, where the general path is off by 1e-8 or more
     a = 0.4 - 0.3j
     f = poly_mul(Poly((1, 0.6j)), Poly((-a, 1)))      # zero a inside
-    lifted = lift(trig_from_modulus_squared(f))
-    inner = inner_outer(lifted).inner
-    prod = blaschke_mul_poly(lifted, inner)
-    expected = blaschke_eval(inner, CIRCLE) * lifted(CIRCLE)
-    assert np.abs(prod(CIRCLE) - expected).max() <= 1e-12
-    with pytest.raises(NotDivisible):
-        blaschke_mul_poly(lifted, BlaschkeProduct(0, ((0.5, 1),), 1.0))
+    g360, n360, _ = census_suite(361, seed=711, max_n=12)[360]
+    for lifted in (lift(trig_from_modulus_squared(f)), lift(g360, n360)):
+        inner = inner_outer(lifted).inner
+        prod = blaschke_mul_poly(lifted, inner)
+        expected = blaschke_eval(inner, CIRCLE) * lifted(CIRCLE)
+        assert np.abs(prod(CIRCLE) - expected).max() <= 1e-12
+        with pytest.raises(NotDivisible):
+            blaschke_mul_poly(lifted, BlaschkeProduct(0, ((0.5, 1),), 1.0))
 
 
 def test_phase_convention_makes_factorization_unique():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import census_suite
+from conftest import census_suite, random_unit_element
 
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
@@ -112,15 +112,6 @@ def test_split_worked_instance_representatives():
                    for k in range(2)) < 1e-9
 
 
-def test_split_sign_swap_symmetry():
-    g = modulus_of(WORKED)
-    plus = split_nonextreme(g, 1, rotation_sign=+1)
-    minus = split_nonextreme(g, 1, rotation_sign=-1)
-    for k in range(2):
-        assert minus.g1.coeff(k) == pytest.approx(plus.g2.coeff(k), abs=1e-12)
-        assert minus.g2.coeff(k) == pytest.approx(plus.g1.coeff(k), abs=1e-12)
-
-
 def test_split_rejects_extreme_input():
     with pytest.raises(AlreadyExtreme):
         split_nonextreme(TrigPoly(1, (1.0, 0.5)), 1)
@@ -157,10 +148,29 @@ def test_split_certificates_on_census(small_census_suite):
                        for k in range(n + 1)) <= 1e-9
 
 
+def test_split_halves_are_g_times_one_plus_minus_re_u(small_census_suite):
+    # oracle for the halves built from the outer part: before normalization
+    # they are g (1 +/- Re(lam u0)), with lam u0 the certificate's u
+    size = 1024
+    theta = 2 * np.pi * np.arange(size) / size
+    zeta = np.exp(1j * theta)
+    for g, n, _ in small_census_suite:
+        if is_extreme(g, n).verdict:
+            continue
+        cert = split_nonextreme(g, n)
+        re_u = blaschke_eval(cert.u, zeta).real
+        gv = g.values(theta)
+        for gj, norm, sign in ((cert.g1, cert.checks.norm1, 1.0),
+                               (cert.g2, cert.checks.norm2, -1.0)):
+            err = np.abs(gj.values(theta) * norm - gv * (1 + sign * re_u))
+            assert err.max() <= 1e-12, n
+
+
 def test_split_ill_conditioned_inside_zero():
     # instance #360 of the 711 census suite (n = 12, census (3, 9, 0)): the
-    # inside zero with |a| = 0.753 is ill-conditioned, so the outer part and
-    # lift * u0 must come from the same deflation to agree
+    # inside zero with |a| = 0.753 is ill-conditioned, and the halves are
+    # built from the lift's outer part alone, so no product of the lift with
+    # u0 carries that zero's rounding into them
     g, n, census = census_suite(361, seed=711, max_n=12)[360]
     assert (n, census) == (12, (3, 9, 0))
     cert = split_nonextreme(g, n)
@@ -334,6 +344,17 @@ def test_decompose_matches_enumeration_census(small_census_suite):
         assert dec.rigid == (len(sols) == 1 and comp_inner_trivial)
 
 
+def test_decompose_solves_one_lift(solve_counter):
+    # the rigidity test and the split read the same normalized g, so the
+    # degree-2n lift is solved once even when the raw mean is not 1.0
+    n = 4
+    x = random_unit_element(n, (1, 2, 1), 0)
+    assert trig_from_modulus_squared(x.f).mean != 1.0
+    dec = decompose_modulus(x)
+    assert not dec.rigid
+    assert solve_counter[2 * n] == 1
+
+
 # ---------------------------------------------------------------------------
 # enumerate_solutions
 # ---------------------------------------------------------------------------
@@ -385,6 +406,34 @@ def test_enumerate_count_formula(small_census_suite):
         for _, m in inner.zeros:
             expected *= m + 1
         assert len(enumerate_solutions(g, n)) == expected
+
+
+# instance #175 of the census set of seed 202 (bench/workloads.py
+# census_inputs(202, 240)), n = 12, census (3, 9, 0): multiplying the
+# spectral factor by a divisor with the given zeros, not the mirrors of the
+# factor's own refined roots, left solutions 4.6e-9 off the modulus
+CENSUS_202_175 = TrigPoly(12, tuple(
+    complex(float.fromhex(re), float.fromhex(im)) for re, im in (
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("-0x1.4278fb37f4e5ap-1", "-0x1.6b4fff9e863fcp-1"),
+        ("-0x1.675e16cbb49a3p-4", "0x1.a0452d4b5b762p-1"),
+        ("0x1.0cbbce695c127p-1", "-0x1.8b06c84ee31c0p-2"),
+        ("-0x1.dfd06e0828580p-2", "-0x1.ac73f295d8424p-4"),
+        ("0x1.1afdd30de9fd7p-3", "0x1.261012cdbe534p-2"),
+        ("0x1.6d14b12fffb09p-4", "-0x1.4748ed4b5ecdfp-3"),
+        ("-0x1.658e0fdf14965p-4", "0x1.53eb82baa3a1dp-8"),
+        ("0x1.33e4186a4b923p-6", "0x1.c6f0372ca092ep-6"),
+        ("0x1.1fcb9cc459c67p-8", "-0x1.21d9fb0166dafp-7"),
+        ("-0x1.128aa6581f0f1p-9", "0x1.801ffc6b61d10p-14"),
+        ("0x1.37b97a7c6fe41p-13", "0x1.0047134dcc413p-12"),
+        ("0x1.38cb1d129c156p-17", "-0x1.1420c56e03b40p-16"))))
+
+
+def test_enumerate_census_202_175_keeps_the_modulus():
+    sols = enumerate_solutions(CENSUS_202_175, 12)
+    assert len(sols) == 8
+    for x in sols:
+        assert _grid_residual(x.f, CENSUS_202_175) <= 1e-9
 
 
 def test_enumerate_band_exceeded():
