@@ -6,8 +6,7 @@ from .errors import (AlreadyExtreme, BandExceeded, HklError,
                      InnerFactorPresent, InternalInvariantError,
                      NonConvergence, NotDivisible, NotInV, NotNonnegative,
                      NotNormalized, NotOnBoundary, NotUnitNorm, NullInput,
-                     OddCircleMultiplicity, PoleHit, PreconditionError,
-                     RootOverflow, TooSmall)
+                     PoleHit, PreconditionError, RootOverflow, TooSmall)
 from .factor import (BlaschkeProduct, Factorization, blaschke_eval,
                      blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
 from .gen import (random_boundary_modulus, random_census_poly,

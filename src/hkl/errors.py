@@ -3,10 +3,13 @@
 Two families matter for the CLI exit-code contract:
 
 * ``PreconditionError`` - the caller handed us an input that violates a
-  documented precondition (exit code 2).
+  documented precondition (exit code 2).  A function that must be
+  nonnegative and is not raises ``NotNonnegative``, always with a point
+  where it is below the tolerance.
 * ``InternalInvariantError`` - an invariant the library itself guarantees
   failed, or double precision could not carry the computation
-  (``RootOverflow``); never the caller's fault (exit code 3).
+  (``RootOverflow``, or ``PairingFailure`` on a nonnegative function whose
+  lift's roots do not pair); never the caller's fault (exit code 3).
 """
 
 
@@ -29,11 +32,8 @@ class NullInput(PreconditionError):
 
 
 class NotNonnegative(PreconditionError):
-    """A boundary function that must be nonnegative takes negative values."""
-
-
-class OddCircleMultiplicity(PreconditionError):
-    """A unit-circle zero of odd multiplicity: the function changes sign."""
+    """A boundary function that must be nonnegative takes negative values:
+    a point where it is below -tol was found (``nonneg_check``)."""
 
 
 class PoleHit(PreconditionError):
@@ -83,7 +83,8 @@ class NonConvergence(InternalInvariantError):
 
 
 class PairingFailure(InternalInvariantError):
-    """Zeros of a lifted nonnegative function failed to pair across the circle."""
+    """Zeros of a lifted nonnegative function failed to pair: an inside
+    zero without its reflection outside, or an odd circle zero left."""
 
 
 class RootOverflow(InternalInvariantError):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import (NotDivisible, NotNonnegative, NullInput,
-                     OddCircleMultiplicity, PairingFailure, PoleHit)
+from .errors import (NotDivisible, NotNonnegative, NullInput, PairingFailure,
+                     PoleHit)
 from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
                        _horner, _polish as _newton_polish, lift, nonneg_check,
                        refine_circle_angle, roots, self_inversive_phase,
@@ -171,11 +171,10 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     a nonnegative g with mean at most 1 has |g_k| <= 1 and is factored as
     it is.
 
-    Raises NullInput for the zero function, NotNonnegative or
-    OddCircleMultiplicity when nonnegativity fails (a confirmed sign change
-    still raises), OddCircleMultiplicity when an unconfirmed odd circle
-    zero is left with no neighbour to merge with (``_circle_zeros``), and
-    PairingFailure when an inside zero has no reflected partner.
+    Raises NullInput for the zero function, NotNonnegative when
+    ``nonneg_check`` finds a point where g < -tol, and PairingFailure when
+    the roots of a g that passed it do not pair: an inside zero has no
+    reflected partner, or an odd circle zero is left (``_circle_zeros``).
 
     The factor is memoized per g at unit scale (``_fejer_riesz_cached``,
     keyed on the frozen TrigPoly like ``polycore._roots_cached``), so the
@@ -197,9 +196,6 @@ def _fejer_riesz_cached(g: TrigPoly) -> Poly:
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
     cert = nonneg_check(g)
-    if cert.odd_circle_roots:
-        raise OddCircleMultiplicity(
-            f"sign change at circle zero {cert.odd_circle_roots[0].location}")
     if not cert.nonnegative:
         raise NotNonnegative(
             f"min value {cert.min_value:.3e} at theta={cert.argmin_theta:.6f}")
@@ -222,7 +218,7 @@ def _fejer_riesz_cached(g: TrigPoly) -> Poly:
 
     circle = _circle_zeros(g)
     if circle is None:
-        raise OddCircleMultiplicity("an odd circle zero is left unmerged")
+        raise PairingFailure("an odd circle zero is left unmerged")
     cofactor = np.ones(1, dtype=complex)
     for r in outside:
         for _ in range(r.multiplicity):

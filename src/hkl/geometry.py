@@ -332,6 +332,9 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
                    tol_remainder: float = TOL_REMAINDER) -> RigidityResult:
     """For outer lift, a dominated kernel element is c times the spectral factor.
 
+    x.f is divided by F = ``fejer_riesz(g)`` first: a constant multiple of
+    F, within tol_remainder, is dominated and is CONSTANT_MULTIPLE with no
+    root solve.  Any other x.f is NOT_DOMINATED or a COUNTEREXAMPLE.
     Domination (finiteness of the integral of |f|/sqrt(g)) is decided by an
     exact multiplicity rule: at a circle zero of g with multiplicity 2m
     (``_circle_zeros``) the integrand behaves like |z - zeta|**(k - m)
@@ -358,22 +361,22 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
         return RigidityResult(RigidityResult.CONSTANT_MULTIPLE, constant=0j,
                               remainder=0.0)
 
+    quo, rem = npp.polydiv(x.f.as_array(), base.as_array())
+    scale = max(1.0, float(np.abs(x.f.as_array()).max()))
+    rem_norm = float(np.abs(rem).max()) / scale
+    nonconst = float(np.abs(quo[1:]).max()) / scale if len(quo) > 1 else 0.0
+    if rem_norm <= tol_remainder and nonconst <= tol_remainder:
+        return RigidityResult(RigidityResult.CONSTANT_MULTIPLE,
+                              constant=complex(quo[0]), remainder=rem_norm)
+
     f_roots = roots(x.f) if x.f.degree > 0 else None
     for t, m in _circle_zeros(g):   # not None: fejer_riesz raised on it
         zc = complex(np.exp(1j * t))
         have = f_roots.multiplicity_near(zc, ROOT_MATCH_TOL) if f_roots else 0
         if have < m // 2:
             return RigidityResult(RigidityResult.NOT_DOMINATED, witness=zc)
-
-    quo, rem = npp.polydiv(x.f.as_array(), base.as_array())
-    scale = max(1.0, float(np.abs(x.f.as_array()).max()))
-    rem_norm = float(np.abs(rem).max()) / scale
-    nonconst = float(np.abs(quo[1:]).max()) / scale if len(quo) > 1 else 0.0
-    if rem_norm > tol_remainder or nonconst > tol_remainder:
-        return RigidityResult(RigidityResult.COUNTEREXAMPLE,
-                              remainder=max(rem_norm, nonconst))
-    return RigidityResult(RigidityResult.CONSTANT_MULTIPLE,
-                          constant=complex(quo[0]), remainder=rem_norm)
+    return RigidityResult(RigidityResult.COUNTEREXAMPLE,
+                          remainder=max(rem_norm, nonconst))
 
 
 # ---------------------------------------------------------------------------

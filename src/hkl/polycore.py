@@ -561,6 +561,12 @@ def _polish(center: complex, q: list, qd: list, step_cap: float) -> complex:
     return a
 
 
+def _residual_ok(clist: list, aclist: list, a: complex) -> bool:
+    """|p(a)| <= 10 TOL_ROOT sum |c_k| |a|^k, the bound every root meets;
+    false for a NaN residual too."""
+    return abs(_horner(clist, a)) <= 10.0 * TOL_ROOT * _horner(aclist, abs(a))
+
+
 def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
     """Single-linkage merge tree of points with pairwise distances dist.
 
@@ -623,10 +629,12 @@ def _cluster_points(points: np.ndarray,
     (a residual probe at the single center point would miss it, and a
     purely geometric diameter threshold gets it wrong in both directions).
 
-    A rejected node's children are examined instead.  The tree comes from
-    ``_single_linkage_tree``.  A node's diameter is at least the distance
-    it was merged at, so a node merged beyond CLUSTER_CAP is rejected
-    without the diameter, as the test would reject it.
+    The polished center must also meet the residual bound that every root
+    meets (``_residual_ok``).  A rejected node's children are examined
+    instead.  The tree comes from ``_single_linkage_tree``.  A node's
+    diameter is at least the distance it was merged at, so a node merged
+    beyond CLUSTER_CAP is rejected without the diameter, as the test would
+    reject it.
     """
     pts = list(points)
     if len(pts) == 1:
@@ -634,6 +642,7 @@ def _cluster_points(points: np.ndarray,
 
     c0 = np.asarray(coeffs, dtype=complex)
     ac = np.abs(c0)
+    aclist = ac.tolist()
     # derivative coefficient lists, built only as deep as a tested cluster
     derivs = [c0.tolist()]
 
@@ -668,7 +677,8 @@ def _cluster_points(points: np.ndarray,
         for _ in range(m):
             recomposed = np.convolve(recomposed, [-polished, 1.0])
         perturbation = float(np.abs(recomposed - c0).max())
-        if perturbation <= MERGE_BACKWARD_TOL * float(ac.max()):
+        if (perturbation <= MERGE_BACKWARD_TOL * float(ac.max())
+                and _residual_ok(deriv(0), aclist, complex(polished))):
             return (polished, m)
         return None
 
@@ -743,10 +753,9 @@ def _roots_cached(c: tuple) -> RootSet:
         clist = carr.tolist()
         aclist = np.abs(carr).tolist()
         for a, m in found:
-            resid = abs(_horner(clist, complex(a)))
-            scale = _horner(aclist, abs(complex(a)))
-            # written so that a NaN residual fails the check too
-            if not resid <= 10.0 * TOL_ROOT * scale:
+            if not _residual_ok(clist, aclist, complex(a)):
+                resid = abs(_horner(clist, complex(a)))
+                scale = _horner(aclist, abs(complex(a)))
                 if not math.isfinite(resid / scale):
                     raise RootOverflow(
                         f"root {complex(a)} has residual {resid} at scale "
@@ -788,7 +797,6 @@ class NonnegCertificate:
     nonnegative: bool
     min_value: float
     argmin_theta: float
-    odd_circle_roots: tuple
     tol: float
     grid_size: int
 
@@ -800,7 +808,8 @@ def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
     coefficient noise, unlike the lift's root there, so this recovers the
     angle of an even-order zero to near machine precision.  It stops where
     g'' <= 0 or a step would exceed 1e-2.  The one angle refiner: for
-    ``factor._circle_zeros``, the split's halves and the self-inversive snap.
+    ``factor._circle_zeros``, the split's halves, the self-inversive snap
+    and the dips of ``nonneg_check``.
     """
     ks = np.arange(1, g.n + 1)
     cs = np.array(g.coeffs[1:])
@@ -818,26 +827,6 @@ def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
         if abs(step) <= 1e-15:
             break
     return theta
-
-
-def _local_dip(g: TrigPoly, theta0: float,
-               radius: float) -> tuple[float, float]:
-    """Most negative value of g near theta0, by five nested scans of 257
-    points, each 257/4 times narrower than the last."""
-    center = theta0
-    best_val = math.inf
-    best_theta = theta0
-    r = radius
-    for _ in range(5):
-        th = center + np.linspace(-r, r, 257)
-        vals = g.values(th)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_theta = float(th[j])
-        center = float(th[j])
-        r /= 257 / 4.0
-    return best_val, best_theta
 
 
 def nonneg_tol(g: TrigPoly) -> float:
@@ -866,19 +855,18 @@ def grid_min(g: TrigPoly, grid_size: int) -> tuple[float, float]:
 
 
 def nonneg_check(g: TrigPoly) -> NonnegCertificate:
-    """Certify g >= 0 on the circle.
+    """Certify g >= 0 on the circle: the smallest value found is >= -tol.
 
-    Two half-checks together are sound: a dense grid scan catches gross
-    negativity, and the parity of on-circle zeros of the lift catches sign
-    changes too narrow for any fixed grid (a real trig polynomial changes
-    sign exactly at its odd-multiplicity circle zeros).  A reported odd
-    circle zero is trusted only when a local scan around it actually finds
-    a dip below -tol: rounding can scatter the zeros of a degenerate even
-    cluster into spurious odd ones, but it cannot manufacture a genuine
-    dip, and a dip shallower than the tolerance is acceptable anyway.
-    The grid is ``nonneg_grid_size(g)`` and the tolerance ``nonneg_tol(g)``.
-    On failure the certificate carries a witness: the most negative point
-    found, or the offending odd-multiplicity root.
+    Two searches for that value together are sound: a dense grid scan
+    catches gross negativity, and the odd-multiplicity circle roots of the
+    lift mark sign changes too narrow for any fixed grid (a real trig
+    polynomial changes sign exactly at its odd circle zeros).  From each
+    such root, Newton on g' (``refine_circle_angle``) reaches the bottom of
+    the dip beside it.  Rounding can scatter a double zero into odd roots,
+    but not make g negative there, and a dip shallower than the tolerance
+    is acceptable anyway.  The grid is ``nonneg_grid_size(g)`` and the
+    tolerance ``nonneg_tol(g)``; the certificate carries the smallest
+    value and its angle, on failure a point where g < -tol.
 
     The certificate is memoized per g (``_nonneg_cached``, keyed on the
     frozen TrigPoly like ``_roots_cached``): the pipelines check one g from
@@ -894,21 +882,14 @@ def _nonneg_cached(g: TrigPoly) -> NonnegCertificate:
     grid_size = nonneg_grid_size(g)
     tol = nonneg_tol(g)
     if g.is_null:
-        return NonnegCertificate(True, 0.0, 0.0, (), tol, grid_size)
+        return NonnegCertificate(True, 0.0, 0.0, tol, grid_size)
 
     min_value, theta_min = grid_min(g, grid_size)
-
-    confirmed_odd = []
-    radius = 4.0 * math.pi / grid_size
     for r in roots(lift(g)).on_circle:
-        if r.multiplicity % 2 == 0:
-            continue
-        dip, dip_theta = _local_dip(g, float(np.angle(r.location)), radius)
-        if dip < -tol:
-            confirmed_odd.append(r)
-            if dip < min_value:
-                min_value, theta_min = dip, dip_theta
-
-    ok = (min_value >= -tol) and not confirmed_odd
-    return NonnegCertificate(ok, min_value, theta_min, tuple(confirmed_odd),
-                             tol, grid_size)
+        if r.multiplicity % 2:
+            theta = refine_circle_angle(g, float(np.angle(r.location)))
+            value = float(g.values(theta))
+            if value < min_value:
+                min_value, theta_min = value, theta
+    return NonnegCertificate(min_value >= -tol, min_value, theta_min, tol,
+                             grid_size)

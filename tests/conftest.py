@@ -6,7 +6,7 @@ import pytest
 
 from hkl import factor, polycore
 from hkl.gen import random_boundary_modulus, random_kernel_element
-from hkl.polycore import Poly, poly_mul
+from hkl.polycore import Poly, TrigPoly, poly_mul
 
 
 def random_outer_poly(rng, degree, circle=0, sep=0.1):
@@ -38,6 +38,37 @@ def random_outer_poly(rng, degree, circle=0, sep=0.1):
         p = poly_mul(p, Poly((-a, 1)))
     v0 = p.coeff(0)
     return p.scaled(v0.conjugate() / abs(v0))
+
+
+def trig_from_hex(pairs):
+    """The TrigPoly with coefficients (real, imag) given as float.hex()."""
+    return TrigPoly(len(pairs) - 1, tuple(
+        complex(float.fromhex(re), float.fromhex(im)) for re, im in pairs))
+
+
+# census hold-out instance 131 (bench/run.py --pool-seed 6586), n = 10,
+# census (0, 9, 1): solving a split half's lift returned two double circle
+# zeros 6e-4 apart as a triple zero and a simple zero off the circle
+HOLDOUT_131 = trig_from_hex((
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("-0x1.438c7892db8d5p-2", "-0x1.e39d822444df4p-4"),
+    ("-0x1.6131f915c481bp-2", "0x1.348d01258a4e7p-1"),
+    ("0x1.39dc530be178ap-2", "-0x1.082b769bfe18bp-2"),
+    ("-0x1.8fe9e9e1bff30p-2", "-0x1.0b10660bbb78fp-2"),
+    ("0x1.3a2efb86458edp-3", "0x1.9ba81ee4fac13p-4"),
+    ("0x1.1f660a68d86c9p-2", "-0x1.22f498df7fddbp-4"),
+    ("-0x1.3cdd2741d7f5dp-3", "0x1.47e3f0f65aeacp-3"),
+    ("-0x1.b25d592d975eap-5", "0x1.6cb9d905c05adp-7"),
+    ("0x1.4f59c9a681041p-7", "-0x1.3cdc90ea278f7p-4"),
+    ("0x1.6f4d940118f5ep-7", "0x1.1f25dd10ebc8bp-6")))
+
+# n = 1 modulus, nonnegative to tolerance: its minimum g_0 - 2|g_1| is
+# -4.3e-11, inside nonneg_tol = 2e-10.  Its lift's two circle roots,
+# 1.9e-5 apart, passed the merge test as one double root that failed the
+# residual bound every root meets, and solving raised NonConvergence
+MERGED_RESIDUAL = trig_from_hex((
+    ("0x1.ffffffffa581cp-1", "0x0.0p+0"),
+    ("0x1.e01129a6d6829p-2", "0x1.63f9b8fa43a4ep-3")))
 
 
 def census_suite(count, seed, max_n=12):

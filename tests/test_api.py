@@ -1,13 +1,16 @@
-"""The keyword options of the library: each one has a caller that sets it.
+"""The keyword options and error classes of the library: each one is used.
 
 A parameter with a default that no caller sets is a configuration nobody
 runs; the tolerances of the certificates are module constants instead.
 This test lists every defaulted parameter of the functions defined in the
-library's modules, so an option cannot come back unnoticed.
+library's modules, so an option cannot come back unnoticed.  Likewise an
+error class that nothing raises is a failure mode nobody can meet.
 """
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 MODULES = ("polycore", "factor", "geometry", "numeric", "kernel", "cli",
            "jsonio", "gen")
@@ -49,3 +52,14 @@ def test_defaulted_parameters_are_the_listed_options():
 def test_root_memo_is_keyed_on_the_coefficients_alone():
     polycore = importlib.import_module("hkl.polycore")
     assert list(inspect.signature(polycore._roots_cached).parameters) == ["c"]
+
+
+def test_every_error_class_is_raised_in_the_library():
+    errors = importlib.import_module("hkl.errors")
+    concrete = {cls.__name__ for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, errors.HklError)
+                and not cls.__subclasses__()}
+    source = "\n".join(path.read_text()
+                       for path in Path(errors.__file__).parent.glob("*.py"))
+    raised = set(re.findall(r"raise (\w+)\b", source))
+    assert sorted(concrete - raised) == []

@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import HOLDOUT_131, MERGED_RESIDUAL
+
 import hkl
 from hkl.cli import COMMANDS, build_parser, main
 from hkl.gen import random_boundary_modulus
+from hkl.geometry import split_nonextreme
 from hkl.jsonio import dumps, instance_to_json
 from hkl.kernel import KernelElement
 from hkl.numeric import Grid
@@ -520,3 +523,22 @@ def test_spectral_residual_is_relative_to_the_modulus(files, capsys):
     checks = json.loads(out)["checks"]
     assert checks["residual_ok"] is True
     assert checks["modulus_residual"] <= 1e-14
+
+
+def test_spectral_factors_a_merged_root_modulus(files, capsys):
+    write, _ = files
+    path = write("g.json", MERGED_RESIDUAL)
+    code, out, err = run(capsys, ["spectral", path])
+    assert code == 0 and err == ""
+    assert json.loads(out)["checks"]["residual_ok"] is True
+    code, out, err = run(capsys, ["extreme", path, "--n", "1"])
+    assert code == 0 and err == ""
+
+
+def test_spectral_unpaired_odd_circle_zero_exits_3(files, capsys):
+    # a nonnegative input the library fails to factor is not bad input
+    write, _ = files
+    path = write("g1.json", split_nonextreme(HOLDOUT_131, 10).g1)
+    code, out, err = run(capsys, ["spectral", path])
+    assert code == 3 and out == ""
+    assert err.startswith("error: PairingFailure: ")

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import census_suite
+from conftest import HOLDOUT_131, MERGED_RESIDUAL, census_suite
 
 from hkl import factor
 from hkl.errors import (NotDivisible, NotNonnegative, NullInput,
-                        OddCircleMultiplicity, PoleHit)
+                        PairingFailure, PoleHit, PreconditionError)
 from hkl.factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
                         divisors, fejer_riesz, inner_outer)
 from hkl.gen import random_boundary_modulus
-from hkl.polycore import (Poly, TrigPoly, lift, poly_mul, roots,
-                          trig_from_modulus_squared)
+from hkl.geometry import split_nonextreme
+from hkl.polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
+                          poly_mul, roots, trig_from_modulus_squared,
+                          trig_scale)
 
 CIRCLE = np.exp(2j * np.pi * np.arange(512) / 512)
 
@@ -95,8 +97,88 @@ def test_fejer_keeps_outside_root():
 
 
 def test_fejer_rejects_sign_change():
-    with pytest.raises((NotNonnegative, OddCircleMultiplicity)):
+    with pytest.raises(NotNonnegative):
         fejer_riesz(TrigPoly(1, (0.0, 0.5)))
+
+
+def test_fejer_merged_root_meets_the_residual_bound():
+    # the lift's two roots passed the merge test as one double root whose
+    # residual failed the bound every root meets: NonConvergence
+    back = trig_from_modulus_squared(fejer_riesz(MERGED_RESIDUAL))
+    assert _max_err(lift(back), lift(MERGED_RESIDUAL)) <= 1e-9
+
+
+def test_fejer_unpaired_odd_circle_zero_is_internal():
+    # census hold-out #131's first split half is nonnegative (the split
+    # certifies it), but its lift's roots leave a lone odd circle zero:
+    # the library's failure, not the caller's
+    g1 = split_nonextreme(HOLDOUT_131, 10).g1
+    assert nonneg_check(g1).nonnegative
+    with pytest.raises(PairingFailure):
+        fejer_riesz(g1)
+
+
+def _near_touching(seed, count):
+    """|f|^2 / mean with 1..n unit zeros of f, the others at |a| in
+    [1.05, 2]; then g_0 -= d and g_1 += d u e^(i phi), d = 10^U(-13, -3),
+    u = U(0, 0.5), which leaves some nonnegative and dips others."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        circ = int(rng.integers(1, n + 1))
+        zeros = [np.exp(2j * np.pi * rng.uniform()) for _ in range(circ)]
+        zeros += [rng.uniform(1.05, 2.0) * np.exp(2j * np.pi * rng.uniform())
+                  for _ in range(n - circ)]
+        f = Poly((1.0,))
+        for a in zeros:
+            f = f * Poly((-a, 1.0))
+        g = trig_from_modulus_squared(f)
+        c = list(trig_scale(g, 1.0 / g.mean).coeffs)
+        d = 10.0 ** rng.uniform(-13, -3)
+        c[0] -= d
+        c[1] += d * rng.uniform(0, 0.5) * np.exp(2j * np.pi * rng.uniform())
+        out.append(TrigPoly(n, tuple(c)))
+    return out
+
+
+def _oracle_min(g, mpmath):
+    """min of g over a 4096-point grid and the angles of the near-circle
+    roots of lift(g') (numpy's companion solve), each valued in 40 digits:
+    the minimum of g is at a circle root of g'."""
+    k = np.arange(1, g.n + 1)
+    c = np.asarray(g.coeffs[1:])
+    crit = np.roots(np.concatenate(
+        [(-1j * k * c.conj())[::-1], [0j], 1j * k * c])[::-1])
+    angles = np.angle(crit[np.abs(np.abs(crit) - 1.0) <= 1e-3])
+    cs = [mpmath.mpc(z.real, z.imag) for z in g.coeffs]
+    with mpmath.workdps(40):
+        values = [float(cs[0].real + 2 * mpmath.re(mpmath.fsum(
+            cs[j] * mpmath.expj(j * mpmath.mpf(t))
+            for j in range(1, g.n + 1)))) for t in angles]
+    return min([float(g.grid_values(4096).min())] + values)
+
+
+def test_fejer_near_touching_family_negative_iff_oracle_says_so():
+    # a nonnegative input may fail inside the library (PairingFailure),
+    # never as the caller's fault; a negative one is always NotNonnegative
+    mpmath = pytest.importorskip("mpmath")
+    signs = set()
+    for g in _near_touching(5, 100):
+        nonnegative = _oracle_min(g, mpmath) >= -nonneg_tol(g)
+        signs.add(nonnegative)
+        assert nonneg_check(g).nonnegative == nonnegative
+        if nonnegative:
+            try:
+                fejer_riesz(g)
+            except PreconditionError as exc:
+                pytest.fail(f"nonnegative input rejected: {exc!r}")
+            except PairingFailure:
+                pass
+        else:
+            with pytest.raises(NotNonnegative):
+                fejer_riesz(g)
+    assert signs == {True, False}
 
 
 def test_fejer_null():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import census_suite, random_unit_element
+from conftest import (HOLDOUT_131, census_suite, random_unit_element,
+                      trig_from_hex)
 
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
@@ -178,24 +179,6 @@ def test_split_ill_conditioned_inside_zero():
     assert abs(cert.checks.norm1 - 1) <= 1e-10
     assert abs(cert.checks.norm2 - 1) <= 1e-10
     assert cert.checks.extreme1 and cert.checks.extreme2
-
-
-# census hold-out instance 131 (bench/run.py --pool-seed 6586), n = 10,
-# census (0, 9, 1): solving a split half's lift returned two double circle
-# zeros 6e-4 apart as a triple zero and a simple zero off the circle
-HOLDOUT_131 = TrigPoly(10, tuple(complex(float.fromhex(re), float.fromhex(im))
-                                 for re, im in (
-    ("0x1.0000000000000p+0", "0x0.0p+0"),
-    ("-0x1.438c7892db8d5p-2", "-0x1.e39d822444df4p-4"),
-    ("-0x1.6131f915c481bp-2", "0x1.348d01258a4e7p-1"),
-    ("0x1.39dc530be178ap-2", "-0x1.082b769bfe18bp-2"),
-    ("-0x1.8fe9e9e1bff30p-2", "-0x1.0b10660bbb78fp-2"),
-    ("0x1.3a2efb86458edp-3", "0x1.9ba81ee4fac13p-4"),
-    ("0x1.1f660a68d86c9p-2", "-0x1.22f498df7fddbp-4"),
-    ("-0x1.3cdd2741d7f5dp-3", "0x1.47e3f0f65aeacp-3"),
-    ("-0x1.b25d592d975eap-5", "0x1.6cb9d905c05adp-7"),
-    ("0x1.4f59c9a681041p-7", "-0x1.3cdc90ea278f7p-4"),
-    ("0x1.6f4d940118f5ep-7", "0x1.1f25dd10ebc8bp-6"))))
 
 
 def _grid_residual(f, g, size=4096):
@@ -412,21 +395,20 @@ def test_enumerate_count_formula(small_census_suite):
 # census_inputs(202, 240)), n = 12, census (3, 9, 0): multiplying the
 # spectral factor by a divisor with the given zeros, not the mirrors of the
 # factor's own refined roots, left solutions 4.6e-9 off the modulus
-CENSUS_202_175 = TrigPoly(12, tuple(
-    complex(float.fromhex(re), float.fromhex(im)) for re, im in (
-        ("0x1.0000000000000p+0", "0x0.0p+0"),
-        ("-0x1.4278fb37f4e5ap-1", "-0x1.6b4fff9e863fcp-1"),
-        ("-0x1.675e16cbb49a3p-4", "0x1.a0452d4b5b762p-1"),
-        ("0x1.0cbbce695c127p-1", "-0x1.8b06c84ee31c0p-2"),
-        ("-0x1.dfd06e0828580p-2", "-0x1.ac73f295d8424p-4"),
-        ("0x1.1afdd30de9fd7p-3", "0x1.261012cdbe534p-2"),
-        ("0x1.6d14b12fffb09p-4", "-0x1.4748ed4b5ecdfp-3"),
-        ("-0x1.658e0fdf14965p-4", "0x1.53eb82baa3a1dp-8"),
-        ("0x1.33e4186a4b923p-6", "0x1.c6f0372ca092ep-6"),
-        ("0x1.1fcb9cc459c67p-8", "-0x1.21d9fb0166dafp-7"),
-        ("-0x1.128aa6581f0f1p-9", "0x1.801ffc6b61d10p-14"),
-        ("0x1.37b97a7c6fe41p-13", "0x1.0047134dcc413p-12"),
-        ("0x1.38cb1d129c156p-17", "-0x1.1420c56e03b40p-16"))))
+CENSUS_202_175 = trig_from_hex((
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("-0x1.4278fb37f4e5ap-1", "-0x1.6b4fff9e863fcp-1"),
+    ("-0x1.675e16cbb49a3p-4", "0x1.a0452d4b5b762p-1"),
+    ("0x1.0cbbce695c127p-1", "-0x1.8b06c84ee31c0p-2"),
+    ("-0x1.dfd06e0828580p-2", "-0x1.ac73f295d8424p-4"),
+    ("0x1.1afdd30de9fd7p-3", "0x1.261012cdbe534p-2"),
+    ("0x1.6d14b12fffb09p-4", "-0x1.4748ed4b5ecdfp-3"),
+    ("-0x1.658e0fdf14965p-4", "0x1.53eb82baa3a1dp-8"),
+    ("0x1.33e4186a4b923p-6", "0x1.c6f0372ca092ep-6"),
+    ("0x1.1fcb9cc459c67p-8", "-0x1.21d9fb0166dafp-7"),
+    ("-0x1.128aa6581f0f1p-9", "0x1.801ffc6b61d10p-14"),
+    ("0x1.37b97a7c6fe41p-13", "0x1.0047134dcc413p-12"),
+    ("0x1.38cb1d129c156p-17", "-0x1.1420c56e03b40p-16")))
 
 
 def test_enumerate_census_202_175_keeps_the_modulus():
@@ -459,6 +441,31 @@ def test_rigidity_not_dominated():
     res = rigidity_check(g, 1, KernelElement(1, Poly((r, -r))))
     assert res.kind == RigidityResult.NOT_DOMINATED
     assert res.witness == pytest.approx(-1.0)
+
+
+# census instance 158 of bench/workloads.census_inputs(202, 240), n = 9,
+# extreme: a factor root lies 1.09e-6 from g's refined circle zero angle,
+# just past ROOT_MATCH_TOL
+CENSUS_202_158 = trig_from_hex((
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.6d80328065279p-1", "0x1.236fe178ba2ccp-1"),
+    ("0x1.3cdd617bafa94p-3", "0x1.5a05c9140bd76p-1"),
+    ("-0x1.806ad0bd0339ep-3", "0x1.917f084d1a07fp-2"),
+    ("-0x1.98a5e9c666900p-3", "0x1.8f44e2ee3244ep-4"),
+    ("-0x1.6a19c2ad254dap-4", "-0x1.3972fdd69f79ep-6"),
+    ("-0x1.28f20d3628ebcp-6", "-0x1.65689318d54bbp-6"),
+    ("-0x1.be1dca0ba9d73p-13", "-0x1.a6a7aa4e82b0fp-8"),
+    ("0x1.22b13a41f6c00p-11", "-0x1.958f66c6a60fbp-11"),
+    ("0x1.12b667d8fe6a5p-14", "-0x1.556da91be850fp-16")))
+
+
+def test_rigidity_constant_multiple_with_a_loose_root():
+    c = complex(float.fromhex("0x1.7073f8946065cp+0"),
+                float.fromhex("-0x1.1806efce0f354p-3"))
+    base = fejer_riesz(CENSUS_202_158)
+    res = rigidity_check(CENSUS_202_158, 9, KernelElement(9, base.scaled(c)))
+    assert res.kind == RigidityResult.CONSTANT_MULTIPLE
+    assert res.constant == pytest.approx(c, abs=1e-9)
 
 
 def test_rigidity_rejects_inner_factor():
@@ -706,28 +713,26 @@ def test_circle_count_does_not_decide_off_extreme_points():
 # gridsearch hold-out instance 212 (bench/run.py --pool-seed 5926), n = 5:
 # an extreme point whose double circle zero near 0.4541-0.8910i came back
 # from the root engine as a reflected pair at |z| = 1 -/+ 3e-7
-HOLDOUT_212 = TrigPoly(5, tuple(complex(float.fromhex(re), float.fromhex(im))
-                                for re, im in (
+HOLDOUT_212 = trig_from_hex((
     ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("0x1.2d22bd18627e7p-2", "-0x1.a00e739d6d680p-1"),
     ("-0x1.c5b29ed0626a0p-2", "-0x1.a7896c8d7f73ep-2"),
     ("-0x1.3cc67586c38afp-2", "0x1.62a4bdaa03d9ep-3"),
     ("0x1.aee0efeae39b8p-5", "0x1.01c97c4da8162p-3"),
-    ("0x1.61fda037129e8p-6", "-0x1.4273ccec1b48dp-7"))))
+    ("0x1.61fda037129e8p-6", "-0x1.4273ccec1b48dp-7")))
 HOLDOUT_212_ANGLE = -1.099440
 
 # cli hold-out instance 104 (bench/run.py --workload cli --pool-seed 2135),
 # model order 8, not extreme, 4 solutions: its double circle zero near
 # 0.3736-0.9276i came back as a reflected pair at |z| = 1 -/+ 5e-8, which
 # counted a spurious inner zero and gave 8 solutions
-CLI_104 = TrigPoly(5, tuple(complex(float.fromhex(re), float.fromhex(im))
-                            for re, im in (
+CLI_104 = trig_from_hex((
     ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("-0x1.75d969d1c7f50p-1", "-0x1.08558e5300038p-1"),
     ("0x1.b3f960e961eb8p-3", "0x1.36c82f55ed2a7p-1"),
     ("0x1.950edf220f4d2p-4", "-0x1.6536f6590bdd8p-2"),
     ("-0x1.c4e1bcc2e0788p-4", "0x1.825b2e67fd0cbp-4"),
-    ("0x1.fc12c22631304p-6", "-0x1.b1182832c0134p-9"))))
+    ("0x1.fc12c22631304p-6", "-0x1.b1182832c0134p-9")))
 CLI_104_ANGLE = -1.187873
 
 
@@ -749,13 +754,12 @@ def test_holdout_104_has_four_solutions():
 # gridsearch pinned instance 23 (bench/run.py, pool seed 3141), n = 4: an
 # extreme point whose double circle zero at angle 0.239225 came back from
 # the root engine as two simple circle roots 1.3e-7 apart
-GRID_23 = TrigPoly(4, tuple(complex(float.fromhex(re), float.fromhex(im))
-                            for re, im in (
+GRID_23 = trig_from_hex((
     ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("-0x1.aa8664dec32eep-4", "0x1.784c53ddfa165p-1"),
     ("-0x1.0bb90cb7247b9p-1", "0x1.fb0785c51aaa8p-6"),
     ("0x1.2b7316e715928p-4", "-0x1.547fa013fb459p-2"),
-    ("0x1.e235d14816d69p-5", "0x1.0e2c62417f899p-4"))))
+    ("0x1.e235d14816d69p-5", "0x1.0e2c62417f899p-4")))
 GRID_23_ANGLE = 0.239225
 
 

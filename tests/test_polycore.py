@@ -562,6 +562,32 @@ def test_nonneg_narrow_dip_caught_by_parity():
     assert not cert.nonnegative
     assert cert.min_value == pytest.approx(-d, rel=1e-3)
 
+    # asymmetric, n = 3: |f|^2 / mean - d with f's circle zero mid-cell and
+    # two zeros off the circle; the minimum from 40 digits is the oracle
+    mpmath = pytest.importorskip("mpmath")
+    phi = 2.0 * np.pi * 1000.5 / 4096
+    f = poly_mul(poly_mul(Poly((-np.exp(1j * phi), 1)),
+                          Poly((-1.6 * np.exp(0.9j), 1))),
+                 Poly((-1.3 * np.exp(-2.1j), 1)))
+    h = trig_from_modulus_squared(f)
+    h = trig_scale(h, 1.0 / h.mean)
+    g = TrigPoly(3, (h.coeffs[0] - d,) + h.coeffs[1:])
+    assert g.grid_values(4096).min() > 0
+    cs = [mpmath.mpc(c.real, c.imag) for c in g.coeffs]
+
+    def value(t):
+        return cs[0].real + 2 * mpmath.re(mpmath.fsum(
+            cs[k] * mpmath.expj(k * t) for k in range(1, 4)))
+
+    with mpmath.workdps(40):
+        t = mpmath.findroot(lambda t: mpmath.diff(value, t), mpmath.mpf(phi))
+        oracle = float(value(t))
+    assert oracle < -0.999 * d
+    cert = nonneg_check(g)
+    assert not cert.nonnegative
+    assert cert.min_value == pytest.approx(oracle, rel=1e-6)
+    assert cert.argmin_theta == pytest.approx(float(t), abs=1e-9)
+
 
 def test_nonneg_null():
     assert nonneg_check(TrigPoly(0, (0j,))).nonnegative
