@@ -20,14 +20,19 @@ clustering step is not an optimization: without it, coefficient noise splits
 an exact double circle zero into a spurious inside/outside pair and the
 inner-outer split becomes wrong.
 
-The multiplicity clustering depends on the iteration history, so the
-engine's speed comes only from cheaper evaluation, never from fewer or
-different steps: each Aberth step evaluates p, p' and the backward-error
-scale in one fused Horner pass over stacked coefficient rows, and the
+The Aberth iteration starts from the eigenvalues of the companion
+matrix.  They are the roots to a backward error near rounding, so the
+iteration usually meets its convergence test on the first step, and its
+steps after that are the refinement that contracts the points at a
+multiple root.  Where the companion matrix is not finite, or its
+eigenvalues are not all finite and nonzero, the points start on one
+circle instead.  Each step evaluates p, z p' and the backward-error scale
+with one power matrix; a point outside the unit circle goes through the
+reversed powers of 1/z, so no power exceeds 1 in modulus.  Starts and
+evaluation move the points at the rounding level only, and the
+multiplicity clustering and the snap then give the same roots.  The
 polish and residual checks evaluate at scalar points in plain Python
-(``_horner``).  Both make the operations of ``npp.polyval`` in its order,
-so every value, and every root, is bit-identical to evaluating each
-polynomial separately with it.
+(``_horner``), bit-identical to ``npp.polyval``.
 """
 
 from __future__ import annotations
@@ -451,59 +456,71 @@ def _snap_self_inversive(found: list[tuple[complex, int]], c: np.ndarray,
 def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Simultaneous iteration on a deflated polynomial (c[0] != 0, deg >= 1).
 
-    Returns the points.  Convergence is per root on the relative backward
-    error |p(z)| <= tol * sum |c_k| |z|^k, but the iteration does not stop
-    there: the backward-error ball around a multiple root is much wider
-    than the rounding floor, so a refinement phase keeps running until the
-    steps stagnate.  That is what contracts the point pair at a double zero
+    Returns the points.  They start at the eigenvalues of the companion
+    matrix of c / max|c|, which are the roots to a backward error near
+    rounding.  When that matrix is not finite (the leading coefficient
+    tiny against the others), when ``eigvals`` raises ``LinAlgError``, or
+    when it returns a non-finite or zero value, they start instead on one
+    circle whose radius is the geometric mean of the root moduli,
+    (|c0/cd|)^(1/d), at an angular offset that breaks symmetry locks.
+    ``LinAlgError`` is a ``ValueError`` and must not escape: the CLI would
+    report it as the caller's bad input.  A zero start would never move,
+    as the correction below is a multiple of z.
+
+    Convergence is per root on the relative backward error |p(z)| <= tol *
+    sum |c_k| |z|^k, but the iteration does not stop there: the
+    backward-error ball around a multiple root is much wider than the
+    rounding floor, so a refinement phase keeps running until the steps
+    stagnate.  That is what contracts the point pair at a double zero
     tightly enough for the multiplicity clustering to recognize it.
 
-    p(z), p'(z) and the scale come from one Horner pass over the rows of a
-    (3, d+1) array: c, the coefficients of p' with a zero on top, and |c|
-    taken at |z|.  The pass makes npp.polyval's operations in its order, so
-    each row is bit-identical to a separate evaluation: 0 * z + c[k] is
-    c[k], and (a + 0j)(b + 0j) is exactly ab, so the scale row's real part
-    is the real Horner sum.  Once converged the scale row is dropped.  The
-    iteration history, which the multiplicity clustering depends on, is
-    therefore that of three separate evaluations.
+    Each step evaluates every point with one power matrix E.  A point z
+    inside the unit circle has the row z^0..z^d; one outside has the powers
+    of 1/z, reversed, so that column k holds z^(k-d) and no power exceeds 1
+    in modulus.  E @ [c, k c] gives p z^-d and z p' z^-d on the outside rows
+    (p and z p' inside), so the Newton correction is z P / Q on every row,
+    and |E| @ |c| is the backward-error scale with the same factor.
     """
     c = c / np.abs(c).max()
     d = len(c) - 1
-    rows = np.zeros((3, d + 1), dtype=complex)
-    rows[0] = c
-    rows[1, :d] = npp.polyder(c)
-    rows[2] = np.abs(c)
-    cols = [rows[:, k:k + 1] for k in range(d + 1)]
-    x = np.empty((3, d), dtype=complex)
-    vals = np.empty((3, d), dtype=complex)
+    z = None
+    with np.errstate(all="ignore"):
+        companion = np.zeros((d, d), dtype=complex)
+        companion.reshape(-1)[d::d + 1] = 1.0
+        companion[:, -1] = -c[:-1] / c[-1]
+    if np.isfinite(companion).all():
+        try:
+            z = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            pass
+    if z is None or not (np.isfinite(z).all() and z.all()):
+        r0 = max((abs(c[0]) / abs(c[-1])) ** (1.0 / d), 1e-6)
+        z = r0 * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.77))
+    cols = np.stack([c, np.arange(d + 1) * c], axis=1)
+    ac = np.abs(c)
+    powers = np.empty((d, d + 1), dtype=complex)
     diff = np.empty((d, d), dtype=complex)
     diag = diff.reshape(-1)[::d + 1]
-    # Initial guesses on one circle whose radius is the geometric mean of the
-    # root moduli (|c0/cd|)^(1/d); the angular offset breaks symmetry locks.
-    r0 = max((abs(c[0]) / abs(c[-1])) ** (1.0 / d), 1e-6)
-    z = r0 * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.77))
     converged = False
     extra = 0
     with np.errstate(all="ignore"):
         for it in range(max_iter + 16):
             if not converged and it >= max_iter:
                 break
-            x[:2] = z
-            if not converged:
-                np.abs(z, out=x[2])
-            np.multiply(x, 0, out=vals)
-            vals += cols[d]
-            for k in range(d - 1, -1, -1):
-                vals *= x
-                vals += cols[k]
-            pv, dv = vals[0], vals[1]
-            if not converged and np.all(np.abs(pv) <= tol * vals[2].real):
+            outside = np.abs(z) > 1.0
+            powers[:, 0] = 1.0
+            powers[:, 1:] = np.where(outside, 1.0 / z, z)[:, None]
+            np.cumprod(powers, axis=1, out=powers)
+            if outside.any():
+                powers[outside] = powers[outside, ::-1]
+            pq = powers @ cols
+            pv, qv = pq[:, 0], pq[:, 1]
+            if not converged and np.all(
+                    np.abs(pv) <= tol * (np.abs(powers) @ ac)):
                 converged = True
-                cols = [col[:2] for col in cols]
-                x, vals = x[:2], vals[:2]
-            if not dv.all():
-                dv = np.where(dv == 0, 1e-300, dv)
-            w = pv / dv
+            if not qv.all():
+                qv = np.where(qv == 0, 1e-300, qv)
+            w = z * pv / qv
             np.subtract(z[:, None], z, out=diff)
             diag[:] = np.inf
             if not diff.all():

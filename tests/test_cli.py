@@ -499,6 +499,17 @@ def test_overflowing_coefficients_raise_root_overflow(files):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_extreme_coefficient_ratio_exits_3(files, capsys):
+    # the companion matrix of this cubic is not finite; the solve must fail
+    # as the library's own error, not as numpy's LinAlgError (a ValueError,
+    # which would be reported as the caller's bad input)
+    write, _ = files
+    path = write("tiny.json", Poly((1, 2, 3, 1e-310)))
+    code, out, err = run(capsys, ["factor", path])
+    assert code == 3 and out == ""
+    assert err.startswith("error: RootOverflow: ")
+
+
 def test_overflowing_reconstruction_raises_root_overflow(files):
     # the roots are finite (sixth roots of unity but 1); the reconstruction
     # on the circle overflows, which is the arithmetic's fault, not the input's

@@ -1,5 +1,10 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
-from hkl.errors import BandExceeded, NullInput, RootOverflow
+import hkl
+from hkl.errors import (BandExceeded, InternalInvariantError, NullInput,
+                        RootOverflow)
 from hkl.gen import random_boundary_modulus
-from hkl.polycore import (Poly, Region, Root, TrigPoly, _aberth, _horner,
-                          _polish, _single_linkage_tree, _snap_self_inversive,
-                          lift, nonneg_check, nonneg_tol, poly_mul, roots,
+from hkl.polycore import (Poly, Region, Root, TrigPoly, _aberth,
+                          _cluster_points, _horner, _polish,
+                          _single_linkage_tree, _snap_self_inversive, lift,
+                          nonneg_check, nonneg_tol, poly_mul, roots,
                           self_inversive_phase, trig_add,
                           trig_from_modulus_squared, trig_mul, trig_scale,
                           unlift)
@@ -280,8 +288,8 @@ def test_single_linkage_tree_matches_pairwise_merging():
 
 
 def _three_polyval_aberth(c, tol, max_iter):
-    # reference: the iteration with p, p' and the backward-error scale each
-    # evaluated by its own npp.polyval call
+    # reference: the iteration from points on one circle, with p, p' and
+    # the backward-error scale each evaluated by its own npp.polyval call
     c = c / np.abs(c).max()
     d = len(c) - 1
     dc = npp.polyder(c)
@@ -333,12 +341,70 @@ def _aberth_cases():
     return cases
 
 
-def test_aberth_bit_identical_to_three_polyval_reference():
+def test_aberth_clusters_match_three_polyval_reference():
+    # the power-matrix evaluation and the companion starts move the points
+    # at the rounding level only: clustered, they are the reference's roots
     for c in _aberth_cases():
-        for max_iter in (200, 4):    # converged, and cut off before it
-            new = _aberth(c, 1e-12, max_iter)
-            ref = _three_polyval_aberth(c, 1e-12, max_iter)
-            assert np.array_equal(new.view(float), ref.view(float))
+        new = _cluster_points(_aberth(c, 1e-12, 200), c)
+        ref = _cluster_points(_three_polyval_aberth(c, 1e-12, 200), c)
+        matched = []
+        for a, m in new:
+            j = min(range(len(ref)), key=lambda j: abs(ref[j][0] - a))
+            assert ref[j][1] == m
+            assert abs(ref[j][0] - a) <= 1e-9 * (1.0 + abs(a))
+            matched.append(j)
+        assert sorted(matched) == list(range(len(ref)))
+
+
+def test_aberth_cut_off_early_meets_backward_error():
+    # the companion starts are roots to a backward error near rounding, so
+    # four steps are enough on every case
+    for c in _aberth_cases():
+        z = _aberth(c, 1e-12, 4)
+        assert np.all(np.abs(npp.polyval(z, c))
+                      <= 1e-12 * npp.polyval(np.abs(z), np.abs(c)))
+
+
+_ROOTSET_DIGEST = """
+import hashlib, json, sys
+from hkl.polycore import _roots_cached
+digest = hashlib.sha256()
+for pairs in json.load(sys.stdin):
+    c = tuple(complex(float.fromhex(x), float.fromhex(y)) for x, y in pairs)
+    digest.update(repr(_roots_cached(c)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_roots_bit_identical_across_blas_thread_counts():
+    # the companion eigenvalues and the power-matrix products go through
+    # LAPACK and BLAS; their results must not depend on the thread count
+    payload = json.dumps([[(z.real.hex(), z.imag.hex()) for z in c]
+                          for c in _aberth_cases()])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(hkl.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _ROOTSET_DIGEST],
+                              input=payload, capture_output=True, text=True,
+                              env=env, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2, 3, 1e-310), (1.0, 0, 0, 1e-320),
+                                    (1, 1e-200, 1e200, 1)])
+def test_roots_extreme_coefficient_ratios_are_internal_errors(coeffs):
+    # the companion matrix is not finite, or its eigenvalues are useless:
+    # the solve fails as the library's own, never as a ValueError such as
+    # numpy's LinAlgError, which the CLI would report as bad input
+    with pytest.raises(InternalInvariantError):
+        roots(Poly(coeffs))
+
+
+def test_roots_extreme_quadratic_keeps_its_degree():
+    assert roots(Poly((1e-300, 1, 1e300))).total_multiplicity == 2
 
 
 def _bits(v):
