@@ -22,17 +22,16 @@ inner-outer split becomes wrong.
 
 The Aberth iteration starts from the eigenvalues of the companion
 matrix.  They are the roots to a backward error near rounding, so the
-iteration usually meets its convergence test on the first step, and its
-steps after that are the refinement that contracts the points at a
-multiple root.  Where the companion matrix is not finite, or its
+iteration usually meets its convergence test on the first step; it takes
+that step and stops.  Where the companion matrix is not finite, or its
 eigenvalues are not all finite and nonzero, the points start on one
 circle instead.  Each step evaluates p, z p' and the backward-error scale
 with one power matrix; a point outside the unit circle goes through the
-reversed powers of 1/z, so no power exceeds 1 in modulus.  Starts and
-evaluation move the points at the rounding level only, and the
-multiplicity clustering and the snap then give the same roots.  The
-polish and residual checks evaluate at scalar points in plain Python
-(``_horner``), bit-identical to ``npp.polyval``.
+reversed powers of 1/z, so no power exceeds 1 in modulus.  The points of
+a multiple root stay spread where the iteration stops; the clustering's
+Newton polish places the root.  The polish and residual checks evaluate
+at scalar points in plain Python (``_horner``), bit-identical to
+``npp.polyval``.
 """
 
 from __future__ import annotations
@@ -467,12 +466,12 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     report it as the caller's bad input.  A zero start would never move,
     as the correction below is a multiple of z.
 
-    Convergence is per root on the relative backward error |p(z)| <= tol *
-    sum |c_k| |z|^k, but the iteration does not stop there: the
-    backward-error ball around a multiple root is much wider than the
-    rounding floor, so a refinement phase keeps running until the steps
-    stagnate.  That is what contracts the point pair at a double zero
-    tightly enough for the multiplicity clustering to recognize it.
+    The iteration stops after the step on which every point meets the
+    relative backward error |p(z)| <= tol * sum |c_k| |z|^k, or after
+    max_iter steps.  At a multiple root the points then lie spread over its
+    backward-error ball, and ``_cluster_points`` places the root.  The step
+    taken after the test is kept: stopping before it leaves fewer clusters
+    that the merge test accepts.
 
     Each step evaluates every point with one power matrix E.  A point z
     inside the unit circle has the row z^0..z^d; one outside has the powers
@@ -501,12 +500,8 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     powers = np.empty((d, d + 1), dtype=complex)
     diff = np.empty((d, d), dtype=complex)
     diag = diff.reshape(-1)[::d + 1]
-    converged = False
-    extra = 0
     with np.errstate(all="ignore"):
-        for it in range(max_iter + 16):
-            if not converged and it >= max_iter:
-                break
+        for _ in range(max_iter):
             outside = np.abs(z) > 1.0
             powers[:, 0] = 1.0
             powers[:, 1:] = np.where(outside, 1.0 / z, z)[:, None]
@@ -515,9 +510,7 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
                 powers[outside] = powers[outside, ::-1]
             pq = powers @ cols
             pv, qv = pq[:, 0], pq[:, 1]
-            if not converged and np.all(
-                    np.abs(pv) <= tol * (np.abs(powers) @ ac)):
-                converged = True
+            converged = np.all(np.abs(pv) <= tol * (np.abs(powers) @ ac))
             if not qv.all():
                 qv = np.where(qv == 0, 1e-300, qv)
             w = z * pv / qv
@@ -532,12 +525,7 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             step = w / denom
             z = z - step
             if converged:
-                # refinement phase: the pair at a double root contracts by
-                # about 1/3 per iteration, so 16 extra reach the floor
-                extra += 1
-                if extra >= 16 or np.abs(step).max() <= 1e-13 * (
-                        1.0 + np.abs(z).max()):
-                    break
+                break
     return z
 
 
@@ -646,12 +634,14 @@ def _cluster_points(points: np.ndarray,
     (a residual probe at the single center point would miss it, and a
     purely geometric diameter threshold gets it wrong in both directions).
 
-    The polished center must also meet the residual bound that every root
-    meets (``_residual_ok``).  A rejected node's children are examined
-    instead.  The tree comes from ``_single_linkage_tree``.  A node's
-    diameter is at least the distance it was merged at, so a node merged
-    beyond CLUSTER_CAP is rejected without the diameter, as the test would
-    reject it.
+    ``_aberth`` stops at its backward-error test, so the m points of an
+    m-fold root come in spread over that ball; the polished center, not
+    the iteration, places the root.  It must also meet the residual bound
+    that every root meets (``_residual_ok``).  A rejected node's children
+    are examined instead.  The tree comes from ``_single_linkage_tree``.
+    A node's diameter is at least the distance it was merged at, so a node
+    merged beyond CLUSTER_CAP is rejected without the diameter, as the
+    test would reject it.
     """
     pts = list(points)
     if len(pts) == 1:
@@ -761,8 +751,9 @@ def _roots_cached(c: tuple) -> RootSet:
             r2 = a0 / q if q != 0 else -a1 / a2 - r1
             found = _cluster_points(np.array([r1, r2]), carr)
         elif d > 0:
-            # clustering can still rescue a stalled multiple root, so
-            # failure is judged on the clustered residuals below
+            # the points of a multiple root are left spread, and only
+            # the clustering's polished centers meet the residual bound:
+            # failure is judged on those below
             found = _cluster_points(_aberth(carr, TOL_ROOT, MAX_ROOT_ITER),
                                     carr)
 

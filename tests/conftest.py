@@ -62,6 +62,15 @@ HOLDOUT_131 = trig_from_hex((
     ("0x1.4f59c9a681041p-7", "-0x1.3cdc90ea278f7p-4"),
     ("0x1.6f4d940118f5ep-7", "0x1.1f25dd10ebc8bp-6")))
 
+# tests/test_factor.py's _near_touching(5, 600)[3], n = 2: its minimum
+# -2.3e-11 lies inside nonneg_tol = 2.7e-10, so it counts as nonnegative,
+# but its lift has two simple circle zeros and no exact factor exists;
+# fejer_riesz leaves an odd circle zero unmerged (PairingFailure)
+UNMERGED_ODD_ZERO = trig_from_hex((
+    ("0x1.ffffffffcd65dp-1", "0x0.0p+0"),
+    ("0x1.55075e5f6d4b8p-1", "-0x1.cd806c0dadd15p-6"),
+    ("0x1.541d9cfc1aa7cp-3", "-0x1.cd1730d29b9dcp-7")))
+
 # n = 1 modulus, nonnegative to tolerance: its minimum g_0 - 2|g_1| is
 # -4.3e-11, inside nonneg_tol = 2e-10.  Its lift's two circle roots,
 # 1.9e-5 apart, passed the merge test as one double root that failed the

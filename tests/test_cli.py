@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import HOLDOUT_131, MERGED_RESIDUAL
+from conftest import HOLDOUT_131, MERGED_RESIDUAL, UNMERGED_ODD_ZERO
 
 import hkl
 from hkl.cli import COMMANDS, build_parser, main
@@ -549,7 +549,15 @@ def test_spectral_factors_a_merged_root_modulus(files, capsys):
 def test_spectral_unpaired_odd_circle_zero_exits_3(files, capsys):
     # a nonnegative input the library fails to factor is not bad input
     write, _ = files
-    path = write("g1.json", split_nonextreme(HOLDOUT_131, 10).g1)
+    path = write("g.json", UNMERGED_ODD_ZERO)
     code, out, err = run(capsys, ["spectral", path])
     assert code == 3 and out == ""
     assert err.startswith("error: PairingFailure: ")
+
+
+def test_spectral_factors_holdout_131_split_half(files, capsys):
+    write, _ = files
+    path = write("g1.json", split_nonextreme(HOLDOUT_131, 10).g1)
+    code, out, err = run(capsys, ["spectral", path])
+    assert code == 0 and err == ""
+    assert json.loads(out)["checks"]["residual_ok"] is True

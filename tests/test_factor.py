@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import HOLDOUT_131, MERGED_RESIDUAL, census_suite
+from conftest import (HOLDOUT_131, MERGED_RESIDUAL, UNMERGED_ODD_ZERO,
+                      census_suite)
 
 from hkl import factor
 from hkl.errors import (NotDivisible, NotNonnegative, NullInput,
@@ -11,12 +12,13 @@ from hkl.errors import (NotDivisible, NotNonnegative, NullInput,
 from hkl.factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
                         divisors, fejer_riesz, inner_outer)
 from hkl.gen import random_boundary_modulus
-from hkl.geometry import split_nonextreme
+from hkl.geometry import is_extreme, split_nonextreme
 from hkl.polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
                           poly_mul, roots, trig_from_modulus_squared,
                           trig_scale)
 
 CIRCLE = np.exp(2j * np.pi * np.arange(512) / 512)
+TOL_SPECTRAL = 1e-7   # the benchmark's relative round-trip error bound
 
 
 def _max_err(p, q):
@@ -109,13 +111,27 @@ def test_fejer_merged_root_meets_the_residual_bound():
 
 
 def test_fejer_unpaired_odd_circle_zero_is_internal():
-    # census hold-out #131's first split half is nonnegative (the split
-    # certifies it), but its lift's roots leave a lone odd circle zero:
-    # the library's failure, not the caller's
-    g1 = split_nonextreme(HOLDOUT_131, 10).g1
-    assert nonneg_check(g1).nonnegative
-    with pytest.raises(PairingFailure):
-        fejer_riesz(g1)
+    # nonnegative to tolerance, but its lift's two simple circle zeros
+    # leave a lone odd circle zero: the library's failure, not the caller's
+    assert _near_touching(5, 600)[3] == UNMERGED_ODD_ZERO
+    assert nonneg_check(UNMERGED_ODD_ZERO).nonnegative
+    with pytest.raises(PairingFailure, match="odd circle zero"):
+        fejer_riesz(UNMERGED_ODD_ZERO)
+
+
+def test_fejer_factors_holdout_131_split_halves():
+    # the lift of the first half has ten double circle zeros, two of them
+    # 6e-4 apart: Aberth steps taken past the backward-error test pull
+    # them into a triple cluster and a stray simple root off the circle
+    cert = split_nonextreme(HOLDOUT_131, 10)
+    for half, g in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
+        back = fejer_riesz(g)
+        scale = max(abs(c) for c in half.f.coeffs)
+        assert _max_err(back, half.f) <= TOL_SPECTRAL * scale
+        round_trip = trig_from_modulus_squared(back)
+        assert max(abs(round_trip.coeff(k) - g.coeff(k))
+                   for k in range(g.n + 1)) <= TOL_SPECTRAL
+        assert is_extreme(g, 10).verdict
 
 
 def _near_touching(seed, count):

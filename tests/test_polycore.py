@@ -16,6 +16,7 @@ from numpy.polynomial import polynomial as npp
 import hkl
 from hkl.errors import (BandExceeded, InternalInvariantError, NullInput,
                         RootOverflow)
+from hkl.factor import inner_outer
 from hkl.gen import random_boundary_modulus
 from hkl.polycore import (Poly, Region, Root, TrigPoly, _aberth,
                           _cluster_points, _horner, _polish,
@@ -150,6 +151,31 @@ def test_roots_quadruple():
     assert len(rs) == 1
     assert rs.roots[0].multiplicity == 4
     assert abs(rs.roots[0].location - (0.5 + 0.1j)) < 1e-3
+
+
+def test_roots_mixed_multiplicities_keep_double_circle_zero():
+    # three circle zeros and an inside triple zero, separated by >= 0.26:
+    # Aberth steps taken past the backward-error test split the double
+    # circle zero w3 into two simple inside roots at |.| = 1 - 1.2e-6
+    w1 = -0.6851787749655041 + 0.7283749352749387j
+    w2 = 0.8579664971456018 + 0.51370564506895j
+    a = 0.5973026033929141 + 0.557564509264205j
+    w3 = 0.579050646244631 + 0.8152915730483636j
+    p = Poly((1,))
+    for z, m in ((w1, 2), (w2, 3), (a, 3), (w3, 2)):
+        for _ in range(m):
+            p = poly_mul(p, Poly((-z, 1)))
+    rs = roots(p)
+    assert len(rs) == 4
+    for z, m in ((w1, 2), (w2, 3), (a, 3), (w3, 2)):
+        r = min(rs, key=lambda r: abs(r.location - z))
+        assert r.multiplicity == m and abs(r.location - z) < 1e-6
+        if z != a:
+            assert r.region is Region.ON_CIRCLE
+    inner = inner_outer(p).inner
+    assert inner.m0 == 0 and len(inner.zeros) == 1
+    zero, m = inner.zeros[0]
+    assert m == 3 and abs(zero - a) < 1e-6
 
 
 def _random_poly_with_roots(rng, degree):
