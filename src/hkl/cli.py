@@ -200,6 +200,7 @@ def cmd_split(args):
             "distinctness_gap": cert.checks.distinctness_gap,
             "extreme1": cert.checks.extreme1,
             "extreme2": cert.checks.extreme2,
+            "factor_residual": cert.checks.factor_residual,
         },
         "tolerances": tols,
         "conventions": {

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import (NotDivisible, NotNonnegative, NullInput, PairingFailure,
-                     PoleHit)
+from .errors import NotDivisible, NullInput, PairingFailure, PoleHit
 from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
-                       _horner, _polish as _newton_polish, lift, nonneg_check,
-                       refine_circle_angle, roots, self_inversive_phase,
-                       synthetic_divide, trig_scale)
+                       _horner, _polish as _newton_polish, lift,
+                       refine_circle_angle, require_nonnegative, roots,
+                       self_inversive_phase, synthetic_divide, trig_scale)
 
 PAIR_TOL = 1e-6      # relative tolerance for matching reflected zero pairs
 TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
@@ -80,18 +79,27 @@ class BlaschkeProduct:
         return self.m0 == 0 and not self.zeros
 
     def numerator(self) -> Poly:
-        num = Poly((self.lam,)).shifted(self.m0)
-        for a, m in self.zeros:
-            for _ in range(m):
-                num = num * Poly((-a, 1))
-        return num
+        return Poly(tuple(self.lam * self._zero_poly())).shifted(self.m0)
 
     def denominator(self) -> Poly:
-        den = Poly((1.0,))
+        """prod (1 - conj(a) z)**mult: the conjugated reverse of the
+        numerator's zero part."""
+        return Poly(tuple(np.conj(self._zero_poly()[::-1])))
+
+    def _zero_poly(self) -> np.ndarray:
+        """prod (z - a)**mult, leading 1 exactly, by one FFT of its values on
+        a power-of-two grid of at least 2(k + 1) points: its coefficients are
+        bounded by its maximum on the circle, where a chained expansion
+        drains digits as the degree k grows (Calvetti & Reichel, 2003)."""
+        k = sum(m for _, m in self.zeros)
+        size = 1 << (2 * k + 1).bit_length()
+        zeta = np.exp(2j * np.pi * np.arange(size) / size)
+        vals = np.ones(size, dtype=complex)
         for a, m in self.zeros:
-            for _ in range(m):
-                den = den * Poly((1, -a.conjugate()))
-        return den
+            vals *= (zeta - a) ** m
+        coeffs = np.fft.fft(vals)[:k + 1] / size
+        coeffs[k] = 1.0
+        return coeffs
 
     def __call__(self, zeta):
         return blaschke_eval(self, zeta)
@@ -195,10 +203,7 @@ def _fejer_riesz_cached(g: TrigPoly) -> Poly:
     """The factor of ``fejer_riesz`` for g with max |g_k| <= 1, computed."""
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
-    cert = nonneg_check(g)
-    if not cert.nonnegative:
-        raise NotNonnegative(
-            f"min value {cert.min_value:.3e} at theta={cert.argmin_theta:.6f}")
+    require_nonnegative(g)
 
     rs = roots(lift(g))
     inside = [r for r in rs.inside if abs(r.location) > ORIGIN_TOL]

@@ -9,11 +9,11 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
   on the circle, g u = z**n conj(G) there, so g Re(lam u) =
   Re(conj(lam) z**-n G) and the rotation integral is conj(G_n); both
   halves come from G alone                                 (split_nonextreme)
-* with u = N / D of degree k, the halves have lift +/-G (lam u +/- 1)**2
-  / (2 lam): their zeros are g's circle zeros and, doubled, the k
-  unimodular roots of lam N +/- D, so their factors need no solve of
-  degree 2n; the claim is checked on each half and a half that fails it
-  is solved as before
+* with u = N / D of degree k and g's circle zeros (w, m), the halves
+  have lift +/-G (lam u +/- 1)**2 / (2 lam) with G = kappa prod (z - w)**m
+  D**2, so their factors are prod (z - w)**(m/2) (lam N +/- D) up to a
+  constant, with no root solve; each is accepted by its round trip on its
+  half, and a half whose factor fails it is solved as before
                                                          (split_nonextreme)
 * a unit-norm kernel element f admits |f|^2 = (|f1|^2 + |f2|^2)/2
   with |f1| != |f2| iff f or its companion has a nonconstant
@@ -45,13 +45,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
-                     NotNonnegative, NotNormalized, NotOnBoundary, NotUnitNorm,
-                     NullInput)
+                     NotNormalized, NotOnBoundary, NotUnitNorm, NullInput)
 from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
                      blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
 from .kernel import KernelElement, Membership, h2_norm, membership_V
-from .polycore import (Poly, TrigPoly, grid_min, lift, nonneg_check,
-                       nonneg_grid_size, nonneg_tol, refine_circle_angle,
+from .polycore import (Poly, TrigPoly, lift, nonneg_tol, require_nonnegative,
                        roots, trig_add, trig_mul, trig_scale,
                        trig_from_modulus_squared, unlift)
 
@@ -111,6 +109,7 @@ class SplitChecks:
     distinctness_gap: float
     extreme1: bool
     extreme2: bool
+    factor_residual: float      # the larger round trip of f1 on g1, f2 on g2
 
 
 @dataclass(frozen=True)
@@ -142,22 +141,18 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
     in the certificate.
 
     The halves' factors come from the construction, not from solving their
-    lifts.  With u0 = N / D (k = deg u0 <= n), their lifts read
+    lifts.  With u0 = N / D (k = deg u0 <= n) and G = kappa prod (z - w)**m
+    D**2 over g's circle zeros (w, m) (``_circle_zeros``),
 
-        lift(g_+/-) = +/- G (lam u0 +/- 1)**2 / (2 lam),
+        lift(g_+/-) = +/- kappa prod (z - w)**m (lam N +/- D)**2 / (2 lam),
 
-    so the zeros of lift(g1) are g's circle zeros (``_circle_zeros``, from
-    the lift of g already solved) and each root of lam N + D, doubled;
-    g2 pairs with lam N - D.  |u0| = 1 exactly on the circle, so these k
-    roots are unimodular and the degree-k solve is all that is new.  The
-    angles are refined on each half (``refine_circle_angle``).  The claim
-    is accepted when the multiplicities add up to 2n with |g_j| <=
-    nonneg_tol(g_j) at each refined angle (the circle count of
-    ``perturbation_search``), g_j >= -tol on the ``nonneg_check`` grid and
-    |mean - 1| <= TOL_NORM.  Then g_j is extreme and f_j is assembled from
-    the claimed zeros and polished on g_j, as ``fejer_riesz`` does.  A half
-    that fails the claim gets ``fejer_riesz(g_j)`` and
-    ``is_extreme(g_j, n)`` instead.
+    so f1 is prod (z - w)**(m/2) (lam N + D) up to a constant, polished on
+    g1 as in ``fejer_riesz``, and f2 pairs with lam N - D.  A factor is
+    accepted when |mean - 1| <= TOL_NORM and its round trip (``_round_trip``,
+    the larger of the two is ``checks.factor_residual``) is at most
+    nonneg_tol(g_j): then g_j >= -tol on the whole circle and |g_j| <= tol at
+    the n zeros of f_j, so g_j is extreme.  A half that fails it gets
+    ``fejer_riesz(g_j)`` and ``is_extreme(g_j, n)`` instead.
     """
     cert = is_extreme(g, n)
     if not cert.norm_ok:
@@ -183,14 +178,14 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
     g1 = trig_scale(g1, 1.0 / norm1)
     g2 = trig_scale(g2, 1.0 / norm2)
 
-    # each half's claimed zeros: g's circle zeros and the doubled roots of
-    # lam N +/- D, with D zero-padded to the length of N
+    # each half's factor is prod (z - w)**(m/2) (lam N +/- D) over g's
+    # circle zeros (w, m), with D zero-padded to the length of N
     circle = _circle_zeros(g)
     num = inner.numerator().as_array()
-    den = np.zeros(len(num), dtype=complex)
-    den[:inner.denominator().degree + 1] = inner.denominator().as_array()
-    f1, extreme1 = _split_half(g1, n, circle, lam * num + den)
-    f2, extreme2 = _split_half(g2, n, circle, lam * num - den)
+    den = inner.denominator().as_array()
+    den = np.pad(den, (0, len(num) - len(den)))
+    f1, extreme1, resid1 = _split_half(g1, n, circle, lam * num + den)
+    f2, extreme2, resid2 = _split_half(g2, n, circle, lam * num - den)
 
     midpoint = max(
         abs(g1.coeff(k) + g2.coeff(k) - 2.0 * g.coeff(k)) for k in range(n + 1))
@@ -202,6 +197,7 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
         distinctness_gap=gap,
         extreme1=extreme1,
         extreme2=extreme2,
+        factor_residual=max(resid1, resid2),
     )
     rotated = BlaschkeProduct(inner.m0, inner.zeros, lam * inner.lam)
     return SplitCertificate(
@@ -212,30 +208,29 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
 
 
 def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
-                p: np.ndarray) -> tuple[Poly, bool]:
-    """Spectral factor and extreme verdict of the split half gj.
+                p: np.ndarray) -> tuple[Poly, bool, float]:
+    """Factor, extreme verdict and round trip of the split half gj: the
+    factor prod (z - w)**(m/2) p over g's circle zeros ``circle`` (None when
+    an odd circle root was left), accepted as in ``split_nonextreme``, or
+    else the factor and verdict from solving the lift of gj."""
+    if circle is not None and abs(gj.mean - 1.0) <= TOL_NORM:
+        angles = np.array([t for t, _ in circle])
+        halves = np.array([m // 2 for _, m in circle], dtype=int)
+        f = _factor_from_zeros(gj, p, angles, halves)
+        resid = _round_trip(f, gj)
+        if resid <= nonneg_tol(gj):
+            return f, True, resid
+    f = fejer_riesz(gj)
+    return f, is_extreme(gj, n).verdict, _round_trip(f, gj)
 
-    The claim: lift(gj) vanishes at g's circle zeros ``circle`` ((angle,
-    multiplicity) pairs, None when an odd circle root was left) and doubly at
-    each root of the polynomial with coefficients p.  Its angles are refined
-    on gj, and it is accepted when the circle count decides on gj, gj >=
-    -tol on the ``nonneg_check`` grid and the mean of gj is 1 within
-    TOL_NORM; then gj is extreme and its factor is built from the claimed zeros.
-    Otherwise both come from solving the lift of gj.
-    """
-    if circle is not None:
-        claimed = list(circle) + [
-            (float(np.angle(r.location)), 2 * r.multiplicity)
-            for r in roots(Poly(tuple(p)))]
-        zeros = [(refine_circle_angle(gj, t), m) for t, m in claimed]
-        if (_circle_count_decides(gj, n, zeros)
-                and grid_min(gj, nonneg_grid_size(gj))[0] >= -nonneg_tol(gj)
-                and abs(gj.mean - 1.0) <= TOL_NORM):
-            angles = np.array([t for t, _ in zeros])
-            halves = np.array([m // 2 for _, m in zeros], dtype=int)
-            return (_factor_from_zeros(gj, np.ones(1, dtype=complex), angles,
-                                       halves), True)
-    return fejer_riesz(gj), is_extreme(gj, n).verdict
+
+def _round_trip(f: Poly, g: TrigPoly) -> float:
+    """sum over |k| <= n of |(|f|^2)_k - g_k|, which bounds |f|^2 - g on
+    the whole circle."""
+    back = trig_from_modulus_squared(f)
+    diff = np.abs([back.coeff(k) - g.coeff(k)
+                   for k in range(max(back.n, g.n) + 1)])
+    return float(diff[0] + 2.0 * diff[1:].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +251,19 @@ def decompose_modulus(x: KernelElement) -> Decomposition:
     Rigid exactly when both f and its companion are outer, i.e. when the
     lift of |f|^2 at order n has a trivial inner factor.  The mean of |f|^2
     is renormalized to exactly 1 first (it differs from 1 by at most
-    TOL_UNIT_NORM under the precondition), so the rigidity test and the
-    split read one lift and its root solve is memoized for both.
+    TOL_UNIT_NORM under the precondition), so g is on the boundary and the
+    split's own extreme test decides rigidity: its AlreadyExtreme is the
+    rigid verdict, and the lift is analysed once.
     """
     nrm = h2_norm(x)
     if abs(nrm - 1.0) > TOL_UNIT_NORM:
         raise NotUnitNorm(f"norm {nrm} is not 1 within {TOL_UNIT_NORM}")
     g = trig_from_modulus_squared(x.f)
     g = trig_scale(g, 1.0 / g.mean)
-    fac = inner_outer(lift(g, x.n))
-    if fac.inner.is_trivial:
+    try:
+        cert = split_nonextreme(g, x.n)
+    except AlreadyExtreme:
         return Decomposition(rigid=True)
-    cert = split_nonextreme(g, x.n)
     return Decomposition(rigid=False, f1=cert.f1, f2=cert.f2, split=cert)
 
 
@@ -288,11 +284,7 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
     if g.effective_band > n:
         raise BandExceeded(
             f"band limit {g.effective_band} exceeds model order {n}")
-    cert = nonneg_check(g)
-    if not cert.nonnegative:
-        raise NotNonnegative("the prescribed modulus is not nonnegative")
-
-    base = fejer_riesz(g)
+    base = fejer_riesz(g)   # raises NotNonnegative for a negative g
     inner = inner_outer(lift(g, n)).inner
     out = []
     for j in divisors(inner):
@@ -348,9 +340,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
     """
     if g.is_null:
         raise NullInput("rigidity needs a non-null modulus")
-    cert = nonneg_check(g)
-    if not cert.nonnegative:
-        raise NotNonnegative("rigidity needs a nonnegative modulus")
+    require_nonnegative(g)
     fac = inner_outer(lift(g, n))
     if not fac.inner.is_trivial:
         raise InnerFactorPresent(
@@ -392,9 +382,7 @@ def baseline_split(g: TrigPoly) -> tuple[TrigPoly, TrigPoly]:
     """
     if g.is_null:
         raise NullInput("cannot split the zero function")
-    cert = nonneg_check(g)
-    if not cert.nonnegative:
-        raise NotNonnegative("baseline split needs a nonnegative function")
+    require_nonnegative(g)
     if abs(g.mean - 1.0) > TOL_NORM:
         raise NotNormalized(f"mean {g.mean} != 1")
     c1 = g.coeff(1)
@@ -454,7 +442,9 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
         raise ValueError("trials and ascent_rounds must be nonnegative")
     circle = roots(lift(g, n)).on_circle
     zeros = _circle_zeros(g)
-    if zeros is not None and _circle_count_decides(g, n, zeros):
+    if (zeros is not None and sum(m for _, m in zeros) == 2 * n
+            and np.all(np.abs(g.values([t for t, _ in zeros]))
+                       <= nonneg_tol(g))):
         # n_constraints counts the grid the sampled route would have used
         return PerturbationSearch(
             max_norm=0.0, trials=trials, grid_size=SEARCH_GRID,
@@ -462,17 +452,6 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
             route=PerturbationSearch.CIRCLE_COUNT)
     return _sampled_search(g, n, circle, trials=trials, seed=seed,
                            grid_size=SEARCH_GRID, ascent_rounds=ascent_rounds)
-
-
-def _circle_count_decides(g: TrigPoly, n: int, zeros: list | tuple) -> bool:
-    """Circle multiplicities adding up to 2n, each at a zero of g.
-
-    ``zeros`` are (angle, multiplicity) pairs, as from ``_circle_zeros``.
-    """
-    if sum(m for _, m in zeros) != 2 * n:
-        return False
-    return bool(np.all(np.abs(g.values([t for t, _ in zeros]))
-                       <= nonneg_tol(g)))
 
 
 # angular offsets of the refined constraint points on each side of a zero

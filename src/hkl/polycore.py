@@ -45,7 +45,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import BandExceeded, NonConvergence, NullInput, RootOverflow
+from .errors import (BandExceeded, NonConvergence, NotNonnegative, NullInput,
+                     RootOverflow)
 
 # Tolerance policy for the root engine.  EPS_CIRCLE is the dead band of the
 # inside / on-circle / outside classification; the inner-outer split is
@@ -816,8 +817,8 @@ def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
     coefficient noise, unlike the lift's root there, so this recovers the
     angle of an even-order zero to near machine precision.  It stops where
     g'' <= 0 or a step would exceed 1e-2.  The one angle refiner: for
-    ``factor._circle_zeros``, the split's halves, the self-inversive snap
-    and the dips of ``nonneg_check``.
+    ``factor._circle_zeros``, the self-inversive snap and the dips of
+    ``nonneg_check``.
     """
     ks = np.arange(1, g.n + 1)
     cs = np.array(g.coeffs[1:])
@@ -882,6 +883,15 @@ def nonneg_check(g: TrigPoly) -> NonnegCertificate:
     certificate without a new scan.
     """
     return _nonneg_cached(g)
+
+
+def require_nonnegative(g: TrigPoly) -> None:
+    """Raise NotNonnegative, naming a point where g < -tol, unless
+    ``nonneg_check`` passes."""
+    cert = nonneg_check(g)
+    if not cert.nonnegative:
+        raise NotNonnegative(f"min value {cert.min_value:.3e} < -{cert.tol:.1e}"
+                             f" at theta={cert.argmin_theta:.6f}")
 
 
 @functools.lru_cache(maxsize=512)

@@ -358,6 +358,8 @@ def test_split_output_does_not_depend_on_grid(files, capsys):
     assert coarse[0] == 0
     assert coarse == fine
     assert "quad_points" not in json.loads(coarse[1])["conventions"]
+    # the round trip the halves' factors were accepted by is printed
+    assert json.loads(coarse[1])["checks"]["factor_residual"] <= 1e-12
 
 
 def test_parser_is_built_once_and_reused(files, capsys):

@@ -313,6 +313,20 @@ def test_blaschke_unimodular_on_circle():
     assert np.abs(np.abs(vals) - 1.0).max() < 1e-10
 
 
+def test_blaschke_numerator_and_denominator():
+    # N / D is the product on the circle; N leads with exactly lam, D starts
+    # with exactly 1 and is N's zero part conjugated and reversed
+    b = BlaschkeProduct(2, ((0.3 + 0.4j, 2), (-0.5, 1), (0.1j, 3)), 1j)
+    num, den = b.numerator(), b.denominator()
+    assert (num.degree, den.degree) == (8, 6)
+    assert num.coeffs[:2] == (0j, 0j) and num.coeffs[-1] == 1j
+    assert den.coeffs[0] == 1
+    assert np.abs(num(CIRCLE) / den(CIRCLE) - blaschke_eval(b, CIRCLE)).max() \
+        <= 1e-14
+    assert np.allclose(den.as_array(), np.conj(num.as_array()[2:][::-1] / 1j),
+                       rtol=0, atol=1e-15)
+
+
 def test_blaschke_rejects_outside_zero():
     with pytest.raises(ValueError):
         BlaschkeProduct(0, ((1.2, 1),), 1.0)

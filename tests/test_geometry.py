@@ -9,8 +9,8 @@ from conftest import (HOLDOUT_131, census_suite, random_unit_element,
 
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
-                        NotInV, NotNormalized, NotOnBoundary, NotUnitNorm,
-                        NullInput)
+                        NotInV, NotNonnegative, NotNormalized, NotOnBoundary,
+                        NotUnitNorm, NullInput)
 from hkl.factor import blaschke_eval, fejer_riesz, inner_outer
 from hkl.gen import random_boundary_modulus, random_kernel_element
 from hkl.geometry import (PerturbationSearch, RigidityResult, _sampled_search,
@@ -220,15 +220,16 @@ def _non_extreme_census(seed):
 
 
 def test_split_halves_built_without_solving_their_lifts(solve_counter):
-    # the halves' factors and verdicts come from g's circle zeros and the
-    # roots of lam N +/- D; they must agree with solving the halves' lifts
+    # the halves' factors are prod (z - w)**(m/2) (lam N +/- D) over g's
+    # circle zeros, accepted by their round trips; factors and verdicts must
+    # agree with solving the halves' lifts
     for g, n in _non_extreme_census(6586):
         assert not is_extreme(g, n).verdict
         solve_counter.clear()
         cert = split_nonextreme(g, n)
-        # the only new solves are of lam N +/- D, of degree deg u <= n
-        assert set(solve_counter) <= {cert.u.degree}
-        assert sum(solve_counter.values()) <= 2
+        # no root solve after the one of g's lift, not even of lam N +/- D
+        assert not solve_counter
+        assert cert.checks.factor_residual <= 1e-12
         for f, gh, ext in ((cert.f1, cert.g1, cert.checks.extreme1),
                            (cert.f2, cert.g2, cert.checks.extreme2)):
             assert ext == is_extreme(gh, n).verdict
@@ -239,17 +240,35 @@ def test_split_halves_built_without_solving_their_lifts(solve_counter):
 
 
 def test_split_halves_fall_back_to_solving(monkeypatch, solve_counter):
-    # a claim the circle count rejects sends each half through its own lift
-    monkeypatch.setattr(geometry, "_circle_count_decides",
-                        lambda g, n, zeros: None)
+    # a round-trip bound no built factor meets sends each half through its
+    # own lift; the fallback's factors carry their round trip too
+    monkeypatch.setattr(geometry, "nonneg_tol", lambda g: -1.0)
     g = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(131))
     cert = split_nonextreme(g, 5)
     assert solve_counter[10] == 3   # the lifts of g and of both halves
     assert cert.checks.extreme1 and cert.checks.extreme2
     assert cert.checks.midpoint_residual <= 1e-10
+    assert 0.0 < cert.checks.factor_residual <= 1e-12
     for f, gh in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
         assert f.f == fejer_riesz(gh)
         assert _grid_residual(f.f, gh) <= 1e-9
+
+
+def test_split_order_48_factors_round_trip():
+    # g = 1 + a band-48 term with sum |g_k| = 0.1, drawn as coefficients,
+    # not expanded from roots.  Each half's factor starts from lam N +/- D,
+    # and N and D expanded by chained products missed g1 and g2 by 1e-4
+    n = 48
+    rng = np.random.default_rng(48)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c *= 0.1 / np.abs(c).sum()
+    cert = split_nonextreme(TrigPoly(n, (1 + 0j,) + tuple(c)), n)
+    assert cert.checks.extreme1 and cert.checks.extreme2
+    for f, gh in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
+        back = trig_from_modulus_squared(f.f)
+        diff = [abs(back.coeff(k) - gh.coeff(k)) for k in range(n + 1)]
+        assert diff[0] + 2 * sum(diff[1:]) <= 1e-12
+    assert cert.checks.factor_residual <= 1e-12
 
 
 @pytest.mark.parametrize("census", [(0, 4, 0), (1, 2, 1)])
@@ -336,6 +355,18 @@ def test_decompose_solves_one_lift(solve_counter):
     dec = decompose_modulus(x)
     assert not dec.rigid
     assert solve_counter[2 * n] == 1
+
+
+@pytest.mark.parametrize("census", [(1, 2, 1), (0, 4, 0)])
+def test_decompose_analyses_the_lift_once(monkeypatch, census):
+    # the split's own extreme test decides rigidity: one inner-outer
+    # analysis of the lift, rigid or not
+    calls = []
+    monkeypatch.setattr(geometry, "inner_outer",
+                        lambda p: calls.append(p) or inner_outer(p))
+    dec = decompose_modulus(random_unit_element(4, census, 0))
+    assert dec.rigid == (census == (0, 4, 0))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +572,25 @@ def test_baseline_requires_normalization():
         baseline_split(TrigPoly(1, (0.5, 0.2)))
     with pytest.raises(NullInput):
         baseline_split(TrigPoly(0, (0j,)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: enumerate_solutions(g, g.n),
+    lambda g: rigidity_check(g, g.n, KernelElement(g.n, Poly((1.0,)))),
+    baseline_split,
+], ids=["enumerate_solutions", "rigidity_check", "baseline_split"])
+def test_not_nonnegative_names_its_point(call):
+    # the error names the smallest value found and its angle, a point
+    # where g < -tol
+    rng = np.random.default_rng(2135)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    g = TrigPoly(4, (0.1 + 0j,) + tuple(0.5 * c / np.abs(c).sum()))
+    cert = nonneg_check(g)
+    assert cert.min_value < -cert.tol
+    with pytest.raises(NotNonnegative) as err:
+        call(g)
+    assert f"min value {cert.min_value:.3e}" in str(err.value)
+    assert f"theta={cert.argmin_theta:.6f}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
