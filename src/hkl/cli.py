@@ -1,10 +1,20 @@
 """Command-line front door: JSON instances in, certificates out.
 
 One command is one process; exit codes are part of the contract:
-0 success, 2 a named precondition was violated, 3 an internal invariant
-broke or the arithmetic left the double range (never the caller's
-fault).  Output is deterministic byte for byte for identical inputs,
-flags and seed.
+0 success, 2 the caller's input (a named precondition was violated, or an
+input or output could not be read or written: BadInput), 3 an internal
+invariant broke or the arithmetic left the double range (never the
+caller's fault).  A failure writes one line ``error: <Type>: <message>``
+to stderr and nothing to stdout.  Output is deterministic byte for byte
+for identical inputs, flags and seed.
+
+Everything after argument parsing runs inside ``_handle``, the one place
+where an exception becomes an exit code and an error line: loading the
+inputs, the command's handler, serializing its output, writing the
+``--csv`` file and stdout, listing the batch inputs and writing each
+batch output.  The output is serialized before any file is written, so a
+failed command writes nothing.  Argparse reports a malformed command line
+itself, with exit code 2, before any of this runs.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: parsing never changes it, and each call gets a fresh
@@ -16,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -86,9 +95,9 @@ def _tols(args, **defaults) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (output dict, boundary or None, exit code); the
-# boundary is a zero-argument callable that samples the Grid for --csv, so
-# nothing is sampled without it
+# command handlers: return (output dict, boundary or None); the boundary is a
+# zero-argument callable that samples the Grid for --csv, so nothing is
+# sampled without it.  A failure is raised, never returned.
 # ---------------------------------------------------------------------------
 
 def cmd_factor(args):
@@ -115,7 +124,7 @@ def cmd_factor(args):
         "conventions": {"outer_value_at_zero": "real positive",
                         "phase_in": "inner.lambda"},
     }
-    return out, _poly_boundary(p, args.grid), 0
+    return out, _poly_boundary(p, args.grid)
 
 
 def cmd_spectral(args):
@@ -137,7 +146,7 @@ def cmd_spectral(args):
         "tolerances": tols,
         "conventions": {"value_at_zero": "real positive"},
     }
-    return out, _poly_boundary(f, args.grid), 0
+    return out, _poly_boundary(f, args.grid)
 
 
 def cmd_companion(args):
@@ -148,7 +157,7 @@ def cmd_companion(args):
         "input": jsonio.kernel_to_json(x),
         "result": jsonio.kernel_to_json(y),
     }
-    return out, _poly_boundary(y.f, args.grid), 0
+    return out, _poly_boundary(y.f, args.grid)
 
 
 def cmd_norm(args):
@@ -158,7 +167,7 @@ def cmd_norm(args):
         "input": jsonio.kernel_to_json(x),
         "h2_norm": h2_norm(x),
     }
-    return out, _poly_boundary(x.f, args.grid), 0
+    return out, _poly_boundary(x.f, args.grid)
 
 
 def cmd_extreme(args):
@@ -176,7 +185,7 @@ def cmd_extreme(args):
         "outer_part": jsonio.poly_to_json(cert.outer_part),
         "tolerances": tols,
     }
-    return out, _trig_boundary(g, args.grid), 0
+    return out, _trig_boundary(g, args.grid)
 
 
 def cmd_split(args):
@@ -210,7 +219,7 @@ def cmd_split(args):
             "representatives": "outer spectral factors",
         },
     }
-    return out, _trig_boundary(cert.g1, args.grid), 0
+    return out, _trig_boundary(cert.g1, args.grid)
 
 
 def cmd_decompose(args):
@@ -222,7 +231,7 @@ def cmd_decompose(args):
             "input": jsonio.kernel_to_json(x),
             "rigid": True,
         }
-        return out, _poly_boundary(x.f, args.grid), 0
+        return out, _poly_boundary(x.f, args.grid)
     out = {
         "command": "decompose",
         "input": jsonio.kernel_to_json(x),
@@ -237,7 +246,7 @@ def cmd_decompose(args):
             "rotation": jsonio.complex_pair(dec.split.rotation),
         },
     }
-    return out, _poly_boundary(dec.f1.f, args.grid), 0
+    return out, _poly_boundary(dec.f1.f, args.grid)
 
 
 def cmd_solutions(args):
@@ -265,7 +274,7 @@ def cmd_solutions(args):
                         "lowest nonzero coefficient real positive"},
     }
     boundary = _poly_boundary(sols[0].f, args.grid) if sols else None
-    return out, boundary, 0
+    return out, boundary
 
 
 def cmd_rigidity(args):
@@ -287,8 +296,7 @@ def cmd_rigidity(args):
         "remainder": res.remainder,
         "tolerances": tols,
     }
-    code = 3 if res.kind == geometry.RigidityResult.COUNTEREXAMPLE else 0
-    return out, _trig_boundary(g, args.grid), code
+    return out, _trig_boundary(g, args.grid)
 
 
 def cmd_outer_grid(args):
@@ -303,7 +311,7 @@ def cmd_outer_grid(args):
         "conventions": {"zero_frequency": "real positive",
                         "nyquist_bin": "zeroed in conjugation"},
     }
-    return out, lambda: result, 0
+    return out, lambda: result
 
 
 def cmd_symbol_test(args):
@@ -320,7 +328,7 @@ def cmd_symbol_test(args):
         "tolerances": tols,
     }
     return out, lambda: Grid(
-        np.conj(g.points) * np.conj(phi.values) * g.values.real), 0
+        np.conj(g.points) * np.conj(phi.values) * g.values.real)
 
 
 def cmd_domination(args):
@@ -333,7 +341,9 @@ def cmd_domination(args):
                    "trig": jsonio.trig_to_json(g)},
         "flag": "DIVERGENT" if res.divergent else "CONVERGENT",
         "value": None if res.divergent else res.value,
-        "estimates": list(res.estimates),
+        # a midpoint sum at a zero of g is inf: printed as null
+        "estimates": [e if math.isfinite(e) else None
+                      for e in res.estimates],
         "sizes": list(res.sizes),
     }
 
@@ -342,17 +352,21 @@ def cmd_domination(args):
         fa = np.abs(x.f(np.exp(1j * theta)))
         gv = np.maximum(g.values(theta), 1e-300)
         return Grid((fa / np.sqrt(gv)).astype(complex))
-    return out, boundary, 0
+    return out, boundary
 
 
 def _parse_census(spec: str) -> dict:
     counts = {"inside": 0, "circle": 0, "outside": 0}
+    seen = set()
     if spec:
         for part in spec.split(","):
             key, _, val = part.partition(":")
             key = key.strip()
             if key not in counts:
                 raise ValueError(f"unknown zero region {key!r}")
+            if key in seen:
+                raise ValueError(f"zero region {key!r} given twice")
+            seen.add(key)
             counts[key] = int(val)
     return counts
 
@@ -369,7 +383,7 @@ def cmd_gen(args):
     else:
         out = instance_to_json(x)
         boundary = _poly_boundary(x.f, args.grid)
-    return out, boundary, 0
+    return out, boundary
 
 
 def cmd_baseline_split(args):
@@ -383,7 +397,7 @@ def cmd_baseline_split(args):
         "conventions": {
             "tau": "Re(lambda z)/2 with lambda = i g1_hat/|g1_hat|, else 1"},
     }
-    return out, _trig_boundary(g1, args.grid), 0
+    return out, _trig_boundary(g1, args.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -481,56 +495,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _handle(args, prefix: str = ""):
-    """Run the command's handler and write its --csv boundary; on a named
-    failure of either, report it to stderr.
-
-    Returns (output dict, exit code); the output is None when the handler
-    or the boundary failed.  ``prefix`` starts the error line (the input
-    path in batch mode).
+def _handle(job, prefix: str = "") -> int:
+    """Run ``job()`` and return its exit code, the one place where an
+    exception becomes one: a precondition failure exits 2 under its own
+    name, a ValueError or OSError (files that cannot be read, parsed or
+    written) 2 as BadInput, an internal failure 3 under its own name, each
+    with the line ``{prefix}error: <Type>: <message>`` on stderr.
+    ``prefix`` is the input path in batch mode.
     """
-    handler, _ = COMMANDS[args.command]
     try:
-        out, boundary, code = handler(args)
-        if args.csv and boundary is not None:
-            write_boundary_csv(args.csv, boundary())
-        return out, code
+        job()
+        return 0
     except PreconditionError as exc:
         name, code, msg = type(exc).__name__, 2, str(exc)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         name, code, msg = "BadInput", 2, str(exc)
     except InternalInvariantError as exc:
         name, code, msg = type(exc).__name__, 3, str(exc)
     print(f"{prefix}error: {name}: {msg}", file=sys.stderr)
-    return None, code
+    return code
+
+
+def _output(args) -> str:
+    """The command's output text; its --csv boundary is written only once
+    the output is serialized."""
+    handler, _ = COMMANDS[args.command]
+    out, boundary = handler(args)
+    text = dumps(out) + "\n"
+    if args.csv and boundary is not None:
+        write_boundary_csv(args.csv, boundary())
+    return text
+
+
+def _batch_inputs(batch_dir: str) -> list[Path]:
+    """The *.json files of a batch directory, except the outputs of earlier
+    batch runs."""
+    files = sorted(p for p in Path(batch_dir).glob("*.json")
+                   if not p.name.endswith(".out.json"))
+    if not files:
+        raise ValueError(f"no *.json files in {batch_dir}")
+    return files
+
+
+def _batch_output(args, path: Path) -> None:
+    """Run the command on one batch input; write its output next to it."""
+    args.input = str(path)
+    text = _output(args)
+    path.with_suffix(f".{args.command}.out.json").write_text(text)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    batch_dir = getattr(args, "batch", None)
-    if batch_dir is None:
-        out, code = _handle(args)
-        if out is not None:
-            sys.stdout.write(dumps(out) + "\n")
-        return code
+    if getattr(args, "batch", None) is None:
+        return _handle(lambda: sys.stdout.write(_output(args)))
 
     # batch mode (single-input commands only): per-input output files next
-    # to the inputs, no shared writes; the outputs of earlier batch runs are
-    # not inputs
-    worst = 0
-    files = sorted(p for p in Path(batch_dir).glob("*.json")
-                   if not p.name.endswith(".out.json"))
-    if not files:
-        print(f"error: BadInput: no *.json files in {batch_dir}",
-              file=sys.stderr)
-        return 2
+    # to the inputs, no shared writes; an input that fails is reported and
+    # the others still run
+    files: list[Path] = []
+    worst = _handle(lambda: files.extend(_batch_inputs(args.batch)))
     for path in files:
-        args.input = str(path)
-        out, code = _handle(args, prefix=f"{path}: ")
-        if out is not None:
-            path.with_suffix(f".{args.command}.out.json").write_text(
-                dumps(out) + "\n")
-        worst = max(worst, code)
+        job = functools.partial(_batch_output, args, path)
+        worst = max(worst, _handle(job, prefix=f"{path}: "))
     return worst
 
 

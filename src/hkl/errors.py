@@ -7,7 +7,8 @@ Two families matter for the CLI exit-code contract:
   nonnegative and is not raises ``NotNonnegative``, always with a point
   where it is below the tolerance.
 * ``InternalInvariantError`` - an invariant the library itself guarantees
-  failed, or double precision could not carry the computation
+  failed (``SelfCheckFailed``: a result failed the library's own check of
+  it), or double precision could not carry the computation
   (``RootOverflow``, or ``PairingFailure`` on a nonnegative function whose
   lift's roots do not pair); never the caller's fault (exit code 3).
 """
@@ -88,5 +89,14 @@ class PairingFailure(InternalInvariantError):
 
 
 class RootOverflow(InternalInvariantError):
-    """The root engine left the double range: a root or its residual is not
-    finite, because the coefficients overflow in the arithmetic of the solve."""
+    """A computed number left the double range: a root or its residual in
+    the root engine, a reconstruction on the circle, or any number to be
+    serialized (``jsonio.dumps``) is not finite, because the input's
+    coefficients overflow in the arithmetic."""
+
+
+class SelfCheckFailed(InternalInvariantError):
+    """A result failed the library's own check of it: a spectral factor
+    whose round trip misses g (``fejer_riesz``), or a dominated kernel
+    element that is not a multiple of the spectral factor
+    (``rigidity_check``)."""

@@ -28,15 +28,19 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import NotDivisible, NullInput, PairingFailure, PoleHit
+from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
+                     SelfCheckFailed)
 from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
                        _horner, _polish as _newton_polish, lift,
                        refine_circle_angle, require_nonnegative, roots,
-                       self_inversive_phase, synthetic_divide, trig_scale)
+                       self_inversive_phase, synthetic_divide,
+                       trig_from_modulus_squared, trig_scale)
 
 PAIR_TOL = 1e-6      # relative tolerance for matching reflected zero pairs
 TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
 POLE_TOL = 1e-12
+# a returned spectral factor's round trip, relative to |g_0| + 2 sum |g_k|
+TOL_SPECTRAL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -180,15 +184,20 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     it is.
 
     Raises NullInput for the zero function, NotNonnegative when
-    ``nonneg_check`` finds a point where g < -tol, and PairingFailure when
-    the roots of a g that passed it do not pair: an inside zero has no
-    reflected partner, or an odd circle zero is left (``_circle_zeros``).
+    ``nonneg_check(g)`` finds a point where g < -tol (the error names that
+    value and tolerance in g's units), PairingFailure when the roots of a
+    g that passed it do not pair: an inside zero has no reflected partner,
+    or an odd circle zero is left (``_circle_zeros``), and SelfCheckFailed
+    when the polished factor's round trip (``_round_trip``) exceeds
+    TOL_SPECTRAL times |g_0| + 2 sum |g_k|: no factor that misses g is
+    returned.
 
     The factor is memoized per g at unit scale (``_fejer_riesz_cached``,
     keyed on the frozen TrigPoly like ``polycore._roots_cached``), so the
     pipelines that ask for the factor of one g from several public calls
     build and polish it once.  A raised error is not memoized.
     """
+    require_nonnegative(g)
     scale = max(1.0, max(abs(c) for c in g.coeffs))
     if scale > 1.0:
         # near the top of the double range the polish's residual norms
@@ -200,10 +209,10 @@ def fejer_riesz(g: TrigPoly) -> Poly:
 
 @functools.lru_cache(maxsize=512)
 def _fejer_riesz_cached(g: TrigPoly) -> Poly:
-    """The factor of ``fejer_riesz`` for g with max |g_k| <= 1, computed."""
+    """The factor of ``fejer_riesz`` for a nonnegative g with
+    max |g_k| <= 1, computed and checked by its round trip."""
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
-    require_nonnegative(g)
 
     rs = roots(lift(g))
     inside = [r for r in rs.inside if abs(r.location) > ORIGIN_TOL]
@@ -230,7 +239,23 @@ def _fejer_riesz_cached(g: TrigPoly) -> Poly:
             cofactor = np.convolve(cofactor, [-r.location, 1.0])
     angles = np.array([t for t, _ in circle])
     halves = np.array([m // 2 for _, m in circle], dtype=int)
-    return _factor_from_zeros(g, cofactor, angles, halves)
+    f = _factor_from_zeros(g, cofactor, angles, halves)
+    resid = _round_trip(f, g)
+    bound = TOL_SPECTRAL * (abs(g.coeffs[0])
+                            + 2 * sum(abs(c) for c in g.coeffs[1:]))
+    if not resid <= bound:
+        raise SelfCheckFailed(f"the factor's round trip {resid:.3e} "
+                              f"exceeds {bound:.1e}")
+    return f
+
+
+def _round_trip(f: Poly, g: TrigPoly) -> float:
+    """sum over |k| <= n of |(|f|^2)_k - g_k|, which bounds |f|^2 - g on
+    the whole circle."""
+    back = trig_from_modulus_squared(f)
+    diff = np.abs([back.coeff(k) - g.coeff(k)
+                   for k in range(max(back.n, g.n) + 1)])
+    return float(diff[0] + 2.0 * diff[1:].sum())
 
 
 def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray, angles: np.ndarray,

@@ -49,7 +49,9 @@ def random_census_poly(inside: int, circle: int, outside: int,
                 if admissible(a):
                     break
             else:
-                raise RuntimeError("could not place separated zeros")
+                raise ValueError(
+                    f"could not place {inside + circle + outside} zeros "
+                    f"{MIN_SEPARATION} apart")
             placed.extend((a, 1.0 / a.conjugate()))
             out = out * Poly((-a, 1))
     return out
@@ -63,6 +65,8 @@ def random_kernel_element(n: int, inside: int, circle: int, outside: int,
     below n (which forces zeros of the companion at the origin).  Phase is
     fixed by making the lowest coefficient real positive.
     """
+    if min(inside, circle, outside) < 0:
+        raise ValueError("zero counts must be nonnegative")
     total = inside + circle + outside
     if total > n:
         raise ValueError(f"census size {total} exceeds model order {n}")

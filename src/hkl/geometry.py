@@ -45,15 +45,17 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
-                     NotNormalized, NotOnBoundary, NotUnitNorm, NullInput)
+                     NotNormalized, NotOnBoundary, NotUnitNorm, NullInput,
+                     SelfCheckFailed)
 from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
-                     blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
-from .kernel import KernelElement, Membership, h2_norm, membership_V
+                     _round_trip, blaschke_mul_poly, divisors, fejer_riesz,
+                     inner_outer)
+from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
+                     membership_V)
 from .polycore import (Poly, TrigPoly, lift, nonneg_tol, require_nonnegative,
                        roots, trig_add, trig_mul, trig_scale,
                        trig_from_modulus_squared, unlift)
 
-TOL_NORM = 1e-12        # mean-equals-one test
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
 TOL_REMAINDER = 1e-9
@@ -75,7 +77,7 @@ class ExtremeCertificate:
     tol_norm: float
 
 
-def is_extreme(g: TrigPoly, n: int, *, tol_norm: float = TOL_NORM) -> ExtremeCertificate:
+def is_extreme(g: TrigPoly, n: int, *, tol_norm: float = NORM_TOL) -> ExtremeCertificate:
     """Extreme iff the mean is 1 and the lift z**n g has trivial inner factor.
 
     Equivalently (tested as an oracle): every root of the lift lies on the
@@ -148,7 +150,7 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
 
     so f1 is prod (z - w)**(m/2) (lam N + D) up to a constant, polished on
     g1 as in ``fejer_riesz``, and f2 pairs with lam N - D.  A factor is
-    accepted when |mean - 1| <= TOL_NORM and its round trip (``_round_trip``,
+    accepted when |mean - 1| <= NORM_TOL and its round trip (``_round_trip``,
     the larger of the two is ``checks.factor_residual``) is at most
     nonneg_tol(g_j): then g_j >= -tol on the whole circle and |g_j| <= tol at
     the n zeros of f_j, so g_j is extreme.  A half that fails it gets
@@ -213,7 +215,7 @@ def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
     factor prod (z - w)**(m/2) p over g's circle zeros ``circle`` (None when
     an odd circle root was left), accepted as in ``split_nonextreme``, or
     else the factor and verdict from solving the lift of gj."""
-    if circle is not None and abs(gj.mean - 1.0) <= TOL_NORM:
+    if circle is not None and abs(gj.mean - 1.0) <= NORM_TOL:
         angles = np.array([t for t, _ in circle])
         halves = np.array([m // 2 for _, m in circle], dtype=int)
         f = _factor_from_zeros(gj, p, angles, halves)
@@ -222,15 +224,6 @@ def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
             return f, True, resid
     f = fejer_riesz(gj)
     return f, is_extreme(gj, n).verdict, _round_trip(f, gj)
-
-
-def _round_trip(f: Poly, g: TrigPoly) -> float:
-    """sum over |k| <= n of |(|f|^2)_k - g_k|, which bounds |f|^2 - g on
-    the whole circle."""
-    back = trig_from_modulus_squared(f)
-    diff = np.abs([back.coeff(k) - g.coeff(k)
-                   for k in range(max(back.n, g.n) + 1)])
-    return float(diff[0] + 2.0 * diff[1:].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +303,17 @@ def _normalize_lowest(f: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class RigidityResult:
-    kind: str                   # CONSTANT_MULTIPLE | NOT_DOMINATED | COUNTEREXAMPLE
+    """One of two kinds: CONSTANT_MULTIPLE, with the constant and the
+    division's remainder, or NOT_DOMINATED, with a circle zero of g where
+    domination fails."""
+
+    kind: str                   # CONSTANT_MULTIPLE | NOT_DOMINATED
     constant: complex | None = None
     witness: complex | None = None   # circle zero where domination fails
     remainder: float | None = None
 
     CONSTANT_MULTIPLE = "CONSTANT_MULTIPLE"
     NOT_DOMINATED = "NOT_DOMINATED"
-    COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 
 def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
@@ -326,17 +322,17 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
 
     x.f is divided by F = ``fejer_riesz(g)`` first: a constant multiple of
     F, within tol_remainder, is dominated and is CONSTANT_MULTIPLE with no
-    root solve.  Any other x.f is NOT_DOMINATED or a COUNTEREXAMPLE.
-    Domination (finiteness of the integral of |f|/sqrt(g)) is decided by an
-    exact multiplicity rule: at a circle zero of g with multiplicity 2m
+    root solve.  Any other x.f must be NOT_DOMINATED.  Domination
+    (finiteness of the integral of |f|/sqrt(g)) is decided by an exact
+    multiplicity rule: at a circle zero of g with multiplicity 2m
     (``_circle_zeros``) the integrand behaves like |z - zeta|**(k - m)
     where k is f's zero multiplicity there, integrable iff k >= m.  No
     mean-1 hypothesis is needed, so this check bypasses the membership
     test on purpose.
 
-    A COUNTEREXAMPLE result (dominated but not a constant multiple) is
-    impossible when the implementation is correct; returning it signals an
-    internal bug, never a property of the input.
+    A dominated x.f that is not a constant multiple is impossible when the
+    implementation is correct, so it raises SelfCheckFailed: an internal
+    bug, never a property of the input.
     """
     if g.is_null:
         raise NullInput("rigidity needs a non-null modulus")
@@ -365,8 +361,9 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
         have = f_roots.multiplicity_near(zc, ROOT_MATCH_TOL) if f_roots else 0
         if have < m // 2:
             return RigidityResult(RigidityResult.NOT_DOMINATED, witness=zc)
-    return RigidityResult(RigidityResult.COUNTEREXAMPLE,
-                          remainder=max(rem_norm, nonconst))
+    raise SelfCheckFailed(
+        f"a dominated kernel element is not a multiple of the spectral "
+        f"factor: remainder {max(rem_norm, nonconst):.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +380,7 @@ def baseline_split(g: TrigPoly) -> tuple[TrigPoly, TrigPoly]:
     if g.is_null:
         raise NullInput("cannot split the zero function")
     require_nonnegative(g)
-    if abs(g.mean - 1.0) > TOL_NORM:
+    if abs(g.mean - 1.0) > NORM_TOL:
         raise NotNormalized(f"mean {g.mean} != 1")
     c1 = g.coeff(1)
     lam = 1j * c1 / abs(c1) if abs(c1) > 0 else complex(1.0)
@@ -471,20 +468,12 @@ def _sampled_search(g: TrigPoly, n: int, circle: tuple, *, trials: int,
     perturbations up to about a quarter of the grid spacing, orders of
     magnitude above the scale this certificate needs to exclude.
 
-    Each block of random candidate directions passes three stages, and a
+    Each block of random candidate directions passes two stages, and a
     candidate is dropped as soon as it cannot beat the best norm so far:
 
-    1. zeros of g: the cheap-set points where g evaluates to exactly 0.  A
-       direction that does not vanish at one of them has |h|/g = inf there,
-       so its admissible step, and with it its reachable norm, is exactly
-       0.  Such a candidate can never beat the incumbent (which is >= 0),
-       so this stage only drops candidates that stage 2 would reject too.
-       At an extreme point g has double zeros on the circle, and at many
-       of the refined zero angles it rounds to 0, so this stage usually
-       drops every random direction after one narrow product.
-    2. the cheap set: the refined points near the zeros plus the 64
+    1. the cheap set: the refined points near the zeros plus the 64
        lowest uniform points bound the reachable norm from above.
-    3. the full grid, one candidate at a time, for the candidates whose
+    2. the full grid, one candidate at a time, for the candidates whose
        bound still beats the incumbent.
     """
     rng = np.random.default_rng(seed)
@@ -513,7 +502,6 @@ def _sampled_search(g: TrigPoly, n: int, circle: tuple, *, trials: int,
                                  np.argsort(gv[:grid_size])[:64]]))
     basis_cheap = basis[:, cheap_idx]
     inv_cheap = inv_gv[cheap_idx]
-    basis_zero = basis_cheap[:, np.isinf(inv_cheap)]
 
     best_norm = 0.0
     best_dir = np.zeros(n, dtype=complex)
@@ -527,11 +515,6 @@ def _sampled_search(g: TrigPoly, n: int, circle: tuple, *, trials: int,
 
     def consider(coeff_block: np.ndarray) -> None:
         nonlocal best_norm, best_dir
-        if basis_zero.shape[1]:
-            coeff_block = coeff_block[
-                ~(coeff_block @ basis_zero).real.any(axis=1)]
-            if not len(coeff_block):
-                return
         ah_cheap = np.abs(2.0 * (coeff_block @ basis_cheap).real)
         top_cheap = binding(ah_cheap, inv_cheap[None, :]).max(axis=1)
         with np.errstate(divide="ignore"):

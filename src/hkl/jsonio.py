@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .errors import RootOverflow
 from .factor import BlaschkeProduct
 from .kernel import KernelElement
 from .numeric import Grid
@@ -38,12 +39,18 @@ MAX_ORDER = 1024
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError("cannot serialize non-finite numbers")
+        raise RootOverflow(f"cannot serialize the non-finite number {x}: "
+                           f"the computation left the double range")
     return format(float(x), ".17g")
 
 
 def dumps(obj) -> str:
-    """JSON text with floats at 17 significant digits, insertion-ordered keys."""
+    """JSON text with floats at 17 significant digits, insertion-ordered keys.
+
+    A non-finite float raises RootOverflow: every number written is
+    computed by the library from finite inputs, so one that left the
+    double range is the arithmetic's failure, not the caller's.
+    """
     parts: list[str] = []
     _emit(obj, parts)
     return "".join(parts)
@@ -252,4 +259,8 @@ def instance_from_json(d: dict):
 
 
 def load_instance(text: str):
-    return instance_from_json(json.loads(text))
+    try:
+        d = json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON text nests too deeply") from None
+    return instance_from_json(d)

@@ -15,7 +15,7 @@ from enum import Enum
 from .polycore import (NonnegCertificate, Poly, TrigPoly,
                        modulus_squared_terms, nonneg_check)
 
-NORM_TOL = 1e-12
+NORM_TOL = 1e-12   # the one mean-equals-1 test, here and in geometry
 
 
 @dataclass(frozen=True)

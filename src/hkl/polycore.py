@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -877,12 +877,22 @@ def nonneg_check(g: TrigPoly) -> NonnegCertificate:
     tolerance ``nonneg_tol(g)``; the certificate carries the smallest
     value and its angle, on failure a point where g < -tol.
 
-    The certificate is memoized per g (``_nonneg_cached``, keyed on the
-    frozen TrigPoly like ``_roots_cached``): the pipelines check one g from
-    several public calls, and every check after the first returns the same
-    certificate without a new scan.
+    When a coefficient of g exceeds 1 in modulus (s = max |g_k| > 1), the
+    search runs on g / s, the g that ``factor.fejer_riesz`` factors, and
+    the value and tolerance are reported times s, in g's units; the
+    verdict is that of g / s.  A g with max |g_k| <= 1 is checked as it is.
+
+    The certificate is memoized per g at unit scale (``_nonneg_cached``,
+    keyed on the frozen TrigPoly like ``_roots_cached``): the pipelines
+    check one g from several public calls, and every check after the first
+    returns the same certificate without a new scan.
     """
-    return _nonneg_cached(g)
+    scale = max(1.0, max(abs(c) for c in g.coeffs))
+    if scale == 1.0:
+        return _nonneg_cached(g)
+    cert = _nonneg_cached(trig_scale(g, 1.0 / scale))
+    return replace(cert, min_value=cert.min_value * scale,
+                   tol=cert.tol * scale)
 
 
 def require_nonnegative(g: TrigPoly) -> None:

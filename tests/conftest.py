@@ -80,6 +80,21 @@ MERGED_RESIDUAL = trig_from_hex((
     ("0x1.e01129a6d6829p-2", "0x1.63f9b8fa43a4ep-3")))
 
 
+def _flat_band_modulus(n, seed):
+    """1 plus a band-n term drawn as coefficients with sum |g_k| = 0.2, so
+    g >= 0.6 and no zero comes near the circle."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c *= 0.2 / np.abs(c).sum()
+    return TrigPoly(n, (1 + 0j,) + tuple(complex(x) for x in c))
+
+
+# at order 80 the factor built from the lift's roots misses g by about 14
+# in its round trip: the chained expansion of its ~80 zeros spread around
+# the circle leaves no correct digit
+FLAT_ORDER_80 = _flat_band_modulus(80, 80)
+
+
 def census_suite(count, seed, max_n=12):
     """Random census instances with ground-truth labels.
 

@@ -178,16 +178,13 @@ def test_criterion_7_rigidity():
     rng = np.random.default_rng(777)
     start = time.perf_counter()
     worst = 0.0
-    counterexamples = 0
     for _ in range(120):
         n = int(rng.integers(1, 9))
         g = random_boundary_modulus(n, 0, n, 0, rng)
         base = fejer_riesz(g)
         c = rng.uniform(0.3, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        # a counterexample (dominated, not a multiple) raises SelfCheckFailed
         res = rigidity_check(g, n, KernelElement(n, base.scaled(c)))
-        if res.kind == RigidityResult.COUNTEREXAMPLE:
-            counterexamples += 1
-            continue
         worst = max(worst, abs(res.constant - c))
 
     r = 1 / math.sqrt(2)
@@ -196,12 +193,12 @@ def test_criterion_7_rigidity():
     neg = rigidity_check(g_neg, 1, x_neg)
     witness = domination_integral(x_neg, g_neg)
     elapsed = time.perf_counter() - start
-    ok = (counterexamples == 0 and worst <= 1e-9
+    ok = (worst <= 1e-9
           and neg.kind == RigidityResult.NOT_DOMINATED
           and witness.divergent)
     report(7, ok, elapsed, 10.0,
            f"120 constant multiples recovered to {worst:.1e}, "
-           f"{counterexamples} counterexamples, engineered case "
+           f"engineered case "
            f"NOT_DOMINATED with DIVERGENT witness")
 
 

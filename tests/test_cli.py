@@ -1,6 +1,10 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -8,10 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import HOLDOUT_131, MERGED_RESIDUAL, UNMERGED_ODD_ZERO
+from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
+                      UNMERGED_ODD_ZERO)
 
 import hkl
+from hkl import geometry
 from hkl.cli import COMMANDS, build_parser, main
 from hkl.gen import random_boundary_modulus
 from hkl.geometry import split_nonextreme
@@ -563,3 +571,232 @@ def test_spectral_factors_holdout_131_split_half(files, capsys):
     code, out, err = run(capsys, ["spectral", path])
     assert code == 0 and err == ""
     assert json.loads(out)["checks"]["residual_ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# one error path: every failure after parsing is an exit code and one line
+# ---------------------------------------------------------------------------
+
+def _assert_one_error(code, out, err, expected_code, name):
+    assert code == expected_code and out == ""
+    assert err.startswith(f"error: {name}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_norm_out_of_double_range_exits_3(tmp_path, capsys):
+    # the H2 norm of 1e200 + 1e200 z is inf; serializing it is the
+    # arithmetic's failure, not the caller's
+    path = tmp_path / "k.json"
+    path.write_text('{"version": "hkl-1", "type": "kernel", "payload": '
+                    '{"n": 1, "poly": {"coeffs": [[1e200, 0], [1e200, 0]]}}}')
+    _assert_one_error(*run(capsys, ["norm", str(path)]), 3, "RootOverflow")
+
+
+def test_domination_prints_an_infinite_estimate_as_null(files, capsys):
+    # g = 1 - cos(theta - pi/16) has its double zero on the first
+    # 16-point midpoint, so the coarsest estimate is inf
+    write, _ = files
+    fpath = write("f.json", KernelElement(0, Poly((1.0,))))
+    gpath = write("g.json", TrigPoly(1, (1.0, -0.5 * np.exp(-1j * np.pi / 16))))
+    code, out, err = run(capsys, ["domination", fpath, gpath])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["flag"] == "DIVERGENT" and doc["value"] is None
+    assert doc["estimates"][0] is None
+    assert all(math.isfinite(e) for e in doc["estimates"][1:])
+
+
+def test_batch_output_that_cannot_be_written_names_its_input(tmp_path,
+                                                              capsys):
+    d = tmp_path / "batch"
+    d.mkdir()
+    for name in ("a.json", "b.json"):
+        (d / name).write_text(
+            dumps(instance_to_json(TrigPoly(1, (1.0, 0.5)))) + "\n")
+    (d / "a.extreme.out.json").mkdir()
+    code, out, err = run(capsys, ["extreme", "--n", "1", "--batch", str(d)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"{d / 'a.json'}: error: BadInput: ")
+    assert len(err.splitlines()) == 1
+    # every other input is still processed
+    assert json.loads((d / "b.extreme.out.json").read_text())["verdict"]
+
+
+def test_empty_batch_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, ["extreme", "--n", "1", "--batch",
+                                  str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"error: BadInput: no *.json files in {tmp_path}\n"
+
+
+def test_gen_zeros_that_cannot_be_placed_exit_2(capsys):
+    code, out, err = run(capsys, ["gen", "--n", "100", "--zeros",
+                                  "circle:100"])
+    _assert_one_error(code, out, err, 2, "BadInput")
+
+
+@pytest.mark.parametrize("zeros", ["inside:-2", "circle:-1,outside:1",
+                                   "inside:1,inside:1"])
+def test_gen_negative_or_repeated_count_exits_2(capsys, zeros):
+    code, out, err = run(capsys, ["gen", "--n", "3", "--zeros", zeros])
+    _assert_one_error(code, out, err, 2, "BadInput")
+
+
+def test_deeply_nested_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, ["spectral", str(path)])
+    _assert_one_error(code, out, err, 2, "BadInput")
+
+
+def test_spectral_factor_that_misses_g_exits_3(files, capsys):
+    # g = 1 + a band-80 term of l1 size 0.2: the root-built factor misses
+    # g by about 14 in its round trip, which the library now refuses
+    write, _ = files
+    path = write("g.json", FLAT_ORDER_80)
+    code, out, err = run(capsys, ["spectral", path])
+    _assert_one_error(code, out, err, 3, "SelfCheckFailed")
+
+
+def test_rigidity_counterexample_exits_3(files, capsys, monkeypatch):
+    # with g's circle zero hidden, a kernel element that is not dominated
+    # looks like a counterexample: the library's own failure, one error line
+    write, _ = files
+    gpath = write("g.json", TrigPoly(1, (1.0, 0.5)))
+    r = 1 / math.sqrt(2)
+    fpath = write("f.json", KernelElement(1, Poly((r, -r))))
+    monkeypatch.setattr(geometry, "_circle_zeros", lambda g: ())
+    code, out, err = run(capsys, ["rigidity", gpath, fpath, "--n", "1"])
+    _assert_one_error(code, out, err, 3, "SelfCheckFailed")
+
+
+# argv-level fuzz: every command line either fails in argparse (exit 2) or
+# ends with 0, 2 or 3 and, on a failure, only error lines on stderr
+
+# the instance type of each positional argument
+_POSITIONALS = {
+    "factor": ("poly",), "spectral": ("trig",), "companion": ("kernel",),
+    "norm": ("kernel",), "extreme": ("trig",), "split": ("trig",),
+    "decompose": ("kernel",), "solutions": ("trig",),
+    "rigidity": ("trig", "kernel"), "outer-grid": ("grid",),
+    "symbol-test": ("grid", "grid"), "domination": ("kernel", "trig"),
+    "gen": (), "baseline-split": ("trig",),
+}
+# (good values, bad values) of each flag
+_FUZZ_FLAGS = {
+    "--n": (["1", "2", "3", "12"], ["-1", "0", "x", "2000"]),
+    "--grid": (["8", "64", "4096"], ["4", "3", "0", "x"]),
+    "--tol": (["1e-9", "1e-3"], ["0", "nan", "inf", "-1", "x"]),
+    "--zeros": (["", "inside:1", "circle:1,outside:1", "circle:2"],
+                ["circle:12", "inside:-1", "inside:1,inside:1", "bogus:1",
+                 "circle:x"]),
+    "--emit": (["kernel", "trig"], ["x"]),
+    "--seed": (["0", "7"], ["x"]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """(good input files by type, bad input files, good and bad values of
+    --csv and --batch)."""
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def write(name, text):
+        path = root / name
+        path.write_text(text)
+        return str(path)
+
+    def instance(name, obj):
+        return write(name, dumps(instance_to_json(obj)) + "\n")
+
+    r = 1 / math.sqrt(2)
+    good = {
+        "trig": [instance("extreme.json", TrigPoly(1, (1.0, 0.5))),
+                 instance("split.json", TrigPoly(1, (1.0, 0.25))),
+                 instance("trig2.json", TrigPoly(2, (1.0, 0.25, 0.25)))],
+        "kernel": [instance("kernel.json", KernelElement(1, Poly((r, -r))))],
+        "poly": [instance("poly.json", Poly((-0.5, 1.25, -0.5)))],
+        "grid": [instance("grid.json",
+                          Grid.sample(lambda z: np.abs(1 - z / 2), 16))],
+    }
+    bad = [
+        instance("negative.json", TrigPoly(1, (0.1, 0.5))),
+        instance("huge_trig.json", TrigPoly(1, (1e300, 4e299))),
+        write("huge_kernel.json",
+              '{"version": "hkl-1", "type": "kernel", "payload": {"n": 1, '
+              '"poly": {"coeffs": [[1e200, 0], [1e200, 0]]}}}'),
+        write("malformed.json", '{"version": "hkl-1", "type": '),
+        write("deep.json", "[" * 100_000),
+        str(root / "missing.json"),
+    ] + [path for paths in good.values() for path in paths]
+    batches = []
+    for k, names in enumerate([("extreme.json", "split.json"),
+                               ("kernel.json", "poly.json"), (),
+                               ("extreme.json", "malformed.json")]):
+        d = root / f"batch{k}"
+        d.mkdir()
+        for name in names:
+            (d / name).write_text((root / name).read_text())
+        batches.append(str(d))
+    # an output path that is a directory
+    Path(batches[3], "extreme.extreme.out.json").mkdir()
+    (root / "csvdir").mkdir()
+    paths = {"--csv": ([str(root / "out.csv")],
+                       [str(root / "missing" / "out.csv"),
+                        str(root / "csvdir")]),
+             "--batch": (batches[:2], batches[2:] + [str(root / "none")])}
+    return good, bad, paths
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _good_or_bad(data, good, bad):
+    """Three draws in four from the good values."""
+    if bad and data.draw(st.integers(0, 3)) == 0:
+        return data.draw(st.sampled_from(bad))
+    return data.draw(st.sampled_from(good))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_argv_fuzz_exits_0_2_or_3_with_one_error_line(fuzz_files, data):
+    good, bad, paths = fuzz_files
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    kinds = _POSITIONALS[command]
+    count = data.draw(st.sampled_from([len(kinds)] * 3 + [0]))
+    argv = [command] + [_good_or_bad(data, good[k], bad)
+                        for k in kinds[:count]]
+    values = dict(_FUZZ_FLAGS, **paths)
+    # mostly the flags this command takes, --n always where it needs it;
+    # sometimes one it does not take
+    takes = sorted(f for f in _subparser(command)._option_string_actions
+                   if f in values)
+    flags = data.draw(st.lists(st.sampled_from(takes), unique=True,
+                               max_size=3))
+    if "--n" in takes and "--n" not in flags:
+        flags.append("--n")
+    if data.draw(st.integers(0, 9)) == 0:
+        flags.append(data.draw(st.sampled_from(sorted(values))))
+    for flag in flags:
+        argv += [flag, _good_or_bad(data, *values[flag])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse refused the command line
+            assert exc.code == 2 and out.getvalue() == ""
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+        return
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and all(re.match(r"(.*: )?error: \w+: ", ln) for ln in lines)
+    if "--batch" not in argv:
+        assert len(lines) == 1 and lines[0].startswith("error: ")

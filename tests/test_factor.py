@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (HOLDOUT_131, MERGED_RESIDUAL, UNMERGED_ODD_ZERO,
-                      census_suite)
+from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
+                      UNMERGED_ODD_ZERO, census_suite)
 
 from hkl import factor
 from hkl.errors import (NotDivisible, NotNonnegative, NullInput,
-                        PairingFailure, PoleHit, PreconditionError)
+                        PairingFailure, PoleHit, PreconditionError,
+                        SelfCheckFailed)
 from hkl.factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
                         divisors, fejer_riesz, inner_outer)
 from hkl.gen import random_boundary_modulus
@@ -195,6 +196,31 @@ def test_fejer_near_touching_family_negative_iff_oracle_says_so():
             with pytest.raises(NotNonnegative):
                 fejer_riesz(g)
     assert signs == {True, False}
+
+
+def test_fejer_not_nonnegative_names_the_minimum_of_g():
+    # g = 3 + 4 cos(theta) has max |g_k| = 3: the error gives g's own
+    # minimum, -1, and tolerance, not those of g / 3
+    g = TrigPoly(1, (3.0, 2.0))
+    cert = nonneg_check(g)
+    assert cert.min_value == pytest.approx(-1.0)
+    assert cert.tol == pytest.approx(nonneg_tol(g))
+    with pytest.raises(NotNonnegative) as err:
+        fejer_riesz(g)
+    assert (f"min value {cert.min_value:.3e} < -{cert.tol:.1e}"
+            in str(err.value))
+
+
+def test_fejer_refuses_a_factor_that_misses_g():
+    # g >= 0.6, so the factor exists and is well conditioned; the one built
+    # from the lift's roots at order 80 misses it, and is not returned
+    g = FLAT_ORDER_80
+    assert nonneg_check(g).min_value >= 0.6 - 1e-12
+    with pytest.raises(SelfCheckFailed, match="round trip"):
+        fejer_riesz(g)
+    # cut to order 64, the same g is factored to rounding
+    g64 = TrigPoly(64, g.coeffs[:65])
+    assert factor._round_trip(fejer_riesz(g64), g64) <= 1e-14
 
 
 def test_fejer_null():

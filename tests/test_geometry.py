@@ -10,7 +10,7 @@ from conftest import (HOLDOUT_131, census_suite, random_unit_element,
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                         NotInV, NotNonnegative, NotNormalized, NotOnBoundary,
-                        NotUnitNorm, NullInput)
+                        NotUnitNorm, NullInput, SelfCheckFailed)
 from hkl.factor import blaschke_eval, fejer_riesz, inner_outer
 from hkl.gen import random_boundary_modulus, random_kernel_element
 from hkl.geometry import (PerturbationSearch, RigidityResult, _sampled_search,
@@ -472,6 +472,16 @@ def test_rigidity_not_dominated():
     res = rigidity_check(g, 1, KernelElement(1, Poly((r, -r))))
     assert res.kind == RigidityResult.NOT_DOMINATED
     assert res.witness == pytest.approx(-1.0)
+
+
+def test_rigidity_counterexample_raises(monkeypatch):
+    # with g's circle zero hidden, x looks dominated but is no multiple of
+    # the factor: an internal bug, raised rather than returned
+    monkeypatch.setattr(geometry, "_circle_zeros", lambda g: ())
+    r = 1 / math.sqrt(2)
+    with pytest.raises(SelfCheckFailed, match="not a multiple"):
+        rigidity_check(TrigPoly(1, (1.0, 0.5)), 1,
+                       KernelElement(1, Poly((r, -r))))
 
 
 # census instance 158 of bench/workloads.census_inputs(202, 240), n = 9,
