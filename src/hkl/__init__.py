@@ -5,8 +5,8 @@ with an independent FFT engine for sampled symbols."""
 from .errors import (AlreadyExtreme, BandExceeded, HklError,
                      InnerFactorPresent, InternalInvariantError,
                      NonConvergence, NotDivisible, NotInV, NotNonnegative,
-                     NotNormalized, NotOnBoundary, NotUnitNorm, NullInput,
-                     PoleHit, PreconditionError, RootOverflow, TooSmall)
+                     NotOnBoundary, NotUnitNorm, NullInput, PoleHit,
+                     PreconditionError, RootOverflow, TooSmall)
 from .factor import (BlaschkeProduct, Factorization, blaschke_eval,
                      blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
 from .gen import (random_boundary_modulus, random_census_poly,

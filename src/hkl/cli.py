@@ -54,8 +54,10 @@ def _load(path: str | None, want: type):
 
 
 def order(text: str) -> int:
-    """The ``--n`` argument: an integer no larger than jsonio.MAX_ORDER."""
+    """The ``--n`` argument: an integer from 0 to jsonio.MAX_ORDER."""
     n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"model order {n} is negative")
     if n > jsonio.MAX_ORDER:
         raise argparse.ArgumentTypeError(
             f"model order {n} exceeds {jsonio.MAX_ORDER}")

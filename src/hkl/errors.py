@@ -69,10 +69,6 @@ class InnerFactorPresent(PreconditionError):
     """The lifted function has a nontrivial inner factor where it must be outer."""
 
 
-class NotNormalized(PreconditionError):
-    """Mean value must equal 1 for this operation."""
-
-
 class TooSmall(PreconditionError):
     """A sampled modulus dips below the numeric floor for the log/exp path."""
 
@@ -85,7 +81,9 @@ class NonConvergence(InternalInvariantError):
 
 class PairingFailure(InternalInvariantError):
     """Zeros of a lifted nonnegative function failed to pair: an inside
-    zero without its reflection outside, or an odd circle zero left."""
+    zero without its reflection outside, an odd circle zero left, or
+    outside and circle zeros that would give a spectral factor a degree
+    above the band of g."""
 
 
 class RootOverflow(InternalInvariantError):
@@ -97,6 +95,7 @@ class RootOverflow(InternalInvariantError):
 
 class SelfCheckFailed(InternalInvariantError):
     """A result failed the library's own check of it: a spectral factor
-    whose round trip misses g (``fejer_riesz``), or a dominated kernel
-    element that is not a multiple of the spectral factor
+    whose round trip misses g (``fejer_riesz`` and the split halves), a
+    split half that fails a precondition of its extreme test, or a
+    dominated kernel element that is not a multiple of the spectral factor
     (``rigidity_check``)."""

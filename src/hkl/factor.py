@@ -33,8 +33,8 @@ from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
 from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
                        _horner, _polish as _newton_polish, lift,
                        refine_circle_angle, require_nonnegative, roots,
-                       self_inversive_phase, synthetic_divide,
-                       trig_from_modulus_squared, trig_scale)
+                       synthetic_divide, trig_from_modulus_squared,
+                       trig_scale)
 
 PAIR_TOL = 1e-6      # relative tolerance for matching reflected zero pairs
 TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
@@ -174,21 +174,24 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     F keeps the representative outside (or on) the circle and takes half of
     each circle multiplicity, as ``_circle_zeros`` reads them.
 
-    This root-based start is then polished by Gauss-Newton steps on the
-    coefficient equation |F|^2 = g (``_polish``), with the circle zeros
-    kept exactly unimodular: the root picture fixes which factor is meant,
-    the polish recovers the accuracy that the input coefficients allow.
-    When a coefficient of g exceeds 1 in modulus (s = max |g_k| > 1), F is
-    the factor of g / s times sqrt(s), so the polish works at unit scale;
-    a nonnegative g with mean at most 1 has |g_k| <= 1 and is factored as
-    it is.
+    The outside roots make the cofactor; ``_factor_from_zeros``, the
+    builder that the split halves share, multiplies in the circle zeros
+    and polishes by Gauss-Newton steps on the coefficient equation
+    |F|^2 = g (``_polish``), with the circle zeros kept exactly unimodular:
+    the root picture fixes which factor is meant, the polish recovers the
+    accuracy that the input coefficients allow.  It then accepts F by its
+    round trip.  When a coefficient of g exceeds 1 in modulus
+    (s = max |g_k| > 1), F is the factor of g / s times sqrt(s), so the
+    polish works at unit scale; a nonnegative g with mean at most 1 has
+    |g_k| <= 1 and is factored as it is.
 
     Raises NullInput for the zero function, NotNonnegative when
     ``nonneg_check(g)`` finds a point where g < -tol (the error names that
     value and tolerance in g's units), PairingFailure when the roots of a
     g that passed it do not pair: an inside zero has no reflected partner,
-    or an odd circle zero is left (``_circle_zeros``), and SelfCheckFailed
-    when the polished factor's round trip (``_round_trip``) exceeds
+    an odd circle zero is left (``_circle_zeros``), or the unpaired
+    outside roots would give F a degree above g's band, and
+    SelfCheckFailed when the polished factor's round trip exceeds
     TOL_SPECTRAL times |g_0| + 2 sum |g_k|: no factor that misses g is
     returned.
 
@@ -230,23 +233,11 @@ def _fejer_riesz_cached(g: TrigPoly) -> Poly:
             raise PairingFailure(
                 f"zero {r.location} has no reflected partner within {PAIR_TOL}")
 
-    circle = _circle_zeros(g)
-    if circle is None:
-        raise PairingFailure("an odd circle zero is left unmerged")
     cofactor = np.ones(1, dtype=complex)
     for r in outside:
         for _ in range(r.multiplicity):
             cofactor = np.convolve(cofactor, [-r.location, 1.0])
-    angles = np.array([t for t, _ in circle])
-    halves = np.array([m // 2 for _, m in circle], dtype=int)
-    f = _factor_from_zeros(g, cofactor, angles, halves)
-    resid = _round_trip(f, g)
-    bound = TOL_SPECTRAL * (abs(g.coeffs[0])
-                            + 2 * sum(abs(c) for c in g.coeffs[1:]))
-    if not resid <= bound:
-        raise SelfCheckFailed(f"the factor's round trip {resid:.3e} "
-                              f"exceeds {bound:.1e}")
-    return f
+    return _factor_from_zeros(g, cofactor, _circle_zeros(g))[0]
 
 
 def _round_trip(f: Poly, g: TrigPoly) -> float:
@@ -258,21 +249,44 @@ def _round_trip(f: Poly, g: TrigPoly) -> float:
     return float(diff[0] + 2.0 * diff[1:].sum())
 
 
-def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray, angles: np.ndarray,
-                       halves: np.ndarray) -> Poly:
-    """The spectral factor of g with the given zeros, polished and normalized.
+def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
+                       circle: tuple | None) -> tuple[Poly, float]:
+    """The spectral factor of g with the given zeros, and its round trip.
 
-    F starts as cofactor(z) * prod (z - exp(i angle))**half, scaled to the
-    mean of g, is polished on g's coefficients (``_polish``) and is
+    The one builder and acceptance rule of every spectral factor, for
+    ``fejer_riesz`` and for the halves of ``geometry.split_nonextreme``.
+    F starts as cofactor(z) * prod (z - exp(i t))**(m/2) over the circle
+    zeros (t, m) of ``circle`` (as ``_circle_zeros`` reads them), scaled to
+    the mean of g, is polished on g's coefficients (``_polish``) and is
     returned with F(0) real positive: rotated, then set to its modulus.
+
+    Raises PairingFailure when ``circle`` is None (an odd circle zero is
+    left) or F's degree would exceed g's band n, and SelfCheckFailed when
+    F's round trip (``_round_trip``) exceeds TOL_SPECTRAL times
+    |g_0| + 2 sum |g_k|: no factor that misses g is returned.
     """
+    if circle is None:
+        raise PairingFailure("an odd circle zero is left unmerged")
+    angles = np.array([t for t, _ in circle])
+    halves = np.array([m // 2 for _, m in circle], dtype=int)
+    degree = len(cofactor) - 1 + int(halves.sum())
+    if degree > g.n:
+        raise PairingFailure(
+            f"the factor's degree {degree} exceeds the band {g.n} of g")
     coeffs = _assemble(cofactor, angles, halves)
     scale = math.sqrt(g.mean / float(np.vdot(coeffs, coeffs).real))
     coeffs = _polish(np.asarray(g.coeffs), cofactor * scale, angles, halves)
     value0 = coeffs[0]
     coeffs = coeffs * (value0.conjugate() / abs(value0))
     coeffs[0] = abs(coeffs[0])
-    return Poly(tuple(coeffs))
+    f = Poly(tuple(coeffs))
+    resid = _round_trip(f, g)
+    bound = TOL_SPECTRAL * (abs(g.coeffs[0])
+                            + 2 * sum(abs(c) for c in g.coeffs[1:]))
+    if not resid <= bound:
+        raise SelfCheckFailed(f"the factor's round trip {resid:.3e} "
+                              f"exceeds {bound:.1e}")
+    return f, resid
 
 
 @functools.lru_cache(maxsize=512)
@@ -424,29 +438,12 @@ def blaschke_mul_poly(f: Poly, j: BlaschkeProduct) -> Poly:
     the given a, and the new factor has modulus |z - r| on the circle
     whatever the rounding of a, so the product keeps f's modulus there.
 
-    A self-inversive f (a lift z**n g, say) has the zero a wherever it has
-    1/conj(a), and takes another path: with f = z**s p, p = prod (z - a) q
-    and conj-reversed p equal to mu * p, the quotient p / prod (1 - conj(a) z)
-    is the conj-reversed q divided by mu.  So f is deflated at the Blaschke
-    zeros a themselves, the same deflation ``inner_outer`` makes to build
-    the outer part, and the product agrees with that outer part to rounding
-    even where the zero a is ill-conditioned.  The remainder of each
-    deflation is checked against TOL_DIVIDE as on the general path.
+    The library's caller passes a spectral factor
+    (``geometry.enumerate_solutions``).  Each deflation costs digits, so
+    the error of the product grows with the number of Blaschke zeros.
     """
     if f.is_null:
         return Poly()
-    if j.zeros:
-        c = f.as_array()
-        s = int(np.flatnonzero(c)[0])
-        mu = self_inversive_phase(c[s:]) if len(c) - s > 1 else None
-        if mu is not None:
-            work = list(c[s:])
-            for a, mult in j.zeros:
-                for _ in range(mult):
-                    _check_remainder(work, a)
-                    work = synthetic_divide(work, a)
-            quo = Poly(tuple(np.conj(work[::-1]) / mu)).shifted(s)
-            return quo * j.numerator()
     work = list(f.coeffs)
     mirrored = []
     for a, mult in j.zeros:

@@ -12,9 +12,9 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
 * with u = N / D of degree k and g's circle zeros (w, m), the halves
   have lift +/-G (lam u +/- 1)**2 / (2 lam) with G = kappa prod (z - w)**m
   D**2, so their factors are prod (z - w)**(m/2) (lam N +/- D) up to a
-  constant, with no root solve; each is accepted by its round trip on its
-  half, and a half whose factor fails it is solved as before
-                                                         (split_nonextreme)
+  constant, built by ``fejer_riesz``'s builder with no root solve; a half
+  whose round trip is at most nonneg_tol is extreme, and any other half's
+  flag comes from its extreme test                       (split_nonextreme)
 * a unit-norm kernel element f admits |f|^2 = (|f1|^2 + |f2|^2)/2
   with |f1| != |f2| iff f or its companion has a nonconstant
   inner factor, and otherwise is rigid                   (decompose_modulus)
@@ -45,11 +45,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
-                     NotNormalized, NotOnBoundary, NotUnitNorm, NullInput,
+                     NotOnBoundary, NotUnitNorm, NullInput, PreconditionError,
                      SelfCheckFailed)
 from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
-                     _round_trip, blaschke_mul_poly, divisors, fejer_riesz,
-                     inner_outer)
+                     blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
 from .polycore import (Poly, TrigPoly, lift, nonneg_tol, require_nonnegative,
@@ -83,7 +82,11 @@ def is_extreme(g: TrigPoly, n: int, *, tol_norm: float = NORM_TOL) -> ExtremeCer
     Equivalently (tested as an oracle): every root of the lift lies on the
     unit circle and the mean is 1.  Scaling g below norm 1 destroys
     extremality regardless of the root structure.
+
+    A negative g raises NotNonnegative with a point where g < -tol; any
+    other g outside V (null, band above n, mean above 1) raises NotInV.
     """
+    require_nonnegative(g)
     mem = membership_V(g, n)
     if mem.status is Membership.NOT_IN_V:
         raise NotInV(mem.reason)
@@ -109,7 +112,7 @@ class SplitChecks:
     norm1: float
     norm2: float
     distinctness_gap: float
-    extreme1: bool
+    extreme1: bool              # round trip <= nonneg_tol(g1), else is_extreme
     extreme2: bool
     factor_residual: float      # the larger round trip of f1 on g1, f2 on g2
 
@@ -148,13 +151,16 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
 
         lift(g_+/-) = +/- kappa prod (z - w)**m (lam N +/- D)**2 / (2 lam),
 
-    so f1 is prod (z - w)**(m/2) (lam N + D) up to a constant, polished on
-    g1 as in ``fejer_riesz``, and f2 pairs with lam N - D.  A factor is
-    accepted when |mean - 1| <= NORM_TOL and its round trip (``_round_trip``,
-    the larger of the two is ``checks.factor_residual``) is at most
-    nonneg_tol(g_j): then g_j >= -tol on the whole circle and |g_j| <= tol at
-    the n zeros of f_j, so g_j is extreme.  A half that fails it gets
-    ``fejer_riesz(g_j)`` and ``is_extreme(g_j, n)`` instead.
+    so f1 is prod (z - w)**(m/2) (lam N + D) up to a constant, and f2
+    pairs with lam N - D.  ``factor._factor_from_zeros``, the builder of
+    ``fejer_riesz``, builds, polishes and accepts each, and the split keeps
+    it; the larger round trip is ``checks.factor_residual``.  A half whose
+    round trip is at most nonneg_tol(g_j) is extreme (g_j has mean 1, is
+    >= -tol on the circle and |g_j| <= tol at the n zeros of f_j);
+    otherwise ``is_extreme(g_j, n)`` decides.  The halves are the
+    library's own, so their failures are internal: PairingFailure or
+    SelfCheckFailed from the builder, and SelfCheckFailed for a half that
+    fails a precondition of its extreme test.
     """
     cert = is_extreme(g, n)
     if not cert.norm_ok:
@@ -213,17 +219,18 @@ def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
                 p: np.ndarray) -> tuple[Poly, bool, float]:
     """Factor, extreme verdict and round trip of the split half gj: the
     factor prod (z - w)**(m/2) p over g's circle zeros ``circle`` (None when
-    an odd circle root was left), accepted as in ``split_nonextreme``, or
-    else the factor and verdict from solving the lift of gj."""
-    if circle is not None and abs(gj.mean - 1.0) <= NORM_TOL:
-        angles = np.array([t for t, _ in circle])
-        halves = np.array([m // 2 for _, m in circle], dtype=int)
-        f = _factor_from_zeros(gj, p, angles, halves)
-        resid = _round_trip(f, gj)
-        if resid <= nonneg_tol(gj):
-            return f, True, resid
-    f = fejer_riesz(gj)
-    return f, is_extreme(gj, n).verdict, _round_trip(f, gj)
+    an odd circle root was left), built and judged as in
+    ``split_nonextreme``."""
+    f, resid = _factor_from_zeros(gj, p, circle)
+    if resid <= nonneg_tol(gj):
+        return f, True, resid
+    try:
+        extreme = is_extreme(gj, n).verdict
+    except PreconditionError as exc:
+        raise SelfCheckFailed(
+            f"a split half fails its extreme test: {type(exc).__name__}: "
+            f"{exc}") from exc
+    return f, extreme, resid
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +388,7 @@ def baseline_split(g: TrigPoly) -> tuple[TrigPoly, TrigPoly]:
         raise NullInput("cannot split the zero function")
     require_nonnegative(g)
     if abs(g.mean - 1.0) > NORM_TOL:
-        raise NotNormalized(f"mean {g.mean} != 1")
+        raise NotOnBoundary(f"mean {g.mean} != 1")
     c1 = g.coeff(1)
     lam = 1j * c1 / abs(c1) if abs(c1) > 0 else complex(1.0)
     tau = TrigPoly(1, (0j, lam / 4.0))
@@ -437,16 +444,17 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     """
     if trials < 0 or ascent_rounds < 0:
         raise ValueError("trials and ascent_rounds must be nonnegative")
-    circle = roots(lift(g, n)).on_circle
     zeros = _circle_zeros(g)
     if (zeros is not None and sum(m for _, m in zeros) == 2 * n
             and np.all(np.abs(g.values([t for t, _ in zeros]))
                        <= nonneg_tol(g))):
-        # n_constraints counts the grid the sampled route would have used
+        # n_constraints counts the grid the sampled route would have used:
+        # one refined block per circle root, and each entry of zeros is one
         return PerturbationSearch(
             max_norm=0.0, trials=trials, grid_size=SEARCH_GRID,
-            n_constraints=SEARCH_GRID + (1 + 2 * len(_LADDER)) * len(circle),
+            n_constraints=SEARCH_GRID + (1 + 2 * len(_LADDER)) * len(zeros),
             route=PerturbationSearch.CIRCLE_COUNT)
+    circle = roots(lift(g, n)).on_circle
     return _sampled_search(g, n, circle, trials=trials, seed=seed,
                            grid_size=SEARCH_GRID, ascent_rounds=ascent_rounds)
 

@@ -71,6 +71,33 @@ UNMERGED_ODD_ZERO = trig_from_hex((
     ("0x1.55075e5f6d4b8p-1", "-0x1.cd806c0dadd15p-6"),
     ("0x1.541d9cfc1aa7cp-3", "-0x1.cd1730d29b9dcp-7")))
 
+# tests/test_factor.py's _near_touching(5, 600)[64], n = 2, rescaled to
+# mean 1: nonnegative, but a split half's built factor misses its half by
+# more than nonneg_tol and the half itself dips to -3.3e-10 < -3.0e-10, so
+# its extreme test fails on the library's own function (SelfCheckFailed)
+NEAR_TOUCHING_64 = trig_from_hex((
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("-0x1.830147e5ee564p-2", "-0x1.078d53803cbfcp-1"),
+    ("-0x1.92d55a0a92af2p-6", "0x1.e9bb1cae972e2p-3")))
+
+# the same family's #523, n = 12, rescaled to mean 1: its lift has an inside
+# double root with no outside partner, so a split half's built factor would
+# have degree 13 (PairingFailure)
+NEAR_TOUCHING_523 = trig_from_hex((
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.28cc623705c0dp-3", "-0x1.cceb74a7724a1p-1"),
+    ("-0x1.772062e9bd2b4p-1", "-0x1.2513853f46a5ap-2"),
+    ("-0x1.cc513144ebcbep-2", "0x1.34d496c37148bp-1"),
+    ("0x1.d8781f3a67542p-2", "0x1.09f576d9b8753p-1"),
+    ("0x1.c675ec4b9b341p-2", "-0x1.4308a21f41f98p-2"),
+    ("-0x1.6a31d97f50a5dp-3", "-0x1.68c3153b9e397p-2"),
+    ("-0x1.25f19d1ff49c9p-2", "0x1.6924acd7dc754p-5"),
+    ("-0x1.323e107d213bdp-6", "0x1.aea88aff29299p-3"),
+    ("0x1.1ce9c1c1c53a4p-3", "0x1.d00a10a78f403p-7"),
+    ("0x1.f8c2a31bea17cp-8", "-0x1.4692def3134e4p-4"),
+    ("-0x1.e0c749b5cda14p-6", "-0x1.ffbc7ee9eb27ap-8"),
+    ("-0x1.6c31e5660be6bp-9", "0x1.17e363acd7f86p-8")))
+
 # n = 1 modulus, nonnegative to tolerance: its minimum g_0 - 2|g_1| is
 # -4.3e-11, inside nonneg_tol = 2e-10.  Its lift's two circle roots,
 # 1.9e-5 apart, passed the merge test as one double root that failed the

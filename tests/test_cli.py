@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
-                      UNMERGED_ODD_ZERO)
+                      NEAR_TOUCHING_64, NEAR_TOUCHING_523, UNMERGED_ODD_ZERO)
 
 import hkl
 from hkl import geometry
@@ -347,6 +347,19 @@ def test_huge_order_argument_exits_2(files, capsys, command):
     assert "argument --n: model order 10000000000000 exceeds 1024" in out.err
 
 
+@pytest.mark.parametrize("command", ["extreme", "gen"])
+def test_negative_order_argument_exits_2(files, capsys, command):
+    write, _ = files
+    path = write("g.json", TrigPoly(1, (1.0, 0.25)))
+    argv = [command] + ([path] if command != "gen" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --n: model order -1 is negative" in out.err
+
+
 def test_split_echoes_fixed_tolerances(files, capsys):
     write, _ = files
     path = write("g.json", TrigPoly(1, (1.0, 0.25)))
@@ -581,6 +594,16 @@ def _assert_one_error(code, out, err, expected_code, name):
     assert code == expected_code and out == ""
     assert err.startswith(f"error: {name}: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("g, name", [(NEAR_TOUCHING_64, "SelfCheckFailed"),
+                                     (NEAR_TOUCHING_523, "PairingFailure")])
+def test_split_failing_its_own_halves_exits_3(files, capsys, g, name):
+    # nonnegative inputs whose halves the library cannot carry: its own
+    # failure, never the caller's
+    write, _ = files
+    path = write("g.json", g)
+    _assert_one_error(*run(capsys, ["split", path, "--n", str(g.n)]), 3, name)
 
 
 def test_norm_out_of_double_range_exits_3(tmp_path, capsys):

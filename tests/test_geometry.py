@@ -9,8 +9,8 @@ from conftest import (HOLDOUT_131, census_suite, random_unit_element,
 
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
-                        NotInV, NotNonnegative, NotNormalized, NotOnBoundary,
-                        NotUnitNorm, NullInput, SelfCheckFailed)
+                        NotInV, NotNonnegative, NotOnBoundary, NotUnitNorm,
+                        NullInput, SelfCheckFailed)
 from hkl.factor import blaschke_eval, fejer_riesz, inner_outer
 from hkl.gen import random_boundary_modulus, random_kernel_element
 from hkl.geometry import (PerturbationSearch, RigidityResult, _sampled_search,
@@ -55,8 +55,11 @@ def test_extreme_fails_below_unit_norm():
 
 
 def test_extreme_requires_membership():
-    with pytest.raises(NotInV):
+    # cos(theta) is negative: NotNonnegative names its point, as everywhere
+    with pytest.raises(NotNonnegative, match="at theta="):
         is_extreme(TrigPoly(1, (0.0, 0.5)), 1)
+    with pytest.raises(NotInV, match="band limit 2"):
+        is_extreme(TrigPoly(2, (1.0, 0.0, 0.25)), 1)
 
 
 def test_extreme_scaling_kills_extremality():
@@ -239,10 +242,16 @@ def test_split_halves_built_without_solving_their_lifts(solve_counter):
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
-def test_split_halves_fall_back_to_solving(monkeypatch, solve_counter):
-    # a round-trip bound no built factor meets sends each half through its
-    # own lift; the fallback's factors carry their round trip too
+def test_split_halves_over_the_bound_keep_their_factors(monkeypatch,
+                                                        solve_counter):
+    # a round-trip bound no built factor meets: each half keeps its built
+    # factor, its flag comes from its extreme test, and no half is factored
+    # again from its own lift
+    def refuse(g):
+        raise AssertionError("the split re-solved a half")
     monkeypatch.setattr(geometry, "nonneg_tol", lambda g: -1.0)
+    monkeypatch.setattr(geometry, "fejer_riesz", refuse)
+    monkeypatch.setattr(factor, "fejer_riesz", refuse)
     g = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(131))
     cert = split_nonextreme(g, 5)
     assert solve_counter[10] == 3   # the lifts of g and of both halves
@@ -250,7 +259,6 @@ def test_split_halves_fall_back_to_solving(monkeypatch, solve_counter):
     assert cert.checks.midpoint_residual <= 1e-10
     assert 0.0 < cert.checks.factor_residual <= 1e-12
     for f, gh in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
-        assert f.f == fejer_riesz(gh)
         assert _grid_residual(f.f, gh) <= 1e-9
 
 
@@ -578,7 +586,7 @@ def test_baseline_midpoint_and_band(small_census_suite):
 
 
 def test_baseline_requires_normalization():
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotOnBoundary, match="mean 0.5"):
         baseline_split(TrigPoly(1, (0.5, 0.2)))
     with pytest.raises(NullInput):
         baseline_split(TrigPoly(0, (0j,)))
