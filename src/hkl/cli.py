@@ -80,6 +80,20 @@ def _poly_boundary(p: Poly, size: int):
     return lambda: Grid.sample(p, size)
 
 
+def _circle_values(p: Poly, size: int) -> np.ndarray:
+    """p at the points exp(2 pi i j / size), by one inverse FFT.
+
+    The coefficients are zero-padded to a multiple of size and folded onto
+    size slots, as z**size = 1 at every point, so any degree works.
+    """
+    c = p.as_array()
+    folds = -(-len(c) // size)
+    padded = np.zeros(folds * size, dtype=complex)
+    padded[:len(c)] = c
+    return np.fft.ifft(padded.reshape(folds, size).sum(axis=0),
+                       norm="forward")
+
+
 def _trig_boundary(g: TrigPoly, size: int):
     return lambda: Grid(g.grid_values(size).astype(complex))
 
@@ -255,11 +269,20 @@ def cmd_solutions(args):
     g = _load(args.input, TrigPoly)
     tols = _tols(args, grid_residual=1e-9)
     sols = geometry.enumerate_solutions(g, args.n)
-    zeta = np.exp(2j * np.pi * np.arange(args.grid) / args.grid)
-    gv = g.values(np.angle(zeta))
+    # the residual is the largest | |f|^2 - g | at the grid's points
+    # exp(2 pi i j / grid), so any --grid works, also one of 2 g.n points or
+    # fewer.  g is sampled by one FFT (grid_values) on the smallest
+    # power-of-two multiple of the grid finer than 2 g.n, of which every
+    # k-th sample is a grid point; each f by one inverse FFT of its
+    # coefficients folded onto the grid (_circle_values)
+    fine = args.grid
+    while fine <= 2 * g.n:
+        fine *= 2
+    gv = g.grid_values(fine)[::fine // args.grid]
     entries = []
     for s in sols:
-        resid = float(np.abs(np.abs(s.f(zeta)) ** 2 - gv).max())
+        fv = _circle_values(s.f, args.grid)
+        resid = float(np.abs(np.abs(fv) ** 2 - gv).max())
         entries.append({
             "element": jsonio.kernel_to_json(s),
             "modulus_residual": resid,

@@ -349,12 +349,15 @@ def _polish(target: np.ndarray, cofactor: np.ndarray, angles: np.ndarray,
     coeffs = _assemble(cofactor, angles, halves)
     res = residual(coeffs)
     norm = float(np.linalg.norm(res))
+    nq = len(cofactor)
+    layout = _jacobian_layout(n, len(coeffs) - 1, nq,
+                              1 + int(halves.sum()))
     for _ in range(POLISH_STEPS):
         if norm == 0.0:
             break
-        step = np.linalg.lstsq(_jacobian(coeffs, cofactor, angles, halves, n,
-                                         weight), -res, rcond=None)[0]
-        nq = len(cofactor)
+        step = np.linalg.lstsq(_jacobian(coeffs, cofactor, angles, halves,
+                                         weight, layout),
+                               -res, rcond=None)[0]
         cand_cofactor = cofactor + step[:nq] + 1j * step[nq:2 * nq]
         cand_angles = angles + step[2 * nq:]
         cand = _assemble(cand_cofactor, cand_angles, halves)
@@ -367,23 +370,39 @@ def _polish(target: np.ndarray, cofactor: np.ndarray, angles: np.ndarray,
     return coeffs
 
 
+def _jacobian_layout(n: int, deg: int, nq: int, ncircle: int) -> tuple:
+    """The index structure of ``_jacobian``, fixed through one polish.
+
+    It depends only on g's band n, F's degree deg, the cofactor's length nq
+    and the circle part's length ncircle: the band of the Toeplitz block
+    and its clipped indices, the lags j - k of the left factor with their
+    mask and clipped indices, the sums j + k of the right one, and the
+    zero pad that makes those sums valid indices.
+    """
+    shift = np.arange(deg + 1)[:, None] - np.arange(nq)[None, :]
+    in_band = (shift >= 0) & (shift < ncircle)
+    k = np.arange(n + 1)[:, None]
+    j = np.arange(deg + 1)[None, :]
+    lag = j - k
+    return (in_band, np.clip(shift, 0, ncircle - 1), lag >= 0,
+            np.clip(lag, 0, deg), j + k, np.zeros(n + 1, dtype=complex))
+
+
 def _jacobian(coeffs: np.ndarray, cofactor: np.ndarray, angles: np.ndarray,
-              halves: np.ndarray, n: int, weight: np.ndarray) -> np.ndarray:
+              halves: np.ndarray, weight: np.ndarray,
+              layout: tuple) -> np.ndarray:
     """Real Jacobian of ``_polish``'s residual, one column per real unknown.
 
     A change dc of F's coefficients changes the autocorrelation by
     a_k = sum_j dc_{j+k} conj(c_j) + c_{j+k} conj(dc_j); the columns of dc
     are shifted copies of the circle part (cofactor coefficients, real and
-    imaginary) and -i m_j w_j F / (z - w_j) (angles).
+    imaginary) and -i m_j w_j F / (z - w_j) (angles).  ``layout`` is
+    ``_jacobian_layout``'s index structure for these sizes.
     """
+    in_band, shift, ahead, lag, sums, pad = layout
     deg = len(coeffs) - 1
-    nq = len(cofactor)
     circle_part = _assemble(np.ones(1, dtype=complex), angles, halves)
-    rows = np.arange(deg + 1)[:, None]
-    shift = rows - np.arange(nq)[None, :]
-    toeplitz = np.where((shift >= 0) & (shift < len(circle_part)),
-                        circle_part[np.clip(shift, 0, len(circle_part) - 1)],
-                        0.0)
+    toeplitz = np.where(in_band, circle_part[shift], 0.0)
     cols = [toeplitz, 1j * toeplitz]
     if len(angles):
         w = np.exp(1j * angles)
@@ -396,12 +415,8 @@ def _jacobian(coeffs: np.ndarray, cofactor: np.ndarray, angles: np.ndarray,
         cols.append(quo * (-1j * halves * w)[None, :])
     dc = np.concatenate(cols, axis=1)
 
-    k = np.arange(n + 1)[:, None]
-    j = np.arange(deg + 1)[None, :]
-    padded = np.concatenate([coeffs, np.zeros(n + 1, dtype=complex)])
-    lag = j - k
-    left = np.where(lag >= 0, np.conj(coeffs[np.clip(lag, 0, deg)]), 0.0)
-    right = padded[j + k]
+    left = np.where(ahead, np.conj(coeffs[lag]), 0.0)
+    right = np.concatenate([coeffs, pad])[sums]
     jac = (left @ dc + right @ np.conj(dc)) * weight[:, None]
     return np.concatenate([jac.real, jac[1:].imag])
 

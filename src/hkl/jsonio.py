@@ -37,11 +37,14 @@ MAX_ORDER = 1024
 # Deterministic serialization
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
+_escape = json.encoder.encode_basestring_ascii   # what json.dumps calls
+
+
+def _float_text(x: float) -> str:
     if not math.isfinite(x):
         raise RootOverflow(f"cannot serialize the non-finite number {x}: "
                            f"the computation left the double range")
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 def dumps(obj) -> str:
@@ -51,42 +54,52 @@ def dumps(obj) -> str:
     computed by the library from finite inputs, so one that left the
     double range is the arithmetic's failure, not the caller's.
     """
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
+    # the recursion goes through _text, so this is one call per document
+    return _text(obj)
 
 
-def _emit(obj, parts: list[str]) -> None:
+def _text(obj) -> str:
+    """The JSON text of one value; containers are joined from their items.
+
+    The exact built-in types are tested first, and a [re, im] pair of
+    floats, the most common value written, is formatted in one step.
+    Subclasses (numpy scalars among them) go through ``_subclass_text``.
+    """
+    t = type(obj)
+    if t is float:
+        return _float_text(obj)
+    if t is list or t is tuple:
+        if len(obj) == 2 and type(obj[0]) is float and type(obj[1]) is float:
+            re, im = obj
+            if math.isfinite(re) and math.isfinite(im):
+                return "[%.17g,%.17g]" % (re, im)
+        return "[" + ",".join(map(_text, obj)) + "]"
+    if t is dict:
+        return "{" + ",".join([_escape(k if type(k) is str else str(k))
+                               + ":" + _text(v) for k, v in obj.items()]) + "}"
+    if t is str:
+        return _escape(obj)
     if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"unserializable type {type(obj)!r}")
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return str(obj)
+    return _subclass_text(obj)
+
+
+def _subclass_text(obj) -> str:
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _float_text(float(obj))
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, dict):
+        return _text(dict(obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return _text(list(obj))
+    raise TypeError(f"unserializable type {type(obj)!r}")
 
 
 def complex_pair(c: complex) -> list[float]:

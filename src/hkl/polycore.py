@@ -36,6 +36,7 @@ at scalar points in plain Python (``_horner``), bit-identical to
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -63,9 +64,8 @@ def _clean_coeffs(coeffs: Iterable[complex]) -> tuple[complex, ...]:
     out = [complex(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
-    for c in out:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("coefficients must be finite")
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError("coefficients must be finite")
     return tuple(out)
 
 
@@ -194,9 +194,8 @@ class TrigPoly:
         cs = [complex(c) for c in self.coeffs]
         if len(cs) != self.n + 1:
             raise ValueError("need exactly n+1 coefficients (k = 0..n)")
-        for c in cs:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("coefficients must be finite")
+        if not all(map(cmath.isfinite, cs)):
+            raise ValueError("coefficients must be finite")
         scale = max(1.0, max(abs(c) for c in cs))
         if abs(cs[0].imag) > 1e-12 * scale:
             raise ValueError("mean coefficient must be real")

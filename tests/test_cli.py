@@ -823,3 +823,26 @@ def test_argv_fuzz_exits_0_2_or_3_with_one_error_line(fuzz_files, data):
     assert lines and all(re.match(r"(.*: )?error: \w+: ", ln) for ln in lines)
     if "--batch" not in argv:
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("grid", [4, 16, 4096])
+def test_solutions_residual_is_the_grid_maximum(files, capsys, grid):
+    # the residual is max | |f|^2 - g | over exp(2 pi i j / grid), by FFT;
+    # a 4-point grid is coarser than g's band and than each factor's degree
+    write, _ = files
+    g = random_boundary_modulus(8, 3, 2, 3, np.random.default_rng(3))
+    path = write("g.json", g)
+    code, out, _ = run(capsys, ["solutions", path, "--n", "8",
+                                "--grid", str(grid)])
+    assert code == 0
+    doc = json.loads(out)
+    assert g.n == 8 and doc["count"] == len(doc["solutions"]) == 64
+    theta = 2.0 * np.pi * np.arange(grid) / grid
+    gv = g.values(theta)
+    for entry in doc["solutions"]:
+        f = Poly(tuple(complex(re, im) for re, im
+                       in entry["element"]["poly"]["coeffs"]))
+        assert f.degree == 8
+        direct = float(np.abs(np.abs(f(np.exp(1j * theta))) ** 2 - gv).max())
+        assert abs(entry["modulus_residual"] - direct) <= 1e-14
+        assert entry["residual_ok"] == (direct <= 1e-9)

@@ -1,4 +1,6 @@
 import json
+import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -191,3 +193,133 @@ def test_loader_fuzz_raises_only_value_error(data):
     except ValueError:
         return
     assert isinstance(obj, (Poly, TrigPoly, KernelElement, Grid))
+
+
+# The recursive emitter that ``dumps`` replaced, kept as its oracle: one
+# call per value, isinstance dispatch, strings through json.dumps.
+def _oracle_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise RootOverflow(f"cannot serialize the non-finite number {x}: "
+                           f"the computation left the double range")
+    return format(float(x), ".17g")
+
+
+def _oracle(obj) -> str:
+    parts: list[str] = []
+    _oracle_emit(obj, parts)
+    return "".join(parts)
+
+
+def _oracle_emit(obj, parts: list[str]) -> None:
+    if obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_oracle_float(float(obj)))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                parts.append(",")
+            parts.append(json.dumps(str(k)))
+            parts.append(":")
+            _oracle_emit(v, parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                parts.append(",")
+            _oracle_emit(v, parts)
+        parts.append("]")
+    else:
+        raise TypeError(f"unserializable type {type(obj)!r}")
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 1 / 3]))
+_STRINGS = st.text(st.one_of(st.characters(),
+                             st.sampled_from("\x00\x1f\x7f\"\\/é "
+                                             "퟿\U0001f600")),
+                   max_size=6)
+_LEAVES = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans(),
+    st.none(), _STRINGS,
+    # [re, im] pairs, the emitter's one-step case, and near misses of it
+    st.lists(_FLOATS, min_size=2, max_size=2),
+    st.tuples(_FLOATS, _FLOATS),
+    st.tuples(_FLOATS, _FLOATS.map(np.float64)).map(list),
+    st.tuples(_FLOATS, st.integers(-3, 3)).map(list))
+_KEYS = st.one_of(_STRINGS, st.integers(-5, 5))
+
+
+class _List(list):
+    pass
+
+
+def _nest(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(inner, max_size=4).map(_List)
+        | st.dictionaries(_KEYS, inner, max_size=4)
+        | st.dictionaries(_KEYS, inner, max_size=4).map(OrderedDict),
+        max_leaves=20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_nest(_LEAVES))
+def test_dumps_matches_the_recursive_oracle(obj):
+    assert dumps(obj) == _oracle(obj)
+
+
+def _wrap(data, value):
+    """value at a drawn depth inside lists, tuples and dicts with siblings."""
+    for _ in range(data.draw(st.integers(0, 5))):
+        siblings = data.draw(st.lists(_LEAVES, max_size=3))
+        at = data.draw(st.integers(0, len(siblings)))
+        kind = data.draw(st.sampled_from(["list", "tuple", "dict"]))
+        items = siblings[:at] + [value] + siblings[at:]
+        if kind == "dict":
+            value = {f"k{i}": v for i, v in enumerate(items)}
+        else:
+            value = items if kind == "list" else tuple(items)
+    return value
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_dumps_rejects_nonfinite_at_any_depth(data):
+    bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    other = data.draw(_FLOATS)
+    leaf = data.draw(st.sampled_from([
+        bad, np.float64(bad), [other, bad], [bad, other], (bad, other),
+        [np.float64(bad), other]]))
+    obj = _wrap(data, leaf)
+    with pytest.raises(RootOverflow, match="non-finite"):
+        dumps(obj)
+    with pytest.raises(RootOverflow):
+        _oracle(obj)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_dumps_rejects_unknown_types_at_any_depth(data):
+    leaf = data.draw(st.sampled_from([object(), np.bool_(True), 1 + 2j,
+                                      {1.0, 2.0}]))
+    obj = _wrap(data, leaf)
+    with pytest.raises(TypeError, match="unserializable type"):
+        dumps(obj)
+    with pytest.raises(TypeError):
+        _oracle(obj)
