@@ -7,8 +7,9 @@ from .errors import (AlreadyExtreme, BandExceeded, HklError,
                      NonConvergence, NotDivisible, NotInV, NotNonnegative,
                      NotOnBoundary, NotUnitNorm, NullInput, PoleHit,
                      PreconditionError, RootOverflow, TooSmall)
-from .factor import (BlaschkeProduct, Factorization, blaschke_eval,
-                     blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
+from .factor import (BlaschkeProduct, Factorization, SpectralFactor,
+                     blaschke_eval, blaschke_mul_poly, divisors, fejer_riesz,
+                     inner_outer, spectral_factor)
 from .gen import (random_boundary_modulus, random_census_poly,
                   random_kernel_element)
 from .geometry import (Decomposition, ExtremeCertificate, PerturbationSearch,

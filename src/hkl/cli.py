@@ -16,6 +16,13 @@ batch output.  The output is serialized before any file is written, so a
 failed command writes nothing.  Argparse reports a malformed command line
 itself, with exit code 2, before any of this runs.
 
+Every tolerance printed under ``tolerances`` is the module constant that
+the check beside it applied, and none is set from the command line, so two
+commands never judge one input by different rules.  ``spectral`` prints
+the round trip that the library accepted its factor by.  The ``factor``
+and ``solutions`` residuals are the CLI's own checks on the ``--grid``
+points, relative to the input's size s = max(1, max |c_k|).
+
 The argument parser is built once per process, on the first ``main``
 call, and reused: parsing never changes it, and each call gets a fresh
 namespace, so callers that run ``main`` many times in one process (tests,
@@ -25,6 +32,7 @@ embedders) do not rebuild it each time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -35,11 +43,13 @@ import numpy as np
 from . import gen as genmod
 from . import geometry, jsonio, numeric
 from .errors import InternalInvariantError, PreconditionError, RootOverflow
-from .factor import blaschke_eval, fejer_riesz, inner_outer
+from .factor import TOL_SPECTRAL, blaschke_eval, inner_outer, spectral_factor
 from .jsonio import dumps, instance_to_json
-from .kernel import KernelElement, companion, h2_norm
-from .numeric import Grid, write_boundary_csv
+from .kernel import NORM_TOL, KernelElement, companion, h2_norm
+from .numeric import TOL_SYMBOL, Grid, write_boundary_csv
 from .polycore import Poly, TrigPoly, trig_from_modulus_squared
+
+TOL_RESIDUAL = 1e-9     # the factor and solutions residuals over s
 
 
 def _load(path: str | None, want: type):
@@ -98,16 +108,9 @@ def _trig_boundary(g: TrigPoly, size: int):
     return lambda: Grid(g.grid_values(size).astype(complex))
 
 
-def _tols(args, **defaults) -> dict:
-    out = dict(defaults)
-    if args.tol is not None:
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise ValueError(
-                f"--tol must be finite and nonnegative, got {args.tol!r}")
-        for k in out:
-            out[k] = args.tol
-        out["override"] = args.tol
-    return out
+def _size(coeffs) -> float:
+    """s = max(1, max |c_k|), the input's size that a residual is over."""
+    return max(1.0, max(abs(c) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +121,13 @@ def _tols(args, **defaults) -> dict:
 
 def cmd_factor(args):
     p = _load(args.input, Poly)
-    tols = _tols(args, tol_factor=1e-9)
     fac = inner_outer(p)
     zeta = np.exp(2j * np.pi * np.arange(args.grid) / args.grid)
     # finite roots can still overflow here, with coefficients near the top
     # of the double range
     with np.errstate(all="ignore"):
         recon = blaschke_eval(fac.inner, zeta) * fac.outer(zeta)
-        residual = float(np.abs(recon - p(zeta)).max())
+        residual = float(np.abs(recon - p(zeta)).max()) / _size(p.coeffs)
     if not math.isfinite(residual):
         raise RootOverflow(
             "the reconstruction on the circle overflows double precision")
@@ -135,8 +137,8 @@ def cmd_factor(args):
         "inner": jsonio.blaschke_to_json(fac.inner),
         "outer": jsonio.poly_to_json(fac.outer),
         "checks": {"reconstruction_residual": residual,
-                   "residual_ok": residual <= tols["tol_factor"]},
-        "tolerances": tols,
+                   "residual_ok": residual <= TOL_RESIDUAL},
+        "tolerances": {"tol_factor": TOL_RESIDUAL},
         "conventions": {"outer_value_at_zero": "real positive",
                         "phase_in": "inner.lambda"},
     }
@@ -145,24 +147,17 @@ def cmd_factor(args):
 
 def cmd_spectral(args):
     g = _load(args.input, TrigPoly)
-    tols = _tols(args, tol_factor=1e-9)
-    f = fejer_riesz(g)
-    back = trig_from_modulus_squared(f)
-    # relative to the size of g: s = max(1, max |g_k|) is 1 for a
-    # nonnegative g with mean at most 1
-    scale = max(1.0, max(abs(c) for c in g.coeffs))
-    residual = max(abs(back.coeff(k) - g.coeff(k))
-                   for k in range(g.n + 1)) / scale
+    rec = spectral_factor(g)
     out = {
         "command": "spectral",
         "input": jsonio.trig_to_json(g),
-        "outer": jsonio.poly_to_json(f),
-        "checks": {"modulus_residual": residual,
-                   "residual_ok": residual <= tols["tol_factor"]},
-        "tolerances": tols,
+        "outer": jsonio.poly_to_json(rec.factor),
+        "checks": {"modulus_residual": rec.residual,
+                   "residual_ok": rec.residual <= TOL_SPECTRAL},
+        "tolerances": {"tol_factor": TOL_SPECTRAL},
         "conventions": {"value_at_zero": "real positive"},
     }
-    return out, _poly_boundary(f, args.grid)
+    return out, _poly_boundary(rec.factor, args.grid)
 
 
 def cmd_companion(args):
@@ -188,8 +183,7 @@ def cmd_norm(args):
 
 def cmd_extreme(args):
     g = _load(args.input, TrigPoly)
-    tols = _tols(args, tol_norm=1e-12)
-    cert = geometry.is_extreme(g, args.n, tol_norm=tols["tol_norm"])
+    cert = geometry.is_extreme(g, args.n)
     out = {
         "command": "extreme",
         "input": jsonio.trig_to_json(g),
@@ -199,15 +193,13 @@ def cmd_extreme(args):
         "mean": cert.mean,
         "inner_factor": jsonio.blaschke_to_json(cert.inner_factor),
         "outer_part": jsonio.poly_to_json(cert.outer_part),
-        "tolerances": tols,
+        "tolerances": {"tol_norm": NORM_TOL},
     }
     return out, _trig_boundary(g, args.grid)
 
 
 def cmd_split(args):
     g = _load(args.input, TrigPoly)
-    # echoed with the checks below; nothing here tests them
-    tols = {"midpoint": 1e-10, "norms": 1e-10, "distinctness": 1e-9}
     cert = geometry.split_nonextreme(g, args.n)
     out = {
         "command": "split",
@@ -218,16 +210,7 @@ def cmd_split(args):
         "u": jsonio.blaschke_to_json(cert.u),
         "f1": jsonio.kernel_to_json(cert.f1),
         "f2": jsonio.kernel_to_json(cert.f2),
-        "checks": {
-            "midpoint_residual": cert.checks.midpoint_residual,
-            "norm1": cert.checks.norm1,
-            "norm2": cert.checks.norm2,
-            "distinctness_gap": cert.checks.distinctness_gap,
-            "extreme1": cert.checks.extreme1,
-            "extreme2": cert.checks.extreme2,
-            "factor_residual": cert.checks.factor_residual,
-        },
-        "tolerances": tols,
+        "checks": dataclasses.asdict(cert.checks),
         "conventions": {
             "rotation": jsonio.complex_pair(cert.rotation),
             "rotation_integral": jsonio.complex_pair(cert.rotation_integral),
@@ -241,35 +224,23 @@ def cmd_split(args):
 def cmd_decompose(args):
     x = _load(args.input, KernelElement)
     dec = geometry.decompose_modulus(x)
+    out = {"command": "decompose", "input": jsonio.kernel_to_json(x),
+           "rigid": dec.rigid}
     if dec.rigid:
-        out = {
-            "command": "decompose",
-            "input": jsonio.kernel_to_json(x),
-            "rigid": True,
-        }
         return out, _poly_boundary(x.f, args.grid)
-    out = {
-        "command": "decompose",
-        "input": jsonio.kernel_to_json(x),
-        "rigid": False,
+    out.update({
         "f1": jsonio.kernel_to_json(dec.f1),
         "f2": jsonio.kernel_to_json(dec.f2),
-        "checks": {
-            "midpoint_residual": dec.split.checks.midpoint_residual,
-            "distinctness_gap": dec.split.checks.distinctness_gap,
-        },
-        "conventions": {
-            "rotation": jsonio.complex_pair(dec.split.rotation),
-        },
-    }
+        "checks": dataclasses.asdict(dec.split.checks),
+        "conventions": {"rotation": jsonio.complex_pair(dec.split.rotation)},
+    })
     return out, _poly_boundary(dec.f1.f, args.grid)
 
 
 def cmd_solutions(args):
     g = _load(args.input, TrigPoly)
-    tols = _tols(args, grid_residual=1e-9)
     sols = geometry.enumerate_solutions(g, args.n)
-    # the residual is the largest | |f|^2 - g | at the grid's points
+    # the residual is the largest | |f|^2 - g | over s at the grid's points
     # exp(2 pi i j / grid), so any --grid works, also one of 2 g.n points or
     # fewer.  g is sampled by one FFT (grid_values) on the smallest
     # power-of-two multiple of the grid finer than 2 g.n, of which every
@@ -279,14 +250,15 @@ def cmd_solutions(args):
     while fine <= 2 * g.n:
         fine *= 2
     gv = g.grid_values(fine)[::fine // args.grid]
+    size = _size(g.coeffs)
     entries = []
     for s in sols:
         fv = _circle_values(s.f, args.grid)
-        resid = float(np.abs(np.abs(fv) ** 2 - gv).max())
+        resid = float(np.abs(np.abs(fv) ** 2 - gv).max()) / size
         entries.append({
             "element": jsonio.kernel_to_json(s),
             "modulus_residual": resid,
-            "residual_ok": resid <= tols["grid_residual"],
+            "residual_ok": resid <= TOL_RESIDUAL,
         })
     out = {
         "command": "solutions",
@@ -294,7 +266,7 @@ def cmd_solutions(args):
         "n": args.n,
         "count": len(sols),
         "solutions": entries,
-        "tolerances": tols,
+        "tolerances": {"grid_residual": TOL_RESIDUAL},
         "conventions": {"normalization":
                         "lowest nonzero coefficient real positive"},
     }
@@ -305,9 +277,7 @@ def cmd_solutions(args):
 def cmd_rigidity(args):
     g = _load(args.trig, TrigPoly)
     x = _load(args.kernel, KernelElement)
-    tols = _tols(args, tol_remainder=1e-9)
-    res = geometry.rigidity_check(g, args.n, x,
-                                  tol_remainder=tols["tol_remainder"])
+    res = geometry.rigidity_check(g, args.n, x)
     out = {
         "command": "rigidity",
         "inputs": {"trig": jsonio.trig_to_json(g),
@@ -319,7 +289,7 @@ def cmd_rigidity(args):
         "witness": None if res.witness is None
         else jsonio.complex_pair(res.witness),
         "remainder": res.remainder,
-        "tolerances": tols,
+        "tolerances": {"tol_remainder": geometry.TOL_REMAINDER},
     }
     return out, _trig_boundary(g, args.grid)
 
@@ -342,15 +312,14 @@ def cmd_outer_grid(args):
 def cmd_symbol_test(args):
     phi = _load(args.phi, Grid)
     g = _load(args.g, Grid)
-    tols = _tols(args, tol_factor=1e-7)
-    res = numeric.symbol_condition_test(phi, g, tol_factor=tols["tol_factor"])
+    res = numeric.symbol_condition_test(phi, g)
     out = {
         "command": "symbol-test",
         "N": g.size,
         "defect": res.defect,
         "tolerance": res.tolerance,
         "verdict": res.verdict,
-        "tolerances": tols,
+        "tolerances": {"tol_factor": TOL_SYMBOL},
     }
     return out, lambda: Grid(
         np.conj(g.points) * np.conj(phi.values) * g.values.real)
@@ -455,13 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "model spaces; JSON in, certificates out")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, grid=True, batchable=False, tol=False):
+    def common(sp, *, grid=True, batchable=False):
         if grid:
             sp.add_argument("--grid", type=grid_size, default=4096,
                             help="boundary sample count (power of two)")
-        if tol:
-            sp.add_argument("--tol", type=float, default=None,
-                            help="override certificate tolerances; echoed")
         # a batch writes one output per input, and no boundary
         output = sp.add_mutually_exclusive_group()
         output.add_argument("--csv", type=str, default=None,
@@ -471,17 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="process every *.json in a directory, "
                                      "except earlier *.out.json outputs")
 
-    # --tol only where a handler reads it (through _tols)
     for name in ("factor", "spectral", "companion", "norm", "baseline-split"):
         sp = sub.add_parser(name)
         sp.add_argument("input", nargs="?", default=None)
-        common(sp, batchable=True, tol=name in ("factor", "spectral"))
+        common(sp, batchable=True)
 
     for name in ("extreme", "split", "solutions"):
         sp = sub.add_parser(name)
         sp.add_argument("input", nargs="?", default=None)
         sp.add_argument("--n", type=order, required=True)
-        common(sp, batchable=True, tol=name != "split")
+        common(sp, batchable=True)
 
     sp = sub.add_parser("decompose")
     sp.add_argument("input", nargs="?", default=None)
@@ -491,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("trig")
     sp.add_argument("kernel")
     sp.add_argument("--n", type=order, required=True)
-    common(sp, tol=True)
+    common(sp)
 
     # --grid only where a handler reads it: these two take their grids
     # from their inputs
@@ -502,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("symbol-test")
     sp.add_argument("phi")
     sp.add_argument("g")
-    common(sp, grid=False, tol=True)
+    common(sp, grid=False)
 
     sp = sub.add_parser("domination")
     sp.add_argument("kernel")

@@ -33,8 +33,8 @@ from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
 from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
                        _horner, _polish as _newton_polish, lift,
                        refine_circle_angle, require_nonnegative, roots,
-                       synthetic_divide, trig_from_modulus_squared,
-                       trig_scale)
+                       self_inversive_phase, synthetic_divide,
+                       trig_from_modulus_squared, trig_scale)
 
 PAIR_TOL = 1e-6      # relative tolerance for matching reflected zero pairs
 TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
@@ -167,7 +167,15 @@ def inner_outer(p: Poly) -> Factorization:
     return Factorization(inner, outer)
 
 
-def fejer_riesz(g: TrigPoly) -> Poly:
+@dataclass(frozen=True)
+class SpectralFactor:
+    """A spectral factor and the relative round trip that accepted it."""
+
+    factor: Poly
+    residual: float     # round trip / (|g_0| + 2 sum |g_k|), <= TOL_SPECTRAL
+
+
+def spectral_factor(g: TrigPoly) -> SpectralFactor:
     """The outer polynomial F with |F|^2 = g on the circle and F(0) > 0.
 
     Zeros of the lifted function come in pairs reflected across the circle;
@@ -180,10 +188,10 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     |F|^2 = g (``_polish``), with the circle zeros kept exactly unimodular:
     the root picture fixes which factor is meant, the polish recovers the
     accuracy that the input coefficients allow.  It then accepts F by its
-    round trip.  When a coefficient of g exceeds 1 in modulus
-    (s = max |g_k| > 1), F is the factor of g / s times sqrt(s), so the
-    polish works at unit scale; a nonnegative g with mean at most 1 has
-    |g_k| <= 1 and is factored as it is.
+    relative round trip, which the record carries as ``residual``.  When
+    s = max |g_k| > 1, F is the factor of g / s times sqrt(s), accepted
+    on g / s, so the polish works at unit scale; a nonnegative g with mean
+    at most 1 has |g_k| <= 1 and is factored as it is.
 
     Raises NullInput for the zero function, NotNonnegative when
     ``nonneg_check(g)`` finds a point where g < -tol (the error names that
@@ -191,29 +199,39 @@ def fejer_riesz(g: TrigPoly) -> Poly:
     g that passed it do not pair: an inside zero has no reflected partner,
     an odd circle zero is left (``_circle_zeros``), or the unpaired
     outside roots would give F a degree above g's band, and
-    SelfCheckFailed when the polished factor's round trip exceeds
-    TOL_SPECTRAL times |g_0| + 2 sum |g_k|: no factor that misses g is
-    returned.
+    SelfCheckFailed when the relative round trip exceeds TOL_SPECTRAL.
 
-    The factor is memoized per g at unit scale (``_fejer_riesz_cached``,
-    keyed on the frozen TrigPoly like ``polycore._roots_cached``), so the
-    pipelines that ask for the factor of one g from several public calls
-    build and polish it once.  A raised error is not memoized.
+    Factor and round trip are memoized per g at unit scale
+    (``_fejer_riesz_cached``, keyed on the frozen TrigPoly like
+    ``polycore._roots_cached``), so pipelines that ask for the factor of
+    one g from several public calls build it once.  Errors are not memoized.
     """
+    return _spectral_factor(g)
+
+
+def fejer_riesz(g: TrigPoly) -> Poly:
+    """The outer F with |F|^2 = g and F(0) > 0 of ``spectral_factor(g)``."""
+    # not through spectral_factor: a traced fejer_riesz times the build
+    return _spectral_factor(g).factor
+
+
+def _spectral_factor(g: TrigPoly) -> SpectralFactor:
     require_nonnegative(g)
     scale = max(1.0, max(abs(c) for c in g.coeffs))
     if scale > 1.0:
         # near the top of the double range the polish's residual norms
         # overflow; the factor of g / scale times sqrt(scale) is the same F
-        return _fejer_riesz_cached(trig_scale(g, 1.0 / scale)).scaled(
-            math.sqrt(scale))
-    return _fejer_riesz_cached(g)
+        g = trig_scale(g, 1.0 / scale)
+    f, resid = _fejer_riesz_cached(g)
+    if scale > 1.0:
+        f = f.scaled(math.sqrt(scale))
+    return SpectralFactor(f, resid / _l1(g))
 
 
 @functools.lru_cache(maxsize=512)
-def _fejer_riesz_cached(g: TrigPoly) -> Poly:
-    """The factor of ``fejer_riesz`` for a nonnegative g with
-    max |g_k| <= 1, computed and checked by its round trip."""
+def _fejer_riesz_cached(g: TrigPoly) -> tuple[Poly, float]:
+    """``_factor_from_zeros``'s factor and round trip for a nonnegative g
+    with max |g_k| <= 1."""
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
 
@@ -237,7 +255,12 @@ def _fejer_riesz_cached(g: TrigPoly) -> Poly:
     for r in outside:
         for _ in range(r.multiplicity):
             cofactor = np.convolve(cofactor, [-r.location, 1.0])
-    return _factor_from_zeros(g, cofactor, _circle_zeros(g))[0]
+    return _factor_from_zeros(g, cofactor, _circle_zeros(g))
+
+
+def _l1(g: TrigPoly) -> float:
+    """|g_0| + 2 sum |g_k|, the scale of g's round trip."""
+    return abs(g.coeffs[0]) + 2 * sum(abs(c) for c in g.coeffs[1:])
 
 
 def _round_trip(f: Poly, g: TrigPoly) -> float:
@@ -260,10 +283,17 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     the mean of g, is polished on g's coefficients (``_polish``) and is
     returned with F(0) real positive: rotated, then set to its modulus.
 
+    A nonconstant self-inversive cofactor (``self_inversive_phase``; the
+    split halves' lam N +/- D) makes F self-inversive: F* = mu F, F* the
+    conjugated reverse.  The polish moves the cofactor freely and can push
+    its circle zeros off the circle, so F is projected back,
+    F -> (F + conj(mu) F*) / 2 with mu the phase of <F, F*>.  Circle zeros
+    outside the cofactor move by their angles alone and stay on it.
+
     Raises PairingFailure when ``circle`` is None (an odd circle zero is
     left) or F's degree would exceed g's band n, and SelfCheckFailed when
-    F's round trip (``_round_trip``) exceeds TOL_SPECTRAL times
-    |g_0| + 2 sum |g_k|: no factor that misses g is returned.
+    F's round trip (``_round_trip``) over |g_0| + 2 sum |g_k| exceeds
+    TOL_SPECTRAL: no factor that misses g is returned.
     """
     if circle is None:
         raise PairingFailure("an odd circle zero is left unmerged")
@@ -276,16 +306,18 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     coeffs = _assemble(cofactor, angles, halves)
     scale = math.sqrt(g.mean / float(np.vdot(coeffs, coeffs).real))
     coeffs = _polish(np.asarray(g.coeffs), cofactor * scale, angles, halves)
+    if len(cofactor) > 1 and self_inversive_phase(cofactor) is not None:
+        star = np.conj(coeffs[::-1])
+        mu = np.vdot(coeffs, star)
+        coeffs = (coeffs + (mu.conjugate() / abs(mu)) * star) / 2
     value0 = coeffs[0]
     coeffs = coeffs * (value0.conjugate() / abs(value0))
     coeffs[0] = abs(coeffs[0])
     f = Poly(tuple(coeffs))
     resid = _round_trip(f, g)
-    bound = TOL_SPECTRAL * (abs(g.coeffs[0])
-                            + 2 * sum(abs(c) for c in g.coeffs[1:]))
-    if not resid <= bound:
+    if not resid / _l1(g) <= TOL_SPECTRAL:
         raise SelfCheckFailed(f"the factor's round trip {resid:.3e} "
-                              f"exceeds {bound:.1e}")
+                              f"exceeds {TOL_SPECTRAL * _l1(g):.1e}")
     return f, resid
 
 

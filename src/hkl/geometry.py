@@ -57,7 +57,7 @@ from .polycore import (Poly, TrigPoly, lift, nonneg_tol, require_nonnegative,
 
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
-TOL_REMAINDER = 1e-9
+TOL_REMAINDER = 1e-9    # x.f / F's remainder and nonconstant part, relative
 TOL_UNIT_NORM = 1e-10   # |h2_norm - 1| a kernel element may have to be split
 SEARCH_GRID = 4096      # uniform constraint points of the perturbation search
 
@@ -73,11 +73,13 @@ class ExtremeCertificate:
     inner_factor: BlaschkeProduct
     outer_part: Poly
     mean: float
-    tol_norm: float
 
 
-def is_extreme(g: TrigPoly, n: int, *, tol_norm: float = NORM_TOL) -> ExtremeCertificate:
+def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     """Extreme iff the mean is 1 and the lift z**n g has trivial inner factor.
+
+    The mean is 1 when it is within NORM_TOL of 1, the tolerance of
+    ``membership_V``'s boundary verdict.
 
     Equivalently (tested as an oracle): every root of the lift lies on the
     unit circle and the mean is 1.  Scaling g below norm 1 destroys
@@ -91,14 +93,13 @@ def is_extreme(g: TrigPoly, n: int, *, tol_norm: float = NORM_TOL) -> ExtremeCer
     if mem.status is Membership.NOT_IN_V:
         raise NotInV(mem.reason)
     fac = inner_outer(lift(g, n))
-    norm_ok = abs(g.mean - 1.0) <= tol_norm
+    norm_ok = abs(g.mean - 1.0) <= NORM_TOL
     return ExtremeCertificate(
         verdict=norm_ok and fac.inner.is_trivial,
         norm_ok=norm_ok,
         inner_factor=fac.inner,
         outer_part=fac.outer,
         mean=g.mean,
-        tol_norm=tol_norm,
     )
 
 
@@ -323,12 +324,11 @@ class RigidityResult:
     NOT_DOMINATED = "NOT_DOMINATED"
 
 
-def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
-                   tol_remainder: float = TOL_REMAINDER) -> RigidityResult:
+def rigidity_check(g: TrigPoly, n: int, x: KernelElement) -> RigidityResult:
     """For outer lift, a dominated kernel element is c times the spectral factor.
 
     x.f is divided by F = ``fejer_riesz(g)`` first: a constant multiple of
-    F, within tol_remainder, is dominated and is CONSTANT_MULTIPLE with no
+    F, within TOL_REMAINDER, is dominated and is CONSTANT_MULTIPLE with no
     root solve.  Any other x.f must be NOT_DOMINATED.  Domination
     (finiteness of the integral of |f|/sqrt(g)) is decided by an exact
     multiplicity rule: at a circle zero of g with multiplicity 2m
@@ -358,7 +358,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement, *,
     scale = max(1.0, float(np.abs(x.f.as_array()).max()))
     rem_norm = float(np.abs(rem).max()) / scale
     nonconst = float(np.abs(quo[1:]).max()) / scale if len(quo) > 1 else 0.0
-    if rem_norm <= tol_remainder and nonconst <= tol_remainder:
+    if rem_norm <= TOL_REMAINDER and nonconst <= TOL_REMAINDER:
         return RigidityResult(RigidityResult.CONSTANT_MULTIPLE,
                               constant=complex(quo[0]), remainder=rem_norm)
 

@@ -24,6 +24,7 @@ from .polycore import TrigPoly
 
 W_FLOOR = 1e-8
 DEFAULT_GRID = 4096
+TOL_SYMBOL = 1e-7   # symbol test's defect, relative to sup |g| * sup |phi|
 
 
 @dataclass(frozen=True)
@@ -129,13 +130,12 @@ class SymbolTest:
     verdict: bool
 
 
-def symbol_condition_test(phi: Grid, g: Grid, *,
-                          tol_factor: float = 1e-7) -> SymbolTest:
+def symbol_condition_test(phi: Grid, g: Grid) -> SymbolTest:
     """Sampled test that conj(z) conj(phi) g has no negative frequencies.
 
     This is the analyticity condition characterizing g as the modulus
     squared of a kernel element for the sampled symbol phi.  The tolerance
-    scales with both sup norms.
+    is TOL_SYMBOL times both sup norms.
     """
     if phi.size != g.size:
         raise ValueError("phi and g must be sampled on the same grid")
@@ -147,7 +147,7 @@ def symbol_condition_test(phi: Grid, g: Grid, *,
     z = g.points
     prod = Grid(np.conj(z) * np.conj(phi.values) * g.values.real)
     defect = analyticity_defect(prod)
-    tol = tol_factor * float(np.abs(g.values).max()) * \
+    tol = TOL_SYMBOL * float(np.abs(g.values).max()) * \
         float(np.abs(phi.values).max())
     return SymbolTest(defect=defect, tolerance=tol, verdict=defect <= tol)
 

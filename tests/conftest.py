@@ -62,6 +62,23 @@ HOLDOUT_131 = trig_from_hex((
     ("0x1.4f59c9a681041p-7", "-0x1.3cdc90ea278f7p-4"),
     ("0x1.6f4d940118f5ep-7", "0x1.1f25dd10ebc8bp-6")))
 
+# census instance 177 of bench/workloads.census_inputs(2819, 240), n = 11:
+# the polish moved a split half's self-inversive factor so that its zeros
+# left the circle by up to 2.5e-8, one of them to the inside
+CENSUS_2819_177 = trig_from_hex((
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("-0x1.ca28ea798c5aep-1", "-0x1.0519f0a906a2ap-2"),
+    ("0x1.44fb1cf65c909p-1", "0x1.97cdc45444bc3p-2"),
+    ("-0x1.5f88746dbb4cep-2", "-0x1.923fb92968916p-2"),
+    ("0x1.01e994c4c4386p-3", "0x1.258a636c2625ap-2"),
+    ("-0x1.00c2e1a8deb18p-6", "-0x1.480f20a5bd698p-3"),
+    ("-0x1.0396d900dcf17p-6", "0x1.170820ed42692p-4"),
+    ("0x1.b4d2ac9e29f03p-7", "-0x1.5c33a782d32b0p-6"),
+    ("-0x1.6c94b84cf6678p-8", "0x1.24df0e9d52ea9p-8"),
+    ("0x1.73def4593e6a7p-10", "-0x1.08f8c41c26dacp-11"),
+    ("-0x1.b644f375af862p-13", "0x1.43488118a7260p-20"),
+    ("0x1.c3f1996554c7bp-17", "0x1.3c0fb642db5e9p-18")))
+
 # tests/test_factor.py's _near_touching(5, 600)[3], n = 2: its minimum
 # -2.3e-11 lies inside nonneg_tol = 2.7e-10, so it counts as nonnegative,
 # but its lift has two simple circle zeros and no exact factor exists;

@@ -19,9 +19,6 @@ MODULES = ("polycore", "factor", "geometry", "numeric", "kernel", "cli",
 # benchmark or the tests
 OPTIONS = {
     ("polycore", "lift", "n"),
-    ("geometry", "is_extreme", "tol_norm"),
-    ("geometry", "rigidity_check", "tol_remainder"),
-    ("numeric", "symbol_condition_test", "tol_factor"),
     ("geometry", "perturbation_search", "trials"),
     ("geometry", "perturbation_search", "seed"),
     ("geometry", "perturbation_search", "ascent_rounds"),

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -19,14 +20,15 @@ from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
                       NEAR_TOUCHING_64, NEAR_TOUCHING_523, UNMERGED_ODD_ZERO)
 
 import hkl
-from hkl import geometry
+from hkl import cli, factor, geometry, kernel, numeric
 from hkl.cli import COMMANDS, build_parser, main
-from hkl.gen import random_boundary_modulus
+from hkl.factor import spectral_factor
+from hkl.gen import random_boundary_modulus, random_kernel_element
 from hkl.geometry import split_nonextreme
 from hkl.jsonio import dumps, instance_to_json
 from hkl.kernel import KernelElement
 from hkl.numeric import Grid
-from hkl.polycore import Poly, TrigPoly
+from hkl.polycore import Poly, TrigPoly, trig_from_modulus_squared, trig_scale
 
 
 @pytest.fixture
@@ -223,15 +225,31 @@ def test_batch_mode(tmp_path, capsys):
     assert docs[1]["verdict"] is False
 
 
-def test_tol_override_echoed(files, capsys):
+def test_printed_tolerances_are_the_constants_applied(files, capsys):
     write, _ = files
-    path = write("g.json", TrigPoly(1, (1.0, 0.5)))
-    code, out, _ = run(capsys, ["extreme", path, "--n", "1",
-                                "--tol", "1e-9"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["tolerances"]["override"] == 1e-9
-    assert doc["tolerances"]["tol_norm"] == 1e-9
+    g = write("g.json", TrigPoly(1, (1.0, 0.5)))
+    r = 1 / math.sqrt(2)
+    grid = write("grid.json", Grid.sample(lambda z: np.abs(1 - z / 2), 16))
+    applied = {
+        ("factor", write("p.json", Poly((-0.5, 1.25, -0.5)))):
+            {"tol_factor": cli.TOL_RESIDUAL},
+        ("spectral", g): {"tol_factor": factor.TOL_SPECTRAL},
+        ("extreme", g, "--n", "1"): {"tol_norm": kernel.NORM_TOL},
+        ("solutions", g, "--n", "1"): {"grid_residual": cli.TOL_RESIDUAL},
+        ("rigidity", g, write("f.json", KernelElement(1, Poly((r, -r)))),
+         "--n", "1"): {"tol_remainder": geometry.TOL_REMAINDER},
+        ("symbol-test", grid, grid): {"tol_factor": numeric.TOL_SYMBOL},
+    }
+    for argv, tolerances in applied.items():
+        code, out, _ = run(capsys, list(argv))
+        assert code == 0
+        assert json.loads(out)["tolerances"] == tolerances
+    # the printed round trip is the one the library accepted the factor by
+    gen = random_boundary_modulus(4, 1, 1, 2, np.random.default_rng(2))
+    code, out, _ = run(capsys, ["spectral", write("gen.json", gen)])
+    checks = json.loads(out)["checks"]
+    assert checks["modulus_residual"] == spectral_factor(gen).residual
+    assert checks["residual_ok"] is True
 
 
 def test_batch_rerun_skips_earlier_outputs(tmp_path, capsys):
@@ -265,26 +283,26 @@ def test_seed_only_on_gen(files, capsys):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_tol_must_be_finite_and_nonnegative(files, capsys, tol):
+def test_tol_is_refused(files, capsys, tol):
+    # no command takes a tolerance: argparse refuses --tol before any work
     write, tmp_path = files
     path = write("g.json", TrigPoly(1, (1.0, 0.25)))
     for command in ("extreme", "solutions"):
-        code, out, err = run(capsys, [command, path, "--n", "1",
-                                      "--tol", tol])
-        assert code == 2 and out == ""
-        assert err.startswith("error: BadInput: --tol must be finite")
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--n", "1", "--tol", tol])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: --tol {tol}" in out.err
     d = tmp_path / "batch"
     d.mkdir()
     for k, c1 in enumerate((0.5, 0.25)):
         (d / f"g{k}.json").write_text(
             dumps(instance_to_json(TrigPoly(1, (1.0, c1)))) + "\n")
-    code, out, err = run(capsys, ["extreme", "--n", "1", "--batch", str(d),
-                                  "--tol", tol])
-    assert code == 2 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 2
-    assert all(": error: BadInput: --tol must be finite" in ln
-               for ln in lines)
+    with pytest.raises(SystemExit) as exc:
+        main(["extreme", "--n", "1", "--batch", str(d), "--tol", tol])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
     assert not list(d.glob("*.out.json"))
 
 
@@ -360,13 +378,25 @@ def test_negative_order_argument_exits_2(files, capsys, command):
     assert "argument --n: model order -1 is negative" in out.err
 
 
-def test_split_echoes_fixed_tolerances(files, capsys):
+def test_decompose_prints_the_split_checks(files, capsys):
+    # decompose splits the renormalized |f|^2 and prints the same checks,
+    # the halves' extreme flags and round trip included; split echoes no
+    # tolerance that it does not apply
     write, _ = files
-    path = write("g.json", TrigPoly(1, (1.0, 0.25)))
-    code, out, _ = run(capsys, ["split", path, "--n", "1"])
+    x = random_kernel_element(4, 1, 1, 2, np.random.default_rng(7))
+    code, out, _ = run(capsys, ["decompose", write("f.json", x)])
     assert code == 0
-    assert json.loads(out)["tolerances"] == {
-        "midpoint": 1e-10, "norms": 1e-10, "distinctness": 1e-9}
+    checks = json.loads(out)["checks"]
+    g = trig_from_modulus_squared(x.f)
+    g = trig_scale(g, 1.0 / g.mean)
+    code, out, _ = run(capsys, ["split", write("g.json", g), "--n", "4"])
+    assert code == 0
+    doc = json.loads(out)
+    assert checks == doc["checks"]
+    assert set(checks) == {f.name for f in
+                           dataclasses.fields(geometry.SplitChecks)}
+    assert checks["extreme1"] and checks["extreme2"]
+    assert "tolerances" not in doc
 
 
 def test_split_output_does_not_depend_on_grid(files, capsys):
@@ -384,7 +414,7 @@ def test_split_output_does_not_depend_on_grid(files, capsys):
 
 
 def test_parser_is_built_once_and_reused(files, capsys):
-    write, _ = files
+    write, tmp_path = files
     path = write("g.json", TrigPoly(1, (1.0, 0.25)))
     assert build_parser() is build_parser()
     argv = ["extreme", path, "--n", "2"]
@@ -392,10 +422,12 @@ def test_parser_is_built_once_and_reused(files, capsys):
                PYTHONPATH=str(Path(hkl.__file__).resolve().parents[1]))
     fresh = subprocess.run([sys.executable, "-m", "hkl.cli"] + argv,
                            capture_output=True, env=env, check=True).stdout
-    code, out, _ = run(capsys, argv + ["--tol", "1e-3"])
-    assert code == 0 and '"override"' in out
+    csv_path = tmp_path / "out.csv"
+    code, out, _ = run(capsys, argv + ["--csv", str(csv_path)])
+    assert code == 0 and csv_path.exists()
+    csv_path.unlink()
     code, out, _ = run(capsys, argv)
-    assert code == 0 and '"override"' not in out
+    assert code == 0 and not csv_path.exists()
     assert out.encode() == fresh
     # an argparse error leaves the next call unaffected
     with pytest.raises(SystemExit) as exc:
@@ -480,32 +512,38 @@ def test_csv_with_batch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-READS_TOL = ("factor", "spectral", "extreme", "solutions", "rigidity",
-             "symbol-test")
+# the option strings of each command, as build_parser() defines them; a
+# flag that a handler does not read must not come back unnoticed
+_IO = {"-h", "--help", "--grid", "--csv"}
+FLAGS = {
+    "factor": _IO | {"--batch"},
+    "spectral": _IO | {"--batch"},
+    "companion": _IO | {"--batch"},
+    "norm": _IO | {"--batch"},
+    "baseline-split": _IO | {"--batch"},
+    "extreme": _IO | {"--batch", "--n"},
+    "split": _IO | {"--batch", "--n"},
+    "solutions": _IO | {"--batch", "--n"},
+    "decompose": _IO | {"--batch"},
+    "rigidity": _IO | {"--n"},
+    "outer-grid": _IO - {"--grid"} | {"--batch"},
+    "symbol-test": _IO - {"--grid"},
+    "domination": _IO,
+    "gen": _IO | {"--n", "--zeros", "--emit", "--seed"},
+}
 
 
-def test_tol_only_on_commands_that_read_it(files, capsys):
+def test_each_command_takes_its_pinned_flags(capsys):
+    assert {command: set(_subparser(command)._option_string_actions)
+            for command in COMMANDS} == FLAGS
     for command, (_, arity) in COMMANDS.items():
         argv = [command] + ["x.json", "y.json"][:arity]
-        if command in ("extreme", "split", "solutions", "rigidity", "gen"):
+        if "--n" in FLAGS[command]:
             argv += ["--n", "1"]
-        if command in READS_TOL:
-            assert build_parser().parse_args(argv + ["--tol", "1e-3"]).tol \
-                == 1e-3
-        else:
-            assert not hasattr(build_parser().parse_args(argv), "tol")
-            with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(argv + ["--tol", "1e-3"])
-            assert exc.value.code == 2
-    capsys.readouterr()
-
-    write, _ = files
-    path = write("k.json", KernelElement(1, Poly((0.6, 0.8))))
-    with pytest.raises(SystemExit) as exc:
-        main(["norm", path, "--tol", "nan"])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == "" and "unrecognized arguments: --tol nan" in out.err
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
 def test_overflowing_coefficients_raise_root_overflow(files):
@@ -557,6 +595,26 @@ def test_spectral_residual_is_relative_to_the_modulus(files, capsys):
     checks = json.loads(out)["checks"]
     assert checks["residual_ok"] is True
     assert checks["modulus_residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e8])
+def test_factor_and_solutions_residuals_are_relative_to_the_input(
+        files, capsys, scale):
+    # the residuals on the grid are judged over s = max(1, max |c_k|), as
+    # the spectral round trip is, so a large input is not flagged for the
+    # rounding of its own size
+    write, _ = files
+    x = random_kernel_element(4, 1, 1, 2, np.random.default_rng(4))
+    code, out, _ = run(capsys, ["factor",
+                                write("p.json", x.f.scaled(scale))])
+    assert code == 0
+    assert json.loads(out)["checks"]["residual_ok"] is True
+    g = trig_scale(trig_from_modulus_squared(x.f), scale)
+    code, out, _ = run(capsys, ["solutions", write("g.json", g), "--n", "4"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 8
+    assert all(e["residual_ok"] for e in doc["solutions"])
 
 
 def test_spectral_factors_a_merged_root_modulus(files, capsys):
@@ -709,7 +767,6 @@ _POSITIONALS = {
 _FUZZ_FLAGS = {
     "--n": (["1", "2", "3", "12"], ["-1", "0", "x", "2000"]),
     "--grid": (["8", "64", "4096"], ["4", "3", "0", "x"]),
-    "--tol": (["1e-9", "1e-3"], ["0", "nan", "inf", "-1", "x"]),
     "--zeros": (["", "inside:1", "circle:1,outside:1", "circle:2"],
                 ["circle:12", "inside:-1", "inside:1,inside:1", "bogus:1",
                  "circle:x"]),

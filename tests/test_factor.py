@@ -13,7 +13,7 @@ from hkl.errors import (AlreadyExtreme, InternalInvariantError,
                         PairingFailure, PoleHit, PreconditionError,
                         SelfCheckFailed)
 from hkl.factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
-                        divisors, fejer_riesz, inner_outer)
+                        divisors, fejer_riesz, inner_outer, spectral_factor)
 from hkl.gen import random_boundary_modulus
 from hkl.geometry import is_extreme, split_nonextreme
 from hkl.polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
@@ -322,6 +322,20 @@ def test_fejer_polish_residual_in_high_precision():
                 - mpmath.mpc(g.coeff(k).real, g.coeff(k).imag))
             for k in range(g.n + 1))
     assert float(worst) <= 1e-12 * max(abs(c) for c in g.coeffs)
+
+
+def test_spectral_factor_carries_the_round_trip_it_was_accepted_by():
+    # the residual is the round trip over |g_0| + 2 sum |g_k|, at unit scale
+    # for a g with a coefficient above 1
+    g = random_boundary_modulus(5, 1, 2, 2, np.random.default_rng(11))
+    rec = spectral_factor(g)
+    l1 = abs(g.coeff(0)) + 2 * sum(abs(g.coeff(k)) for k in range(1, 6))
+    assert rec.factor == fejer_riesz(g)
+    assert rec.residual == factor._round_trip(rec.factor, g) / l1
+    assert 0 < rec.residual <= TOL_SPECTRAL
+    big = spectral_factor(trig_scale(g, 4.0))
+    assert big.residual == rec.residual
+    assert _max_err(big.factor, rec.factor.scaled(2.0)) <= 1e-14
 
 
 def test_fejer_memoizes_one_entry_per_g():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (HOLDOUT_131, census_suite, random_unit_element,
-                      trig_from_hex)
+from conftest import (CENSUS_2819_177, HOLDOUT_131, census_suite,
+                      random_unit_element, trig_from_hex)
 
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
@@ -195,6 +195,17 @@ def test_split_holdout_131_halves_are_extreme():
     assert cert.checks.midpoint_residual <= 1e-10
     for f, gh in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
         assert _grid_residual(f.f, gh) <= 1e-9
+
+
+def test_split_halves_of_census_177_keep_their_zeros_on_the_circle():
+    # each half is extreme, so every zero of its factor lies on the circle;
+    # np.roots is an independent oracle for where they are
+    cert = split_nonextreme(CENSUS_2819_177, 11)
+    assert cert.checks.extreme1 and cert.checks.extreme2
+    for f in (cert.f1.f, cert.f2.f):
+        zeros = np.roots(f.as_array()[::-1])
+        assert len(zeros) == 11
+        assert np.abs(np.abs(zeros) - 1.0).max() <= 1e-10
 
 
 def _non_extreme_census(seed):
