@@ -328,7 +328,8 @@ def _circle_zeros(g: TrigPoly) -> tuple[tuple[float, int], ...] | None:
 
     The one reader of the multiplicities of lift(g)'s circle roots, for
     ``fejer_riesz`` and geometry's split, ``rigidity_check`` and
-    ``perturbation_search``.  The root engine's snap has merged the roots
+    ``perturbation_search`` (there only when g has fewer local minima than
+    its order, all zeros of g).  The root engine's snap has merged the roots
     that rounding splits off a double circle zero, so an odd root left is
     a sign change of g or a split beyond SNAP_BAND.  Each angle is refined
     on g (``refine_circle_angle``).  Memoized per g, like ``fejer_riesz``.

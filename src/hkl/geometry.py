@@ -30,8 +30,11 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
   largest admissible h (route sampled), whose last bits depend on the
   BLAS thread count                                 (perturbation_search)
 
-The split, the domination rule and the circle count read g's circle zeros
-and their even multiplicities from ``factor._circle_zeros`` alone.
+The split and the domination rule read g's circle zeros and their even
+multiplicities from ``factor._circle_zeros`` alone.  The circle count
+reads g's local minima (``polycore.circle_minima``) and solves no lift
+when g's n minima are all zeros of g; only fewer minima send it to
+``_circle_zeros``.
 
 Everything returns a certificate object carrying residuals and the
 conventions used, so a verdict can be audited without rerunning.
@@ -51,9 +54,9 @@ from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
                      blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
-from .polycore import (Poly, TrigPoly, lift, nonneg_tol, require_nonnegative,
-                       roots, trig_add, trig_mul, trig_scale,
-                       trig_from_modulus_squared, unlift)
+from .polycore import (Poly, TrigPoly, circle_minima, lift, nonneg_tol,
+                       require_nonnegative, roots, trig_add, trig_mul,
+                       trig_scale, trig_from_modulus_squared, unlift)
 
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
@@ -424,39 +427,74 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     negative certificate: it reports the largest sup-norm it could reach.
     Two routes decide it, and ``route`` names the one that did.
 
-    circle_count: an exact count on g's circle zeros (``_circle_zeros``).
-    When their even multiplicities add up to 2n and |g| <= nonneg_tol(g)
-    at each zero, no perturbation survives: near a zero of order 2m, g
-    behaves like |theta - t0|**2m, and |h| <= g forces the smooth h to
-    vanish there to order 2m too.  So z**n h, of degree <= 2n, is
-    divisible by the degree-2n circle part of the lift, which is z**n g up
-    to a constant: h = c g, and the mean-free condition with mean(g) > 0
-    gives c = 0.  This route returns 0 at once
-    and draws no random numbers, so its certificate does not depend on
-    ``seed``, ``trials`` or the BLAS thread count.  At n = 0 the count is
-    vacuously 0 = 2n.
+    circle_count: when g has order n (its ``effective_band``; the stored
+    band may be larger) and its circle zeros are all 2n zeros of the lift,
+    each of even order and with |g| <= nonneg_tol(g) (``_circle_count``),
+    no perturbation survives: near a zero of order 2m, g behaves like
+    |theta - t0|**2m, and |h| <= g forces the smooth h to vanish there to
+    order 2m too.  So z**n h, of degree <= 2n, is divisible by the
+    degree-2n circle part of the lift, which is z**n g up to a constant:
+    h = c g, and the mean-free condition with mean(g) > 0 gives c = 0.
+    This route returns 0 at once and draws no random numbers, so its
+    certificate does not depend on ``seed``, ``trials`` or the BLAS thread
+    count.  When g's n local minima are all zeros of g it solves no
+    polynomial.  At n = 0 the count is vacuously 0 = 2n for a constant
+    g > 0.
 
     sampled: otherwise (a sign change or a short count, as at a point that
     is not extreme), a randomized search over ``trials`` directions plus
     ``ascent_rounds`` rounds of coordinate ascent on SEARCH_GRID points
-    (``grid_size`` on both routes); see ``_sampled_search``.  Its max_norm
-    may differ in the last bits with the BLAS thread count.
+    (``grid_size`` on both routes), constrained at the lift's circle roots;
+    see ``_sampled_search``.  Its max_norm may differ in the last bits with
+    the BLAS thread count.
+
+    Raises NullInput for the zero function, and on the sampled route
+    NotNonnegative, with a point where g < -tol, for a negative g.
     """
     if trials < 0 or ascent_rounds < 0:
         raise ValueError("trials and ascent_rounds must be nonnegative")
-    zeros = _circle_zeros(g)
-    if (zeros is not None and sum(m for _, m in zeros) == 2 * n
-            and np.all(np.abs(g.values([t for t, _ in zeros]))
-                       <= nonneg_tol(g))):
+    if g.is_null:
+        raise NullInput("the zero function has no perturbation search")
+    zeros = _circle_count(g) if g.effective_band == n else None
+    if zeros is not None:
         # n_constraints counts the grid the sampled route would have used:
-        # one refined block per circle root, and each entry of zeros is one
+        # one refined block per circle root, and each of zeros is one
         return PerturbationSearch(
             max_norm=0.0, trials=trials, grid_size=SEARCH_GRID,
             n_constraints=SEARCH_GRID + (1 + 2 * len(_LADDER)) * len(zeros),
             route=PerturbationSearch.CIRCLE_COUNT)
+    require_nonnegative(g)
     circle = roots(lift(g, n)).on_circle
     return _sampled_search(g, n, circle, trials=trials, seed=seed,
                            grid_size=SEARCH_GRID, ascent_rounds=ascent_rounds)
+
+
+def _circle_count(g: TrigPoly) -> np.ndarray | None:
+    """The angles of g's circle zeros when they are all 2n zeros of its
+    lift, each of even order, with |g| <= nonneg_tol(g) at each and
+    mean(g) > 0, so g >= -tol; else None.
+
+    g's local minima come first (``circle_minima``).  Every local minimum
+    of such a g is one of its zeros: g' has at most 2n zeros, a zero of g
+    of order 2m takes 2m - 1 of them and a maximum between each two
+    neighbouring zeros the rest.  So a minimum with |g| > tol declines,
+    as does a grid that cannot show the minima.  n minima that are zeros
+    of g are n double zeros, all of the lift's zeros, found with no root
+    solve.  Fewer can mean a zero of order 4 or more, and then the lift's
+    circle roots and their multiplicities decide (``_circle_zeros``).
+    """
+    n, tol = g.effective_band, nonneg_tol(g)
+    minima = circle_minima(g)
+    if (minima is None or g.mean <= 0
+            or np.any(np.abs(g.values(minima)) > tol)):
+        return None
+    if len(minima) == n:
+        return minima
+    zeros = _circle_zeros(g)
+    if (zeros is None or sum(m for _, m in zeros) != 2 * n
+            or np.any(np.abs(g.values([t for t, _ in zeros])) > tol)):
+        return None
+    return np.array([t for t, _ in zeros])
 
 
 # angular offsets of the refined constraint points on each side of a zero

@@ -816,8 +816,8 @@ def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
     coefficient noise, unlike the lift's root there, so this recovers the
     angle of an even-order zero to near machine precision.  It stops where
     g'' <= 0 or a step would exceed 1e-2.  The one angle refiner: for
-    ``factor._circle_zeros``, the self-inversive snap and the dips of
-    ``nonneg_check``.
+    ``factor._circle_zeros``, the self-inversive snap, the dips of
+    ``nonneg_check`` and the minima of ``circle_minima``.
     """
     ks = np.arange(1, g.n + 1)
     cs = np.array(g.coeffs[1:])
@@ -834,6 +834,36 @@ def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
         theta -= step
         if abs(step) <= 1e-15:
             break
+    return theta
+
+
+def circle_minima(g: TrigPoly) -> np.ndarray | None:
+    """The angles of g's local minima on the circle, found with no root
+    solve; None when the grid cannot show them.
+
+    g' is taken on the ``nonneg_grid_size(g)`` grid with one FFT, and each
+    cell where it goes from < 0 to >= 0 brackets one local minimum, which
+    ``refine_circle_angle`` finds from the cell's midpoint.  A trig
+    polynomial of order n (``effective_band``) has at most n local minima,
+    so more than n cells means that rounding, not g, sets the sign of g'
+    somewhere: None, as when a refined angle leaves its cell.  A constant
+    has no minimum.
+    """
+    n = g.effective_band
+    if n == 0:
+        return np.empty(0)
+    size = nonneg_grid_size(g)
+    deriv = TrigPoly(g.n, (0j,) + tuple(1j * k * c for k, c in
+                                        enumerate(g.coeffs[1:], start=1)))
+    d1 = deriv.grid_values(size)
+    cells = np.flatnonzero((d1 < 0) & (np.roll(d1, -1) >= 0))
+    if len(cells) > n:
+        return None
+    width = 2.0 * math.pi / size
+    theta = np.array([refine_circle_angle(g, (j + 0.5) * width)
+                      for j in cells.tolist()])
+    if np.any(theta < cells * width) or np.any(theta > (cells + 1) * width):
+        return None
     return theta
 
 

@@ -15,7 +15,7 @@ from hkl.errors import (AlreadyExtreme, InternalInvariantError,
 from hkl.factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
                         divisors, fejer_riesz, inner_outer, spectral_factor)
 from hkl.gen import random_boundary_modulus
-from hkl.geometry import is_extreme, split_nonextreme
+from hkl.geometry import _circle_count, is_extreme, split_nonextreme
 from hkl.polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
                           poly_mul, roots, trig_from_modulus_squared,
                           trig_scale)
@@ -221,6 +221,25 @@ def test_split_near_touching_family_never_blames_a_nonnegative_input():
         except InternalInvariantError as exc:
             seen.add(type(exc).__name__)
     assert {"certificate", "AlreadyExtreme", "NotNonnegative"} <= seen
+
+
+def test_circle_count_certificates_hold_on_a_fine_grid():
+    # a g the count certifies is >= -nonneg_tol on a 2**16 grid, and the
+    # count certifies every g that the rule it replaced in
+    # perturbation_search certified: n double zeros from _circle_zeros,
+    # each with |g| <= nonneg_tol (55 of the count's 63; 8 only the count)
+    counted = 0
+    for g in _near_touching(5, 600):
+        tol = nonneg_tol(g)
+        minima = _circle_count(g)
+        if minima is not None:
+            counted += 1
+            assert g.grid_values(2 ** 16).min() >= -tol
+        zeros = factor._circle_zeros(g)
+        if (zeros is not None and sum(m for _, m in zeros) == 2 * g.n
+                and all(abs(g.values(t)) <= tol for t, _ in zeros)):
+            assert minima is not None
+    assert counted == 63
 
 
 def test_fejer_not_nonnegative_names_the_minimum_of_g():

@@ -13,14 +13,15 @@ from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                         NullInput, SelfCheckFailed)
 from hkl.factor import blaschke_eval, fejer_riesz, inner_outer
 from hkl.gen import random_boundary_modulus, random_kernel_element
-from hkl.geometry import (PerturbationSearch, RigidityResult, _sampled_search,
-                          baseline_split, decompose_modulus,
-                          enumerate_solutions, is_extreme,
+from hkl.geometry import (SEARCH_GRID, PerturbationSearch, RigidityResult,
+                          _circle_count, _sampled_search, baseline_split,
+                          decompose_modulus, enumerate_solutions, is_extreme,
                           perturbation_search, rigidity_check,
                           split_nonextreme)
 from hkl.kernel import KernelElement, companion, h2_norm
-from hkl.polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
-                          roots, trig_from_modulus_squared, trig_scale)
+from hkl.polycore import (Poly, TrigPoly, circle_minima, lift, nonneg_check,
+                          nonneg_tol, poly_mul, roots,
+                          trig_from_modulus_squared, trig_scale)
 
 SQ5 = math.sqrt(5)
 WORKED = KernelElement(1, Poly((-1 / SQ5, 2 / SQ5)))   # (2/sqrt5)(z - 1/2)
@@ -760,10 +761,7 @@ def test_search_bit_identical_to_two_stage_reference():
 
 def test_circle_count_agrees_with_sampled_oracle():
     # the first 20 points of acceptance criterion 5, searched both ways
-    rng = np.random.default_rng(555)
-    for i in range(20):
-        n = int(rng.integers(1, 9))
-        g = random_boundary_modulus(n, 0, n, 0, rng)
+    for i, (g, n) in enumerate(_extreme_points_555()):
         res = perturbation_search(g, n, trials=10_000, seed=i)
         assert res.route == PerturbationSearch.CIRCLE_COUNT
         assert res.max_norm == 0.0
@@ -775,10 +773,11 @@ def test_circle_count_does_not_decide_off_extreme_points():
     g = random_boundary_modulus(2, 1, 0, 0, rng)
     assert (perturbation_search(g, 2, trials=500).route
             == PerturbationSearch.SAMPLED)
-    # cos(theta): two simple circle zeros add up to 2n, but g changes sign
-    res = perturbation_search(TrigPoly(1, (0.0, 0.5)), 1, trials=0,
-                              ascent_rounds=0)
-    assert res.route == PerturbationSearch.SAMPLED
+    # cos(theta): two simple circle zeros add up to 2n, but g changes sign;
+    # its one minimum is -1, so the count declines and g is outside V
+    with pytest.raises(NotNonnegative):
+        perturbation_search(TrigPoly(1, (0.0, 0.5)), 1, trials=0,
+                            ascent_rounds=0)
     # inside, outside and deficit census moduli: the circle count is short
     rng = np.random.default_rng(80)
     for n, census in [(3, (1, 2, 0)), (4, (2, 2, 0)), (3, (0, 2, 1)),
@@ -907,6 +906,105 @@ def test_circle_count_certificate_ignores_seed_and_budget(monkeypatch):
         assert res.trials == trials
         assert res.max_norm.hex() == first.max_norm.hex()
         assert dataclasses.replace(res, trials=first.trials) == first
+
+
+def test_search_input_checks():
+    # the zero function is refused before either route: at n = 0 the count
+    # would have no minimum to look at
+    for g, n in [(TrigPoly(0, (0.0,)), 0), (TrigPoly(2, (0.0, 0j, 0j)), 2)]:
+        with pytest.raises(NullInput):
+            perturbation_search(g, n, trials=0)
+    # a negative constant has no minimum to count; the sampled route
+    # refuses it as it refuses cos(theta)
+    with pytest.raises(NotNonnegative):
+        perturbation_search(TrigPoly(0, (-1.0,)), 0, trials=0)
+
+
+def _extreme_points_555():
+    # the first 20 points of acceptance criterion 5
+    rng = np.random.default_rng(555)
+    out = []
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        out.append((random_boundary_modulus(n, 0, n, 0, rng), n))
+    return out
+
+
+def test_circle_count_solves_no_polynomial(monkeypatch):
+    cases = [(HOLDOUT_212, 5), (GRID_23, 4)] + _extreme_points_555()
+
+    def no_solve(c):
+        raise AssertionError("the circle count solved a polynomial")
+    monkeypatch.setattr(polycore, "_roots_cached", no_solve)
+    for g, n in cases:
+        res = perturbation_search(g, n, trials=10_000, seed=0)
+        assert res.route == PerturbationSearch.CIRCLE_COUNT
+        assert res.max_norm == 0.0
+
+
+def test_circle_count_never_certifies_a_non_extreme_census_modulus():
+    # the generator's oracle: extreme iff all n zeros of f are on the
+    # circle.  The count is sufficient, not necessary, yet on these sets it
+    # misses no extreme point either
+    certified = 0
+    for g, n, census in census_suite(240, seed=1812):
+        extreme = census == (0, n, 0)
+        counted = g.n == n and _circle_count(g) is not None
+        assert counted == extreme, (census, n)
+        certified += counted
+    assert certified > 20
+
+
+def _uniform_circle_zeros(n, seed):
+    """|f|^2 / mean with f's n zeros at uniform random angles; f's
+    coefficients come from one FFT of its values prod (zeta - w_j), not
+    from expanding the product."""
+    rng = np.random.default_rng(seed)
+    w = np.exp(2j * np.pi * rng.uniform(size=n))
+    zeta = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    f = np.fft.fft(np.prod(zeta[:, None] - w, axis=1)) / (n + 1)
+    g = trig_from_modulus_squared(Poly(tuple(f)))
+    return trig_scale(g, 1.0 / g.mean)
+
+
+def test_circle_count_declines_more_brackets_than_minima():
+    # at n = 64 rounding, not g, sets the sign of g' over whole arcs where
+    # g is below tolerance: the grid shows 75 up-brackets, more than an
+    # order-64 trig polynomial has minima, so the count declines and the
+    # sampled route answers
+    g = _uniform_circle_zeros(64, 89)
+    assert circle_minima(g) is None
+    res = perturbation_search(g, 64, trials=0, ascent_rounds=0)
+    assert res.route == PerturbationSearch.SAMPLED
+
+
+def test_circle_count_falls_back_to_the_lift_at_a_fourfold_zero():
+    # |(1 - z)^2|^2 at n = 2 has one minimum, a zero of order 4: the lift's
+    # circle roots certify it, as they did before the count read minima
+    g = trig_from_modulus_squared(poly_mul(Poly((-1, 1)), Poly((-1, 1))))
+    assert len(circle_minima(g)) == 1
+    res = perturbation_search(g, 2, trials=10_000, seed=0)
+    assert res == PerturbationSearch(
+        max_norm=0.0, trials=10_000, grid_size=SEARCH_GRID,
+        n_constraints=SEARCH_GRID + 15, route=PerturbationSearch.CIRCLE_COUNT)
+    # with three double zeros and one fourfold zero at n = 5 too
+    f = poly_mul(poly_mul(Poly((-1, 1)), Poly((-1, 1))),
+                 poly_mul(Poly((1, 1)), Poly((1j, 1))))
+    g = trig_from_modulus_squared(poly_mul(f, Poly((-1j, 1))))
+    assert len(circle_minima(g)) == 4
+    assert (perturbation_search(g, 5, trials=0).route
+            == PerturbationSearch.CIRCLE_COUNT)
+
+
+def test_circle_count_reads_the_order_of_g_not_its_stored_band():
+    # |(1 + z)(1 - iz)|^2 stored with a zero coefficient at k = 3 is still
+    # an extreme point of order 2, and no extreme point of order 3
+    g = trig_from_modulus_squared(poly_mul(Poly((1, 1)), Poly((1, -1j))))
+    padded = TrigPoly(3, g.coeffs + (0j,))
+    assert (perturbation_search(padded, 2, trials=0).route
+            == PerturbationSearch.CIRCLE_COUNT)
+    assert (perturbation_search(padded, 3, trials=0, ascent_rounds=0).route
+            == PerturbationSearch.SAMPLED)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

@@ -20,9 +20,9 @@ from hkl.factor import inner_outer
 from hkl.gen import random_boundary_modulus
 from hkl.polycore import (Poly, Region, Root, TrigPoly, _aberth,
                           _cluster_points, _horner, _polish,
-                          _single_linkage_tree, _snap_self_inversive, lift,
-                          nonneg_check, nonneg_tol, poly_mul, roots,
-                          self_inversive_phase, trig_add,
+                          _single_linkage_tree, _snap_self_inversive,
+                          circle_minima, lift, nonneg_check, nonneg_tol,
+                          poly_mul, roots, self_inversive_phase, trig_add,
                           trig_from_modulus_squared, trig_mul, trig_scale,
                           unlift)
 
@@ -683,6 +683,27 @@ def test_nonneg_narrow_dip_caught_by_parity():
 
 def test_nonneg_null():
     assert nonneg_check(TrigPoly(0, (0j,))).nonnegative
+
+
+# ---------------------------------------------------------------------------
+# the local minima of g on the circle
+# ---------------------------------------------------------------------------
+
+def test_circle_minima_are_the_local_minima_of_g():
+    # |(1 + z)(1 - iz)|^2 has double zeros at -1 and -i
+    g = trig_from_modulus_squared(poly_mul(Poly((1, 1)), Poly((1, -1j))))
+    got = np.sort(np.mod(circle_minima(g), 2 * np.pi))
+    assert got == pytest.approx([np.pi, 1.5 * np.pi], abs=1e-12)
+    assert circle_minima(TrigPoly(0, (1.0,))).shape == (0,)
+    # cos(theta) and 1 + cos(theta) / 2: one minimum each, at pi
+    for g in (TrigPoly(1, (0.0, 0.5)), TrigPoly(1, (1.0, 0.25))):
+        assert circle_minima(g) == pytest.approx([np.pi], abs=1e-12)
+    # a fourfold zero at 0, (2 - 2 cos)**2: one minimum in the grid's
+    # last cell, where Newton on the cubic g' is slow
+    got = circle_minima(trig_from_modulus_squared(
+        poly_mul(Poly((-1, 1)), Poly((-1, 1)))))
+    assert len(got) == 1
+    assert abs(math.remainder(got[0], 2 * np.pi)) < 2 * np.pi / 4096
 
 
 # ---------------------------------------------------------------------------
