@@ -80,10 +80,9 @@ class NonConvergence(InternalInvariantError):
 
 
 class PairingFailure(InternalInvariantError):
-    """Zeros of a lifted nonnegative function failed to pair: an inside
-    zero without its reflection outside, an odd circle zero left, or
-    outside and circle zeros that would give a spectral factor a degree
-    above the band of g."""
+    """Zeros of a lifted nonnegative function failed to pair: an odd
+    circle zero left, or outside and circle zeros that would give a
+    spectral factor a degree above the band of g."""
 
 
 class RootOverflow(InternalInvariantError):
@@ -96,6 +95,6 @@ class RootOverflow(InternalInvariantError):
 class SelfCheckFailed(InternalInvariantError):
     """A result failed the library's own check of it: a spectral factor
     whose round trip misses g (``fejer_riesz`` and the split halves), a
-    split half that fails a precondition of its extreme test, or a
-    dominated kernel element that is not a multiple of the spectral factor
-    (``rigidity_check``)."""
+    split half that neither its round trip nor its circle count certifies
+    as extreme, or a dominated kernel element that is not a multiple of
+    the spectral factor (``rigidity_check``)."""

@@ -30,13 +30,11 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
                      SelfCheckFailed)
-from .polycore import (EPS_CIRCLE, ORIGIN_TOL, Poly, Region, TrigPoly,
-                       _horner, _polish as _newton_polish, lift,
-                       refine_circle_angle, require_nonnegative, roots,
-                       self_inversive_phase, synthetic_divide,
-                       trig_from_modulus_squared, trig_scale)
+from .polycore import (EPS_CIRCLE, Poly, TrigPoly, _horner,
+                       _polish as _newton_polish, lift, refine_circle_angle,
+                       require_nonnegative, roots, self_inversive_phase,
+                       synthetic_divide, trig_from_modulus_squared, trig_scale)
 
-PAIR_TOL = 1e-6      # relative tolerance for matching reflected zero pairs
 TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
 POLE_TOL = 1e-12
 # a returned spectral factor's round trip, relative to |g_0| + 2 sum |g_k|
@@ -144,7 +142,7 @@ def inner_outer(p: Poly) -> Factorization:
     m0 = 0
     inner_zeros = []
     for r in rs.inside:
-        if abs(r.location) <= ORIGIN_TOL:
+        if r.location == 0:     # roots() folds near-origin roots to 0j
             m0 += r.multiplicity
             for _ in range(r.multiplicity):
                 work = synthetic_divide(work, r.location)
@@ -195,11 +193,12 @@ def spectral_factor(g: TrigPoly) -> SpectralFactor:
 
     Raises NullInput for the zero function, NotNonnegative when
     ``nonneg_check(g)`` finds a point where g < -tol (the error names that
-    value and tolerance in g's units), PairingFailure when the roots of a
-    g that passed it do not pair: an inside zero has no reflected partner,
-    an odd circle zero is left (``_circle_zeros``), or the unpaired
-    outside roots would give F a degree above g's band, and
-    SelfCheckFailed when the relative round trip exceeds TOL_SPECTRAL.
+    value and tolerance in g's units), PairingFailure when an odd circle
+    zero is left (``_circle_zeros``) or the outside roots would give F a
+    degree above g's band, and SelfCheckFailed when the relative round
+    trip exceeds TOL_SPECTRAL.  F is judged by what was built alone: the
+    inside roots are not read, and a lift whose roots do not pair shows it
+    in F's degree or round trip.
 
     Factor and round trip are memoized per g at unit scale
     (``_fejer_riesz_cached``, keyed on the frozen TrigPoly like
@@ -235,24 +234,8 @@ def _fejer_riesz_cached(g: TrigPoly) -> tuple[Poly, float]:
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
 
-    rs = roots(lift(g))
-    inside = [r for r in rs.inside if abs(r.location) > ORIGIN_TOL]
-    outside = list(rs.outside)
-
-    # every inside zero must have its reflected partner outside
-    for r in inside:
-        mirror = 1.0 / r.location.conjugate()
-        if not outside:
-            raise PairingFailure(
-                f"zero {r.location} has no reflected partner at all")
-        match = min(outside, key=lambda s: abs(s.location - mirror))
-        rel = abs(match.location - mirror) / max(1.0, abs(mirror))
-        if rel > PAIR_TOL or match.multiplicity != r.multiplicity:
-            raise PairingFailure(
-                f"zero {r.location} has no reflected partner within {PAIR_TOL}")
-
     cofactor = np.ones(1, dtype=complex)
-    for r in outside:
+    for r in roots(lift(g)).outside:
         for _ in range(r.multiplicity):
             cofactor = np.convolve(cofactor, [-r.location, 1.0])
     return _factor_from_zeros(g, cofactor, _circle_zeros(g))

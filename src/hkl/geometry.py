@@ -13,8 +13,7 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
   have lift +/-G (lam u +/- 1)**2 / (2 lam) with G = kappa prod (z - w)**m
   D**2, so their factors are prod (z - w)**(m/2) (lam N +/- D) up to a
   constant, built by ``fejer_riesz``'s builder with no root solve; a half
-  whose round trip is at most nonneg_tol is extreme, and any other half's
-  flag comes from its extreme test                       (split_nonextreme)
+  is extreme by its round trip, or else by the circle count (split_nonextreme)
 * a unit-norm kernel element f admits |f|^2 = (|f1|^2 + |f2|^2)/2
   with |f1| != |f2| iff f or its companion has a nonconstant
   inner factor, and otherwise is rigid                   (decompose_modulus)
@@ -48,8 +47,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
-                     NotOnBoundary, NotUnitNorm, NullInput, PreconditionError,
-                     SelfCheckFailed)
+                     NotOnBoundary, NotUnitNorm, NullInput, SelfCheckFailed)
 from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
                      blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
@@ -63,6 +61,7 @@ ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
 TOL_REMAINDER = 1e-9    # x.f / F's remainder and nonconstant part, relative
 TOL_UNIT_NORM = 1e-10   # |h2_norm - 1| a kernel element may have to be split
 SEARCH_GRID = 4096      # uniform constraint points of the perturbation search
+ASCENT_ROUNDS = 40      # coordinate-ascent rounds after the random directions
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ class SplitChecks:
     norm1: float
     norm2: float
     distinctness_gap: float
-    extreme1: bool              # round trip <= nonneg_tol(g1), else is_extreme
+    extreme1: bool              # always True: a half not certified raises
     extreme2: bool
     factor_residual: float      # the larger round trip of f1 on g1, f2 on g2
 
@@ -158,13 +157,16 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
     so f1 is prod (z - w)**(m/2) (lam N + D) up to a constant, and f2
     pairs with lam N - D.  ``factor._factor_from_zeros``, the builder of
     ``fejer_riesz``, builds, polishes and accepts each, and the split keeps
-    it; the larger round trip is ``checks.factor_residual``.  A half whose
-    round trip is at most nonneg_tol(g_j) is extreme (g_j has mean 1, is
-    >= -tol on the circle and |g_j| <= tol at the n zeros of f_j);
-    otherwise ``is_extreme(g_j, n)`` decides.  The halves are the
-    library's own, so their failures are internal: PairingFailure or
-    SelfCheckFailed from the builder, and SelfCheckFailed for a half that
-    fails a precondition of its extreme test.
+    it; the larger round trip is ``checks.factor_residual``.  The halves
+    are extreme by construction (lam N +/- D vanishes where u0 = -/+
+    conj(lam), at k simple points of the circle), and each is certified by
+    what was built: its round trip at most nonneg_tol(g_j) (g_j has mean
+    1, is >= -tol on the circle and |g_j| <= tol at the n zeros of f_j),
+    or else the circle count at order n (``_circle_count``).  So
+    ``extreme1`` and ``extreme2`` are True on every certificate.  The
+    halves are the library's own, so their failures are internal:
+    PairingFailure or SelfCheckFailed from the builder, and
+    SelfCheckFailed for a half that neither certifies.
     """
     cert = is_extreme(g, n)
     if not cert.norm_ok:
@@ -196,8 +198,8 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
     num = inner.numerator().as_array()
     den = inner.denominator().as_array()
     den = np.pad(den, (0, len(num) - len(den)))
-    f1, extreme1, resid1 = _split_half(g1, n, circle, lam * num + den)
-    f2, extreme2, resid2 = _split_half(g2, n, circle, lam * num - den)
+    f1, resid1 = _split_half(g1, n, circle, lam * num + den)
+    f2, resid2 = _split_half(g2, n, circle, lam * num - den)
 
     midpoint = max(
         abs(g1.coeff(k) + g2.coeff(k) - 2.0 * g.coeff(k)) for k in range(n + 1))
@@ -207,8 +209,8 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
         norm1=norm1,
         norm2=norm2,
         distinctness_gap=gap,
-        extreme1=extreme1,
-        extreme2=extreme2,
+        extreme1=True,
+        extreme2=True,
         factor_residual=max(resid1, resid2),
     )
     rotated = BlaschkeProduct(inner.m0, inner.zeros, lam * inner.lam)
@@ -220,21 +222,18 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
 
 
 def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
-                p: np.ndarray) -> tuple[Poly, bool, float]:
-    """Factor, extreme verdict and round trip of the split half gj: the
-    factor prod (z - w)**(m/2) p over g's circle zeros ``circle`` (None when
-    an odd circle root was left), built and judged as in
+                p: np.ndarray) -> tuple[Poly, float]:
+    """Factor and round trip of the split half gj: the factor
+    prod (z - w)**(m/2) p over g's circle zeros ``circle`` (None when an
+    odd circle root was left), built and certified extreme as in
     ``split_nonextreme``."""
     f, resid = _factor_from_zeros(gj, p, circle)
-    if resid <= nonneg_tol(gj):
-        return f, True, resid
-    try:
-        extreme = is_extreme(gj, n).verdict
-    except PreconditionError as exc:
+    if (resid > nonneg_tol(gj)
+            and (gj.effective_band != n or _circle_count(gj) is None)):
         raise SelfCheckFailed(
-            f"a split half fails its extreme test: {type(exc).__name__}: "
-            f"{exc}") from exc
-    return f, extreme, resid
+            f"a split half's round trip {resid:.3e} exceeds its tolerance "
+            f"{nonneg_tol(gj):.1e} and its circle count declines")
+    return f, resid
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +418,7 @@ class PerturbationSearch:
 
 
 def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
-                        seed: int = 0,
-                        ascent_rounds: int = 40) -> PerturbationSearch:
+                        seed: int = 0) -> PerturbationSearch:
     """Largest mean-free band-n perturbation h with g +/- h >= 0.
 
     At an extreme point the only admissible h is zero, so the search is a
@@ -443,7 +441,7 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
 
     sampled: otherwise (a sign change or a short count, as at a point that
     is not extreme), a randomized search over ``trials`` directions plus
-    ``ascent_rounds`` rounds of coordinate ascent on SEARCH_GRID points
+    ASCENT_ROUNDS rounds of coordinate ascent on SEARCH_GRID points
     (``grid_size`` on both routes), constrained at the lift's circle roots;
     see ``_sampled_search``.  Its max_norm may differ in the last bits with
     the BLAS thread count.
@@ -451,8 +449,8 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     Raises NullInput for the zero function, and on the sampled route
     NotNonnegative, with a point where g < -tol, for a negative g.
     """
-    if trials < 0 or ascent_rounds < 0:
-        raise ValueError("trials and ascent_rounds must be nonnegative")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     if g.is_null:
         raise NullInput("the zero function has no perturbation search")
     zeros = _circle_count(g) if g.effective_band == n else None
@@ -466,7 +464,7 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
     require_nonnegative(g)
     circle = roots(lift(g, n)).on_circle
     return _sampled_search(g, n, circle, trials=trials, seed=seed,
-                           grid_size=SEARCH_GRID, ascent_rounds=ascent_rounds)
+                           grid_size=SEARCH_GRID)
 
 
 def _circle_count(g: TrigPoly) -> np.ndarray | None:
@@ -502,8 +500,7 @@ _LADDER = np.array([10.0 ** (-k) for k in range(3, 10)])
 
 
 def _sampled_search(g: TrigPoly, n: int, circle: tuple, *, trials: int,
-                    seed: int, grid_size: int,
-                    ascent_rounds: int) -> PerturbationSearch:
+                    seed: int, grid_size: int) -> PerturbationSearch:
     """Randomized search for the largest admissible perturbation.
 
     Constraints are linear in h (|h| <= g pointwise) and are imposed on a
@@ -587,7 +584,7 @@ def _sampled_search(g: TrigPoly, n: int, circle: tuple, *, trials: int,
 
     # coordinate ascent around the best direction found (directions are
     # scale-free: only their shape matters)
-    for _ in range(ascent_rounds):
+    for _ in range(ASCENT_ROUNDS):
         base_dir = best_dir / max(np.abs(best_dir).max(), 1e-300)
         consider(base_dir[None, :] + 0.3 * (
             rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))))

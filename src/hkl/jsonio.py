@@ -210,8 +210,8 @@ def grid_to_json(gr: Grid) -> dict:
 def grid_from_json(d: dict) -> Grid:
     _require_fields(d, {"N", "values"}, "grid")
     vals = _read_pairs(d["values"], "sample")
-    if d["N"] != len(vals):
-        raise ValueError("N does not match the number of samples")
+    if not _is_int(d["N"]) or d["N"] != len(vals):
+        raise ValueError("N must be the integer number of samples")
     return Grid(np.array(vals))
 
 
@@ -223,12 +223,15 @@ def blaschke_to_json(b: BlaschkeProduct) -> dict:
 
 def blaschke_from_json(d: dict) -> BlaschkeProduct:
     _require_fields(d, {"m0", "zeros", "lambda"}, "blaschke")
+    if not (_is_int(d["m0"]) and isinstance(d["zeros"], list)):
+        raise ValueError("m0 must be an integer and zeros a list")
     zeros = []
     for item in d["zeros"]:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ValueError("each zero must be [[re, im], multiplicity]")
-        zeros.append((_read_pair(item[0], "zero"), int(item[1])))
-    return BlaschkeProduct(int(d["m0"]), tuple(zeros),
+        if not (isinstance(item, list) and len(item) == 2
+                and _is_int(item[1])):
+            raise ValueError("each zero must be [[re, im], integer]")
+        zeros.append((_read_pair(item[0], "zero"), item[1]))
+    return BlaschkeProduct(d["m0"], tuple(zeros),
                            _read_pair(d["lambda"], "lambda"))
 
 

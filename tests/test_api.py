@@ -21,7 +21,6 @@ OPTIONS = {
     ("polycore", "lift", "n"),
     ("geometry", "perturbation_search", "trials"),
     ("geometry", "perturbation_search", "seed"),
-    ("geometry", "perturbation_search", "ascent_rounds"),
     ("cli", "_handle", "prefix"),
     ("cli", "main", "argv"),
 }

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
                       NEAR_TOUCHING_64, NEAR_TOUCHING_523, UNMERGED_ODD_ZERO,
                       census_suite)
 
-from hkl import factor
+from hkl import factor, geometry
 from hkl.errors import (AlreadyExtreme, InternalInvariantError,
                         NotDivisible, NotNonnegative, NullInput,
                         PairingFailure, PoleHit, PreconditionError,
@@ -200,27 +201,66 @@ def test_fejer_near_touching_family_negative_iff_oracle_says_so():
     assert signs == {True, False}
 
 
-def test_split_near_touching_family_never_blames_a_nonnegative_input():
+def test_fejer_near_touching_family_outcome_classes():
+    # every factor is judged by what was built: 19 nonnegative inputs have
+    # no exact factor (their minima dip below 0 within tolerance), and each
+    # ends in an internal error, never in a factor or the caller's fault
+    outcomes = collections.Counter()
+    for g in _near_touching(5, 600):
+        try:
+            fejer_riesz(g)
+            outcomes["factor"] += 1
+        except NotNonnegative:
+            assert not nonneg_check(g).nonnegative
+            outcomes["NotNonnegative"] += 1
+        except InternalInvariantError as exc:
+            outcomes[type(exc).__name__] += 1
+    assert outcomes == {"factor": 194, "NotNonnegative": 387,
+                        "PairingFailure": 18, "SelfCheckFailed": 1}
+
+
+def test_split_near_touching_family_never_blames_a_nonnegative_input(
+        monkeypatch):
     # the family rescaled to mean 1: every input ends in a certificate,
     # AlreadyExtreme, NotNonnegative for a negative g, or the library's own
     # failure; a half of g is the library's function, never the caller's
     family = [trig_scale(g, 1.0 / g.mean) for g in _near_touching(5, 600)]
     assert family[64] == NEAR_TOUCHING_64
     assert family[523] == NEAR_TOUCHING_523
-    seen = set()
+    # the halves that miss the round-trip shortcut go to the circle count
+    counted = []
+
+    def count(gj):
+        zeros = _circle_count(gj)
+        counted.append((gj, zeros is not None))
+        return zeros
+    monkeypatch.setattr(geometry, "_circle_count", count)
+    outcomes = collections.Counter()
     for g in family:
         try:
             cert = split_nonextreme(g, g.n)
             assert cert.checks.extreme1 and cert.checks.extreme2
-            seen.add("certificate")
+            outcomes["certificate"] += 1
         except AlreadyExtreme:
-            seen.add("AlreadyExtreme")
+            outcomes["AlreadyExtreme"] += 1
         except NotNonnegative:
             assert not nonneg_check(g).nonnegative
-            seen.add("NotNonnegative")
+            outcomes["NotNonnegative"] += 1
         except InternalInvariantError as exc:
-            seen.add(type(exc).__name__)
-    assert {"certificate", "AlreadyExtreme", "NotNonnegative"} <= seen
+            outcomes[type(exc).__name__] += 1
+    assert outcomes == {"certificate": 131, "AlreadyExtreme": 57,
+                        "PairingFailure": 17, "SelfCheckFailed": 8,
+                        "NotNonnegative": 387}
+    # the count certifies a half exactly when its lift's roots say extreme;
+    # the 8 it declines dip below -nonneg_tol, which is_extreme refuses
+    assert len(counted) == 13
+    for gj, certified in counted:
+        try:
+            extreme = is_extreme(gj, gj.n).verdict
+        except NotNonnegative:
+            extreme = False
+        assert certified == extreme
+    assert sum(certified for _, certified in counted) == 5
 
 
 def test_circle_count_certificates_hold_on_a_fine_grid():

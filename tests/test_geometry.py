@@ -256,22 +256,36 @@ def test_split_halves_built_without_solving_their_lifts(solve_counter):
 
 def test_split_halves_over_the_bound_keep_their_factors(monkeypatch,
                                                         solve_counter):
-    # a round-trip bound no built factor meets: each half keeps its built
-    # factor, its flag comes from its extreme test, and no half is factored
-    # again from its own lift
+    # round trips raised above nonneg_tol: each half keeps its built
+    # factor and is certified by its circle count, which finds its n minima
+    # as zeros of the half and solves no lift; no half is factored again
     def refuse(g):
         raise AssertionError("the split re-solved a half")
-    monkeypatch.setattr(geometry, "nonneg_tol", lambda g: -1.0)
+    build = geometry._factor_from_zeros
+
+    def over_the_bound(g, cofactor, circle):
+        f, resid = build(g, cofactor, circle)
+        return f, resid + 1e-6
+    monkeypatch.setattr(geometry, "_factor_from_zeros", over_the_bound)
     monkeypatch.setattr(geometry, "fejer_riesz", refuse)
     monkeypatch.setattr(factor, "fejer_riesz", refuse)
     g = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(131))
     cert = split_nonextreme(g, 5)
-    assert solve_counter[10] == 3   # the lifts of g and of both halves
+    assert solve_counter[10] == 1   # the lift of g alone
     assert cert.checks.extreme1 and cert.checks.extreme2
     assert cert.checks.midpoint_residual <= 1e-10
-    assert 0.0 < cert.checks.factor_residual <= 1e-12
+    assert 1e-6 < cert.checks.factor_residual <= 1e-6 + 1e-12
     for f, gh in ((cert.f1, cert.g1), (cert.f2, cert.g2)):
         assert _grid_residual(f.f, gh) <= 1e-9
+
+
+def test_split_half_neither_check_certifies_is_internal(monkeypatch):
+    # a tolerance no round trip and no minimum meets: the half is not
+    # certified, and the split names its round trip instead of returning it
+    monkeypatch.setattr(geometry, "nonneg_tol", lambda g: -1.0)
+    g = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(131))
+    with pytest.raises(SelfCheckFailed, match="round trip .* circle count"):
+        split_nonextreme(g, 5)
 
 
 def test_split_order_48_factors_round_trip():
@@ -657,12 +671,9 @@ def test_search_rejects_negative_budgets():
     g = TrigPoly(1, (1.0, 0.5))
     with pytest.raises(ValueError):
         perturbation_search(g, 1, trials=-5)
-    with pytest.raises(ValueError):
-        perturbation_search(g, 1, ascent_rounds=-1)
 
 
-def _two_stage_search(g, n, *, trials=10_000, seed=0, grid_size=4096,
-                      ascent_rounds=40):
+def _two_stage_search(g, n, *, trials=10_000, seed=0, grid_size=4096):
     # reference: every candidate goes through the cheap set, then the full
     # grid; also reports whether g is exactly 0 on a cheap-set point
     rng = np.random.default_rng(seed)
@@ -713,7 +724,7 @@ def _two_stage_search(g, n, *, trials=10_000, seed=0, grid_size=4096,
         b = min(2000, trials - done)
         consider(rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n)))
         done += b
-    for _ in range(ascent_rounds):
+    for _ in range(40):
         base_dir = best_dir / max(np.abs(best_dir).max(), 1e-300)
         consider(base_dir[None, :] + 0.3 * (
             rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))))
@@ -724,8 +735,7 @@ def _two_stage_search(g, n, *, trials=10_000, seed=0, grid_size=4096,
 
 def _sampled(g, n, **kw):
     # the sampled route alone, with perturbation_search's defaults
-    kw = dict(dict(trials=10_000, seed=0, grid_size=4096, ascent_rounds=40),
-              **kw)
+    kw = dict(dict(trials=10_000, seed=0, grid_size=4096), **kw)
     return _sampled_search(g, n, roots(lift(g, n)).on_circle, **kw)
 
 
@@ -748,7 +758,7 @@ def test_search_bit_identical_to_two_stage_reference():
 
     g = random_boundary_modulus(3, 0, 3, 0, rng)
     _assert_same_search(g, 3, trials=2500, seed=1)
-    _assert_same_search(g, 3, trials=2000, seed=2, ascent_rounds=0)
+    _assert_same_search(g, 3, trials=2000, seed=2)
 
     g = random_boundary_modulus(2, 1, 0, 0, rng)
     ref, has_zero = _assert_same_search(g, 2, trials=500, seed=0)
@@ -776,15 +786,14 @@ def test_circle_count_does_not_decide_off_extreme_points():
     # cos(theta): two simple circle zeros add up to 2n, but g changes sign;
     # its one minimum is -1, so the count declines and g is outside V
     with pytest.raises(NotNonnegative):
-        perturbation_search(TrigPoly(1, (0.0, 0.5)), 1, trials=0,
-                            ascent_rounds=0)
+        perturbation_search(TrigPoly(1, (0.0, 0.5)), 1, trials=0)
     # inside, outside and deficit census moduli: the circle count is short
     rng = np.random.default_rng(80)
     for n, census in [(3, (1, 2, 0)), (4, (2, 2, 0)), (3, (0, 2, 1)),
                       (5, (0, 3, 2)), (4, (0, 2, 0)), (6, (0, 0, 0))]:
         g = random_boundary_modulus(n, *census, rng)
         assert not is_extreme(g, n).verdict
-        res = perturbation_search(g, n, trials=0, ascent_rounds=0)
+        res = perturbation_search(g, n, trials=0)
         assert res.route == PerturbationSearch.SAMPLED
 
 
@@ -845,7 +854,7 @@ def test_split_double_zero_is_counted_on_circle():
     near = [r for r in roots(lift(GRID_23)).on_circle
             if abs(np.angle(r.location) - GRID_23_ANGLE) <= 1e-6]
     assert [r.multiplicity for r in near] == [2]
-    res = perturbation_search(GRID_23, 4, trials=0, ascent_rounds=0)
+    res = perturbation_search(GRID_23, 4, trials=0)
     assert res.route == PerturbationSearch.CIRCLE_COUNT
     assert res.max_norm == 0.0
 
@@ -901,8 +910,7 @@ def test_circle_count_certificate_ignores_seed_and_budget(monkeypatch):
         raise AssertionError("the circle count drew random numbers")
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     for trials, seed in [(0, 0), (17, 3), (50_000, 99)]:
-        res = perturbation_search(g, 4, trials=trials, seed=seed,
-                                  ascent_rounds=7)
+        res = perturbation_search(g, 4, trials=trials, seed=seed)
         assert res.trials == trials
         assert res.max_norm.hex() == first.max_norm.hex()
         assert dataclasses.replace(res, trials=first.trials) == first
@@ -974,7 +982,7 @@ def test_circle_count_declines_more_brackets_than_minima():
     # sampled route answers
     g = _uniform_circle_zeros(64, 89)
     assert circle_minima(g) is None
-    res = perturbation_search(g, 64, trials=0, ascent_rounds=0)
+    res = perturbation_search(g, 64, trials=0)
     assert res.route == PerturbationSearch.SAMPLED
 
 
@@ -1003,7 +1011,7 @@ def test_circle_count_reads_the_order_of_g_not_its_stored_band():
     padded = TrigPoly(3, g.coeffs + (0j,))
     assert (perturbation_search(padded, 2, trials=0).route
             == PerturbationSearch.CIRCLE_COUNT)
-    assert (perturbation_search(padded, 3, trials=0, ascent_rounds=0).route
+    assert (perturbation_search(padded, 3, trials=0).route
             == PerturbationSearch.SAMPLED)
 
 

@@ -113,6 +113,28 @@ def test_bool_band_limit_rejected():
         kernel_from_json({"n": True, "poly": {"coeffs": [[1.0, 0.0]]}})
 
 
+@pytest.mark.parametrize("size", [4.0, "4", True, None])
+def test_grid_size_must_be_an_integer(size):
+    # 4.0 == 4 and True == 1 in Python; neither is a JSON integer
+    values = [[1.0, 0.0]] * (1 if size is True else 4)
+    with pytest.raises(ValueError, match="N must be the integer number"):
+        grid_from_json({"N": size, "values": values})
+
+
+@pytest.mark.parametrize("m0, mult", [("2", 1), (2.0, 1), (True, 1),
+                                      (0, 1.5), (0, "1"), (0, True)])
+def test_blaschke_counts_must_be_integers(m0, mult):
+    # int() would read "2" as 2 and 1.5 as 1
+    d = {"m0": m0, "zeros": [[[0.5, 0.0], mult]], "lambda": [1.0, 0.0]}
+    with pytest.raises(ValueError, match="integer"):
+        blaschke_from_json(d)
+
+
+def test_blaschke_zeros_must_be_a_list():
+    with pytest.raises(ValueError, match="zeros a list"):
+        blaschke_from_json({"m0": 0, "zeros": {}, "lambda": [1.0, 0.0]})
+
+
 def test_order_bounded_before_allocation():
     # an order of 10**13 is refused, not allocated; MAX_ORDER itself loads
     with pytest.raises(ValueError, match="band limit 10000000000000 exceeds"):
