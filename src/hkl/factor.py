@@ -14,7 +14,9 @@ zeros on the circle, which the cepstral method in :mod:`hkl.numeric`
 cannot.  Roots of the lift are only as accurate as their conditioning
 allows, so the root-built factor is then polished by Gauss-Newton steps on
 the coefficient equation |F|^2 = g (Wilson, SIAM J. Numer. Anal. 6, 1969),
-which brings the residual down to the rounding level of the input.  The two
+which brings the residual down to the rounding level of the input.  The
+polish stops there: a factor whose residual is within one rounding unit of
+g's scale takes no step, and most root-built factors start there.  The two
 paths cross-validate each other on strictly positive inputs.
 """
 
@@ -185,11 +187,13 @@ def spectral_factor(g: TrigPoly) -> SpectralFactor:
     and polishes by Gauss-Newton steps on the coefficient equation
     |F|^2 = g (``_polish``), with the circle zeros kept exactly unimodular:
     the root picture fixes which factor is meant, the polish recovers the
-    accuracy that the input coefficients allow.  It then accepts F by its
-    relative round trip, which the record carries as ``residual``.  When
-    s = max |g_k| > 1, F is the factor of g / s times sqrt(s), accepted
-    on g / s, so the polish works at unit scale; a nonnegative g with mean
-    at most 1 has |g_k| <= 1 and is factored as it is.
+    accuracy that the input coefficients allow and stops once the residual
+    is within one rounding unit of |g_0| + 2 sum |g_k|, so a factor that
+    the roots already give to rounding takes no step.  It then accepts F
+    by its relative round trip, which the record carries as ``residual``.
+    When s = max |g_k| > 1, F is the factor of g / s times sqrt(s),
+    accepted on g / s, so the polish works at unit scale; a nonnegative g
+    with mean at most 1 has |g_k| <= 1 and is factored as it is.
 
     Raises NullInput for the zero function, NotNonnegative when
     ``nonneg_check(g)`` finds a point where g < -tol (the error names that
@@ -263,8 +267,9 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     ``fejer_riesz`` and for the halves of ``geometry.split_nonextreme``.
     F starts as cofactor(z) * prod (z - exp(i t))**(m/2) over the circle
     zeros (t, m) of ``circle`` (as ``_circle_zeros`` reads them), scaled to
-    the mean of g, is polished on g's coefficients (``_polish``) and is
-    returned with F(0) real positive: rotated, then set to its modulus.
+    the mean of g, is polished on g's coefficients (``_polish``, down to
+    the floor eps * (|g_0| + 2 sum |g_k|)) and is returned with F(0) real
+    positive: rotated, then set to its modulus.
 
     A nonconstant self-inversive cofactor (``self_inversive_phase``; the
     split halves' lam N +/- D) makes F self-inversive: F* = mu F, F* the
@@ -288,7 +293,9 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
             f"the factor's degree {degree} exceeds the band {g.n} of g")
     coeffs = _assemble(cofactor, angles, halves)
     scale = math.sqrt(g.mean / float(np.vdot(coeffs, coeffs).real))
-    coeffs = _polish(np.asarray(g.coeffs), cofactor * scale, angles, halves)
+    l1 = _l1(g)
+    coeffs = _polish(np.asarray(g.coeffs), cofactor * scale, angles, halves,
+                     np.finfo(float).eps * l1)
     if len(cofactor) > 1 and self_inversive_phase(cofactor) is not None:
         star = np.conj(coeffs[::-1])
         mu = np.vdot(coeffs, star)
@@ -298,9 +305,9 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     coeffs[0] = abs(coeffs[0])
     f = Poly(tuple(coeffs))
     resid = _round_trip(f, g)
-    if not resid / _l1(g) <= TOL_SPECTRAL:
+    if not resid / l1 <= TOL_SPECTRAL:
         raise SelfCheckFailed(f"the factor's round trip {resid:.3e} "
-                              f"exceeds {TOL_SPECTRAL * _l1(g):.1e}")
+                              f"exceeds {TOL_SPECTRAL * l1:.1e}")
     return f, resid
 
 
@@ -338,7 +345,7 @@ POLISH_STEPS = 8
 
 
 def _polish(target: np.ndarray, cofactor: np.ndarray, angles: np.ndarray,
-            halves: np.ndarray) -> np.ndarray:
+            halves: np.ndarray, floor: float) -> np.ndarray:
     """Gauss-Newton on F * F~ = lift(g), F = cofactor * prod (z - w_j)**m_j.
 
     The unknowns are the complex coefficients of the off-circle cofactor and
@@ -346,10 +353,19 @@ def _polish(target: np.ndarray, cofactor: np.ndarray, angles: np.ndarray,
     stay exactly unimodular whatever the step.  The residual is the
     autocorrelation of F's coefficients minus g's (frequencies 0..n, the
     positive ones counted twice as in the full lift).  A step is accepted
-    only if the residual goes down; the iteration stops at the first step
-    that does not, or after POLISH_STEPS.  The phase of the cofactor does
-    not change the residual; least squares takes the minimum-norm step,
-    which leaves it alone.
+    only if the residual goes down.  The iteration stops at the first of
+    three events:
+    - the residual's 2-norm is at most ``floor``, tested before the first
+      Jacobian and after each accepted step.  The builder passes one
+      rounding unit of g's scale, eps * (|g_0| + 2 sum |g_k|): below it a
+      step only reshuffles rounding, and since the 2-norm bounds the
+      round trip up to sqrt(2n + 1), F is then 1e4 or more under every
+      acceptance tolerance even at n = 1024;
+    - a step that does not lower the residual, which is discarded;
+    - POLISH_STEPS accepted steps.
+    A start that is already at the floor costs one residual and no
+    Jacobian.  The phase of the cofactor does not change the residual;
+    least squares takes the minimum-norm step, which leaves it alone.
     """
     n = len(target) - 1
     weight = np.full(n + 1, math.sqrt(2.0))
@@ -366,11 +382,13 @@ def _polish(target: np.ndarray, cofactor: np.ndarray, angles: np.ndarray,
     res = residual(coeffs)
     norm = float(np.linalg.norm(res))
     nq = len(cofactor)
-    layout = _jacobian_layout(n, len(coeffs) - 1, nq,
-                              1 + int(halves.sum()))
+    layout = None
     for _ in range(POLISH_STEPS):
-        if norm == 0.0:
+        if norm <= floor:
             break
+        if layout is None:
+            layout = _jacobian_layout(n, len(coeffs) - 1, nq,
+                                      1 + int(halves.sum()))
         step = np.linalg.lstsq(_jacobian(coeffs, cofactor, angles, halves,
                                          weight, layout),
                                -res, rcond=None)[0]
@@ -387,7 +405,8 @@ def _polish(target: np.ndarray, cofactor: np.ndarray, angles: np.ndarray,
 
 
 def _jacobian_layout(n: int, deg: int, nq: int, ncircle: int) -> tuple:
-    """The index structure of ``_jacobian``, fixed through one polish.
+    """The index structure of ``_jacobian``, fixed through one polish and
+    built only when the polish takes a step.
 
     It depends only on g's band n, F's degree deg, the cofactor's length nq
     and the circle part's length ncircle: the band of the Toeplitz block
