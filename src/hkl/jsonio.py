@@ -19,17 +19,17 @@ import math
 import numpy as np
 
 from .errors import RootOverflow
-from .factor import BlaschkeProduct
+from .factor import BlaschkeProduct, _is_int
 from .kernel import KernelElement
 from .numeric import Grid
 from .polycore import Poly, TrigPoly
 
 VERSION = "hkl-1"
 HERMITIAN_TOL = 1e-12
-# the largest band limit or model order read from outside, far above the 16
-# that the tests and the benchmark reach; a larger one is refused before
-# anything sized by it is allocated (the polish's dense steps grow like its
-# square)
+# the largest band limit or model order read from outside, far above the
+# 128 of the tests' order ladder and the 16 of the benchmark; a larger one
+# is refused before anything sized by it is allocated (the polish's dense
+# steps grow like its square)
 MAX_ORDER = 1024
 
 
@@ -104,11 +104,6 @@ def _subclass_text(obj) -> str:
 
 def complex_pair(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
-
-
-def _is_int(v) -> bool:
-    """A JSON integer: ``true`` and ``false`` are not numbers."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _read_pair(v, what: str) -> complex:
@@ -227,8 +222,7 @@ def blaschke_from_json(d: dict) -> BlaschkeProduct:
         raise ValueError("m0 must be an integer and zeros a list")
     zeros = []
     for item in d["zeros"]:
-        if not (isinstance(item, list) and len(item) == 2
-                and _is_int(item[1])):
+        if not (isinstance(item, list) and len(item) == 2):
             raise ValueError("each zero must be [[re, im], integer]")
         zeros.append((_read_pair(item[0], "zero"), item[1]))
     return BlaschkeProduct(d["m0"], tuple(zeros),

@@ -6,7 +6,8 @@ import pytest
 
 from hkl import factor, polycore
 from hkl.gen import random_boundary_modulus, random_kernel_element
-from hkl.polycore import Poly, TrigPoly, poly_mul
+from hkl.polycore import (Poly, TrigPoly, poly_mul, trig_from_modulus_squared,
+                          trig_scale)
 
 
 def random_outer_poly(rng, degree, circle=0, sep=0.1):
@@ -97,6 +98,26 @@ NEAR_TOUCHING_64 = trig_from_hex((
     ("-0x1.830147e5ee564p-2", "-0x1.078d53803cbfcp-1"),
     ("-0x1.92d55a0a92af2p-6", "0x1.e9bb1cae972e2p-3")))
 
+# tests/test_factor.py's _near_touching(5, 600)[523], n = 12, as drawn:
+# nonnegative to tolerance, but its lift's roots are eleven double circle
+# zeros and a double root at radius 0.99988 inside with no outside partner,
+# so the factor built has degree 11 and its round trip misses g by 1.42,
+# over the tolerance 1.1e-6 (SelfCheckFailed)
+UNPAIRED_INSIDE_ROOT = trig_from_hex((
+    ("0x1.ffffffffea2eap-1", "0x0.0p+0"),
+    ("0x1.28cc6236f91b1p-3", "-0x1.cceb74a75ea5fp-1"),
+    ("-0x1.772062e9ad2f0p-1", "-0x1.2513853f3a288p-2"),
+    ("-0x1.cc513144d82e5p-2", "0x1.34d496c3641fbp-1"),
+    ("0x1.d8781f3a53320p-2", "0x1.09f576d9ad1fep-1"),
+    ("0x1.c675ec4b87d66p-2", "-0x1.4308a21f34359p-2"),
+    ("-0x1.6a31d97f4136ap-3", "-0x1.68c3153b8ed9fp-2"),
+    ("-0x1.25f19d1fe815fp-2", "0x1.6924acd7cd119p-5"),
+    ("-0x1.323e107d142f1p-6", "0x1.aea88aff16cf9p-3"),
+    ("0x1.1ce9c1c1b9162p-3", "0x1.d00a10a77b7a0p-7"),
+    ("0x1.f8c2a31bd4956p-8", "-0x1.4692def30563bp-4"),
+    ("-0x1.e0c749b5b9247p-6", "-0x1.ffbc7ee9d5592p-8"),
+    ("-0x1.6c31e565fc61bp-9", "0x1.17e363accc0b1p-8")))
+
 # the same family's #523, n = 12, rescaled to mean 1: its lift has an inside
 # double root with no outside partner, so a split half's built factor would
 # have degree 13 (PairingFailure)
@@ -133,10 +154,28 @@ def _flat_band_modulus(n, seed):
     return TrigPoly(n, (1 + 0j,) + tuple(complex(x) for x in c))
 
 
-# at order 80 the factor built from the lift's roots misses g by about 14
-# in its round trip: the chained expansion of its ~80 zeros spread around
-# the circle leaves no correct digit
+# at order 80 a cofactor expanded from the lift's ~80 outside roots by
+# chained convolution missed g by about 14 in its round trip, leaving no
+# correct digit; expanded from its values by one FFT it is right to rounding
 FLAT_ORDER_80 = _flat_band_modulus(80, 80)
+
+
+def jittered_extreme_point(n, seed):
+    """(f, g): f = prod (z - w_j) over n circle zeros jittered by up to 0.3
+    of their spacing, with unit norm and f(0) > 0, and g = |f|^2 of mean 1.
+
+    f's coefficients are one FFT of its values on at least 2(n + 1) points;
+    a chained expansion of the product keeps about one digit at n = 64.
+    """
+    rng = np.random.default_rng(seed)
+    w = np.exp(2j * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n)
+    size = 1 << (2 * n + 1).bit_length()
+    zeta = np.exp(2j * np.pi * np.arange(size) / size)
+    c = np.fft.fft(np.prod(zeta[:, None] - w[None, :], axis=1))[:n + 1] / size
+    c *= np.conj(c[0]) / (abs(c[0]) * np.linalg.norm(c))
+    f = Poly(tuple(c))
+    g = trig_from_modulus_squared(f)
+    return f, trig_scale(g, 1.0 / g.mean)
 
 
 def census_suite(count, seed, max_n=12):

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
-                      NEAR_TOUCHING_64, NEAR_TOUCHING_523, UNMERGED_ODD_ZERO)
+                      NEAR_TOUCHING_64, NEAR_TOUCHING_523, UNMERGED_ODD_ZERO,
+                      UNPAIRED_INSIDE_ROOT, jittered_extreme_point)
 
 import hkl
 from hkl import cli, factor, geometry, kernel, numeric
@@ -731,12 +732,26 @@ def test_deeply_nested_input_exits_2(tmp_path, capsys):
 
 
 def test_spectral_factor_that_misses_g_exits_3(files, capsys):
-    # g = 1 + a band-80 term of l1 size 0.2: the root-built factor misses
-    # g by about 14 in its round trip, which the library now refuses
+    # near-touching #523: the factor built without the lift's unpaired
+    # inside double root misses g by 1.4 in its round trip, which the
+    # library refuses
     write, _ = files
-    path = write("g.json", FLAT_ORDER_80)
+    path = write("g.json", UNPAIRED_INSIDE_ROOT)
     code, out, err = run(capsys, ["spectral", path])
     _assert_one_error(code, out, err, 3, "SelfCheckFailed")
+
+
+@pytest.mark.parametrize("g", [jittered_extreme_point(48, 48)[1],
+                               jittered_extreme_point(64, 64)[1],
+                               FLAT_ORDER_80], ids=["48", "64", "flat80"])
+def test_spectral_factors_high_orders(files, capsys, g):
+    # extreme points with 48 and 64 circle zeros and a flat g of order 80,
+    # whose factors by chained convolution missed g and exited 3
+    write, _ = files
+    path = write("g.json", g)
+    code, out, err = run(capsys, ["spectral", path])
+    assert code == 0 and err == ""
+    assert json.loads(out)["checks"]["residual_ok"] is True
 
 
 def test_rigidity_counterexample_exits_3(files, capsys, monkeypatch):

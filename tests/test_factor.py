@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
-                      NEAR_TOUCHING_64, NEAR_TOUCHING_523, UNMERGED_ODD_ZERO,
-                      census_suite, trig_from_hex)
+                      NEAR_TOUCHING_64, NEAR_TOUCHING_523,
+                      UNMERGED_ODD_ZERO, UNPAIRED_INSIDE_ROOT, census_suite,
+                      jittered_extreme_point, trig_from_hex)
 
 from hkl import factor, geometry
 from hkl.errors import (AlreadyExtreme, InternalInvariantError,
@@ -297,15 +299,35 @@ def test_fejer_not_nonnegative_names_the_minimum_of_g():
 
 
 def test_fejer_refuses_a_factor_that_misses_g():
-    # g >= 0.6, so the factor exists and is well conditioned; the one built
-    # from the lift's roots at order 80 misses it, and is not returned
-    g = FLAT_ORDER_80
-    assert nonneg_check(g).min_value >= 0.6 - 1e-12
+    # nonnegative to tolerance, but the lift's inside double root has no
+    # outside partner: the factor built from the rest has degree 11 and
+    # misses g by 1.4 in its round trip, and is not returned
+    g = UNPAIRED_INSIDE_ROOT
+    assert _near_touching(5, 600)[523] == g
+    assert nonneg_check(g).nonnegative
     with pytest.raises(SelfCheckFailed, match="round trip"):
         fejer_riesz(g)
-    # cut to order 64, the same g is factored to rounding
-    g64 = TrigPoly(64, g.coeffs[:65])
-    assert factor._round_trip(fejer_riesz(g64), g64) <= 1e-14
+
+
+def test_fejer_factors_flat_order_80():
+    # g >= 0.6, so the factor exists and is well conditioned; a cofactor
+    # expanded from its ~80 outside roots by chained convolution missed g
+    # by about 14, and one FFT of its values gets it to rounding
+    g = FLAT_ORDER_80
+    assert nonneg_check(g).min_value >= 0.6 - 1e-12
+    rec = spectral_factor(g)
+    assert rec.factor.degree == 80
+    assert rec.residual <= 1e-14
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_fejer_factors_jittered_extreme_points(n):
+    # n circle zeros spread around the circle: with the circle part
+    # expanded by chained convolution the round trip failed from n = 48 on
+    f, g = jittered_extreme_point(n, n)
+    rec = spectral_factor(g)
+    assert rec.residual <= 1e-13
+    assert _max_err(rec.factor, f) <= 1e-12
 
 
 def test_fejer_null():
@@ -386,7 +408,7 @@ def test_fejer_polish_residual_in_high_precision():
 
 # instance 80 of bench/workloads.spectral_inputs(2718, 400): degree 15 with
 # 2 circle zeros, the benchmark's tripwire.  Its factor is ill-conditioned:
-# fejer_riesz misses the generator's f by 6.9e-8, 0.16 digits under the
+# fejer_riesz misses the generator's f by 3.0e-8, 0.52 digits under the
 # benchmark's bound, so a change to roots or factors that costs accuracy
 # shows here first
 SPECTRAL_80_G = (
@@ -467,13 +489,14 @@ def _perturbed_polish():
                                        [-2.0 * np.exp(2j), 1.0]),
                            [1.2, 0.4 - 0.3j])
     angles, halves = np.array([0.7, 2.5]), np.array([1, 1])
-    f = factor._assemble(cofactor, angles, halves)
+    f = np.convolve(cofactor, factor._zero_poly(np.exp(1j * angles), halves))
     g = trig_from_modulus_squared(Poly(tuple(f)))
     floor = np.finfo(float).eps * factor._l1(g)
     start = cofactor * (1 + 1e-9 * rng.standard_normal(len(cofactor)))
+    angles = angles + 1e-9 * rng.standard_normal(2)
     polished = factor._polish(np.asarray(g.coeffs), start,
-                              angles + 1e-9 * rng.standard_normal(2),
-                              halves, floor)
+                              factor._zero_poly(np.exp(1j * angles), halves),
+                              angles, halves, floor)
     return g, floor, polished
 
 
@@ -487,8 +510,8 @@ def test_polish_at_the_floor_builds_no_jacobian(jacobian_calls):
     # a polished factor fed back costs one residual and no step
     g, floor, polished = _perturbed_polish()
     jacobian_calls[0] = 0
-    again = factor._polish(np.asarray(g.coeffs), polished, np.zeros(0),
-                           np.zeros(0, dtype=int), floor)
+    again = factor._polish(np.asarray(g.coeffs), polished, np.ones(1),
+                           np.zeros(0), np.zeros(0, dtype=int), floor)
     assert jacobian_calls[0] == 0
     assert np.array_equal(again, polished)
 
@@ -515,6 +538,29 @@ def test_census_pass_builds_fewer_jacobians_than_polishes(monkeypatch,
         enumerate_solutions(g, n)
     assert polishes[0] > 0
     assert jacobian_calls[0] < polishes[0]
+
+
+def test_build_at_the_floor_expands_once(monkeypatch, jacobian_calls):
+    # work guard in counts: a factor whose start is already at g's rounding
+    # floor takes no step, so its circle part is expanded once and the
+    # product of linear factors is never expanded again
+    cofactor = np.array([-1.5 * np.exp(0.3j), 1.0])
+    circle = ((0.7, 2), (2.5, 4))
+    f = np.convolve(cofactor, np.convolve(
+        [-np.exp(0.7j), 1.0], np.convolve([-np.exp(2.5j), 1.0],
+                                          [-np.exp(2.5j), 1.0])))
+    g = trig_from_modulus_squared(Poly(tuple(f)))
+    expansions = [0]
+    expand = factor._zero_poly
+
+    def counted(*args):
+        expansions[0] += 1
+        return expand(*args)
+    monkeypatch.setattr(factor, "_zero_poly", counted)
+    built, resid = factor._factor_from_zeros(g, cofactor, circle)
+    assert jacobian_calls[0] == 0
+    assert expansions[0] == 1
+    assert resid / factor._l1(g) <= 1e-15
 
 
 def test_spectral_factor_carries_the_round_trip_it_was_accepted_by():
@@ -590,6 +636,33 @@ def test_blaschke_rejects_outside_zero():
         BlaschkeProduct(0, ((1.2, 1),), 1.0)
     with pytest.raises(ValueError):
         BlaschkeProduct(0, ((0.5, 1),), 2.0)
+
+
+@pytest.mark.parametrize("m0, zeros", [(1.5, ()), (0, ((0.5, 1.5),)),
+                                      (True, ()), (0, ((0.5, 2.0),)),
+                                      (-1, ()), (0, ((0.5, 0),))])
+def test_blaschke_rejects_a_count_that_is_no_positive_integer(m0, zeros):
+    # int() would read 1.5 as 1; the product refuses it instead
+    with pytest.raises(ValueError, match="integer"):
+        BlaschkeProduct(m0, zeros, 1.0)
+
+
+def test_blaschke_takes_numpy_integer_counts():
+    b = BlaschkeProduct(np.int64(1), ((0.5, np.int64(2)),), 1.0)
+    assert b.degree == 3 and b.zeros == ((0.5 + 0j, 2),)
+    assert b.numerator().degree == 3
+
+
+def test_zero_poly_matches_the_product_of_its_factors():
+    # leading 1 exactly; multiplicities repeat a zero; nothing gives 1
+    rng = np.random.default_rng(3)
+    zeros = rng.uniform(0.2, 2.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
+    mults = [1, 3, 2, 1]
+    got = factor._zero_poly(zeros, mults)
+    want = npp.polyfromroots(np.repeat(zeros, mults))
+    assert got[-1] == 1 and len(got) == 8
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert factor._zero_poly([], []).tolist() == [1]
 
 
 def test_divisors_trivial():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (CENSUS_2819_177, HOLDOUT_131, census_suite,
-                      random_unit_element, trig_from_hex)
+                      jittered_extreme_point, random_unit_element,
+                      trig_from_hex)
 
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
@@ -488,9 +489,27 @@ def test_enumerate_band_exceeded():
         enumerate_solutions(TrigPoly(2, (1.0, 0.0, 0.5)), 1)
 
 
+@pytest.mark.parametrize("n", [48, 64])
+def test_enumerate_jittered_extreme_point_has_one_solution(n):
+    # every zero of f on the circle: the lift is outer and f is the only
+    # solution up to phase
+    f, g = jittered_extreme_point(n, n)
+    sols = enumerate_solutions(g, n)
+    assert len(sols) == 1
+    assert np.abs(sols[0].f.as_array() - f.as_array()).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # rigidity_check
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_rigidity_recovers_the_constant_at_jittered_extreme_points(n):
+    f, g = jittered_extreme_point(n, n)
+    res = rigidity_check(g, n, KernelElement(n, f.scaled(0.6 - 0.8j)))
+    assert res.kind == RigidityResult.CONSTANT_MULTIPLE
+    assert res.constant == pytest.approx(0.6 - 0.8j, abs=1e-12)
+
 
 def test_rigidity_constant_multiple():
     g = TrigPoly(1, (1.0, 0.5))
