@@ -50,6 +50,9 @@ from .numeric import TOL_SYMBOL, Grid, write_boundary_csv
 from .polycore import Poly, TrigPoly, trig_from_modulus_squared
 
 TOL_RESIDUAL = 1e-9     # the factor and solutions residuals over s
+# values per batched FFT of ``solutions``' residuals (256 KiB); at --grid
+# 4096 a batch of all 256 elements took 13 MB more peak memory, of 16 3.4 MB
+BATCH_VALUES = 2 ** 14
 
 
 def _load(path: str | None, want: type):
@@ -90,18 +93,18 @@ def _poly_boundary(p: Poly, size: int):
     return lambda: Grid.sample(p, size)
 
 
-def _circle_values(p: Poly, size: int) -> np.ndarray:
-    """p at the points exp(2 pi i j / size), by one inverse FFT.
-
-    The coefficients are zero-padded to a multiple of size and folded onto
-    size slots, as z**size = 1 at every point, so any degree works.
-    """
-    c = p.as_array()
-    folds = -(-len(c) // size)
-    padded = np.zeros(folds * size, dtype=complex)
-    padded[:len(c)] = c
-    return np.fft.ifft(padded.reshape(folds, size).sum(axis=0),
-                       norm="forward")
+def _circle_values(polys: list[Poly], size: int) -> np.ndarray:
+    """Each p of polys at the points exp(2 pi i j / size), one row each, by
+    one batched inverse FFT of the stacked coefficients, zero-padded to a
+    multiple of size and folded onto size slots (z**size = 1 at every
+    point), so any degree works."""
+    width = max(len(p.coeffs) for p in polys)
+    folds = -(-width // size)
+    padded = np.zeros((len(polys), folds * size), dtype=complex)
+    for row, p in zip(padded, polys):
+        row[:len(p.coeffs)] = p.coeffs
+    return np.fft.ifft(padded.reshape(len(polys), folds, size).sum(axis=1),
+                       axis=1, norm="forward")
 
 
 def _trig_boundary(g: TrigPoly, size: int):
@@ -244,22 +247,20 @@ def cmd_solutions(args):
     # exp(2 pi i j / grid), so any --grid works, also one of 2 g.n points or
     # fewer.  g is sampled by one FFT (grid_values) on the smallest
     # power-of-two multiple of the grid finer than 2 g.n, of which every
-    # k-th sample is a grid point; each f by one inverse FFT of its
+    # k-th sample is a grid point; the f's by batched inverse FFTs of their
     # coefficients folded onto the grid (_circle_values)
     fine = args.grid
     while fine <= 2 * g.n:
         fine *= 2
     gv = g.grid_values(fine)[::fine // args.grid]
-    size = _size(g.coeffs)
-    entries = []
-    for s in sols:
-        fv = _circle_values(s.f, args.grid)
-        resid = float(np.abs(np.abs(fv) ** 2 - gv).max()) / size
-        entries.append({
-            "element": jsonio.kernel_to_json(s),
-            "modulus_residual": resid,
-            "residual_ok": resid <= TOL_RESIDUAL,
-        })
+    block = max(1, BATCH_VALUES // args.grid)
+    resids = np.concatenate([np.abs(np.abs(_circle_values(
+        [s.f for s in sols[i:i + block]], args.grid)) ** 2 - gv).max(axis=1)
+        for i in range(0, len(sols), block)]) / _size(g.coeffs)
+    entries = [{"element": jsonio.kernel_to_json(s),
+                "modulus_residual": float(resid),
+                "residual_ok": bool(resid <= TOL_RESIDUAL)}
+               for s, resid in zip(sols, resids)]
     out = {
         "command": "solutions",
         "input": jsonio.trig_to_json(g),

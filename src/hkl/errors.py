@@ -42,7 +42,8 @@ class PoleHit(PreconditionError):
 
 
 class NotDivisible(PreconditionError):
-    """The Blaschke denominator does not divide the polynomial factor."""
+    """The Blaschke denominator does not divide the polynomial factor, for
+    a caller's own f and J (``blaschke_mul_poly``)."""
 
 
 class NotInV(PreconditionError):
@@ -96,5 +97,7 @@ class SelfCheckFailed(InternalInvariantError):
     """A result failed the library's own check of it: a spectral factor
     whose round trip misses g (``fejer_riesz`` and the split halves), a
     split half that neither its round trip nor its circle count certifies
-    as extreme, or a dominated kernel element that is not a multiple of
-    the spectral factor (``rigidity_check``)."""
+    as extreme, a dominated kernel element that is not a multiple of the
+    spectral factor (``rigidity_check``), or a spectral factor times an
+    inner divisor of its lift that is no polynomial
+    (``enumerate_solutions``)."""

@@ -18,6 +18,10 @@ factor is then polished by Gauss-Newton steps on |F|^2 = g (Wilson, SIAM
 J. Numer. Anal. 6, 1969) down to the rounding level of the input; a
 factor already there, as most root-built ones are, takes no step.  The
 two paths cross-validate each other on strictly positive inputs.
+
+A product f * J whose poles f's zeros cancel is built from its values
+f(zeta) J(zeta) on the circle, by one FFT for any number of inner divisors
+J and with no deflation (``_inner_multiples``).
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
                      SelfCheckFailed)
-from .polycore import (EPS_CIRCLE, Poly, TrigPoly, _horner,
-                       _polish as _newton_polish, lift, refine_circle_angle,
-                       require_nonnegative, roots, self_inversive_phase,
-                       synthetic_divide, trig_from_modulus_squared, trig_scale)
+from .polycore import (EPS_CIRCLE, Poly, TrigPoly, _polish as _newton_polish,
+                       lift, refine_circle_angle, require_nonnegative, roots,
+                       self_inversive_phase, synthetic_divide,
+                       trig_from_modulus_squared, trig_scale)
 
-TOL_DIVIDE = 1e-9    # relative remainder bound for Blaschke-denominator division
+TOL_DIVIDE = 1e-9    # relative tail bound of a product f * J built from values
 POLE_TOL = 1e-12
 # a returned spectral factor's round trip, relative to |g_0| + 2 sum |g_k|
 TOL_SPECTRAL = 1e-7
@@ -466,66 +470,80 @@ def divisors(inner: BlaschkeProduct) -> list[BlaschkeProduct]:
     """All inner divisors of a finite Blaschke product, lambda = 1 for each.
 
     There are (m0 + 1) * prod(mult_i + 1) of them, including the trivial
-    divisor and the full product; the order is deterministic.
+    divisor and the full product, in the order of ``_divisor_exponents``.
     """
-    ranges = [range(inner.m0 + 1)]
-    ranges.extend(range(m + 1) for _, m in inner.zeros)
-    out = []
-    for combo in itertools.product(*ranges):
-        zeros = tuple((a, k) for (a, _), k in zip(inner.zeros, combo[1:]) if k)
-        out.append(BlaschkeProduct(combo[0], zeros, 1.0))
-    return out
+    return [BlaschkeProduct(combo[0], tuple(
+        (a, k) for (a, _), k in zip(inner.zeros, combo[1:]) if k), 1.0)
+        for combo in _divisor_exponents(inner)]
+
+
+def _divisor_exponents(inner: BlaschkeProduct) -> list[tuple[int, ...]]:
+    """(k0, k_1, ...) of each divisor z**k0 prod b_i**k_i of inner, in a
+    deterministic order."""
+    return list(itertools.product(range(inner.m0 + 1),
+                                  *(range(m + 1) for _, m in inner.zeros)))
 
 
 MIRROR_MATCH_TOL = 1e-5
 
 
 def blaschke_mul_poly(f: Poly, j: BlaschkeProduct) -> Poly:
-    """The product f * j as a polynomial.
+    """The product f * j as a polynomial, built from its values.
 
-    Requires the denominator of j to divide f: each Blaschke zero of j must
-    be mirrored by a zero of f at the reflected point 1/conj(a); otherwise
-    the product is genuinely rational and NotDivisible is raised.  The
-    division deflates f at its own root r near each reflected point, refined
-    by Newton from that point (never at the constructed point itself), which
-    keeps the remainder at the residual level instead of amplifying the
-    zero-location noise.  The factor (z - r) is then replaced by
-    (z - 1/conj(r)) * (-r): the Blaschke zero used is the mirror of r, not
-    the given a, and the new factor has modulus |z - r| on the circle
-    whatever the rounding of a, so the product keeps f's modulus there.
-
-    The library's caller passes a spectral factor
-    (``geometry.enumerate_solutions``).  Each deflation costs digits, so
-    the error of the product grows with the number of Blaschke zeros.
+    Requires the denominator of j to divide f: each Blaschke zero a of j,
+    of multiplicity m, must be mirrored by an m-fold zero of f at the
+    reflected point 1/conj(a).  This is the one-divisor call of
+    ``_inner_multiples``, which places that zero of f by Newton, never
+    deflates f, and raises NotDivisible when the product's coefficients
+    above deg f + j.m0 exceed TOL_DIVIDE times f's largest one: f * j is
+    then rational, and f and j are the caller's own.  A j without zeros
+    gives f shifted and times lambda exactly.
     """
     if f.is_null:
         return Poly()
-    work = list(f.coeffs)
-    mirrored = []
-    for a, mult in j.zeros:
+    combo = [j.m0] + [m for _, m in j.zeros]
+    return Poly(tuple(_inner_multiples(f, j, [combo])[0])).scaled(j.lam)
+
+
+def _inner_multiples(f: Poly, inner: BlaschkeProduct,
+                     combos) -> np.ndarray:
+    """f * z**k0 * prod b_i**k_i for each row (k0, k_1, ...) of combos: one
+    row of coefficients each, exactly 0 below k0 and above deg f + k0.
+
+    f's zero r_i near 1/conj(a_i), for each zero a_i of inner of
+    multiplicity m_i, is placed once by Newton on f's (m_i - 1)-th
+    derivative, where it is simple (``polycore._polish``, as the root
+    engine places a merged root).  b_i(z) = -r_i (z - 1/conj(r_i)) /
+    (z - r_i) trades r_i for its mirror and has modulus 1 on the circle.
+    f's values on a power-of-two grid of more than 2 (deg f + max k0 + 1)
+    points come from one inverse FFT, and after each row multiplies in its
+    factors one FFT gives every product's coefficients (Calvetti & Reichel,
+    Numer. Algorithms 33, 2003), each to about eps times f's maximum on the
+    circle however many zeros are traded.  A row without b_i is f shifted.
+    Raises NotDivisible when a row's tail above deg f + k0, which only a
+    product that is not a polynomial has, exceeds TOL_DIVIDE times f's
+    largest coefficient.
+    """
+    c = f.as_array()
+    combos = np.asarray(combos, dtype=int)
+    low, top = combos[:, :1], len(c) - 1 + combos[:, :1]
+    size = 1 << (2 * int(top.max()) + 2).bit_length()
+    zeta = np.exp(2j * np.pi * np.arange(size) / size)
+    rows = np.fft.ifft(c, size, norm="forward") * zeta ** low
+    for (a, m), ks in zip(inner.zeros, combos[:, 1:].T):
         target = 1.0 / a.conjugate()
-        cap = MIRROR_MATCH_TOL * max(1.0, abs(target))
-        for _ in range(mult):
-            deriv = npp.polyder(np.asarray(work, dtype=complex)).tolist()
-            r = _newton_polish(target, work, deriv, cap)
-            if abs(r - target) > cap:
-                raise NotDivisible(
-                    f"no zero of the factor near the reflected point {target}")
-            _check_remainder(work, r)
-            work = synthetic_divide(work, r)
-            mirrored.append(r)
-    quo = Poly(work)
-    for r in mirrored:
-        quo = quo * Poly((r / r.conjugate(), -r))
-    return quo.scaled(j.lam).shifted(j.m0)
-
-
-def _check_remainder(work: list[complex], r: complex) -> None:
-    """Raise NotDivisible unless (z - r) divides work to TOL_DIVIDE."""
-    w = np.asarray(work, dtype=complex)
-    rem = abs(_horner(w.tolist(), complex(r)))
-    # backward-error scale at the deflation point
-    scale = _horner(np.abs(w).tolist(), abs(complex(r)))
-    if rem > TOL_DIVIDE * scale:
-        raise NotDivisible(
-            f"relative remainder {rem / scale:.3e} exceeds {TOL_DIVIDE:.1e}")
+        r = complex(_newton_polish(target, npp.polyder(c, m - 1).tolist(),
+                                   npp.polyder(c, m).tolist(),
+                                   MIRROR_MATCH_TOL * max(1.0, abs(target))))
+        rows = rows * (-r * (zeta - 1.0 / r.conjugate())
+                       / (zeta - r)) ** ks[:, None]
+    out = np.fft.fft(rows, axis=1, norm="forward")
+    k = np.arange(size)
+    tail = float(np.abs(np.where(k > top, out, 0)).max()) / np.abs(c).max()
+    if tail > TOL_DIVIDE:
+        raise NotDivisible(f"relative tail {tail:.3e} of the product "
+                           f"exceeds {TOL_DIVIDE:.1e}")
+    out[(k < low) | (k > top)] = 0
+    for i in np.flatnonzero(~combos[:, 1:].any(axis=1)):
+        out[i, low[i, 0]:top[i, 0] + 1] = c
+    return out[:, :int(top.max()) + 1]

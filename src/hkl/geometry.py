@@ -46,10 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent, NotInV,
-                     NotOnBoundary, NotUnitNorm, NullInput, SelfCheckFailed)
-from .factor import (BlaschkeProduct, _circle_zeros, _factor_from_zeros,
-                     blaschke_mul_poly, divisors, fejer_riesz, inner_outer)
+from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
+                     NotDivisible, NotInV, NotOnBoundary, NotUnitNorm,
+                     NullInput, SelfCheckFailed)
+from .factor import (BlaschkeProduct, _circle_zeros, _divisor_exponents,
+                     _factor_from_zeros, _inner_multiples, fejer_riesz,
+                     inner_outer)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
 from .polycore import (Poly, TrigPoly, circle_minima, lift, nonneg_tol,
@@ -277,10 +279,13 @@ def decompose_modulus(x: KernelElement) -> Decomposition:
 def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
     """Every f in the order-n model space with |f|^2 = g, up to phase.
 
-    The list is the spectral factor times each inner divisor of the lift's
-    inner part, so its length is (m0 + 1) * prod(mult_i + 1).  Each element
-    is normalized so its lowest nonzero coefficient is real positive, which
-    makes the representatives pairwise distinct.
+    The list is the spectral factor F times each inner divisor J of the
+    lift's inner part, in ``divisors`` order, all built in one batch from
+    values (``factor._inner_multiples``), so its length is
+    (m0 + 1) * prod(mult_i + 1).  Each element is normalized so its lowest
+    nonzero coefficient is real positive, which makes the representatives
+    pairwise distinct.  F and J are the library's own, so an F * J that is
+    no polynomial raises SelfCheckFailed, not the caller's NotDivisible.
     """
     if g.is_null:
         raise NullInput("the zero function: every solution is the zero element")
@@ -289,11 +294,14 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
             f"band limit {g.effective_band} exceeds model order {n}")
     base = fejer_riesz(g)   # raises NotNonnegative for a negative g
     inner = inner_outer(lift(g, n)).inner
-    out = []
-    for j in divisors(inner):
-        f = blaschke_mul_poly(base, j)
-        out.append(KernelElement(n, _normalize_lowest(f)))
-    return out
+    try:
+        rows = _inner_multiples(base, inner, _divisor_exponents(inner))
+    except NotDivisible as exc:
+        raise SelfCheckFailed(
+            f"the spectral factor times an inner divisor of its lift: {exc}"
+        ) from exc
+    return [KernelElement(n, _normalize_lowest(Poly(tuple(row))))
+            for row in rows]
 
 
 def _normalize_lowest(f: Poly) -> Poly:

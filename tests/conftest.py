@@ -178,6 +178,27 @@ def jittered_extreme_point(n, seed):
     return f, trig_scale(g, 1.0 / g.mean)
 
 
+def repeated_inside_zero_family(count, seed):
+    """(f, m, k): f = (z - a)**m times k outside zeros, unit norm, m = 2..5
+    and k = 1..3, so deg f <= 8; |a| in [0.3, 0.8], outside radii in
+    [1.3, 1.9], angles uniform.
+
+    |f|^2 lifted at order 8 has an m-fold inside zero, which the root engine
+    may return as scattered points when m = 5.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(2, 6))
+        k = int(rng.integers(1, 4))
+        a = rng.uniform(0.3, 0.8) * np.exp(2j * np.pi * rng.uniform())
+        outside = (rng.uniform(1.3, 1.9, k)
+                   * np.exp(2j * np.pi * rng.uniform(size=k)))
+        c = factor._zero_poly([a, *outside], [m] + [1] * k)
+        out.append((Poly(tuple(c / np.linalg.norm(c))), m, k))
+    return out
+
+
 def census_suite(count, seed, max_n=12):
     """Random census instances with ground-truth labels.
 

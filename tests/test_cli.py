@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
                       NEAR_TOUCHING_64, NEAR_TOUCHING_523, UNMERGED_ODD_ZERO,
-                      UNPAIRED_INSIDE_ROOT, jittered_extreme_point)
+                      UNPAIRED_INSIDE_ROOT, jittered_extreme_point,
+                      repeated_inside_zero_family)
 
 import hkl
 from hkl import cli, factor, geometry, kernel, numeric
@@ -741,6 +742,19 @@ def test_spectral_factor_that_misses_g_exits_3(files, capsys):
     _assert_one_error(code, out, err, 3, "SelfCheckFailed")
 
 
+def test_solutions_that_do_not_multiply_exit_3(files, capsys):
+    # member #149 of the repeated-inside-zero family (m = 5, 3 outside
+    # zeros): the lift's 5-fold zero comes back scattered, so F times an
+    # inner divisor is no polynomial.  F and J are the library's own, so
+    # that is its failure (exit 3), not the caller's NotDivisible (exit 2)
+    write, _ = files
+    f, m, _ = repeated_inside_zero_family(150, 18)[149]
+    assert m == 5
+    path = write("g.json", trig_from_modulus_squared(f))
+    code, out, err = run(capsys, ["solutions", path, "--n", "8"])
+    _assert_one_error(code, out, err, 3, "SelfCheckFailed")
+
+
 @pytest.mark.parametrize("g", [jittered_extreme_point(48, 48)[1],
                                jittered_extreme_point(64, 64)[1],
                                FLAT_ORDER_80], ids=["48", "64", "flat80"])
@@ -918,3 +932,35 @@ def test_solutions_residual_is_the_grid_maximum(files, capsys, grid):
         direct = float(np.abs(np.abs(f(np.exp(1j * theta))) ** 2 - gv).max())
         assert abs(entry["modulus_residual"] - direct) <= 1e-14
         assert entry["residual_ok"] == (direct <= 1e-9)
+
+
+def _circle_values_one_by_one(polys, size):
+    """Each p's values by its own inverse FFT of its coefficients folded
+    onto size slots."""
+    rows = []
+    for p in polys:
+        c = p.as_array()
+        folds = -(-len(c) // size)
+        padded = np.zeros(folds * size, dtype=complex)
+        padded[:len(c)] = c
+        rows.append(np.fft.ifft(padded.reshape(folds, size).sum(axis=0),
+                                norm="forward"))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("grid", [4, 16, 4096])
+def test_solutions_batched_residuals_match_one_by_one(files, capsys,
+                                                      monkeypatch, grid):
+    # the residuals of all elements come from one batched inverse FFT; the
+    # output is byte for byte that of one FFT per element.  g has band 6 at
+    # n = 8, so the elements have degrees 6 to 8 and a 4-point grid folds
+    # them differently
+    write, _ = files
+    g = random_boundary_modulus(6, 2, 2, 2, np.random.default_rng(5))
+    path = write("g.json", g)
+    argv = ["solutions", path, "--n", "8", "--grid", str(grid)]
+    code, batched, _ = run(capsys, argv)
+    assert code == 0 and json.loads(batched)["count"] == 3 * 2 ** 4
+    monkeypatch.setattr(cli, "_circle_values", _circle_values_one_by_one)
+    code, one_by_one, _ = run(capsys, argv)
+    assert code == 0 and batched == one_by_one

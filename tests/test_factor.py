@@ -725,6 +725,48 @@ def test_blaschke_mul_self_inversive_lift():
             blaschke_mul_poly(lifted, BlaschkeProduct(0, ((0.5, 1),), 1.0))
 
 
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_blaschke_mul_keeps_the_modulus_over_many_zeros(n):
+    # F times the Blaschke product of the reflections of its n/2 smallest
+    # zeros, for g = 1 plus a band-n term with sum |g_k| = 0.1 over k != 0:
+    # deflating F at one zero after another lost digits with each (3.0e-7
+    # at n = 64); built from values the product stays at rounding
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    g = TrigPoly(n, (1 + 0j,) + tuple(c * (0.05 / np.abs(c).sum())))
+    f = fejer_riesz(g)
+    smallest = sorted(np.roots(f.as_array()[::-1]), key=abs)[:n // 2]
+    j = BlaschkeProduct(0, tuple((1 / np.conj(z), 1) for z in smallest), 1.0)
+    prod = blaschke_mul_poly(f, j)
+    zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    assert prod.degree == n
+    assert np.abs(np.abs(prod(zeta)) ** 2
+                  - g.values(np.angle(zeta))).max() <= 1e-12
+
+
+def test_enumerate_places_each_mirrored_zero_once(monkeypatch):
+    # work guard in counts: the lift of g = |f|^2 has 3 simple inner zeros,
+    # so 8 divisors.  Each mirrored zero of F is placed once, 3 refiner
+    # calls where one per divisor and zero made 12, and one FFT makes every
+    # product's coefficients
+    f = Poly(tuple(factor._zero_poly([1.5, -1.7j, 0.4 + 0.2j], [1, 1, 1])))
+    g = trig_from_modulus_squared(f)
+    enumerate_solutions(g, 3)       # fills the memos of F and the lift
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(factor, "_newton_polish",
+                        counted("refine", factor._newton_polish))
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    sols = enumerate_solutions(g, 3)
+    assert len(sols) == 8
+    assert counts == {"refine": 3, "fft": 1}
+
+
 def test_phase_convention_makes_factorization_unique():
     # the same polynomial rotated by a unimodular constant gives the same
     # outer part; only lambda moves

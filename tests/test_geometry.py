@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (CENSUS_2819_177, HOLDOUT_131, census_suite,
                       jittered_extreme_point, random_unit_element,
-                      trig_from_hex)
+                      repeated_inside_zero_family, trig_from_hex)
 
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
@@ -482,6 +482,25 @@ def test_enumerate_census_202_175_keeps_the_modulus():
     assert len(sols) == 8
     for x in sols:
         assert _grid_residual(x.f, CENSUS_202_175) <= 1e-9
+
+
+def test_enumerate_repeated_inside_zero_never_blames_the_caller():
+    # f = (z - a)**m times 1-3 outside zeros, g = |f|^2 at n = 8: every
+    # member lists (9 - deg f)(m + 1) 2**k solutions, each within 1e-9 of g
+    # on the circle, or raises SelfCheckFailed when the lift's m-fold zero
+    # comes back scattered; a product of the library's own F and J that is
+    # no polynomial is never the caller's NotDivisible
+    zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    for f, m, k in repeated_inside_zero_family(300, 18):
+        g = trig_from_modulus_squared(f)
+        try:
+            sols = enumerate_solutions(g, 8)
+        except SelfCheckFailed:
+            continue
+        assert len(sols) == (9 - f.degree) * (m + 1) * 2 ** k
+        gv = g.values(np.angle(zeta))
+        for x in sols:
+            assert np.abs(np.abs(x.f(zeta)) ** 2 - gv).max() <= 1e-9
 
 
 def test_enumerate_band_exceeded():
