@@ -106,6 +106,16 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_grid(size: int) -> np.ndarray:
+    """exp(2 pi i j / size) for j = 0..size-1, one read-only table per
+    size; the expanders take their grid from it instead of one np.exp of
+    the whole grid per call."""
+    zeta = np.exp(2j * np.pi * np.arange(size) / size)
+    zeta.flags.writeable = False
+    return zeta
+
+
 def _zero_poly(zeros, mults) -> np.ndarray:
     """prod (z - a)**m over zeros a with multiplicities m, leading 1
     exactly: the one expander of a product of linear factors.
@@ -123,8 +133,7 @@ def _zero_poly(zeros, mults) -> np.ndarray:
                        np.asarray(mults, dtype=int))
     k = len(points)
     size = 1 << (2 * k + 1).bit_length()
-    zeta = np.exp(2j * np.pi * np.arange(size) / size)
-    vals = (zeta[:, None] - points).prod(axis=1)
+    vals = (_unit_grid(size)[:, None] - points).prod(axis=1)
     coeffs = np.fft.fft(vals, norm="forward")[:k + 1]
     coeffs[k] = 1.0
     return coeffs
@@ -528,7 +537,7 @@ def _inner_multiples(f: Poly, inner: BlaschkeProduct,
     combos = np.asarray(combos, dtype=int)
     low, top = combos[:, :1], len(c) - 1 + combos[:, :1]
     size = 1 << (2 * int(top.max()) + 2).bit_length()
-    zeta = np.exp(2j * np.pi * np.arange(size) / size)
+    zeta = _unit_grid(size)
     rows = np.fft.ifft(c, size, norm="forward") * zeta ** low
     for (a, m), ks in zip(inner.zeros, combos[:, 1:].T):
         target = 1.0 / a.conjugate()

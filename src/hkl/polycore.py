@@ -32,6 +32,13 @@ a multiple root stay spread where the iteration stops; the clustering's
 Newton polish places the root.  The polish and residual checks evaluate
 at scalar points in plain Python (``_horner``), bit-identical to
 ``npp.polyval``.
+
+Most points have no other point within CLUSTER_CAP; such a lone point is
+a simple root whatever the merge tree, so it is polished directly and the
+tree is built over the other points only.  A lift z**n g is exactly
+self-inversive, so its off-circle zeros come in reflected pairs
+(a, 1/conj(a)): of a pair of lone points only the inside one is
+polished, and the outside root is its exact mirror.
 """
 
 from __future__ import annotations
@@ -618,9 +625,51 @@ def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
     return clusters
 
 
+def _mirror_partners(pts: list, lone: list[int]) -> dict[int, int]:
+    """Each lone outside point's lone inside partner, outside index to
+    inside index.
+
+    The partner of b is an inside point a whose mirror 1/conj(a) lies
+    within CLUSTER_CAP of b.  Points within SNAP_BAND of the circle take no
+    part.  The match is one to one, made from the nearest pair upwards, so
+    a point whose mirror falls near a second outside point still goes to
+    its own partner.
+    """
+    ins = [i for i in lone if 1.0 - abs(pts[i]) > SNAP_BAND]
+    outs = [i for i in lone if abs(pts[i]) - 1.0 > SNAP_BAND]
+    if not ins or not outs:
+        return {}
+    mirrors = 1.0 / np.conj(np.asarray([pts[i] for i in ins]))
+    d = np.abs(np.asarray([pts[i] for i in outs])[:, None] - mirrors)
+    partner: dict[int, int] = {}
+    taken: set[int] = set()
+    for e in np.argsort(d, axis=None, kind="stable").tolist():
+        r, k = divmod(e, len(ins))
+        if d[r, k] > CLUSTER_CAP:
+            break
+        if outs[r] not in partner and k not in taken:
+            partner[outs[r]] = ins[k]
+            taken.add(k)
+    return partner
+
+
 def _cluster_points(points: np.ndarray,
                     coeffs: np.ndarray) -> list[tuple[complex, int]]:
     """Single-linkage agglomeration, then a top-down cut of the merge tree.
+
+    A point with no other point within CLUSTER_CAP is a simple root under
+    the cut whatever the tree, as every node holding it and another point
+    was merged beyond the cap.  So each such lone point is polished on its
+    own, and the tree and the cut run over the other points only.  When
+    the coefficients are exactly conjugate-palindromic, as every lift
+    z**n g is, the zeros come in reflected pairs (a, 1/conj(a)): a lone
+    outside point paired with a lone inside one (``_mirror_partners``)
+    becomes 1/conj(a) of the polished inside root, not a second polish.  A
+    mirror that misses the residual bound is polished from its own point.
+    The inside root is the one polished because the inner factor and the
+    split halves are read from the inside roots, while ``fejer_riesz``
+    polishes the outside roots again; a reflection keeps a root's relative
+    error.
 
     A node holding m points is accepted as one multiplicity-m root by a
     backward-error test: deflate the polynomial m times at the Newton-
@@ -659,15 +708,37 @@ def _cluster_points(points: np.ndarray,
         return derivs[k]
 
     dist = np.abs(np.asarray(pts)[:, None] - np.asarray(pts)[None, :])
-    clusters = _single_linkage_tree(dist)
+    near = dist <= CLUSTER_CAP
+    np.fill_diagonal(near, False)
+    crowded = near.any(axis=1)
+    lone = np.flatnonzero(~crowded).tolist()
 
-    out: list[tuple[complex, int]] = []
+    def polish(i: int) -> complex:
+        return _polish(complex(pts[i]), deriv(0), deriv(1), 1e-4)
+
+    # lone roots are Python complex, so a mirror is 1 / conj(a) in Python
+    # arithmetic whatever type the polish returned
+    partner = (_mirror_partners(pts, lone)
+               if np.array_equal(np.conj(c0[::-1]), c0) else {})
+    placed = {i: complex(polish(i)) for i in lone if i not in partner}
+    for i, j in partner.items():
+        b = 1.0 / placed[j].conjugate()
+        placed[i] = (b if _residual_ok(deriv(0), aclist, b)
+                     else complex(polish(i)))
+    out: list[tuple[complex, int]] = [(placed[i], 1) for i in lone]
+
+    rest = np.flatnonzero(crowded)
+    if not len(rest):
+        return out
+    # the tree, the cut and polish() see the crowded points alone
+    pts = [pts[i] for i in rest]
+    dist = dist[np.ix_(rest, rest)]
+    clusters = _single_linkage_tree(dist)
 
     def try_accept(mem: list[int]) -> tuple[complex, int] | None:
         m = len(mem)
         if m == 1:
-            a = _polish(complex(pts[mem[0]]), deriv(0), deriv(1), 1e-4)
-            return (a, 1)
+            return (polish(mem[0]), 1)
         diam = dist[np.ix_(mem, mem)].max()
         if diam > CLUSTER_CAP:
             return None
@@ -730,7 +801,17 @@ def roots(p: Poly) -> RootSet:
 
 @functools.lru_cache(maxsize=512)
 def _roots_cached(c: tuple) -> RootSet:
-    """The RootSet of the polynomial with coefficients c, c[0] != 0."""
+    """The RootSet of the polynomial with coefficients c, c[0] != 0.
+
+    Degree 1 is solved in closed form.  Higher degrees start from the
+    closed form (degree 2) or ``_aberth``'s points, which
+    ``_cluster_points`` places; on exactly conjugate-palindromic c (every
+    lift) it returns the outside root of a lone reflected pair as the
+    mirror of its polished inside partner.  Every
+    root, mirrors included, must then meet the residual bound below, and a
+    self-inversive c has its near-circle roots snapped
+    (``_snap_self_inversive``).
+    """
     found: list[tuple[complex, int]] = []
     d = len(c) - 1
     carr = np.asarray(c, dtype=complex)
@@ -820,12 +901,13 @@ def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
     ``nonneg_check`` and the minima of ``circle_minima``.
     """
     ks = np.arange(1, g.n + 1)
+    iks, kk = 1j * ks, -ks * ks
     cs = np.array(g.coeffs[1:])
     theta = theta0
     for _ in range(8):
-        ph = cs * np.exp(1j * ks * theta)
-        d1 = float(2.0 * (1j * ks * ph).real.sum())
-        d2 = float(2.0 * (-ks * ks * ph).real.sum())
+        ph = cs * np.exp(iks * theta)
+        d1 = float(2.0 * (iks * ph).real.sum())
+        d2 = float(2.0 * (kk * ph).real.sum())
         if d2 <= 0:
             break   # not a local minimum neighborhood; keep the input
         step = d1 / d2

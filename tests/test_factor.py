@@ -665,6 +665,26 @@ def test_zero_poly_matches_the_product_of_its_factors():
     assert factor._zero_poly([], []).tolist() == [1]
 
 
+def test_expander_grid_is_one_read_only_table_per_size():
+    # the grid is the np.exp of the whole grid bit for bit, shared per size
+    # and read-only, so the expansions are those of a grid built per call
+    for size in (8, 64, 4096):
+        zeta = factor._unit_grid(size)
+        want = np.exp(2j * np.pi * np.arange(size) / size)
+        assert zeta is factor._unit_grid(size)
+        assert not zeta.flags.writeable
+        assert zeta.tobytes() == want.tobytes()
+    rng = np.random.default_rng(25)
+    for k in range(1, 12):
+        zeros = rng.uniform(0.2, 2.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+        size = 1 << (2 * k + 1).bit_length()
+        zeta = np.exp(2j * np.pi * np.arange(size) / size)
+        want = np.fft.fft((zeta[:, None] - zeros).prod(axis=1),
+                          norm="forward")[:k + 1]
+        want[k] = 1.0
+        assert factor._zero_poly(zeros, [1] * k).tobytes() == want.tobytes()
+
+
 def test_divisors_trivial():
     assert [d.degree for d in divisors(BlaschkeProduct())] == [0]
 

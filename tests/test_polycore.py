@@ -14,15 +14,18 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
 import hkl
+from hkl import polycore
 from hkl.errors import (BandExceeded, InternalInvariantError, NullInput,
                         RootOverflow)
 from hkl.factor import inner_outer
 from hkl.gen import random_boundary_modulus
-from hkl.polycore import (Poly, Region, Root, TrigPoly, _aberth,
-                          _cluster_points, _horner, _polish,
+from hkl.polycore import (CLUSTER_CAP, EPS_CIRCLE, MERGE_BACKWARD_TOL,
+                          Poly, Region, Root, TrigPoly, _aberth,
+                          _cluster_points, _horner, _polish, _residual_ok,
                           _single_linkage_tree, _snap_self_inversive,
                           circle_minima, lift, nonneg_check, nonneg_tol,
-                          poly_mul, roots, self_inversive_phase, trig_add,
+                          poly_mul, refine_circle_angle, roots,
+                          self_inversive_phase, synthetic_divide, trig_add,
                           trig_from_modulus_squared, trig_mul, trig_scale,
                           unlift)
 
@@ -391,6 +394,129 @@ def test_aberth_cut_off_early_meets_backward_error():
                       <= 1e-12 * npp.polyval(np.abs(z), np.abs(c)))
 
 
+def _tree_cluster_points(points, coeffs):
+    # reference: the merge tree and its top-down cut over every point, each
+    # leaf polished on its own, with no lone-point shortcut and no mirror
+    pts = list(points)
+    if len(pts) == 1:
+        return [(complex(pts[0]), 1)]
+    c0 = np.asarray(coeffs, dtype=complex)
+    ac = np.abs(c0)
+    derivs = [c0.tolist()]
+
+    def deriv(k):
+        while len(derivs) <= k:
+            derivs.append(npp.polyder(derivs[-1]).tolist())
+        return derivs[k]
+
+    dist = np.abs(np.asarray(pts)[:, None] - np.asarray(pts)[None, :])
+    clusters = _single_linkage_tree(dist)
+    out = []
+
+    def try_accept(mem):
+        m = len(mem)
+        if m == 1:
+            return (_polish(complex(pts[mem[0]]), deriv(0), deriv(1), 1e-4), 1)
+        diam = dist[np.ix_(mem, mem)].max()
+        if diam > CLUSTER_CAP:
+            return None
+        centroid = complex(np.mean([pts[i] for i in mem]))
+        polished = _polish(centroid, deriv(m - 1), deriv(m),
+                           4.0 * diam + 1e-8)
+        work = list(c0)
+        for _ in range(m):
+            work = synthetic_divide(work, polished)
+        recomposed = np.asarray(work, dtype=complex)
+        for _ in range(m):
+            recomposed = np.convolve(recomposed, [-polished, 1.0])
+        if (float(np.abs(recomposed - c0).max())
+                <= MERGE_BACKWARD_TOL * float(ac.max())
+                and _residual_ok(deriv(0), ac.tolist(), complex(polished))):
+            return (polished, m)
+        return None
+
+    def cut(idx):
+        node = clusters[idx]
+        accepted = (None if node["distance"] > CLUSTER_CAP
+                    else try_accept(node["members"]))
+        if accepted is not None:
+            out.append(accepted)
+            return
+        cut(node["children"][0])
+        cut(node["children"][1])
+
+    cut(len(clusters) - 1)
+    return out
+
+
+def _sorted_bits(found):
+    return sorted((_bits(a), m) for a, m in found)
+
+
+def test_lone_points_match_the_full_tree_cut():
+    # a lone point is a leaf of the cut whatever the tree: off lifts the
+    # roots are the reference's bit for bit; on lifts the inside and circle
+    # roots are, before the snap and after it, and each outside root is the
+    # reference's or the exact mirror of an inside root, near the same zero
+    for c in _aberth_cases():
+        pts = _aberth(c, 1e-12, 200)
+        new, ref = _cluster_points(pts, c), _tree_cluster_points(pts, c)
+        if not np.array_equal(np.conj(c[::-1]), c):
+            assert _sorted_bits(new) == _sorted_bits(ref)
+            continue
+        lam = self_inversive_phase(c)
+        for stage_new, stage_ref in ((new, ref),
+                                     (_snap_self_inversive(new, c, lam),
+                                      _snap_self_inversive(ref, c, lam))):
+            assert (_sorted_bits(r for r in stage_new
+                                 if abs(r[0]) <= 1 + EPS_CIRCLE)
+                    == _sorted_bits(r for r in stage_ref
+                                    if abs(r[0]) <= 1 + EPS_CIRCLE))
+        mirrors = {_bits(1 / complex(a).conjugate())
+                   for a, m in new if abs(a) < 1 and m == 1}
+        ref_out = [(a, m) for a, m in ref if abs(a) > 1 + EPS_CIRCLE]
+        new_out = [(a, m) for a, m in new if abs(a) > 1 + EPS_CIRCLE]
+        assert sorted(m for _, m in new_out) == sorted(m for _, m in ref_out)
+        for a, m in new_out:
+            assert (_bits(a), m) in _sorted_bits(ref_out) or (
+                m == 1 and _bits(a) in mirrors)
+            assert min(abs(a - b) for b, _ in ref_out) <= 1e-9 * abs(a)
+
+
+def test_lift_polishes_each_reflected_pair_once(monkeypatch, solve_counter):
+    # work guard in counts: the lift of |f|^2, f with k separated simple
+    # zeros off the circle, has k reflected pairs of lone points.  Each
+    # inside root is polished and its outside partner is its exact mirror:
+    # k polishes, where polishing both made 2k.  solve_counter gives the
+    # test an empty root memo, so every lift here is solved
+    calls = [0]
+    polish = polycore._polish
+
+    def counted(*args):
+        calls[0] += 1
+        return polish(*args)
+
+    monkeypatch.setattr(polycore, "_polish", counted)
+    rng = np.random.default_rng(1812)
+    for k in (3, 6, 9):
+        f = random_outer_poly(rng, k)
+        calls[0] = 0
+        rs = roots(lift(trig_from_modulus_squared(f)))
+        assert calls[0] == k
+        assert len(rs.inside) == len(rs.outside) == k
+        assert all(r.multiplicity == 1 for r in rs)
+        for b in rs.outside:
+            a = min(rs.inside,
+                    key=lambda r: abs(1 / r.location.conjugate() - b.location))
+            assert _bits(b.location) == _bits(1 / a.location.conjugate())
+    # a polynomial with no reflection symmetry: one polish per root
+    for degree in (5, 8, 12):
+        p, _ = _random_poly_with_roots(rng, degree)
+        calls[0] = 0
+        assert roots(p).total_multiplicity == degree
+        assert calls[0] == degree
+
+
 _ROOTSET_DIGEST = """
 import hashlib, json, sys
 from hkl.polycore import _roots_cached
@@ -704,6 +830,43 @@ def test_circle_minima_are_the_local_minima_of_g():
         poly_mul(Poly((-1, 1)), Poly((-1, 1)))))
     assert len(got) == 1
     assert abs(math.remainder(got[0], 2 * np.pi)) < 2 * np.pi / 4096
+
+
+def _refine_reference(g, theta0):
+    # reference: the refiner with 1j * ks and -ks * ks built on every step
+    ks = np.arange(1, g.n + 1)
+    cs = np.array(g.coeffs[1:])
+    theta = theta0
+    for _ in range(8):
+        ph = cs * np.exp(1j * ks * theta)
+        d1 = float(2.0 * (1j * ks * ph).real.sum())
+        d2 = float(2.0 * (-ks * ks * ph).real.sum())
+        if d2 <= 0:
+            break
+        step = d1 / d2
+        if not math.isfinite(step) or abs(step) > 1e-2:
+            break
+        theta -= step
+        if abs(step) <= 1e-15:
+            break
+    return theta
+
+
+def test_refine_circle_angle_bit_identical_to_reference():
+    # from random cell midpoints and from half a cell either side of each
+    # minimum, on extreme points and on g with inside and outside zeros
+    rng = np.random.default_rng(64)
+    for n in range(1, 13):
+        for census in ((0, n, 0), (n // 3, n - 2 * (n // 3), n // 3)):
+            g = random_boundary_modulus(n, *census, rng)
+            width = 2 * np.pi / 4096
+            starts = [(j + 0.5) * width for j in rng.integers(0, 4096, 8)]
+            minima = circle_minima(g)
+            if minima is not None:
+                starts += [t + s * width for t in minima for s in (-0.5, 0.5)]
+            for t in starts:
+                assert (refine_circle_angle(g, float(t)).hex()
+                        == _refine_reference(g, float(t)).hex())
 
 
 # ---------------------------------------------------------------------------
