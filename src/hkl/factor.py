@@ -159,29 +159,31 @@ class Factorization:
     outer: Poly
 
 
+def _inner_part(p: Poly) -> BlaschkeProduct:
+    """The Blaschke product over p's disk zeros with lambda = 1, read from
+    ``roots(p)``, which raises NullInput for the zero polynomial: the one
+    reader of an inner factor.  ``inner_outer`` adds the phase and the outer
+    part for the callers that read it, ``geometry.is_extreme`` and
+    ``hkl factor``."""
+    inside = roots(p).inside     # near-origin roots come folded to 0j
+    return BlaschkeProduct(
+        sum(r.multiplicity for r in inside if r.location == 0),
+        tuple((r.location, r.multiplicity) for r in inside if r.location))
+
+
 def inner_outer(p: Poly) -> Factorization:
     """Split p into a Blaschke product over its disk zeros and an outer part.
 
-    Zeros on the circle stay in the outer part.  The outer part keeps p's
-    coefficients as far as possible: each disk zero is divided out
-    synthetically and the reflected factor is multiplied back in, rather
-    than rebuilding the whole polynomial from computed roots.
+    The inner factor is ``_inner_part(p)`` with a phase.  The outer part,
+    which circle zeros stay in, keeps p's coefficients as far as possible
+    rather than rebuilding p from computed roots: the powers of z are sliced
+    off, and each other disk zero is divided out synthetically and its
+    reflected factor multiplied back in.
     """
-    if p.is_null:
-        raise NullInput("cannot factor the zero polynomial")
-    rs = roots(p)
-    work = list(p.coeffs)
-    m0 = 0
-    inner_zeros = []
-    for r in rs.inside:
-        if r.location == 0:     # roots() folds near-origin roots to 0j
-            m0 += r.multiplicity
-            for _ in range(r.multiplicity):
-                work = synthetic_divide(work, r.location)
-            continue
-        inner_zeros.append((r.location, r.multiplicity))
-        a = r.location
-        for _ in range(r.multiplicity):
+    inner = _inner_part(p)
+    work = list(p.coeffs[inner.m0:])
+    for a, m in inner.zeros:
+        for _ in range(m):
             work = synthetic_divide(work, a)
             work = list(np.convolve(work, [1.0, -a.conjugate()]))
 
@@ -193,8 +195,7 @@ def inner_outer(p: Poly) -> Factorization:
     outer = Poly(work).scaled(1.0 / lam).coeffs
     # exactly real positive at 0, not up to the rounding of the rotation
     outer = Poly((complex(abs(outer[0])),) + outer[1:])
-    inner = BlaschkeProduct(m0, tuple(inner_zeros), lam)
-    return Factorization(inner, outer)
+    return Factorization(BlaschkeProduct(inner.m0, inner.zeros, lam), outer)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,8 @@ from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                      NotDivisible, NotInV, NotOnBoundary, NotUnitNorm,
                      NullInput, SelfCheckFailed)
 from .factor import (BlaschkeProduct, _circle_zeros, _divisor_exponents,
-                     _factor_from_zeros, _inner_multiples, fejer_riesz,
-                     inner_outer)
+                     _factor_from_zeros, _inner_multiples, _inner_part,
+                     fejer_riesz, inner_outer)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
 from .polycore import (Poly, TrigPoly, circle_minima, lift, nonneg_tol,
@@ -293,7 +293,7 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
         raise BandExceeded(
             f"band limit {g.effective_band} exceeds model order {n}")
     base = fejer_riesz(g)   # raises NotNonnegative for a negative g
-    inner = inner_outer(lift(g, n)).inner
+    inner = _inner_part(lift(g, n))
     try:
         rows = _inner_multiples(base, inner, _divisor_exponents(inner))
     except NotDivisible as exc:
@@ -347,15 +347,17 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement) -> RigidityResult:
     mean-1 hypothesis is needed, so this check bypasses the membership
     test on purpose.
 
-    A dominated x.f that is not a constant multiple is impossible when the
-    implementation is correct, so it raises SelfCheckFailed: an internal
-    bug, never a property of the input.
+    An x.f of degree above n is outside the order-n space and raises
+    BandExceeded before any work.  A dominated x.f that is not a constant
+    multiple is impossible when the implementation is correct, so it
+    raises SelfCheckFailed: an internal bug, never a property of the input.
     """
+    if x.f.degree > n:
+        raise BandExceeded(f"degree {x.f.degree} exceeds model order {n}")
     if g.is_null:
         raise NullInput("rigidity needs a non-null modulus")
     require_nonnegative(g)
-    fac = inner_outer(lift(g, n))
-    if not fac.inner.is_trivial:
+    if not _inner_part(lift(g, n)).is_trivial:
         raise InnerFactorPresent(
             "the lift has a nontrivial inner factor; rigidity does not apply")
 

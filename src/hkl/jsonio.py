@@ -140,7 +140,12 @@ def poly_to_json(p: Poly) -> dict:
 
 def poly_from_json(d: dict) -> Poly:
     _require_fields(d, {"coeffs"}, "poly")
-    return Poly(tuple(_read_pairs(d["coeffs"], "coefficient")))
+    coeffs = _read_pairs(d["coeffs"], "coefficient")
+    # no longer than a lift at MAX_ORDER: p sizes a dense d x d companion
+    if len(coeffs) > 2 * MAX_ORDER + 1:
+        raise ValueError(
+            f"{len(coeffs)} coefficients exceed {2 * MAX_ORDER + 1}")
+    return Poly(tuple(coeffs))
 
 
 def trig_to_json(g: TrigPoly) -> dict:

@@ -843,15 +843,20 @@ def _roots_cached(c: tuple) -> RootSet:
         aclist = np.abs(carr).tolist()
         for a, m in found:
             if not _residual_ok(clist, aclist, complex(a)):
-                resid = abs(_horner(clist, complex(a)))
-                scale = _horner(aclist, abs(complex(a)))
+                # a finite point outside the circle is judged on p(a) / a**d,
+                # as _aberth judges it, so its powers cannot overflow
+                w, step = ((1 / complex(a), -1) if 1 < abs(a) < math.inf
+                           else (complex(a), 1))
+                resid = abs(_horner(clist[::step], w))
+                scale = _horner(aclist[::step], abs(w))
                 if not math.isfinite(resid / scale):
                     raise RootOverflow(
                         f"root {complex(a)} has residual {resid} at scale "
                         f"{scale}: the coefficients overflow double precision")
                 raise NonConvergence(
-                    f"root residual {resid / scale:.3e} above tolerance after "
-                    f"{MAX_ROOT_ITER} iterations")
+                    f"root {complex(a)} fails the residual test after at "
+                    f"most {MAX_ROOT_ITER} iterations (relative residual "
+                    f"{resid / scale:.3e})")
         if d >= 2 and (lam := self_inversive_phase(carr)) is not None:
             found = _snap_self_inversive(found, carr, lam)
     return _root_set(found, 0)

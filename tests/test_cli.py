@@ -22,7 +22,7 @@ from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
                       repeated_inside_zero_family)
 
 import hkl
-from hkl import cli, factor, geometry, kernel, numeric
+from hkl import cli, factor, geometry, jsonio, kernel, numeric
 from hkl.cli import COMMANDS, build_parser, main
 from hkl.factor import spectral_factor
 from hkl.gen import random_boundary_modulus, random_kernel_element
@@ -121,6 +121,27 @@ def test_rigidity_counterexample_free(files, capsys):
     code, out, _ = run(capsys, ["rigidity", gpath, fpath, "--n", "1"])
     assert code == 0
     assert json.loads(out)["kind"] == "NOT_DOMINATED"
+
+
+def test_rigidity_element_above_the_order_exits_2(files, capsys):
+    # z**3 F, a kernel element of order 5, is outside the order-1 space
+    write, _ = files
+    g = TrigPoly(1, (1.0, 0.5))
+    gpath = write("g.json", g)
+    xpath = write("x.json", KernelElement(5, factor.fejer_riesz(g).shifted(3)))
+    code, out, err = run(capsys, ["rigidity", gpath, xpath, "--n", "1"])
+    _assert_one_error(code, out, err, 2, "BandExceeded")
+
+
+def test_factor_refuses_a_poly_longer_than_a_lift_at_max_order(
+        files, capsys, monkeypatch):
+    # 2 MAX_ORDER + 2 coefficients: refused by the loader, before a solve
+    write, _ = files
+    path = write("p.json", Poly((1.0,) * (2 * jsonio.MAX_ORDER + 2)))
+    monkeypatch.setattr(factor, "roots", None)
+    code, out, err = run(capsys, ["factor", path])
+    _assert_one_error(code, out, err, 2, "BadInput")
+    assert "2050 coefficients exceed 2049" in err
 
 
 def test_gen_decompose_pipeline(files, capsys, tmp_path, monkeypatch):

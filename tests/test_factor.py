@@ -56,6 +56,25 @@ def test_inner_outer_disk_zero():
     assert _max_err(fac.outer, expected) < 1e-12
 
 
+def test_inner_outer_power_of_z_beside_a_negative_inside_zero():
+    # the inside zero -0.4 sorts before the root at 0: the powers of z come
+    # off first, then -0.4 is traded for its reflection
+    p = poly_mul(poly_mul(Poly((0, 0, 0.7 - 0.2j)), Poly((0.4, 1))),
+                 Poly((-1.5 - 0.5j, 1)))
+    fac = inner_outer(p)
+    assert fac.inner.m0 == 2
+    (a, m), = fac.inner.zeros
+    assert m == 1 and abs(a + 0.4) < 1e-12
+    reader = factor._inner_part(p)
+    assert reader.lam == 1
+    assert (reader.m0, reader.zeros) == (fac.inner.m0, fac.inner.zeros)
+    recon = blaschke_eval(fac.inner, CIRCLE) * fac.outer(CIRCLE)
+    assert np.abs(recon - p(CIRCLE)).max() <= 1e-14 * np.abs(p(CIRCLE)).max()
+    assert fac.outer.degree == 2
+    assert all(abs(r.location) > 1 for r in roots(fac.outer))
+    assert fac.outer.coeff(0).imag == 0 and fac.outer.coeff(0).real > 0
+
+
 def test_inner_outer_already_outer():
     fac = inner_outer(Poly((1, 1)))
     assert fac.inner.is_trivial and fac.inner.lam == 1

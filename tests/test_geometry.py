@@ -404,6 +404,21 @@ def test_decompose_analyses_the_lift_once(monkeypatch, census):
     assert len(calls) == 1
 
 
+def test_enumerate_and_rigidity_build_no_outer_part(monkeypatch,
+                                                   small_census_suite):
+    # both read only the lift's inner factor, so neither calls inner_outer
+    def refuse(p):
+        raise AssertionError("inner_outer called")
+    monkeypatch.setattr(factor, "inner_outer", refuse)
+    monkeypatch.setattr(geometry, "inner_outer", refuse)
+    for g, n, _ in small_census_suite[:30]:
+        enumerate_solutions(g, n)
+        try:
+            rigidity_check(g, n, KernelElement(n, fejer_riesz(g)))
+        except InnerFactorPresent:
+            pass
+
+
 # ---------------------------------------------------------------------------
 # enumerate_solutions
 # ---------------------------------------------------------------------------
@@ -584,6 +599,17 @@ def test_rigidity_constant_multiple_with_a_loose_root():
 def test_rigidity_rejects_inner_factor():
     with pytest.raises(InnerFactorPresent):
         rigidity_check(TrigPoly(1, (1.0, 0.0)), 1, KernelElement(1, Poly((0, 1))))
+
+
+def test_rigidity_refuses_an_element_above_the_order(monkeypatch):
+    # z**3 F has degree 4 > n = 1: not in the order-1 space, refused as the
+    # caller's input before any factor or root solve
+    g = TrigPoly(1, (1.0, 0.5))
+    x = KernelElement(5, fejer_riesz(g).shifted(3))
+    monkeypatch.setattr(geometry, "fejer_riesz", None)
+    monkeypatch.setattr(geometry, "_inner_part", None)
+    with pytest.raises(BandExceeded, match="degree 4 exceeds model order 1"):
+        rigidity_check(g, 1, x)
 
 
 def test_rigidity_zero_element():

@@ -146,6 +146,14 @@ def test_order_bounded_before_allocation():
         {"n": MAX_ORDER, "poly": {"coeffs": [[1.0, 0.0]]}}).n == MAX_ORDER
 
 
+def test_poly_length_bounded_by_a_lift_at_max_order():
+    # a lift at MAX_ORDER loads; one coefficient more is refused
+    ones = [[1.0, 0.0]] * (2 * MAX_ORDER + 1)
+    assert poly_from_json({"coeffs": ones}).degree == 2 * MAX_ORDER
+    with pytest.raises(ValueError, match="2050 coefficients exceed 2049"):
+        poly_from_json({"coeffs": ones + [[1.0, 0.0]]})
+
+
 def test_bool_coefficient_rejected():
     with pytest.raises(ValueError, match=r"\[re, im\] pair"):
         poly_from_json({"coeffs": [[True, False]]})

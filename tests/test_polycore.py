@@ -15,9 +15,9 @@ from numpy.polynomial import polynomial as npp
 
 import hkl
 from hkl import polycore
-from hkl.errors import (BandExceeded, InternalInvariantError, NullInput,
-                        RootOverflow)
-from hkl.factor import inner_outer
+from hkl.errors import (BandExceeded, InternalInvariantError, NonConvergence,
+                        NullInput, RootOverflow)
+from hkl.factor import _zero_poly, inner_outer
 from hkl.gen import random_boundary_modulus
 from hkl.polycore import (CLUSTER_CAP, EPS_CIRCLE, MERGE_BACKWARD_TOL,
                           Poly, Region, Root, TrigPoly, _aberth,
@@ -133,6 +133,19 @@ def test_roots_overflow_is_named_not_nan():
         roots(Poly((1e308, 1e308, 1e308)))
     # the same polynomial scaled into range has finite roots
     assert len(roots(Poly((1.0, 1.0, 1.0)))) == 2
+
+
+def test_roots_far_point_is_nonconvergence_not_overflow():
+    # every |c_k| <= 1, but a point of the solve lies near |z| = 3.5e7, where
+    # plain Horner overflows; judged on the reversed coefficients its
+    # relative residual is finite, so the failure is no overflow
+    rng = np.random.default_rng(0)
+    zi = rng.uniform(0.3, 0.9, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
+    zo = rng.uniform(1.1, 1.9, 112) * np.exp(2j * np.pi * rng.uniform(size=112))
+    c = _zero_poly(np.concatenate([zi, zo]), np.ones(128, dtype=int))
+    c = c / np.abs(c).max()
+    with pytest.raises(NonConvergence, match="fails the residual test"):
+        roots(Poly(tuple(c)))
 
 
 def test_roots_double_circle_zero_clusters():
