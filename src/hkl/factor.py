@@ -11,13 +11,16 @@ equality in tests.
 The spectral factorization (``fejer_riesz``) starts from the roots on
 purpose: the root picture is what certificates are made of, and it handles
 zeros on the circle, which the cepstral method in :mod:`hkl.numeric`
-cannot.  Its products of linear factors, like the Blaschke numerator, are
-expanded from their values by one FFT (``_zero_poly``).  Roots of the lift
-are only as accurate as their conditioning allows, so the root-built
-factor is then polished by Gauss-Newton steps on |F|^2 = g (Wilson, SIAM
-J. Numer. Anal. 6, 1969) down to the rounding level of the input; a
-factor already there, as most root-built ones are, takes no step.  The
-two paths cross-validate each other on strictly positive inputs.
+cannot.  A g whose zeros all lie on the circle has them read from its
+minima (``polycore.circle_count``) instead, with no root solve, and so has
+the inner factor of its lift (``_lift_inner``).  Its products of linear
+factors, like the Blaschke numerator, are expanded from their values by
+one FFT (``_zero_poly``).  Roots of the lift are only as accurate as
+their conditioning allows, so the root-built factor is then polished by
+Gauss-Newton steps on |F|^2 = g (Wilson, SIAM J. Numer. Anal. 6, 1969)
+down to the rounding level of the input; a factor already there, as most
+root-built ones are, takes no step.  The two paths cross-validate each
+other on strictly positive inputs.
 
 A product f * J whose poles f's zeros cancel is built from its values
 f(zeta) J(zeta) on the circle, by one FFT for any number of inner divisors
@@ -36,10 +39,11 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
                      SelfCheckFailed)
-from .polycore import (EPS_CIRCLE, Poly, TrigPoly, _polish as _newton_polish,
+from .polycore import (EPS_CIRCLE, Poly, TrigPoly, _l1,
+                       _polish as _newton_polish, _unit_scale, circle_count,
                        lift, refine_circle_angle, require_nonnegative, roots,
                        self_inversive_phase, synthetic_divide,
-                       trig_from_modulus_squared, trig_scale)
+                       trig_from_modulus_squared)
 
 TOL_DIVIDE = 1e-9    # relative tail bound of a product f * J built from values
 POLE_TOL = 1e-12
@@ -162,25 +166,47 @@ class Factorization:
 def _inner_part(p: Poly) -> BlaschkeProduct:
     """The Blaschke product over p's disk zeros with lambda = 1, read from
     ``roots(p)``, which raises NullInput for the zero polynomial: the one
-    reader of an inner factor.  ``inner_outer`` adds the phase and the outer
-    part for the callers that read it, ``geometry.is_extreme`` and
-    ``hkl factor``."""
+    reader of an inner factor from roots.  ``inner_outer`` adds the phase
+    and the outer part for ``hkl factor``, ``_lift_inner`` reads it for a
+    lift that ``circle_count`` cannot decide."""
     inside = roots(p).inside     # near-origin roots come folded to 0j
     return BlaschkeProduct(
         sum(r.multiplicity for r in inside if r.location == 0),
         tuple((r.location, r.multiplicity) for r in inside if r.location))
 
 
+def _lift_inner(g: TrigPoly, n: int) -> BlaschkeProduct:
+    """The inner factor of lift(g, n) with lambda = 1: the one reader of it
+    for ``geometry``'s extreme test, enumeration and rigidity check.
+
+    When ``circle_count(g)`` decides, the lift's 2 eb zeros are all on the
+    circle (eb = g.effective_band <= n), so its inner factor is z**(n - eb)
+    and no root is solved.  Otherwise it is ``_inner_part(lift(g, n))``,
+    and ``lift`` raises BandExceeded for a band above n.
+    """
+    if g.effective_band <= n and circle_count(g) is not None:
+        return BlaschkeProduct(n - g.effective_band)
+    return _inner_part(lift(g, n))
+
+
 def inner_outer(p: Poly) -> Factorization:
     """Split p into a Blaschke product over its disk zeros and an outer part.
 
-    The inner factor is ``_inner_part(p)`` with a phase.  The outer part,
-    which circle zeros stay in, keeps p's coefficients as far as possible
-    rather than rebuilding p from computed roots: the powers of z are sliced
-    off, and each other disk zero is divided out synthetically and its
-    reflected factor multiplied back in.
+    The inner factor is ``_inner_part(p)`` with a phase, and the outer part
+    is ``_factorization(p, inner)``'s.
     """
-    inner = _inner_part(p)
+    return _factorization(p, _inner_part(p))
+
+
+def _factorization(p: Poly, inner: BlaschkeProduct) -> Factorization:
+    """p's factorization, given its inner factor with lambda = 1.
+
+    The outer part, which circle zeros stay in, keeps p's coefficients as
+    far as possible rather than rebuilding p from computed roots: the
+    powers of z are sliced off, and each other disk zero is divided out
+    synthetically and its reflected factor multiplied back in.  The phase
+    lambda makes the outer part real positive at 0.
+    """
     work = list(p.coeffs[inner.m0:])
     for a, m in inner.zeros:
         for _ in range(m):
@@ -213,11 +239,12 @@ def spectral_factor(g: TrigPoly) -> SpectralFactor:
     F keeps the representative outside (or on) the circle and takes half of
     each circle multiplicity, as ``_circle_zeros`` reads them.
 
-    The outside roots make the cofactor; ``_factor_from_zeros``, the
-    builder the split halves share, adds the circle part (both expanded
-    by ``_zero_poly``), polishes F on |F|^2 = g to g's rounding floor and
-    accepts it by its relative round trip, which the record carries as
-    ``residual``.  When s = max |g_k| > 1, F is the factor of g / s times
+    The outside roots make the cofactor, which is 1 with no root solved
+    when ``circle_count(g)`` finds all of g's zeros on the circle;
+    ``_factor_from_zeros``, the builder the split halves share, adds the
+    circle part (both expanded by ``_zero_poly``), polishes F on
+    |F|^2 = g to g's rounding floor and accepts it by its relative round
+    trip, which the record carries as ``residual``.  When s = max |g_k| > 1, F is the factor of g / s times
     sqrt(s), accepted on g / s, so the polish works at unit scale; a
     nonnegative g with mean at most 1 has |g_k| <= 1 and is factored as
     it is.
@@ -246,11 +273,9 @@ def fejer_riesz(g: TrigPoly) -> Poly:
 
 def _spectral_factor(g: TrigPoly) -> SpectralFactor:
     require_nonnegative(g)
-    scale = max(1.0, max(abs(c) for c in g.coeffs))
-    if scale > 1.0:
-        # near the top of the double range the polish's residual norms
-        # overflow; the factor of g / scale times sqrt(scale) is the same F
-        g = trig_scale(g, 1.0 / scale)
+    # near the top of the double range the polish's residual norms
+    # overflow; the factor of g / scale times sqrt(scale) is the same F
+    g, scale = _unit_scale(g)
     f, resid = _fejer_riesz_cached(g)
     if scale > 1.0:
         f = f.scaled(math.sqrt(scale))
@@ -263,15 +288,11 @@ def _fejer_riesz_cached(g: TrigPoly) -> tuple[Poly, float]:
     with max |g_k| <= 1."""
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
-    outside = roots(lift(g)).outside
+    # every zero of the lift on the circle: the cofactor is 1
+    outside = () if circle_count(g) is not None else roots(lift(g)).outside
     cofactor = _zero_poly([r.location for r in outside],
                           [r.multiplicity for r in outside])
     return _factor_from_zeros(g, cofactor, _circle_zeros(g))
-
-
-def _l1(g: TrigPoly) -> float:
-    """|g_0| + 2 sum |g_k|, the scale of g's round trip."""
-    return abs(g.coeffs[0]) + 2 * sum(abs(c) for c in g.coeffs[1:])
 
 
 def _round_trip(f: Poly, g: TrigPoly) -> float:
@@ -343,14 +364,20 @@ def _circle_zeros(g: TrigPoly) -> tuple[tuple[float, int], ...] | None:
     """(angle, multiplicity) of each circle zero of g, every multiplicity
     even; None when an odd circle root is left.
 
-    The one reader of the multiplicities of lift(g)'s circle roots, for
-    ``fejer_riesz`` and geometry's split, ``rigidity_check`` and
-    ``perturbation_search`` (there only when g has fewer local minima than
-    its order, all zeros of g).  The root engine's snap has merged the roots
+    The one reader of g's circle zeros, for ``fejer_riesz`` and geometry's
+    split, ``rigidity_check`` and ``perturbation_search`` (there only when
+    g has fewer local minima than its order, all zeros of g).  When
+    ``circle_count(g)`` decides, they are its angles, each a double zero,
+    with no root solve.  Otherwise they are the circle roots of lift(g)
+    with their multiplicities: the root engine's snap has merged the roots
     that rounding splits off a double circle zero, so an odd root left is
-    a sign change of g or a split beyond SNAP_BAND.  Each angle is refined
-    on g (``refine_circle_angle``).  Memoized per g, like ``fejer_riesz``.
+    a sign change of g or a split beyond SNAP_BAND, and each angle is
+    refined on g (``refine_circle_angle``).  Memoized per g, like
+    ``fejer_riesz``.
     """
+    minima = circle_count(g)
+    if minima is not None:
+        return tuple((t, 2) for t in minima.tolist())
     on_circle = roots(lift(g)).on_circle
     if any(r.multiplicity % 2 for r in on_circle):
         return None

@@ -29,11 +29,16 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
   largest admissible h (route sampled), whose last bits depend on the
   BLAS thread count                                 (perturbation_search)
 
-The split and the domination rule read g's circle zeros and their even
-multiplicities from ``factor._circle_zeros`` alone.  The circle count
-reads g's local minima (``polycore.circle_minima``) and solves no lift
-when g's n minima are all zeros of g; only fewer minima send it to
-``_circle_zeros``.
+A g of order eb (``effective_band``) whose eb local minima are all double
+zeros of g within tolerance has all 2 eb zeros of z**eb g on the circle.
+``polycore.circle_count`` reads that from g's minima with no root solve;
+then the extreme test, the enumeration and the rigidity check take the
+inner factor of the lift at order n as z**(n - eb)
+(``factor._lift_inner``), and the split, the domination rule and the
+spectral factor take g's circle zeros from the count
+(``factor._circle_zeros``).  Only a g the count declines has its lift
+solved; the perturbation search's count (``_circle_count``) then falls
+back to the lift's roots only for fewer minima, all zeros of g.
 
 Everything returns a certificate object carrying residuals and the
 conventions used, so a verdict can be audited without rerunning.
@@ -50,13 +55,14 @@ from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                      NotDivisible, NotInV, NotOnBoundary, NotUnitNorm,
                      NullInput, SelfCheckFailed)
 from .factor import (BlaschkeProduct, _circle_zeros, _divisor_exponents,
-                     _factor_from_zeros, _inner_multiples, _inner_part,
-                     fejer_riesz, inner_outer)
+                     _factor_from_zeros, _factorization, _inner_multiples,
+                     _lift_inner, fejer_riesz)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
-from .polycore import (Poly, TrigPoly, circle_minima, lift, nonneg_tol,
-                       require_nonnegative, roots, trig_add, trig_mul,
-                       trig_scale, trig_from_modulus_squared, unlift)
+from .polycore import (Poly, TrigPoly, _count_minima, circle_minima, lift,
+                       nonneg_tol, require_nonnegative, roots, trig_add,
+                       trig_mul, trig_scale, trig_from_modulus_squared,
+                       unlift)
 
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
@@ -89,6 +95,13 @@ def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     unit circle and the mean is 1.  Scaling g below norm 1 destroys
     extremality regardless of the root structure.
 
+    The inner factor is ``factor._lift_inner``'s: z**(n - eb) with no
+    other zero when g's eb local minima are all zeros of g
+    (``circle_count``), so a g with every zero on the circle is decided
+    with no root solve, and otherwise the lift's disk roots.  The outer
+    part is the lift with that inner factor divided out, as
+    ``inner_outer`` builds it.
+
     A negative g raises NotNonnegative with a point where g < -tol; any
     other g outside V (null, band above n, mean above 1) raises NotInV.
     """
@@ -96,7 +109,7 @@ def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     mem = membership_V(g, n)
     if mem.status is Membership.NOT_IN_V:
         raise NotInV(mem.reason)
-    fac = inner_outer(lift(g, n))
+    fac = _factorization(lift(g, n), _lift_inner(g, n))
     norm_ok = abs(g.mean - 1.0) <= NORM_TOL
     return ExtremeCertificate(
         verdict=norm_ok and fac.inner.is_trivial,
@@ -293,7 +306,7 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
         raise BandExceeded(
             f"band limit {g.effective_band} exceeds model order {n}")
     base = fejer_riesz(g)   # raises NotNonnegative for a negative g
-    inner = _inner_part(lift(g, n))
+    inner = _lift_inner(g, n)
     try:
         rows = _inner_multiples(base, inner, _divisor_exponents(inner))
     except NotDivisible as exc:
@@ -357,7 +370,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement) -> RigidityResult:
     if g.is_null:
         raise NullInput("rigidity needs a non-null modulus")
     require_nonnegative(g)
-    if not _inner_part(lift(g, n)).is_trivial:
+    if not _lift_inner(g, n).is_trivial:
         raise InnerFactorPresent(
             "the lift has a nontrivial inner factor; rigidity does not apply")
 
@@ -482,22 +495,27 @@ def _circle_count(g: TrigPoly) -> np.ndarray | None:
     lift, each of even order, with |g| <= nonneg_tol(g) at each and
     mean(g) > 0, so g >= -tol; else None.
 
-    g's local minima come first (``circle_minima``).  Every local minimum
-    of such a g is one of its zeros: g' has at most 2n zeros, a zero of g
-    of order 2m takes 2m - 1 of them and a maximum between each two
-    neighbouring zeros the rest.  So a minimum with |g| > tol declines,
-    as does a grid that cannot show the minima.  n minima that are zeros
-    of g are n double zeros, all of the lift's zeros, found with no root
-    solve.  Fewer can mean a zero of order 4 or more, and then the lift's
-    circle roots and their multiplicities decide (``_circle_zeros``).
+    The rule of ``polycore.circle_count`` decides first, taken on g as
+    given with no grid of g (``polycore._count_minima``): n local minima
+    that are double zeros of g within tolerance are all of the lift's
+    zeros, found with no root solve.  Every local minimum of such a g is
+    one of its zeros: g' has at most 2n zeros, a zero of g of order 2m
+    takes 2m - 1 of them and a maximum between each two neighbouring
+    zeros the rest.  So when the count declines, only fewer minima, all
+    zeros of g, can still be such a g, with a zero of order 4 or more;
+    then the lift's circle roots and their multiplicities decide
+    (``_circle_zeros``).
     """
+    counted = _count_minima(g)
+    if counted is not None:
+        return counted[0]
+    if g.mean <= 0:
+        return None
     n, tol = g.effective_band, nonneg_tol(g)
     minima = circle_minima(g)
-    if (minima is None or g.mean <= 0
+    if (minima is None or len(minima) >= n
             or np.any(np.abs(g.values(minima)) > tol)):
         return None
-    if len(minima) == n:
-        return minima
     zeros = _circle_zeros(g)
     if (zeros is None or sum(m for _, m in zeros) != 2 * n
             or np.any(np.abs(g.values([t for t, _ in zeros])) > tol)):

@@ -255,7 +255,9 @@ class TrigPoly:
         for k in range(1, self.n + 1):
             arr[k] = self.coeffs[k]
             arr[size - k] = self.coeffs[k].conjugate()
-        return (np.fft.ifft(arr) * size).real
+        # the real part times size: the same values bit for bit as
+        # (ifft * size).real, in a contiguous array
+        return np.fft.ifft(arr).real * size
 
 
 def trig_scale(g: TrigPoly, s: float) -> TrigPoly:
@@ -575,8 +577,22 @@ def _polish(center: complex, q: list, qd: list, step_cap: float) -> complex:
 
 def _residual_ok(clist: list, aclist: list, a: complex) -> bool:
     """|p(a)| <= 10 TOL_ROOT sum |c_k| |a|^k, the bound every root meets;
-    false for a NaN residual too."""
-    return abs(_horner(clist, a)) <= 10.0 * TOL_ROOT * _horner(aclist, abs(a))
+    false for a NaN residual too.
+
+    Where that residual or scale overflows at a finite |a| > 1, the bound
+    is judged on p(a) / a**d by the reversed coefficients at 1/a, as
+    ``_aberth`` judges it, so no power exceeds 1 in modulus.
+    """
+    resid, bound = abs(_horner(clist, a)), 10.0 * TOL_ROOT * _horner(
+        aclist, abs(a))
+    if resid <= bound:
+        return True
+    overflow = not (math.isfinite(resid) and math.isfinite(bound))
+    if not (overflow and 1 < abs(a) < math.inf):
+        return False
+    w = 1 / complex(a)
+    return (abs(_horner(clist[::-1], w))
+            <= 10.0 * TOL_ROOT * _horner(aclist[::-1], abs(w)))
 
 
 def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
@@ -958,11 +974,10 @@ def nonneg_tol(g: TrigPoly) -> float:
     """The tolerance at which a value of g counts as zero.
 
     1e-10 of the sup-norm bound |g_0| + 2 sum |g_k|, and never below
-    1e-10: ``nonneg_check`` accepts a dip to -tol, and the circle count of
-    ``geometry.perturbation_search`` takes |g| <= tol as a zero of g.
+    1e-10: ``nonneg_check`` accepts a dip to -tol, and ``circle_count``
+    takes |g| <= tol as a zero of g.
     """
-    return 1e-10 * max(1.0, abs(g.coeffs[0]) + 2 * sum(
-        abs(c) for c in g.coeffs[1:]))
+    return 1e-10 * max(1.0, _l1(g))
 
 
 def nonneg_grid_size(g: TrigPoly) -> int:
@@ -971,27 +986,151 @@ def nonneg_grid_size(g: TrigPoly) -> int:
     return max(4096, 64 * g.n)
 
 
-def grid_min(g: TrigPoly, grid_size: int) -> tuple[float, float]:
-    """The smallest value of g on the uniform grid of grid_size points,
-    and the angle where it is taken (the first, on a tie)."""
-    vals = g.grid_values(grid_size)
+def _unit_scale(g: TrigPoly) -> tuple[TrigPoly, float]:
+    """g / s and s = max(1, max |g_k|): the g that ``nonneg_check`` and
+    ``circle_count`` analyse, and that ``factor.fejer_riesz`` factors."""
+    scale = max(1.0, max(map(abs, g.coeffs)))
+    return (g if scale == 1.0 else trig_scale(g, 1.0 / scale)), scale
+
+
+def circle_count(g: TrigPoly) -> np.ndarray | None:
+    """The angles of g's n = ``effective_band`` local minima when there are
+    n of them, each a double zero of g within tolerance, and the mean is
+    > 0; else None.  A constant g > 0 has no minimum and gives no angle.
+
+    A minimum at t is a double zero within tolerance when |g(t)| <=
+    nonneg_tol(g) and, if g(t) is above g's rounding floor (n + 1) eps l1,
+    l1 = |g_0| + 2 sum |g_k|, the reflected pair of the lift's zeros that
+    such a positive minimum is lies within SNAP_BAND of the circle: at
+    distance sqrt(2 g(t) / g''(t)), as g is about g''(t) / 2 ((s - t)**2 +
+    d**2) near a pair at 1 -/+ d.  Within that band the snap of ``roots``
+    merges the pair into a double circle zero too.
+
+    A trig polynomial of order n has at most n local minima, so these are
+    all of them: the lift's 2n zeros all lie on the circle, its inner
+    factor at model order m is z**(m - n), and g >= -tol, with no root
+    solve.  The read-only angles come from ``circle_minima``.  The count is
+    sufficient, not necessary: a zero of order 4 or more, or two zeros
+    closer than the grid can resolve, shows fewer minima, and the callers
+    then solve the lift as before.
+
+    A g the count cannot decide declines on its values on the
+    ``nonneg_check`` grid alone, before g' is taken or an angle refined
+    (``_grid_declines``), h the grid's cell: when the smallest sample
+    exceeds tol + n**2 l1 h**2 / 8, when fewer than n samples lie below
+    both their neighbours, or when the parabola through such a sample and
+    its two neighbours has its vertex above tol + 0.065 n**3 l1 h**3.  A
+    local minimum of g within tol of 0 lies between those neighbours,
+    where the parabola misses g by at most sup|g'''| h**3 / (9 sqrt 3) <=
+    0.0642 n**3 l1 h**3.  Minima closer than about two cells show as one
+    sample, so they decline too.
+
+    Computed at unit scale, like ``nonneg_check``, and memoized per g with
+    that grid's minimum (``_circle_scan``), so the pipelines' calls on one
+    g take one FFT of g.
+    """
+    return _circle_scan(_unit_scale(g)[0])[2]
+
+
+@functools.lru_cache(maxsize=512)
+def _circle_scan(g: TrigPoly) -> tuple[float, float, np.ndarray | None]:
+    """``circle_count(g)`` with g's smallest value found and its angle: over
+    the ``nonneg_check`` grid (the first on a tie), and over the count's
+    minima when it decides.  The grid's values are one FFT of g, and the
+    count declines on them before it takes g' (``_grid_declines``)."""
+    size = nonneg_grid_size(g)
+    vals = g.grid_values(size)
     j = int(np.argmin(vals))
-    return float(vals[j]), 2.0 * math.pi * j / grid_size
+    low, theta = float(vals[j]), 2.0 * math.pi * j / size
+    counted = None if _grid_declines(g, vals, low) else _count_minima(g)
+    if counted is None:
+        return low, theta, None
+    minima, values = counted
+    for value, t in zip(values.tolist(), minima.tolist()):
+        if value < low:
+            low, theta = value, t
+    return low, theta, minima
+
+
+_NEIGHBOURS = np.array([[0], [1], [2]])   # a sample and its neighbours
+
+
+def _grid_declines(g: TrigPoly, vals: np.ndarray, low: float) -> bool:
+    """True when g's values on the grid, whose minimum is low, show fewer
+    than n local minima or one that is no zero of g, by the bounds of
+    ``circle_count``."""
+    n = g.effective_band
+    if not n:
+        return False
+    tol, l1, h = nonneg_tol(g), _l1(g), 2.0 * math.pi / len(vals)
+    # a zero within tol has a sample within h / 2 of it
+    if low > tol + l1 * (n * h) ** 2 / 8.0:
+        return True
+    # the samples below both their neighbours, wrapped[j + 1] for each j
+    wrapped = np.concatenate((vals[-1:], vals, vals[:1]))
+    down = wrapped[1:] < wrapped[:-1]
+    j = (down[:-1] > down[1:]).nonzero()[0]
+    if len(j) < n:
+        return True
+    # each such sample's parabola is convex with its vertex between the
+    # two neighbours, since both lie above the sample
+    left, mid, right = wrapped[j + _NEIGHBOURS]
+    rise, bend = right - left, left + right - 2.0 * mid
+    vertex = mid - rise * rise / (8.0 * bend)
+    return bool(np.any(vertex > tol + 0.065 * l1 * (n * h) ** 3))
+
+
+def _count_minima(g: TrigPoly) -> tuple[np.ndarray, np.ndarray] | None:
+    """``circle_count``'s rule on g as given, unmemoized and without the
+    grid: g's n minima (``circle_minima``) and g's values there when each
+    is a double zero of g within tolerance and the mean is > 0; else None.
+    For a caller that has no grid of g, such as the perturbation search.
+    """
+    n, tol = g.effective_band, nonneg_tol(g)
+    if g.mean <= 0:
+        return None
+    minima = circle_minima(g)
+    if minima is None or len(minima) != n:
+        return None
+    value = g.values(minima)
+    if np.any(np.abs(value) > tol):
+        return None
+    # a value above g's rounding floor is a reflected pair of the lift's
+    # zeros at distance sqrt(2 value / g'') from the circle, which the
+    # snap of ``roots`` merges only within SNAP_BAND
+    floor = (g.n + 1) * math.ulp(1.0) * _l1(g)
+    if value.max(initial=0.0) > floor:
+        pair = value > floor
+        ks = np.arange(1, g.n + 1)
+        curvature = -2.0 * (np.asarray(g.coeffs[1:]) * ks * ks * np.exp(
+            1j * np.outer(minima[pair], ks))).real.sum(axis=1)
+        if np.any(2.0 * value[pair] > SNAP_BAND ** 2 * curvature):
+            return None
+    minima.flags.writeable = False
+    return minima, value
+
+
+def _l1(g: TrigPoly) -> float:
+    """|g_0| + 2 sum |g_k|, the bound of |g| on the circle."""
+    return abs(g.coeffs[0]) + 2 * sum(map(abs, g.coeffs[1:]))
 
 
 def nonneg_check(g: TrigPoly) -> NonnegCertificate:
     """Certify g >= 0 on the circle: the smallest value found is >= -tol.
 
-    Two searches for that value together are sound: a dense grid scan
-    catches gross negativity, and the odd-multiplicity circle roots of the
-    lift mark sign changes too narrow for any fixed grid (a real trig
-    polynomial changes sign exactly at its odd circle zeros).  From each
-    such root, Newton on g' (``refine_circle_angle``) reaches the bottom of
-    the dip beside it.  Rounding can scatter a double zero into odd roots,
-    but not make g negative there, and a dip shallower than the tolerance
-    is acceptable anyway.  The grid is ``nonneg_grid_size(g)`` and the
-    tolerance ``nonneg_tol(g)``; the certificate carries the smallest
-    value and its angle, on failure a point where g < -tol.
+    A dense grid scan catches gross negativity; a sign change too narrow
+    for any fixed grid is found at the minima of g.  When ``circle_count``
+    decides, its n minima are all of g's local minima, so the smallest
+    value over the grid and those minima is g's minimum.  Otherwise the
+    odd-multiplicity circle roots of the lift mark the narrow sign changes
+    (a real trig polynomial changes sign exactly at its odd circle zeros),
+    and from each such root Newton on g' (``refine_circle_angle``) reaches
+    the bottom of the dip beside it.  Rounding can scatter a double zero
+    into odd roots, but not make g negative there, and a dip shallower
+    than the tolerance is acceptable anyway.  The grid is
+    ``nonneg_grid_size(g)`` and the tolerance ``nonneg_tol(g)``; the
+    certificate carries the smallest value and its angle, on failure a
+    point where g < -tol.
 
     When a coefficient of g exceeds 1 in modulus (s = max |g_k| > 1), the
     search runs on g / s, the g that ``factor.fejer_riesz`` factors, and
@@ -1003,10 +1142,10 @@ def nonneg_check(g: TrigPoly) -> NonnegCertificate:
     check one g from several public calls, and every check after the first
     returns the same certificate without a new scan.
     """
-    scale = max(1.0, max(abs(c) for c in g.coeffs))
+    unit, scale = _unit_scale(g)
+    cert = _nonneg_cached(unit)
     if scale == 1.0:
-        return _nonneg_cached(g)
-    cert = _nonneg_cached(trig_scale(g, 1.0 / scale))
+        return cert
     return replace(cert, min_value=cert.min_value * scale,
                    tol=cert.tol * scale)
 
@@ -1028,12 +1167,15 @@ def _nonneg_cached(g: TrigPoly) -> NonnegCertificate:
     if g.is_null:
         return NonnegCertificate(True, 0.0, 0.0, tol, grid_size)
 
-    min_value, theta_min = grid_min(g, grid_size)
-    for r in roots(lift(g)).on_circle:
-        if r.multiplicity % 2:
-            theta = refine_circle_angle(g, float(np.angle(r.location)))
-            value = float(g.values(theta))
-            if value < min_value:
-                min_value, theta_min = value, theta
+    # when the count decides, the scan's minimum is over all of g's local
+    # minima too, and no odd root is looked for
+    min_value, theta_min, minima = _circle_scan(g)
+    if minima is None:
+        for r in roots(lift(g)).on_circle:
+            if r.multiplicity % 2:
+                theta = refine_circle_angle(g, float(np.angle(r.location)))
+                value = float(g.values(theta))
+                if value < min_value:
+                    min_value, theta_min = value, theta
     return NonnegCertificate(min_value >= -tol, min_value, theta_min, tol,
                              grid_size)

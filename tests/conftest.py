@@ -80,14 +80,18 @@ CENSUS_2819_177 = trig_from_hex((
     ("-0x1.b644f375af862p-13", "0x1.43488118a7260p-20"),
     ("0x1.c3f1996554c7bp-17", "0x1.3c0fb642db5e9p-18")))
 
-# tests/test_factor.py's _near_touching(5, 600)[3], n = 2: its minimum
-# -2.3e-11 lies inside nonneg_tol = 2.7e-10, so it counts as nonnegative,
-# but its lift has two simple circle zeros and no exact factor exists;
-# fejer_riesz leaves an odd circle zero unmerged (PairingFailure)
+# tests/test_factor.py's _near_touching(5, 600)[554], n = 4, as drawn: its
+# minimum -1.3e-11 lies inside nonneg_tol = 3.8e-10, so it counts as
+# nonnegative, but g has two local minima for order 4, so the circle count
+# declines, and its lift's circle zeros are a double one, a simple one and
+# a root at radius 1.0029 outside, beyond the snap band: fejer_riesz
+# leaves an odd circle zero unmerged (PairingFailure)
 UNMERGED_ODD_ZERO = trig_from_hex((
-    ("0x1.ffffffffcd65dp-1", "0x0.0p+0"),
-    ("0x1.55075e5f6d4b8p-1", "-0x1.cd806c0dadd15p-6"),
-    ("0x1.541d9cfc1aa7cp-3", "-0x1.cd1730d29b9dcp-7")))
+    ("0x1.ffffffffe105ep-1", "0x0.0p+0"),
+    ("0x1.5f986c9fe4d55p-2", "0x1.7529a47b46148p-1"),
+    ("-0x1.0e9f48d0b0fbap-2", "0x1.561e17ada7e7ep-2"),
+    ("-0x1.22bad2b83a9b9p-3", "-0x1.00f318b857720p-5"),
+    ("-0x1.020423fc0fe18p-8", "-0x1.96306948e47cep-6")))
 
 # tests/test_factor.py's _near_touching(5, 600)[64], n = 2, rescaled to
 # mean 1: nonnegative, but a split half's built factor misses its half by
@@ -98,43 +102,34 @@ NEAR_TOUCHING_64 = trig_from_hex((
     ("-0x1.830147e5ee564p-2", "-0x1.078d53803cbfcp-1"),
     ("-0x1.92d55a0a92af2p-6", "0x1.e9bb1cae972e2p-3")))
 
-# tests/test_factor.py's _near_touching(5, 600)[523], n = 12, as drawn:
-# nonnegative to tolerance, but its lift's roots are eleven double circle
-# zeros and a double root at radius 0.99988 inside with no outside partner,
-# so the factor built has degree 11 and its round trip misses g by 1.42,
-# over the tolerance 1.1e-6 (SelfCheckFailed)
+# tests/test_factor.py's _near_touching(9, 600)[206], n = 11, as drawn:
+# nonnegative to tolerance, but one of its eight local minima is 1.6, so the
+# circle count declines, and its lift's roots include a double root at
+# radius 0.99990 inside with no outside partner, so the factor built misses
+# g by 0.64 in its round trip, over the tolerance 5.2e-7 (SelfCheckFailed)
 UNPAIRED_INSIDE_ROOT = trig_from_hex((
-    ("0x1.ffffffffea2eap-1", "0x0.0p+0"),
-    ("0x1.28cc6236f91b1p-3", "-0x1.cceb74a75ea5fp-1"),
-    ("-0x1.772062e9ad2f0p-1", "-0x1.2513853f3a288p-2"),
-    ("-0x1.cc513144d82e5p-2", "0x1.34d496c3641fbp-1"),
-    ("0x1.d8781f3a53320p-2", "0x1.09f576d9ad1fep-1"),
-    ("0x1.c675ec4b87d66p-2", "-0x1.4308a21f34359p-2"),
-    ("-0x1.6a31d97f4136ap-3", "-0x1.68c3153b8ed9fp-2"),
-    ("-0x1.25f19d1fe815fp-2", "0x1.6924acd7cd119p-5"),
-    ("-0x1.323e107d142f1p-6", "0x1.aea88aff16cf9p-3"),
-    ("0x1.1ce9c1c1b9162p-3", "0x1.d00a10a77b7a0p-7"),
-    ("0x1.f8c2a31bd4956p-8", "-0x1.4692def30563bp-4"),
-    ("-0x1.e0c749b5b9247p-6", "-0x1.ffbc7ee9d5592p-8"),
-    ("-0x1.6c31e565fc61bp-9", "0x1.17e363accc0b1p-8")))
+    ("0x1.ffffffffb9683p-1", "0x0.0p+0"),
+    ("0x1.bdc44fa7145b3p-4", "-0x1.94f45d74dc79bp-1"),
+    ("-0x1.5b21c70ba75c8p-2", "-0x1.664baf9e70962p-5"),
+    ("0x1.3033aba717489p-3", "-0x1.0bedb8f364512p-5"),
+    ("-0x1.49b3a7224369bp-3", "-0x1.25c62f36ac37ep-2"),
+    ("-0x1.0c1af18028e31p-2", "0x1.c408bc93f3dd7p-4"),
+    ("0x1.30ebb739eb7a5p-5", "0x1.00166869034a5p-3"),
+    ("0x1.43618dd4becb1p-7", "-0x1.3691738192ca1p-6"),
+    ("-0x1.8e64f3a36d4fdp-6", "0x1.710ec0a2c6f12p-6"),
+    ("0x1.755d1317beedfp-7", "0x1.206627bceb6fdp-6"),
+    ("0x1.84001a04f45cbp-8", "-0x1.c620ee4dc096ap-10"),
+    ("0x1.28fc38e5f212ep-15", "-0x1.8a5c1ff311494p-11")))
 
-# the same family's #523, n = 12, rescaled to mean 1: its lift has an inside
-# double root with no outside partner, so a split half's built factor would
-# have degree 13 (PairingFailure)
-NEAR_TOUCHING_523 = trig_from_hex((
+# UNMERGED_ODD_ZERO rescaled to mean 1 (_near_touching(5, 600)[554]): the
+# circle count declines, and a split half's factor built from g's circle
+# zeros meets the odd one left unmerged (PairingFailure)
+NEAR_TOUCHING_554 = trig_from_hex((
     ("0x1.0000000000000p+0", "0x0.0p+0"),
-    ("0x1.28cc623705c0dp-3", "-0x1.cceb74a7724a1p-1"),
-    ("-0x1.772062e9bd2b4p-1", "-0x1.2513853f46a5ap-2"),
-    ("-0x1.cc513144ebcbep-2", "0x1.34d496c37148bp-1"),
-    ("0x1.d8781f3a67542p-2", "0x1.09f576d9b8753p-1"),
-    ("0x1.c675ec4b9b341p-2", "-0x1.4308a21f41f98p-2"),
-    ("-0x1.6a31d97f50a5dp-3", "-0x1.68c3153b9e397p-2"),
-    ("-0x1.25f19d1ff49c9p-2", "0x1.6924acd7dc754p-5"),
-    ("-0x1.323e107d213bdp-6", "0x1.aea88aff29299p-3"),
-    ("0x1.1ce9c1c1c53a4p-3", "0x1.d00a10a78f403p-7"),
-    ("0x1.f8c2a31bea17cp-8", "-0x1.4692def3134e4p-4"),
-    ("-0x1.e0c749b5cda14p-6", "-0x1.ffbc7ee9eb27ap-8"),
-    ("-0x1.6c31e5660be6bp-9", "0x1.17e363acd7f86p-8")))
+    ("0x1.5f986c9ffa1b0p-2", "0x1.7529a47b5ca84p-1"),
+    ("-0x1.0e9f48d0c15b3p-2", "0x1.561e17adbc9acp-2"),
+    ("-0x1.22bad2b84c329p-3", "-0x1.00f318b866fdcp-5"),
+    ("-0x1.020423fc1f7ddp-8", "-0x1.96306948fd102p-6")))
 
 # n = 1 modulus, nonnegative to tolerance: its minimum g_0 - 2|g_1| is
 # -4.3e-11, inside nonneg_tol = 2e-10.  Its lift's two circle roots,
@@ -257,8 +252,8 @@ def solve_counter(monkeypatch):
     per-g memos above it are emptied too, so a g checked by an earlier test
     is solved again here.
     """
-    for memo in (polycore._nonneg_cached, factor._fejer_riesz_cached,
-                 factor._circle_zeros):
+    for memo in (polycore._nonneg_cached, polycore._circle_scan,
+                 factor._fejer_riesz_cached, factor._circle_zeros):
         memo.cache_clear()
     counts = collections.Counter()
     cached = polycore._roots_cached

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
-                      NEAR_TOUCHING_64, NEAR_TOUCHING_523, UNMERGED_ODD_ZERO,
+                      NEAR_TOUCHING_64, NEAR_TOUCHING_554, UNMERGED_ODD_ZERO,
                       UNPAIRED_INSIDE_ROOT, jittered_extreme_point,
                       repeated_inside_zero_family)
 
@@ -678,7 +678,7 @@ def _assert_one_error(code, out, err, expected_code, name):
 
 
 @pytest.mark.parametrize("g, name", [(NEAR_TOUCHING_64, "SelfCheckFailed"),
-                                     (NEAR_TOUCHING_523, "PairingFailure")])
+                                     (NEAR_TOUCHING_554, "PairingFailure")])
 def test_split_failing_its_own_halves_exits_3(files, capsys, g, name):
     # nonnegative inputs whose halves the library cannot carry: its own
     # failure, never the caller's
@@ -754,9 +754,9 @@ def test_deeply_nested_input_exits_2(tmp_path, capsys):
 
 
 def test_spectral_factor_that_misses_g_exits_3(files, capsys):
-    # near-touching #523: the factor built without the lift's unpaired
-    # inside double root misses g by 1.4 in its round trip, which the
-    # library refuses
+    # near-touching #206 of seed 9: the factor built without the lift's
+    # unpaired inside double root misses g by 0.64 in its round trip, which
+    # the library refuses
     write, _ = files
     path = write("g.json", UNPAIRED_INSIDE_ROOT)
     code, out, err = run(capsys, ["spectral", path])

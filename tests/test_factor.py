@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
-                      NEAR_TOUCHING_64, NEAR_TOUCHING_523,
+                      NEAR_TOUCHING_64, NEAR_TOUCHING_554,
                       UNMERGED_ODD_ZERO, UNPAIRED_INSIDE_ROOT, census_suite,
                       jittered_extreme_point, trig_from_hex)
 
@@ -20,9 +20,9 @@ from hkl.factor import (BlaschkeProduct, blaschke_eval, blaschke_mul_poly,
 from hkl.gen import random_boundary_modulus
 from hkl.geometry import (_circle_count, enumerate_solutions, is_extreme,
                           split_nonextreme)
-from hkl.polycore import (Poly, TrigPoly, lift, nonneg_check, nonneg_tol,
-                          poly_mul, roots, trig_from_modulus_squared,
-                          trig_scale)
+from hkl.polycore import (Poly, TrigPoly, circle_count, lift, nonneg_check,
+                          nonneg_tol, poly_mul, roots,
+                          trig_from_modulus_squared, trig_scale)
 
 CIRCLE = np.exp(2j * np.pi * np.arange(512) / 512)
 TOL_SPECTRAL = 1e-7   # the benchmark's relative round-trip error bound
@@ -137,10 +137,11 @@ def test_fejer_merged_root_meets_the_residual_bound():
 
 
 def test_fejer_unpaired_odd_circle_zero_is_internal():
-    # nonnegative to tolerance, but its lift's two simple circle zeros
-    # leave a lone odd circle zero: the library's failure, not the caller's
-    assert _near_touching(5, 600)[3] == UNMERGED_ODD_ZERO
+    # nonnegative to tolerance, but the circle count declines and its lift
+    # leaves a lone odd circle zero: the library's failure, not the caller's
+    assert _near_touching(5, 600)[554] == UNMERGED_ODD_ZERO
     assert nonneg_check(UNMERGED_ODD_ZERO).nonnegative
+    assert circle_count(UNMERGED_ODD_ZERO) is None
     with pytest.raises(PairingFailure, match="odd circle zero"):
         fejer_riesz(UNMERGED_ODD_ZERO)
 
@@ -225,8 +226,10 @@ def test_fejer_near_touching_family_negative_iff_oracle_says_so():
 
 def test_fejer_near_touching_family_outcome_classes():
     # every factor is judged by what was built: 19 nonnegative inputs have
-    # no exact factor (their minima dip below 0 within tolerance), and each
-    # ends in an internal error, never in a factor or the caller's fault
+    # no exact factor (their minima dip below 0 within tolerance); the 7
+    # whose minima the circle count reads as double zeros are factored from
+    # those angles, within tolerance, and the other 12 end in an internal
+    # error, never in a wrong factor or the caller's fault
     outcomes = collections.Counter()
     for g in _near_touching(5, 600):
         try:
@@ -237,8 +240,8 @@ def test_fejer_near_touching_family_outcome_classes():
             outcomes["NotNonnegative"] += 1
         except InternalInvariantError as exc:
             outcomes[type(exc).__name__] += 1
-    assert outcomes == {"factor": 194, "NotNonnegative": 387,
-                        "PairingFailure": 18, "SelfCheckFailed": 1}
+    assert outcomes == {"factor": 201, "NotNonnegative": 387,
+                        "PairingFailure": 12}
 
 
 def test_split_near_touching_family_never_blames_a_nonnegative_input(
@@ -248,7 +251,7 @@ def test_split_near_touching_family_never_blames_a_nonnegative_input(
     # failure; a half of g is the library's function, never the caller's
     family = [trig_scale(g, 1.0 / g.mean) for g in _near_touching(5, 600)]
     assert family[64] == NEAR_TOUCHING_64
-    assert family[523] == NEAR_TOUCHING_523
+    assert family[554] == NEAR_TOUCHING_554
     # the halves that miss the round-trip shortcut go to the circle count
     counted = []
 
@@ -270,8 +273,8 @@ def test_split_near_touching_family_never_blames_a_nonnegative_input(
             outcomes["NotNonnegative"] += 1
         except InternalInvariantError as exc:
             outcomes[type(exc).__name__] += 1
-    assert outcomes == {"certificate": 131, "AlreadyExtreme": 57,
-                        "PairingFailure": 17, "SelfCheckFailed": 8,
+    assert outcomes == {"certificate": 131, "AlreadyExtreme": 63,
+                        "PairingFailure": 11, "SelfCheckFailed": 8,
                         "NotNonnegative": 387}
     # the count certifies a half exactly when its lift's roots say extreme;
     # the 8 it declines dip below -nonneg_tol, which is_extreme refuses
@@ -318,12 +321,14 @@ def test_fejer_not_nonnegative_names_the_minimum_of_g():
 
 
 def test_fejer_refuses_a_factor_that_misses_g():
-    # nonnegative to tolerance, but the lift's inside double root has no
-    # outside partner: the factor built from the rest has degree 11 and
-    # misses g by 1.4 in its round trip, and is not returned
+    # nonnegative to tolerance, but the circle count declines and the
+    # lift's inside double root has no outside partner: the factor built
+    # from the rest has degree 10 and misses g by 0.64 in its round trip,
+    # and is not returned
     g = UNPAIRED_INSIDE_ROOT
-    assert _near_touching(5, 600)[523] == g
+    assert _near_touching(9, 600)[206] == g
     assert nonneg_check(g).nonnegative
+    assert circle_count(g) is None
     with pytest.raises(SelfCheckFailed, match="round trip"):
         fejer_riesz(g)
 

@@ -7,12 +7,14 @@ import pytest
 from conftest import (CENSUS_2819_177, HOLDOUT_131, census_suite,
                       jittered_extreme_point, random_unit_element,
                       repeated_inside_zero_family, trig_from_hex)
+from test_order_ladder import LADDER
 
 from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                         NotInV, NotNonnegative, NotOnBoundary, NotUnitNorm,
                         NullInput, SelfCheckFailed)
-from hkl.factor import blaschke_eval, fejer_riesz, inner_outer
+from hkl.factor import (blaschke_eval, fejer_riesz, inner_outer,
+                        spectral_factor)
 from hkl.gen import random_boundary_modulus, random_kernel_element
 from hkl.geometry import (SEARCH_GRID, PerturbationSearch, RigidityResult,
                           _circle_count, _sampled_search, baseline_split,
@@ -281,9 +283,11 @@ def test_split_halves_over_the_bound_keep_their_factors(monkeypatch,
 
 
 def test_split_half_neither_check_certifies_is_internal(monkeypatch):
-    # a tolerance no round trip and no minimum meets: the half is not
-    # certified, and the split names its round trip instead of returning it
+    # a tolerance no round trip and no minimum meets, and a count that
+    # declines: the half is not certified, and the split names its round
+    # trip instead of returning it
     monkeypatch.setattr(geometry, "nonneg_tol", lambda g: -1.0)
+    monkeypatch.setattr(geometry, "_count_minima", lambda g: None)
     g = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(131))
     with pytest.raises(SelfCheckFailed, match="round trip .* circle count"):
         split_nonextreme(g, 5)
@@ -394,11 +398,12 @@ def test_decompose_solves_one_lift(solve_counter):
 
 @pytest.mark.parametrize("census", [(1, 2, 1), (0, 4, 0)])
 def test_decompose_analyses_the_lift_once(monkeypatch, census):
-    # the split's own extreme test decides rigidity: one inner-outer
-    # analysis of the lift, rigid or not
+    # the split's own extreme test decides rigidity: one reading of the
+    # lift's inner factor, rigid or not
     calls = []
-    monkeypatch.setattr(geometry, "inner_outer",
-                        lambda p: calls.append(p) or inner_outer(p))
+    reader = factor._lift_inner
+    monkeypatch.setattr(geometry, "_lift_inner",
+                        lambda g, n: calls.append(g) or reader(g, n))
     dec = decompose_modulus(random_unit_element(4, census, 0))
     assert dec.rigid == (census == (0, 4, 0))
     assert len(calls) == 1
@@ -406,17 +411,56 @@ def test_decompose_analyses_the_lift_once(monkeypatch, census):
 
 def test_enumerate_and_rigidity_build_no_outer_part(monkeypatch,
                                                    small_census_suite):
-    # both read only the lift's inner factor, so neither calls inner_outer
-    def refuse(p):
-        raise AssertionError("inner_outer called")
+    # both read only the lift's inner factor, so neither builds its outer
+    # part
+    def refuse(*args):
+        raise AssertionError("outer part built")
     monkeypatch.setattr(factor, "inner_outer", refuse)
-    monkeypatch.setattr(geometry, "inner_outer", refuse)
+    monkeypatch.setattr(factor, "_factorization", refuse)
+    monkeypatch.setattr(geometry, "_factorization", refuse)
     for g, n, _ in small_census_suite[:30]:
         enumerate_solutions(g, n)
         try:
             rigidity_check(g, n, KernelElement(n, fejer_riesz(g)))
         except InnerFactorPresent:
             pass
+
+
+def _all_on_circle(small_census_suite):
+    """(g, n) of every extreme and deficit member of the census suite, and
+    of a jittered extreme point at each order of the ladder."""
+    members = [(g, n) for g, n, (inside, _, outside) in small_census_suite
+               if inside == outside == 0]
+    return members + [(jittered_extreme_point(n, n)[1], n) for n in LADDER]
+
+
+def test_zeros_on_the_circle_need_no_root_solve(monkeypatch, solve_counter,
+                                                small_census_suite):
+    # the circle count decides every g whose zeros all lie on the circle:
+    # each call answers with no root solve, from a cold memo
+    def refuse(c):
+        raise AssertionError(f"root solve of degree {len(c) - 1}")
+    monkeypatch.setattr(polycore, "_roots_cached", refuse)
+    members = _all_on_circle(small_census_suite)
+    assert sum(g.effective_band < n for g, n in members) >= 5
+    for g, n in members:
+        deficit = n - g.effective_band
+        cert = is_extreme(g, n)
+        assert cert.verdict is (deficit == 0)
+        assert cert.inner_factor.m0 == deficit and not cert.inner_factor.zeros
+        rec = spectral_factor(g)
+        assert rec.factor.degree == g.effective_band
+        assert len(enumerate_solutions(g, n)) == deficit + 1
+        x = KernelElement(n, rec.factor.scaled(0.5 - 1.5j))
+        if deficit:
+            with pytest.raises(InnerFactorPresent):
+                rigidity_check(g, n, x)
+            split = split_nonextreme(g, n)
+            assert split.checks.extreme1 and split.checks.extreme2
+        else:
+            res = rigidity_check(g, n, x)
+            assert res.kind == RigidityResult.CONSTANT_MULTIPLE
+            assert abs(res.constant - (0.5 - 1.5j)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +651,7 @@ def test_rigidity_refuses_an_element_above_the_order(monkeypatch):
     g = TrigPoly(1, (1.0, 0.5))
     x = KernelElement(5, fejer_riesz(g).shifted(3))
     monkeypatch.setattr(geometry, "fejer_riesz", None)
-    monkeypatch.setattr(geometry, "_inner_part", None)
+    monkeypatch.setattr(geometry, "_lift_inner", None)
     with pytest.raises(BandExceeded, match="degree 4 exceeds model order 1"):
         rigidity_check(g, 1, x)
 

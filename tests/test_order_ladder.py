@@ -3,11 +3,14 @@ result checked against its tolerance, or raises a named error of the
 library's own (never one that blames a valid input).
 
 The inputs are built without expanding roots one by one: jittered
-equispaced extreme points (every zero of f on the circle, so g is extreme)
-and strictly positive g = 1 + a small band-n term (never extreme).  Larger
-orders than these take seconds each and are left out of the suite.
+equispaced extreme points (every zero of f on the circle, so g is extreme),
+the same points of a lower order d below the model order (deficit points,
+never extreme) and strictly positive g = 1 + a small band-n term (never
+extreme).  Larger orders than these take seconds each and are left out of
+the suite.
 """
 
+import numpy as np
 import pytest
 
 from conftest import _flat_band_modulus, jittered_extreme_point
@@ -15,9 +18,10 @@ from conftest import _flat_band_modulus, jittered_extreme_point
 from hkl import factor
 from hkl.errors import InternalInvariantError
 from hkl.factor import TOL_SPECTRAL, spectral_factor
-from hkl.geometry import is_extreme
+from hkl.geometry import enumerate_solutions, is_extreme
 
 LADDER = (8, 16, 32, 64, 128)
+TOL_MODULUS = 1e-9     # | |f|^2 - g | on 4096 points, per listed solution
 
 
 def _family(name, n):
@@ -29,7 +33,8 @@ def _family(name, n):
 
 @pytest.mark.parametrize("n", LADDER)
 @pytest.mark.parametrize("name", ["jittered", "flat"])
-def test_every_order_answers_within_tolerance_or_names_its_failure(name, n):
+def test_every_order_answers_within_tolerance_or_names_its_failure(
+        name, n, solve_counter):
     g, extreme = _family(name, n)
     try:
         rec = spectral_factor(g)
@@ -45,3 +50,24 @@ def test_every_order_answers_within_tolerance_or_names_its_failure(name, n):
         pass
     else:
         assert cert.verdict is extreme
+    if extreme:
+        # the circle count decides: no lift is solved
+        assert not solve_counter
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_deficit_points_list_every_solution(n, solve_counter):
+    # an extreme point of order n - d at model order n: the lift's inner
+    # factor is z**d, and the d + 1 solutions are F z**k, k = 0..d
+    d = n // 8
+    g = jittered_extreme_point(n - d, n)[1]
+    cert = is_extreme(g, n)
+    assert not cert.verdict
+    assert cert.inner_factor.m0 == d and not cert.inner_factor.zeros
+    sols = enumerate_solutions(g, n)
+    assert len(sols) == d + 1
+    zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    gv = g.grid_values(4096)
+    for x in sols:
+        assert np.abs(np.abs(x.f(zeta)) ** 2 - gv).max() <= TOL_MODULUS
+    assert not solve_counter

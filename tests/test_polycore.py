@@ -15,16 +15,17 @@ from numpy.polynomial import polynomial as npp
 
 import hkl
 from hkl import polycore
-from hkl.errors import (BandExceeded, InternalInvariantError, NonConvergence,
+from hkl.errors import (BandExceeded, InternalInvariantError, NotNonnegative,
                         NullInput, RootOverflow)
 from hkl.factor import _zero_poly, inner_outer
 from hkl.gen import random_boundary_modulus
 from hkl.polycore import (CLUSTER_CAP, EPS_CIRCLE, MERGE_BACKWARD_TOL,
-                          Poly, Region, Root, TrigPoly, _aberth,
+                          TOL_ROOT, Poly, Region, Root, TrigPoly, _aberth,
                           _cluster_points, _horner, _polish, _residual_ok,
                           _single_linkage_tree, _snap_self_inversive,
                           circle_minima, lift, nonneg_check, nonneg_tol,
-                          poly_mul, refine_circle_angle, roots,
+                          poly_mul, refine_circle_angle,
+                          require_nonnegative, roots,
                           self_inversive_phase, synthetic_divide, trig_add,
                           trig_from_modulus_squared, trig_mul, trig_scale,
                           unlift)
@@ -135,17 +136,24 @@ def test_roots_overflow_is_named_not_nan():
     assert len(roots(Poly((1.0, 1.0, 1.0)))) == 2
 
 
-def test_roots_far_point_is_nonconvergence_not_overflow():
-    # every |c_k| <= 1, but a point of the solve lies near |z| = 3.5e7, where
-    # plain Horner overflows; judged on the reversed coefficients its
-    # relative residual is finite, so the failure is no overflow
+def test_roots_far_point_is_judged_on_reversed_coefficients():
+    # every |c_k| <= 1, but a root of the solve lies near |z| = 3.5e7, where
+    # plain Horner overflows; judged on p(a) / a**d by the reversed
+    # coefficients, as the Aberth iteration judges it, the root meets its
+    # bound and is returned
     rng = np.random.default_rng(0)
     zi = rng.uniform(0.3, 0.9, 16) * np.exp(2j * np.pi * rng.uniform(size=16))
     zo = rng.uniform(1.1, 1.9, 112) * np.exp(2j * np.pi * rng.uniform(size=112))
     c = _zero_poly(np.concatenate([zi, zo]), np.ones(128, dtype=int))
     c = c / np.abs(c).max()
-    with pytest.raises(NonConvergence, match="fails the residual test"):
-        roots(Poly(tuple(c)))
+    rs = roots(Poly(tuple(c)))
+    assert rs.total_multiplicity == 128
+    assert max(abs(r.location) for r in rs) > 1e7
+    for r in rs:
+        a = complex(r.location)
+        w, coeffs = (1 / a, c[::-1]) if abs(a) > 1 else (a, c)
+        resid = abs(npp.polyval(w, coeffs))
+        assert resid <= 10 * TOL_ROOT * npp.polyval(abs(w), np.abs(coeffs))
 
 
 def test_roots_double_circle_zero_clusters():
@@ -843,6 +851,69 @@ def test_circle_minima_are_the_local_minima_of_g():
         poly_mul(Poly((-1, 1)), Poly((-1, 1)))))
     assert len(got) == 1
     assert abs(math.remainder(got[0], 2 * np.pi)) < 2 * np.pi / 4096
+
+
+def _zeros_all_on_circle(suite):
+    """The extreme and deficit members of a census suite with a zero."""
+    return [g for g, n, (inside, circle, outside) in suite
+            if inside == outside == 0 and circle > 0]
+
+
+def test_circle_count_passes_no_negative_g(small_census_suite):
+    # g - c has the minima of g, since g' is unchanged: the count decides
+    # while |g - c| <= tol there, and skips the odd-root search; past tol
+    # it declines, and the lift's odd circle roots find the dip
+    members = _zeros_all_on_circle(small_census_suite)
+    assert len(members) >= 20
+    for g in members:
+        tol = nonneg_tol(g)
+        minima = polycore.circle_count(g)
+        assert minima is not None
+        for c in (0.5 * tol, 2.0 * tol, 10.0 * tol):
+            shifted = TrigPoly(g.n, (g.coeffs[0] - c,) + g.coeffs[1:])
+            assert np.array_equal(circle_minima(shifted), minima)
+            cert = nonneg_check(shifted)
+            if c <= tol:
+                assert np.array_equal(polycore.circle_count(shifted), minima)
+                assert cert.nonnegative
+            else:
+                assert polycore.circle_count(shifted) is None
+                assert not cert.nonnegative
+                assert shifted.values(cert.argmin_theta) < -cert.tol
+                with pytest.raises(NotNonnegative):
+                    require_nonnegative(shifted)
+
+
+def _near_circle_family(delta, seed, count=40):
+    """|f|^2 / mean, f with n - 1 circle zeros at uniform random angles and
+    one zero at radius 1 - delta, n = 2..9, f built by one FFT."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = 2 + i % 8
+        w = np.append(np.exp(2j * np.pi * rng.uniform(size=n - 1)),
+                      (1 - delta) * np.exp(2j * np.pi * rng.uniform()))
+        size = 1 << (2 * n + 1).bit_length()
+        zeta = np.exp(2j * np.pi * np.arange(size) / size)
+        c = np.fft.fft(np.prod(zeta[:, None] - w, axis=1))[:n + 1] / size
+        g = trig_from_modulus_squared(Poly(tuple(c / np.linalg.norm(c))))
+        out.append(trig_scale(g, 1.0 / g.mean))
+    return out
+
+
+def test_circle_count_declines_a_reflected_pair_beyond_the_snap_band():
+    # every minimum within tol, but one of them is the reflected pair
+    # (1 - 1e-3) w, w / (1 - 1e-3) of the lift, which the snap of roots
+    # keeps apart: the count must not call it a double zero
+    within = []
+    for g in _near_circle_family(1e-3, 16):
+        minima = circle_minima(g)
+        if (minima is not None and len(minima) == g.n
+                and np.all(np.abs(g.values(minima)) <= nonneg_tol(g))):
+            within.append(g)
+    assert len(within) == 10
+    for g in within:
+        assert polycore.circle_count(g) is None
 
 
 def _refine_reference(g, theta0):
