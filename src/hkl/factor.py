@@ -13,7 +13,7 @@ purpose: the root picture is what certificates are made of, and it handles
 zeros on the circle, which the cepstral method in :mod:`hkl.numeric`
 cannot.  A g whose zeros all lie on the circle has them read from its
 minima (``polycore.circle_count``) instead, with no root solve, and so has
-the inner factor of its lift (``_lift_inner``).  Its products of linear
+the inner factor of its lift (``_analysis``).  Its products of linear
 factors, like the Blaschke numerator, are expanded from their values by
 one FFT (``_zero_poly``).  Roots of the lift are only as accurate as
 their conditioning allows, so the root-built factor is then polished by
@@ -39,9 +39,8 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
                      SelfCheckFailed)
-from .polycore import (EPS_CIRCLE, Poly, TrigPoly, _l1,
-                       _polish as _newton_polish, _unit_scale, circle_count,
-                       lift, refine_circle_angle, require_nonnegative, roots,
+from .polycore import (EPS_CIRCLE, Poly, RootSet, TrigPoly, _analysis, _l1,
+                       _polish as _newton_polish, require_nonnegative, roots,
                        self_inversive_phase, synthetic_divide,
                        trig_from_modulus_squared)
 
@@ -163,39 +162,24 @@ class Factorization:
     outer: Poly
 
 
-def _inner_part(p: Poly) -> BlaschkeProduct:
-    """The Blaschke product over p's disk zeros with lambda = 1, read from
-    ``roots(p)``, which raises NullInput for the zero polynomial: the one
-    reader of an inner factor from roots.  ``inner_outer`` adds the phase
-    and the outer part for ``hkl factor``, ``_lift_inner`` reads it for a
-    lift that ``circle_count`` cannot decide."""
-    inside = roots(p).inside     # near-origin roots come folded to 0j
+def _inner_part(found: RootSet) -> BlaschkeProduct:
+    """The Blaschke product over the disk roots of ``found``, lambda = 1:
+    the one reader of an inner factor from roots, for ``inner_outer`` and
+    for a lift whose circle count declines (``polycore._analysis``)."""
+    inside = found.inside     # near-origin roots come folded to 0j
     return BlaschkeProduct(
         sum(r.multiplicity for r in inside if r.location == 0),
         tuple((r.location, r.multiplicity) for r in inside if r.location))
 
 
-def _lift_inner(g: TrigPoly, n: int) -> BlaschkeProduct:
-    """The inner factor of lift(g, n) with lambda = 1: the one reader of it
-    for ``geometry``'s extreme test, enumeration and rigidity check.
-
-    When ``circle_count(g)`` decides, the lift's 2 eb zeros are all on the
-    circle (eb = g.effective_band <= n), so its inner factor is z**(n - eb)
-    and no root is solved.  Otherwise it is ``_inner_part(lift(g, n))``,
-    and ``lift`` raises BandExceeded for a band above n.
-    """
-    if g.effective_band <= n and circle_count(g) is not None:
-        return BlaschkeProduct(n - g.effective_band)
-    return _inner_part(lift(g, n))
-
-
 def inner_outer(p: Poly) -> Factorization:
     """Split p into a Blaschke product over its disk zeros and an outer part.
 
-    The inner factor is ``_inner_part(p)`` with a phase, and the outer part
-    is ``_factorization(p, inner)``'s.
+    The inner factor is ``_inner_part(roots(p))`` with a phase (``roots``
+    raises NullInput for the zero polynomial), and the outer part is
+    ``_factorization(p, inner)``'s.
     """
-    return _factorization(p, _inner_part(p))
+    return _factorization(p, _inner_part(roots(p)))
 
 
 def _factorization(p: Poly, inner: BlaschkeProduct) -> Factorization:
@@ -237,62 +221,57 @@ def spectral_factor(g: TrigPoly) -> SpectralFactor:
 
     Zeros of the lifted function come in pairs reflected across the circle;
     F keeps the representative outside (or on) the circle and takes half of
-    each circle multiplicity, as ``_circle_zeros`` reads them.
+    each circle multiplicity, as ``_analysis`` reads them.
 
     The outside roots make the cofactor, which is 1 with no root solved
     when ``circle_count(g)`` finds all of g's zeros on the circle;
     ``_factor_from_zeros``, the builder the split halves share, adds the
     circle part (both expanded by ``_zero_poly``), polishes F on
     |F|^2 = g to g's rounding floor and accepts it by its relative round
-    trip, which the record carries as ``residual``.  When s = max |g_k| > 1, F is the factor of g / s times
-    sqrt(s), accepted on g / s, so the polish works at unit scale; a
-    nonnegative g with mean at most 1 has |g_k| <= 1 and is factored as
-    it is.
+    trip, which the record carries as ``residual``.  When s = max |g_k|
+    > 1, F is the factor of g / s times sqrt(s), accepted on g / s, so the
+    polish works at unit scale; a nonnegative g with mean at most 1 has
+    |g_k| <= 1 and is factored as it is.
 
     Raises NullInput for the zero function, NotNonnegative when
     ``nonneg_check(g)`` finds a point where g < -tol (the error names that
     value and tolerance in g's units), PairingFailure when an odd circle
-    zero is left (``_circle_zeros``) or the outside roots would give F a
+    zero is left or the outside roots would give F a
     degree above g's band, and SelfCheckFailed when the relative round
     trip exceeds TOL_SPECTRAL.  F is judged by what was built alone: the
     inside roots are not read, and a lift whose roots do not pair shows it
     in F's degree or round trip.
 
-    Factor and round trip are memoized per g at unit scale
-    (``_fejer_riesz_cached``, keyed on the frozen TrigPoly), so several
-    public calls on one g build it once.  Errors are not memoized.
+    Factor and round trip are a field of g's analysis record
+    (``polycore._analysis``), built once per g.  Errors are not memoized.
     """
-    return _spectral_factor(g)
+    require_nonnegative(g)
+    return _analysis(g).spectral
 
 
 def fejer_riesz(g: TrigPoly) -> Poly:
     """The outer F with |F|^2 = g and F(0) > 0 of ``spectral_factor(g)``."""
     # not through spectral_factor: a traced fejer_riesz times the build
-    return _spectral_factor(g).factor
-
-
-def _spectral_factor(g: TrigPoly) -> SpectralFactor:
     require_nonnegative(g)
-    # near the top of the double range the polish's residual norms
-    # overflow; the factor of g / scale times sqrt(scale) is the same F
-    g, scale = _unit_scale(g)
-    f, resid = _fejer_riesz_cached(g)
-    if scale > 1.0:
-        f = f.scaled(math.sqrt(scale))
-    return SpectralFactor(f, resid / _l1(g))
+    return _analysis(g).spectral.factor
 
 
-@functools.lru_cache(maxsize=512)
-def _fejer_riesz_cached(g: TrigPoly) -> tuple[Poly, float]:
-    """``_factor_from_zeros``'s factor and round trip for a nonnegative g
-    with max |g_k| <= 1."""
+def _spectral_build(a) -> SpectralFactor:
+    """``spectral_factor(g)`` for the analysis record a of a nonnegative g:
+    the factor of unit = g / s times sqrt(s), round trip relative to unit."""
+    g = a.unit
     if g.is_null:
         raise NullInput("the zero function has no spectral factor")
     # every zero of the lift on the circle: the cofactor is 1
-    outside = () if circle_count(g) is not None else roots(lift(g)).outside
+    outside = () if a.minima is not None else a.lift_roots.outside
     cofactor = _zero_poly([r.location for r in outside],
                           [r.multiplicity for r in outside])
-    return _factor_from_zeros(g, cofactor, _circle_zeros(g))
+    f, resid = _factor_from_zeros(g, cofactor, a.circle_zeros)
+    if a.scale > 1.0:
+        # near the top of the double range the polish's residual norms
+        # overflow, so F is built for unit; times sqrt(s) it is g's F
+        f = f.scaled(math.sqrt(a.scale))
+    return SpectralFactor(f, resid / _l1(g))
 
 
 def _round_trip(f: Poly, g: TrigPoly) -> float:
@@ -311,7 +290,7 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     The one builder and acceptance rule of every spectral factor, for
     ``fejer_riesz`` and for the halves of ``geometry.split_nonextreme``.
     F starts as cofactor(z) * prod (z - exp(i t))**(m/2) over the circle
-    zeros (t, m) of ``circle`` (as ``_circle_zeros`` reads them), scaled to
+    zeros (t, m) of ``circle`` (as ``_analysis`` reads them), scaled to
     the mean of g, is polished on g's coefficients (``_polish``, down to
     the floor eps * (|g_0| + 2 sum |g_k|)) and is returned with F(0) real
     positive: rotated, then set to its modulus.  The circle part is
@@ -357,32 +336,6 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
         raise SelfCheckFailed(f"the factor's round trip {resid:.3e} "
                               f"exceeds {TOL_SPECTRAL * l1:.1e}")
     return f, resid
-
-
-@functools.lru_cache(maxsize=512)
-def _circle_zeros(g: TrigPoly) -> tuple[tuple[float, int], ...] | None:
-    """(angle, multiplicity) of each circle zero of g, every multiplicity
-    even; None when an odd circle root is left.
-
-    The one reader of g's circle zeros, for ``fejer_riesz`` and geometry's
-    split, ``rigidity_check`` and ``perturbation_search`` (there only when
-    g has fewer local minima than its order, all zeros of g).  When
-    ``circle_count(g)`` decides, they are its angles, each a double zero,
-    with no root solve.  Otherwise they are the circle roots of lift(g)
-    with their multiplicities: the root engine's snap has merged the roots
-    that rounding splits off a double circle zero, so an odd root left is
-    a sign change of g or a split beyond SNAP_BAND, and each angle is
-    refined on g (``refine_circle_angle``).  Memoized per g, like
-    ``fejer_riesz``.
-    """
-    minima = circle_count(g)
-    if minima is not None:
-        return tuple((t, 2) for t in minima.tolist())
-    on_circle = roots(lift(g)).on_circle
-    if any(r.multiplicity % 2 for r in on_circle):
-        return None
-    return tuple((refine_circle_angle(g, float(np.angle(r.location))),
-                  r.multiplicity) for r in on_circle)
 
 
 POLISH_STEPS = 8

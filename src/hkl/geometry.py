@@ -31,14 +31,12 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
 
 A g of order eb (``effective_band``) whose eb local minima are all double
 zeros of g within tolerance has all 2 eb zeros of z**eb g on the circle.
-``polycore.circle_count`` reads that from g's minima with no root solve;
-then the extreme test, the enumeration and the rigidity check take the
-inner factor of the lift at order n as z**(n - eb)
-(``factor._lift_inner``), and the split, the domination rule and the
-spectral factor take g's circle zeros from the count
-(``factor._circle_zeros``).  Only a g the count declines has its lift
-solved; the perturbation search's count (``_circle_count``) then falls
-back to the lift's roots only for fewer minima, all zeros of g.
+``polycore.circle_count`` reads that from g's minima with no root solve.
+Each reader takes g from its one analysis record (``polycore._analysis``):
+the inner factor of the lift at order n, z**(n - eb) when the count
+decides, and g's circle zeros.  Only a g the count declines has its lift
+solved, once; the perturbation search's count (``_circle_count``) then
+falls back to the lift's roots only for fewer minima, all zeros of g.
 
 Everything returns a certificate object carrying residuals and the
 conventions used, so a verdict can be audited without rerunning.
@@ -54,15 +52,14 @@ from numpy.polynomial import polynomial as npp
 from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                      NotDivisible, NotInV, NotOnBoundary, NotUnitNorm,
                      NullInput, SelfCheckFailed)
-from .factor import (BlaschkeProduct, _circle_zeros, _divisor_exponents,
-                     _factor_from_zeros, _factorization, _inner_multiples,
-                     _lift_inner, fejer_riesz)
+from .factor import (BlaschkeProduct, _divisor_exponents, _factor_from_zeros,
+                     _factorization, _inner_multiples, fejer_riesz)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
-from .polycore import (Poly, TrigPoly, _count_minima, circle_minima, lift,
-                       nonneg_tol, require_nonnegative, roots, trig_add,
-                       trig_mul, trig_scale, trig_from_modulus_squared,
-                       unlift)
+from .polycore import (Poly, TrigPoly, _analysis, _count_minima,
+                       circle_minima, lift, nonneg_tol, require_nonnegative,
+                       roots, trig_add, trig_mul, trig_scale,
+                       trig_from_modulus_squared, unlift)
 
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
@@ -95,7 +92,7 @@ def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     unit circle and the mean is 1.  Scaling g below norm 1 destroys
     extremality regardless of the root structure.
 
-    The inner factor is ``factor._lift_inner``'s: z**(n - eb) with no
+    The inner factor is ``polycore._analysis``'s: z**(n - eb) with no
     other zero when g's eb local minima are all zeros of g
     (``circle_count``), so a g with every zero on the circle is decided
     with no root solve, and otherwise the lift's disk roots.  The outer
@@ -109,7 +106,7 @@ def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     mem = membership_V(g, n)
     if mem.status is Membership.NOT_IN_V:
         raise NotInV(mem.reason)
-    fac = _factorization(lift(g, n), _lift_inner(g, n))
+    fac = _factorization(lift(g, n), _analysis(g).inner(n))
     norm_ok = abs(g.mean - 1.0) <= NORM_TOL
     return ExtremeCertificate(
         verdict=norm_ok and fac.inner.is_trivial,
@@ -165,7 +162,7 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
 
     The halves' factors come from the construction, not from solving their
     lifts.  With u0 = N / D (k = deg u0 <= n) and G = kappa prod (z - w)**m
-    D**2 over g's circle zeros (w, m) (``_circle_zeros``),
+    D**2 over g's circle zeros (w, m) (read from g's analysis record),
 
         lift(g_+/-) = +/- kappa prod (z - w)**m (lam N +/- D)**2 / (2 lam),
 
@@ -209,7 +206,7 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
 
     # each half's factor is prod (z - w)**(m/2) (lam N +/- D) over g's
     # circle zeros (w, m), with D zero-padded to the length of N
-    circle = _circle_zeros(g)
+    circle = _analysis(g).circle_zeros
     num = inner.numerator().as_array()
     den = inner.denominator().as_array()
     den = np.pad(den, (0, len(num) - len(den)))
@@ -306,7 +303,7 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
         raise BandExceeded(
             f"band limit {g.effective_band} exceeds model order {n}")
     base = fejer_riesz(g)   # raises NotNonnegative for a negative g
-    inner = _lift_inner(g, n)
+    inner = _analysis(g).inner(n)
     try:
         rows = _inner_multiples(base, inner, _divisor_exponents(inner))
     except NotDivisible as exc:
@@ -355,7 +352,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement) -> RigidityResult:
     root solve.  Any other x.f must be NOT_DOMINATED.  Domination
     (finiteness of the integral of |f|/sqrt(g)) is decided by an exact
     multiplicity rule: at a circle zero of g with multiplicity 2m
-    (``_circle_zeros``) the integrand behaves like |z - zeta|**(k - m)
+    (g's analysis record) the integrand behaves like |z - zeta|**(k - m)
     where k is f's zero multiplicity there, integrable iff k >= m.  No
     mean-1 hypothesis is needed, so this check bypasses the membership
     test on purpose.
@@ -370,7 +367,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement) -> RigidityResult:
     if g.is_null:
         raise NullInput("rigidity needs a non-null modulus")
     require_nonnegative(g)
-    if not _lift_inner(g, n).is_trivial:
+    if not _analysis(g).inner(n).is_trivial:
         raise InnerFactorPresent(
             "the lift has a nontrivial inner factor; rigidity does not apply")
 
@@ -388,7 +385,7 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement) -> RigidityResult:
                               constant=complex(quo[0]), remainder=rem_norm)
 
     f_roots = roots(x.f) if x.f.degree > 0 else None
-    for t, m in _circle_zeros(g):   # not None: fejer_riesz raised on it
+    for t, m in _analysis(g).circle_zeros:   # not None: fejer_riesz raised
         zc = complex(np.exp(1j * t))
         have = f_roots.multiplicity_near(zc, ROOT_MATCH_TOL) if f_roots else 0
         if have < m // 2:
@@ -485,9 +482,11 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
             n_constraints=SEARCH_GRID + (1 + 2 * len(_LADDER)) * len(zeros),
             route=PerturbationSearch.CIRCLE_COUNT)
     require_nonnegative(g)
-    circle = roots(lift(g, n)).on_circle
-    return _sampled_search(g, n, circle, trials=trials, seed=seed,
-                           grid_size=SEARCH_GRID)
+    if g.effective_band > n:   # lift(g, n) does not exist
+        raise BandExceeded(f"frequency {-g.effective_band} does not fit "
+                           f"below model order {n}")
+    return _sampled_search(g, n, _analysis(g).lift_roots.on_circle,
+                           trials=trials, seed=seed, grid_size=SEARCH_GRID)
 
 
 def _circle_count(g: TrigPoly) -> np.ndarray | None:
@@ -503,8 +502,8 @@ def _circle_count(g: TrigPoly) -> np.ndarray | None:
     takes 2m - 1 of them and a maximum between each two neighbouring
     zeros the rest.  So when the count declines, only fewer minima, all
     zeros of g, can still be such a g, with a zero of order 4 or more;
-    then the lift's circle roots and their multiplicities decide
-    (``_circle_zeros``).
+    then the lift's circle roots and their multiplicities decide (the
+    ``circle_zeros`` of g's analysis record).
     """
     counted = _count_minima(g)
     if counted is not None:
@@ -516,7 +515,7 @@ def _circle_count(g: TrigPoly) -> np.ndarray | None:
     if (minima is None or len(minima) >= n
             or np.any(np.abs(g.values(minima)) > tol)):
         return None
-    zeros = _circle_zeros(g)
+    zeros = _analysis(g).circle_zeros
     if (zeros is None or sum(m for _, m in zeros) != 2 * n
             or np.any(np.abs(g.values([t for t, _ in zeros])) > tol)):
         return None

@@ -917,9 +917,9 @@ def refine_circle_angle(g: TrigPoly, theta0: float) -> float:
     Newton on g': a local minimum of g is first-order stable under
     coefficient noise, unlike the lift's root there, so this recovers the
     angle of an even-order zero to near machine precision.  It stops where
-    g'' <= 0 or a step would exceed 1e-2.  The one angle refiner: for
-    ``factor._circle_zeros``, the self-inversive snap, the dips of
-    ``nonneg_check`` and the minima of ``circle_minima``.
+    g'' <= 0 or a step would exceed 1e-2.  The one angle refiner: for the
+    circle zeros of g's analysis record (``_analysis``), the self-inversive
+    snap, the dips of ``nonneg_check`` and the minima of ``circle_minima``.
     """
     ks = np.arange(1, g.n + 1)
     iks, kk = 1j * ks, -ks * ks
@@ -986,13 +986,6 @@ def nonneg_grid_size(g: TrigPoly) -> int:
     return max(4096, 64 * g.n)
 
 
-def _unit_scale(g: TrigPoly) -> tuple[TrigPoly, float]:
-    """g / s and s = max(1, max |g_k|): the g that ``nonneg_check`` and
-    ``circle_count`` analyse, and that ``factor.fejer_riesz`` factors."""
-    scale = max(1.0, max(map(abs, g.coeffs)))
-    return (g if scale == 1.0 else trig_scale(g, 1.0 / scale)), scale
-
-
 def circle_count(g: TrigPoly) -> np.ndarray | None:
     """The angles of g's n = ``effective_band`` local minima when there are
     n of them, each a double zero of g within tolerance, and the mean is
@@ -1025,31 +1018,10 @@ def circle_count(g: TrigPoly) -> np.ndarray | None:
     0.0642 n**3 l1 h**3.  Minima closer than about two cells show as one
     sample, so they decline too.
 
-    Computed at unit scale, like ``nonneg_check``, and memoized per g with
-    that grid's minimum (``_circle_scan``), so the pipelines' calls on one
-    g take one FFT of g.
+    Computed at unit scale, like ``nonneg_check``, and kept in g's analysis
+    record (``_analysis``) with that grid's minimum: one FFT of g per g.
     """
-    return _circle_scan(_unit_scale(g)[0])[2]
-
-
-@functools.lru_cache(maxsize=512)
-def _circle_scan(g: TrigPoly) -> tuple[float, float, np.ndarray | None]:
-    """``circle_count(g)`` with g's smallest value found and its angle: over
-    the ``nonneg_check`` grid (the first on a tie), and over the count's
-    minima when it decides.  The grid's values are one FFT of g, and the
-    count declines on them before it takes g' (``_grid_declines``)."""
-    size = nonneg_grid_size(g)
-    vals = g.grid_values(size)
-    j = int(np.argmin(vals))
-    low, theta = float(vals[j]), 2.0 * math.pi * j / size
-    counted = None if _grid_declines(g, vals, low) else _count_minima(g)
-    if counted is None:
-        return low, theta, None
-    minima, values = counted
-    for value, t in zip(values.tolist(), minima.tolist()):
-        if value < low:
-            low, theta = value, t
-    return low, theta, minima
+    return _analysis(g).minima
 
 
 _NEIGHBOURS = np.array([[0], [1], [2]])   # a sample and its neighbours
@@ -1136,18 +1108,10 @@ def nonneg_check(g: TrigPoly) -> NonnegCertificate:
     search runs on g / s, the g that ``factor.fejer_riesz`` factors, and
     the value and tolerance are reported times s, in g's units; the
     verdict is that of g / s.  A g with max |g_k| <= 1 is checked as it is.
-
-    The certificate is memoized per g at unit scale (``_nonneg_cached``,
-    keyed on the frozen TrigPoly like ``_roots_cached``): the pipelines
-    check one g from several public calls, and every check after the first
-    returns the same certificate without a new scan.
+    The certificate is kept in g's analysis record (``_analysis``), so
+    every check of one g after the first is a lookup.
     """
-    unit, scale = _unit_scale(g)
-    cert = _nonneg_cached(unit)
-    if scale == 1.0:
-        return cert
-    return replace(cert, min_value=cert.min_value * scale,
-                   tol=cert.tol * scale)
+    return _analysis(g).nonneg
 
 
 def require_nonnegative(g: TrigPoly) -> None:
@@ -1159,23 +1123,105 @@ def require_nonnegative(g: TrigPoly) -> None:
                              f" at theta={cert.argmin_theta:.6f}")
 
 
-@functools.lru_cache(maxsize=512)
-def _nonneg_cached(g: TrigPoly) -> NonnegCertificate:
-    """The certificate of ``nonneg_check`` for g, computed."""
-    grid_size = nonneg_grid_size(g)
-    tol = nonneg_tol(g)
-    if g.is_null:
-        return NonnegCertificate(True, 0.0, 0.0, tol, grid_size)
+# ---------------------------------------------------------------------------
+# The analysis record of one modulus
+# ---------------------------------------------------------------------------
 
-    # when the count decides, the scan's minimum is over all of g's local
-    # minima too, and no odd root is looked for
-    min_value, theta_min, minima = _circle_scan(g)
-    if minima is None:
-        for r in roots(lift(g)).on_circle:
-            if r.multiplicity % 2:
-                theta = refine_circle_angle(g, float(np.angle(r.location)))
-                value = float(g.values(theta))
-                if value < min_value:
-                    min_value, theta_min = value, theta
-    return NonnegCertificate(min_value >= -tol, min_value, theta_min, tol,
-                             grid_size)
+@functools.lru_cache(maxsize=512)
+def _analysis(g: TrigPoly) -> _Analysis:
+    """g's analysis record, keyed on g as given (the frozen TrigPoly, like
+    ``_roots_cached``): every public call on one g reads the same record."""
+    return _Analysis(g)
+
+
+class _Analysis:
+    """What the library reads from one modulus g, each field computed the
+    first time it is read and computed again if that raised.  It analyses
+    unit = g / s, s = max(1, max |g_k|), the g that ``nonneg_check`` and
+    ``circle_count`` check and ``factor.fejer_riesz`` factors, and solves
+    lift(unit) at most once, only for a g the count declines.  No grid of
+    values is kept."""
+
+    def __init__(self, g: TrigPoly):
+        self.scale = max(1.0, max(map(abs, g.coeffs)))
+        self.unit = g if self.scale == 1.0 else trig_scale(g, 1.0 / self.scale)
+
+    @functools.cached_property
+    def _scan(self) -> tuple[float, float, np.ndarray | None]:
+        """unit's smallest value and its angle over the ``nonneg_check``
+        grid (the first on a tie) and the count's minima, and the count."""
+        g = self.unit
+        size = nonneg_grid_size(g)
+        vals = g.grid_values(size)
+        j = int(np.argmin(vals))
+        low, theta = float(vals[j]), 2.0 * math.pi * j / size
+        counted = None if _grid_declines(g, vals, low) else _count_minima(g)
+        if counted is None:
+            return low, theta, None
+        minima, values = counted
+        for value, t in zip(values.tolist(), minima.tolist()):
+            if value < low:
+                low, theta = value, t
+        return low, theta, minima
+
+    @property
+    def minima(self) -> np.ndarray | None:
+        return self._scan[2]
+
+    @functools.cached_property
+    def nonneg(self) -> NonnegCertificate:
+        """``nonneg_check(g)``: unit's verdict, value and tolerance times s."""
+        g = self.unit
+        low, theta = 0.0, 0.0
+        if not g.is_null:
+            low, theta, minima = self._scan
+            if minima is None:
+                for r in self.lift_roots.on_circle:
+                    if r.multiplicity % 2:
+                        t = refine_circle_angle(g, float(np.angle(r.location)))
+                        value = float(g.values(t))
+                        if value < low:
+                            low, theta = value, t
+        tol = nonneg_tol(g)
+        return NonnegCertificate(low >= -tol, low * self.scale, theta,
+                                 tol * self.scale, nonneg_grid_size(g))
+
+    @functools.cached_property
+    def lift_roots(self) -> RootSet:
+        return roots(lift(self.unit))
+
+    @functools.cached_property
+    def circle_zeros(self) -> tuple[tuple[float, int], ...] | None:
+        """(angle, multiplicity) of each circle zero of g, all even, or None
+        for an odd one left: the count's angles as double zeros, else the
+        lift's circle roots, refined on unit, which the snap of ``roots``
+        has merged where rounding split a double zero."""
+        if self.minima is not None:
+            return tuple((t, 2) for t in self.minima.tolist())
+        on_circle = self.lift_roots.on_circle
+        if any(r.multiplicity % 2 for r in on_circle):
+            return None
+        return tuple((refine_circle_angle(self.unit,
+                                          float(np.angle(r.location))),
+                      r.multiplicity) for r in on_circle)
+
+    @functools.cached_property
+    def spectral(self):
+        """``factor.spectral_factor(g)`` for a nonnegative g."""
+        from .factor import _spectral_build   # factor imports this module
+        return _spectral_build(self)
+
+    def inner(self, n: int):
+        """The inner factor of lift(g, n) with lambda = 1: z**(n - eb) when
+        the count decides, else the lift's disk roots times z**(n - g.n),
+        the power of z by which lift(g, n) and lift(g) differ.  Raises
+        BandExceeded for eb > n, as lift(g, n) does."""
+        from .factor import BlaschkeProduct, _inner_part
+        band = self.unit.effective_band
+        if band > n:
+            raise BandExceeded(
+                f"frequency {-band} does not fit below model order {n}")
+        if self.minima is not None:
+            return BlaschkeProduct(n - band)
+        found = _inner_part(self.lift_roots)
+        return replace(found, m0=found.m0 + n - self.unit.n)

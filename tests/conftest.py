@@ -249,12 +249,10 @@ def solve_counter(monkeypatch):
     ``polycore._roots_cached`` is replaced by an empty cache of the same
     size around the same solver, so each cache miss is one solve; the
     Counter maps the degree of the deflated polynomial to its solves.  The
-    per-g memos above it are emptied too, so a g checked by an earlier test
-    is solved again here.
+    memo of the analysis records above it is emptied too, so a g checked by
+    an earlier test is solved again here.
     """
-    for memo in (polycore._nonneg_cached, polycore._circle_scan,
-                 factor._fejer_riesz_cached, factor._circle_zeros):
-        memo.cache_clear()
+    polycore._analysis.cache_clear()
     counts = collections.Counter()
     cached = polycore._roots_cached
     solve = cached.__wrapped__

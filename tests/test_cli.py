@@ -22,7 +22,7 @@ from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
                       repeated_inside_zero_family)
 
 import hkl
-from hkl import cli, factor, geometry, jsonio, kernel, numeric
+from hkl import cli, factor, geometry, jsonio, kernel, numeric, polycore
 from hkl.cli import COMMANDS, build_parser, main
 from hkl.factor import spectral_factor
 from hkl.gen import random_boundary_modulus, random_kernel_element
@@ -793,12 +793,24 @@ def test_rigidity_counterexample_exits_3(files, capsys, monkeypatch):
     # with g's circle zero hidden, a kernel element that is not dominated
     # looks like a counterexample: the library's own failure, one error line
     write, _ = files
-    gpath = write("g.json", TrigPoly(1, (1.0, 0.5)))
+    g = TrigPoly(1, (1.0, 0.5))
+    gpath = write("g.json", g)
     r = 1 / math.sqrt(2)
     fpath = write("f.json", KernelElement(1, Poly((r, -r))))
-    monkeypatch.setattr(geometry, "_circle_zeros", lambda g: ())
+    # hidden once g's factor is built with it
+    factor.fejer_riesz(g)
+    monkeypatch.setattr(polycore._analysis(g), "circle_zeros", ())
     code, out, err = run(capsys, ["rigidity", gpath, fpath, "--n", "1"])
     _assert_one_error(code, out, err, 3, "SelfCheckFailed")
+
+
+def test_rigidity_modulus_above_the_order_exits_2(files, capsys):
+    # g of band 2 has no lift at order 1: the caller's input
+    write, _ = files
+    gpath = write("g.json", TrigPoly(2, (1.0, 0.0, 0.3)))
+    fpath = write("f.json", KernelElement(1, Poly((0.5,))))
+    code, out, err = run(capsys, ["rigidity", gpath, fpath, "--n", "1"])
+    _assert_one_error(code, out, err, 2, "BandExceeded")
 
 
 # argv-level fuzz: every command line either fails in argparse (exit 2) or

@@ -10,7 +10,7 @@ from conftest import (FLAT_ORDER_80, HOLDOUT_131, MERGED_RESIDUAL,
                       UNMERGED_ODD_ZERO, UNPAIRED_INSIDE_ROOT, census_suite,
                       jittered_extreme_point, trig_from_hex)
 
-from hkl import factor, geometry
+from hkl import factor, geometry, polycore
 from hkl.errors import (AlreadyExtreme, InternalInvariantError,
                         NotDivisible, NotNonnegative, NullInput,
                         PairingFailure, PoleHit, PreconditionError,
@@ -65,7 +65,7 @@ def test_inner_outer_power_of_z_beside_a_negative_inside_zero():
     assert fac.inner.m0 == 2
     (a, m), = fac.inner.zeros
     assert m == 1 and abs(a + 0.4) < 1e-12
-    reader = factor._inner_part(p)
+    reader = factor._inner_part(roots(p))
     assert reader.lam == 1
     assert (reader.m0, reader.zeros) == (fac.inner.m0, fac.inner.zeros)
     recon = blaschke_eval(fac.inner, CIRCLE) * fac.outer(CIRCLE)
@@ -300,7 +300,7 @@ def test_circle_count_certificates_hold_on_a_fine_grid():
         if minima is not None:
             counted += 1
             assert g.grid_values(2 ** 16).min() >= -tol
-        zeros = factor._circle_zeros(g)
+        zeros = polycore._analysis(g).circle_zeros
         if (zeros is not None and sum(m for _, m in zeros) == 2 * g.n
                 and all(abs(g.values(t)) <= tol for t, _ in zeros)):
             assert minima is not None
@@ -546,7 +546,7 @@ def test_census_pass_builds_fewer_jacobians_than_polishes(monkeypatch,
     # g's rounding floor and take no step, so a pass builds fewer Jacobians
     # than it polishes.  A polish that stops only on a rejected step builds
     # at least one Jacobian per call
-    factor._fejer_riesz_cached.cache_clear()
+    polycore._analysis.cache_clear()
     polishes = [0]
     polish = factor._polish
 
@@ -601,17 +601,21 @@ def test_spectral_factor_carries_the_round_trip_it_was_accepted_by():
     assert _max_err(big.factor, rec.factor.scaled(2.0)) <= 1e-14
 
 
-def test_fejer_memoizes_one_entry_per_g():
-    # max |g_k| = 4 > 1: the memo holds g / 4 alone, and a repeated call
-    # hits it
-    factor._fejer_riesz_cached.cache_clear()
+def test_fejer_memoizes_one_entry_per_g(monkeypatch):
+    # max |g_k| = 4 > 1: the memo holds one record for g, which analyses
+    # g / 4, and a repeated call reads the factor built in it
+    polycore._analysis.cache_clear()
+    builds = []
+    build = factor._factor_from_zeros
+    monkeypatch.setattr(factor, "_factor_from_zeros",
+                        lambda *args: builds.append(args) or build(*args))
     g = TrigPoly(1, (4.0, 1.5))
     first = fejer_riesz(g)
-    info = factor._fejer_riesz_cached.cache_info()
-    assert (info.currsize, info.hits) == (1, 0)
+    assert polycore._analysis(g).unit == TrigPoly(1, (1.0, 0.375))
     assert fejer_riesz(g) == first
-    info = factor._fejer_riesz_cached.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
+    info = polycore._analysis.cache_info()
+    assert (info.currsize, info.misses, len(builds)) == (1, 1, 1)
+    assert info.hits > 0
 
 
 # ---------------------------------------------------------------------------

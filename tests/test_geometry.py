@@ -312,9 +312,8 @@ def test_split_order_48_factors_round_trip():
 
 @pytest.mark.parametrize("census", [(0, 4, 0), (1, 2, 1)])
 def test_pipeline_analyses_each_g_once(solve_counter, census):
-    # the benchmark's sequence of public calls on one g: the nonnegativity
-    # certificate, the circle zeros and the spectral factor are each
-    # computed once and read from the memo after that
+    # the benchmark's sequence of public calls on one g builds one analysis
+    # record, and every later call reads it
     n = 4
     g = random_boundary_modulus(n, *census, np.random.default_rng(17))
     cert = is_extreme(g, n)
@@ -325,9 +324,52 @@ def test_pipeline_analyses_each_g_once(solve_counter, census):
     else:
         split_nonextreme(g, n)
     enumerate_solutions(g, n)
-    for memo in (polycore._nonneg_cached, factor._circle_zeros,
-                 factor._fejer_riesz_cached):
-        assert memo.cache_info().misses == 1, memo
+    assert polycore._analysis.cache_info().misses == 1
+
+
+def test_pipeline_looks_up_a_declined_lift_once(monkeypatch, solve_counter):
+    # a g with an inside zero, which the circle count declines, through the
+    # census sequence: its lift's roots are looked up once, by the one
+    # record, where the nonnegativity check, the circle zeros, the spectral
+    # factor and the inner factor each looked them up
+    n = 4
+    g = random_boundary_modulus(n, 1, 2, 1, np.random.default_rng(17))
+    assert polycore.circle_count(g) is None
+    lookups = []
+    lookup = polycore.roots
+
+    def counted(p):
+        lookups.append(p)
+        return lookup(p)
+    for module in (polycore, factor, geometry):
+        monkeypatch.setattr(module, "roots", counted)
+    assert not is_extreme(g, n).verdict
+    split_nonextreme(g, n)
+    enumerate_solutions(g, n)
+    assert lookups == [lift(g)]
+    assert solve_counter == {2 * n: 1}
+
+
+def _scaled_declined(n=4):
+    """3 g for a g that the circle count declines: max |g_k| = 3 > 1."""
+    g = random_boundary_modulus(n, 1, 2, 1, np.random.default_rng(17))
+    return trig_scale(g, 3.0)
+
+
+def test_scaled_modulus_solves_its_lift_once_to_enumerate(solve_counter):
+    # the spectral factor and the inner factor read the lift of g / 3 from
+    # one record; the raw lift of g is not solved a second time
+    g = _scaled_declined()
+    assert len(enumerate_solutions(g, 4)) == 4
+    assert solve_counter == {8: 1}
+
+
+def test_scaled_modulus_solves_its_lift_once_to_refuse(solve_counter):
+    # the nonnegativity check and the inner factor read one solve
+    with pytest.raises(InnerFactorPresent):
+        rigidity_check(_scaled_declined(), 4,
+                       KernelElement(4, Poly((0.5,))))
+    assert solve_counter == {8: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +443,9 @@ def test_decompose_analyses_the_lift_once(monkeypatch, census):
     # the split's own extreme test decides rigidity: one reading of the
     # lift's inner factor, rigid or not
     calls = []
-    reader = factor._lift_inner
-    monkeypatch.setattr(geometry, "_lift_inner",
-                        lambda g, n: calls.append(g) or reader(g, n))
+    reader = polycore._Analysis.inner
+    monkeypatch.setattr(polycore._Analysis, "inner",
+                        lambda a, n: calls.append(a) or reader(a, n))
     dec = decompose_modulus(random_unit_element(4, census, 0))
     assert dec.rigid == (census == (0, 4, 0))
     assert len(calls) == 1
@@ -606,13 +648,15 @@ def test_rigidity_not_dominated():
 
 
 def test_rigidity_counterexample_raises(monkeypatch):
-    # with g's circle zero hidden, x looks dominated but is no multiple of
-    # the factor: an internal bug, raised rather than returned
-    monkeypatch.setattr(geometry, "_circle_zeros", lambda g: ())
+    # with g's circle zero hidden once its factor is built, x looks
+    # dominated but is no multiple of the factor: an internal bug, raised
+    # rather than returned
+    g = TrigPoly(1, (1.0, 0.5))
+    fejer_riesz(g)
+    monkeypatch.setattr(polycore._analysis(g), "circle_zeros", ())
     r = 1 / math.sqrt(2)
     with pytest.raises(SelfCheckFailed, match="not a multiple"):
-        rigidity_check(TrigPoly(1, (1.0, 0.5)), 1,
-                       KernelElement(1, Poly((r, -r))))
+        rigidity_check(g, 1, KernelElement(1, Poly((r, -r))))
 
 
 # census instance 158 of bench/workloads.census_inputs(202, 240), n = 9,
@@ -651,9 +695,17 @@ def test_rigidity_refuses_an_element_above_the_order(monkeypatch):
     g = TrigPoly(1, (1.0, 0.5))
     x = KernelElement(5, fejer_riesz(g).shifted(3))
     monkeypatch.setattr(geometry, "fejer_riesz", None)
-    monkeypatch.setattr(geometry, "_lift_inner", None)
+    monkeypatch.setattr(geometry, "_analysis", None)
     with pytest.raises(BandExceeded, match="degree 4 exceeds model order 1"):
         rigidity_check(g, 1, x)
+
+
+def test_rigidity_refuses_a_modulus_above_the_order():
+    # g of band 2 has no lift at order 1: refused as the caller's input by
+    # the order-n inner factor, as lift(g, 1) refuses it
+    g = TrigPoly(2, (1.0, 0.0, 0.3))
+    with pytest.raises(BandExceeded, match="frequency -2 .* model order 1"):
+        rigidity_check(g, 1, KernelElement(1, Poly((0.5,))))
 
 
 def test_rigidity_zero_element():
