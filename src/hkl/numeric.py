@@ -71,45 +71,48 @@ def grid_ifft(coeffs: np.ndarray) -> Grid:
                             len(coeffs)))
 
 
+def _real(gr: Grid, message: str) -> np.ndarray:
+    """gr's samples as reals; ValueError(message) when one is not."""
+    v = gr.values
+    if np.abs(v.imag).max() > 1e-12 * max(1.0, float(np.abs(v).max())):
+        raise ValueError(message)
+    return v.real
+
+
+def _conjugate(u: np.ndarray) -> np.ndarray:
+    """``harmonic_conjugate`` of real samples u, of even length."""
+    co = np.fft.rfft(u)
+    co[0] = co[-1] = 0
+    return np.fft.irfft(-1j * co, len(u))
+
+
 def harmonic_conjugate(gr: Grid) -> Grid:
-    """Fourier multiplier -i sign(k), with the mean and the Nyquist bin zeroed.
+    """One real FFT pair: the multiplier -i sign(k), mean and Nyquist zeroed.
 
     Zeroing Nyquist is the symmetric choice (sign(N/2) is ill-defined on a
     grid), so the identity H(H(u)) = -(u - mean u) holds only for inputs
     band-limited below N/2.
     """
-    v = gr.values
-    scale = max(1.0, float(np.abs(v).max()))
-    if np.abs(v.imag).max() > 1e-12 * scale:
-        raise ValueError("harmonic conjugation expects real samples")
-    n = gr.size
-    co = np.fft.fft(v.real) / n
-    mult = np.zeros(n, dtype=complex)
-    mult[1:n // 2] = -1j
-    mult[n // 2 + 1:] = 1j
-    out = np.fft.ifft(co * mult * n)
-    return Grid(out.real.astype(complex))
+    u = _real(gr, "harmonic conjugation expects real samples")
+    return Grid(_conjugate(u))
 
 
 def outer_from_modulus(w: Grid) -> Grid:
-    """The outer function with boundary modulus w: exp(log w + i H(log w)).
+    """The outer function with boundary modulus w: exp(log w + i H(log w)),
+    with H applied by one real FFT pair.
 
     Requires strictly positive samples (min >= W_FLOOR); a modulus touching
     zero belongs to the exact engine, where circle zeros are data instead
     of log singularities.  The value at frequency zero is exp(mean log w),
     hence real positive, matching the exact engine's phase convention.
     """
-    v = w.values
-    scale = max(1.0, float(np.abs(v).max()))
-    if np.abs(v.imag).max() > 1e-12 * scale:
-        raise ValueError("modulus samples must be real")
-    mn = float(v.real.min())
+    v = _real(w, "modulus samples must be real")
+    mn = float(v.min())
     if mn < W_FLOOR:
         raise TooSmall(f"min sample {mn:.3e} below floor {W_FLOOR:.1e}; "
                        "the log-modulus route is unreliable here")
-    logw = Grid(np.log(v.real).astype(complex))
-    conj = harmonic_conjugate(logw)
-    return Grid(np.exp(logw.values.real + 1j * conj.values.real))
+    logw = np.log(v)
+    return Grid(np.exp(logw + 1j * _conjugate(logw)))
 
 
 def analyticity_defect(gr: Grid) -> float:
@@ -139,16 +142,13 @@ def symbol_condition_test(phi: Grid, g: Grid) -> SymbolTest:
     """
     if phi.size != g.size:
         raise ValueError("phi and g must be sampled on the same grid")
-    gs = max(1.0, float(np.abs(g.values).max()))
-    if np.abs(g.values.imag).max() > 1e-12 * gs:
-        raise ValueError("g must be real-valued")
-    if float(g.values.real.min()) < -1e-12 * gs:
+    gv = _real(g, "g must be real-valued")
+    gmax = float(np.abs(g.values).max())
+    if float(gv.min()) < -1e-12 * max(1.0, gmax):
         raise ValueError("g must be nonnegative")
-    z = g.points
-    prod = Grid(np.conj(z) * np.conj(phi.values) * g.values.real)
+    prod = Grid(np.conj(g.points) * np.conj(phi.values) * gv)
     defect = analyticity_defect(prod)
-    tol = TOL_SYMBOL * float(np.abs(g.values).max()) * \
-        float(np.abs(phi.values).max())
+    tol = TOL_SYMBOL * gmax * float(np.abs(phi.values).max())
     return SymbolTest(defect=defect, tolerance=tol, verdict=defect <= tol)
 
 
@@ -163,28 +163,30 @@ class DominationEstimate:
 def domination_integral(x: KernelElement, g: TrigPoly) -> DominationEstimate:
     """Quadrature witness for the domination integral of |f| / sqrt(g).
 
-    Midpoint sums at 16, 32, 64 and 128 points; midpoints never land on
-    the dyadic grid, so an integrable endpoint singularity inflates the
-    estimate gradually instead of dividing by zero.  DIVERGENT when the
-    estimate grows by a factor of 1.5 or more from the coarsest sum to
-    the finest (or leaves the finite range); otherwise the Richardson
-    update of the two finest estimates is reported.
+    Midpoint sums at 16, 32, 64 and 128 points, by one evaluation on the
+    union of midpoints, which never land on the dyadic grid: an integrable
+    endpoint singularity inflates the estimate gradually instead of
+    dividing by zero.  DIVERGENT when the estimate grows by a factor of 1.5
+    or more from the coarsest sum to the finest (or leaves the finite
+    range); otherwise the Richardson update of the two finest is reported.
 
     A borderline (logarithmically divergent) integrand gains only a fixed
     increment per doubling, so the growth test can resolve it only from a
-    small base; the base of 16 points is calibrated for that.  The exact
-    multiplicity rule in :func:`hkl.geometry.rigidity_check` is
+    small base; the base of 16 points is calibrated for that.  It aliases:
+    f = (1 + z**16) / sqrt(2) vanishes on all 16 midpoints, so it reads
+    DIVERGENT for g = 1 and for g = 1 + cos(16 theta), where it is bounded.
+    The exact multiplicity rule in :func:`hkl.geometry.rigidity_check` is
     authoritative; this flag is corroborating evidence only.
     """
     sizes = (16, 32, 64, 128)
-    estimates = []
+    theta = np.concatenate([2.0 * np.pi * (np.arange(m) + 0.5) / m
+                            for m in sizes])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for m in sizes:
-            theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-            fa = np.abs(x.f(np.exp(1j * theta)))
-            gv = np.maximum(g.values(theta), 0.0)
-            vals = np.where(fa == 0, 0.0, fa / np.sqrt(gv))
-            estimates.append(float(np.mean(vals)))
+        fa = np.abs(x.f(np.exp(1j * theta)))
+        gv = np.maximum(g.values(theta), 0.0)
+        vals = np.where(fa == 0, 0.0, fa / np.sqrt(gv))
+    estimates = [float(np.mean(part))
+                 for part in np.split(vals, np.cumsum(sizes)[:-1])]
     first, last = estimates[0], estimates[-1]
     divergent = (not all(math.isfinite(e) for e in estimates)
                  or (first > 0 and last / first >= 1.5))

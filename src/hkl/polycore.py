@@ -247,17 +247,11 @@ class TrigPoly:
         return out
 
     def grid_values(self, size: int) -> np.ndarray:
-        """Values at theta_j = 2*pi*j/size via FFT; size must exceed 2n."""
+        """Values at theta_j = 2*pi*j/size by one real inverse FFT of the
+        n + 1 stored coefficients, zero-padded; size must exceed 2n."""
         if size <= 2 * self.n:
             raise ValueError("grid too coarse for this band limit")
-        arr = np.zeros(size, dtype=complex)
-        arr[0] = self.coeffs[0]
-        for k in range(1, self.n + 1):
-            arr[k] = self.coeffs[k]
-            arr[size - k] = self.coeffs[k].conjugate()
-        # the real part times size: the same values bit for bit as
-        # (ifft * size).real, in a contiguous array
-        return np.fft.ifft(arr).real * size
+        return np.fft.irfft(np.array(self.coeffs), size) * size
 
 
 def trig_scale(g: TrigPoly, s: float) -> TrigPoly:

@@ -461,13 +461,23 @@ def test_parser_is_built_once_and_reused(files, capsys):
     assert code == 0 and out.encode() == fresh
 
 
-@pytest.mark.parametrize("argv", [["spectral"], ["solutions", "--n", "3"]])
+@pytest.mark.parametrize("argv", [["spectral"], ["solutions", "--n", "3"],
+                                  ["outer-grid"], ["domination"]])
 def test_memoized_analysis_repeats_fresh_output(files, capsys, argv):
     # the second call in one process reads g's analysis from the memos;
-    # its output is the first call's, and a fresh process's, byte for byte
+    # its output is the first call's, and a fresh process's, byte for byte.
+    # outer-grid (the cepstral factor of a positive modulus) and domination
+    # (x against g) keep no memo but print bits of the numeric layer's FFTs
+    # and midpoint sums
     write, _ = files
-    g = random_boundary_modulus(3, 1, 1, 1, np.random.default_rng(5))
-    argv = argv[:1] + [write("g.json", g)] + argv[1:]
+    rng = np.random.default_rng(5)
+    g = random_boundary_modulus(3, 1, 1, 1, rng)
+    w = np.sqrt(random_boundary_modulus(3, 0, 0, 3, rng).grid_values(64))
+    inputs = {"outer-grid": [write("w.json", Grid(w))],
+              "domination": [write("x.json",
+                                   random_kernel_element(3, 1, 1, 1, rng)),
+                             write("g.json", g)]}
+    argv = argv[:1] + inputs.get(argv[0], [write("g.json", g)]) + argv[1:]
     env = dict(os.environ,
                PYTHONPATH=str(Path(hkl.__file__).resolve().parents[1]))
     fresh = subprocess.run([sys.executable, "-m", "hkl.cli"] + argv,

@@ -11,9 +11,9 @@ from hkl.errors import TooSmall
 from hkl.factor import fejer_riesz
 from hkl.gen import random_boundary_modulus
 from hkl.kernel import KernelElement
-from hkl.numeric import (DominationEstimate, Grid, analyticity_defect,
-                         domination_integral, grid_fft, grid_ifft,
-                         harmonic_conjugate, outer_from_modulus,
+from hkl.numeric import (DominationEstimate, Grid, _conjugate,
+                         analyticity_defect, domination_integral, grid_fft,
+                         grid_ifft, harmonic_conjugate, outer_from_modulus,
                          symbol_condition_test, write_boundary_csv)
 from hkl.polycore import Poly, TrigPoly, trig_from_modulus_squared, trig_scale
 
@@ -85,6 +85,32 @@ def test_conjugate_squares_to_negated_mean_free_part():
     twice = harmonic_conjugate(harmonic_conjugate(Grid(vals)))
     expected = -(vals - vals.mean())
     assert np.abs(twice.values.real - expected).max() <= 1e-10
+
+
+def _conjugate_oracle(u):
+    """The complex multiplier -i sign(k) on the full spectrum, mean and
+    Nyquist bins zeroed."""
+    n = len(u)
+    k = np.arange(n)
+    mult = np.where(k < n // 2, -1j, 1j)
+    mult[0] = mult[n // 2] = 0
+    return np.fft.ifft(np.fft.fft(u) * mult).real
+
+
+@pytest.mark.parametrize("n", [2 ** p for p in range(2, 13)])
+def test_real_fft_conjugate_matches_the_complex_multiplier(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e3):
+        u = scale * rng.standard_normal(n)
+        got = _conjugate(u)
+        assert got.shape == (n,) and got.dtype == float
+        assert np.abs(got - _conjugate_oracle(u)).max() \
+            <= 1e-14 * np.abs(u).max()
+    # the mean and the Nyquist bin carry nothing into the conjugate
+    for u in (np.full(n, 2.5), 2.5 * (-1.0) ** np.arange(n)):
+        assert np.abs(_conjugate(u)).max() <= 1e-14 * 2.5
+        assert np.abs(harmonic_conjugate(Grid(u)).values).max() \
+            <= 1e-14 * 2.5
 
 
 def test_conjugate_rejects_complex_input():
@@ -215,6 +241,43 @@ def test_domination_divergent_witness():
     g = TrigPoly(1, (1.0, 0.5))
     res = domination_integral(x, g)
     assert res.divergent
+
+
+def _separate_midpoint_sums(x, g):
+    """The four midpoint sums, each with its own evaluation of f and g."""
+    sums = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in (16, 32, 64, 128):
+            theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+            fa = np.abs(x.f(np.exp(1j * theta)))
+            gv = np.maximum(g.values(theta), 0.0)
+            vals = np.where(fa == 0, 0.0, fa / np.sqrt(gv))
+            sums.append(float(np.mean(vals)))
+    return sums
+
+
+def test_domination_sums_equal_separate_evaluations_bit_for_bit():
+    # one evaluation on the union of midpoints gives each sum the bits of
+    # its own evaluation, convergent, divergent and infinite alike
+    rng = np.random.default_rng(32)
+    r = 1 / math.sqrt(2)
+    pairs = [(KernelElement(1, Poly((r, -r))), TrigPoly(1, (1.0, 0.5))),
+             (KernelElement(0, Poly((1.0,))),
+              TrigPoly(1, (1.0, -0.5 * np.exp(-1j * np.pi / 16))))]
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        circle = int(rng.integers(0, n + 1))
+        g = random_boundary_modulus(n, 0, circle, n - circle, rng)
+        deg = int(rng.integers(0, n + 1))
+        f = Poly(tuple(rng.standard_normal(deg + 1)
+                       + 1j * rng.standard_normal(deg + 1)))
+        pairs.append((KernelElement(n, f), g))
+    for x, g in pairs:
+        got = domination_integral(x, g)
+        assert list(map(repr, got.estimates)) == \
+            list(map(repr, _separate_midpoint_sums(x, g)))
+    assert domination_integral(*pairs[0]).divergent
+    assert domination_integral(*pairs[1]).estimates[0] == math.inf
 
 
 def test_domination_zero_element():

@@ -966,6 +966,39 @@ def test_trig_mul_matches_values():
         <= 1e-12
 
 
+def _exact_grid_values(g, size, mpmath):
+    """g at theta_j = 2 pi j / size, each angle reduced to (k j) mod size
+    before it is rounded, summed at 30 digits."""
+    with mpmath.workdps(30):
+        unit = [mpmath.expj(2 * mpmath.pi * m / size) for m in range(size)]
+        cs = [mpmath.mpc(c.real, c.imag) for c in g.coeffs]
+        return np.array([float(cs[0].real + 2 * mpmath.re(mpmath.fsum(
+            cs[k] * unit[k * j % size] for k in range(1, g.n + 1))))
+            for j in range(size)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 13])
+def test_grid_values_match_values_at_the_grid_angles(n):
+    # one real inverse FFT of the n + 1 stored coefficients.  Its rounding
+    # grows with log2(size) as well as with n: at n = 1, size 4096 it has
+    # reached 2.8 eps l1(g), over (n + 1) eps l1(g) alone.  values(theta)
+    # at the rounded angle is itself off by more than (n + 1) eps l1(g), so
+    # the reference is g at the exact angle.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    g = TrigPoly(n, (c[0].real,) + tuple(c[1:]))
+    for size in sorted({2 * n + 1, 2 * n + 2, 64, 1001, 4096}):
+        got = g.grid_values(size)
+        bound = (n + 1 + math.log2(size)) * np.finfo(float).eps \
+            * polycore._l1(g)
+        assert got.shape == (size,) and got.dtype == float
+        assert np.abs(got - _exact_grid_values(g, size, mpmath)).max() \
+            <= bound, size
+    with pytest.raises(ValueError):
+        g.grid_values(2 * n)
+
+
 def test_trig_add_scale():
     a = TrigPoly(1, (1.0, 0.5))
     b = trig_add(trig_scale(a, 2.0), trig_scale(a, -1.0))
