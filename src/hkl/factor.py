@@ -35,14 +35,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
                      SelfCheckFailed)
-from .polycore import (EPS_CIRCLE, Poly, RootSet, TrigPoly, _analysis, _l1,
-                       _polish as _newton_polish, require_nonnegative, roots,
-                       self_inversive_phase, synthetic_divide,
-                       trig_from_modulus_squared)
+from .polycore import (EPS_CIRCLE, Poly, RootSet, TrigPoly, _analysis,
+                       _derivative, _l1, _polish as _newton_polish,
+                       require_nonnegative, roots, self_inversive_phase,
+                       synthetic_divide, trig_from_modulus_squared)
 
 TOL_DIVIDE = 1e-9    # relative tail bound of a product f * J built from values
 POLE_TOL = 1e-12
@@ -130,11 +129,14 @@ def _zero_poly(zeros, mults) -> np.ndarray:
     spread in angle, on the circle or outside it, grow and cancel.  Relative
     round trips of unpolished factors, chained against by values: 6.9e-2
     against 8.8e-15 for 64 jittered circle zeros, 9.8 against 1.3e-14 for
-    the 80 outside zeros of a flat g.
+    the 80 outside zeros of a flat g.  The empty product is [1] exactly, as
+    the FFT gives it.
     """
     points = np.repeat(np.asarray(zeros, dtype=complex),
                        np.asarray(mults, dtype=int))
     k = len(points)
+    if not k:
+        return np.array([1 + 0j])    # the empty product, no FFT
     size = 1 << (2 * k + 1).bit_length()
     vals = (_unit_grid(size)[:, None] - points).prod(axis=1)
     coeffs = np.fft.fft(vals, norm="forward")[:k + 1]
@@ -278,8 +280,11 @@ def _round_trip(f: Poly, g: TrigPoly) -> float:
     """sum over |k| <= n of |(|f|^2)_k - g_k|, which bounds |f|^2 - g on
     the whole circle."""
     back = trig_from_modulus_squared(f)
-    diff = np.abs([back.coeff(k) - g.coeff(k)
-                   for k in range(max(back.n, g.n) + 1)])
+    size = max(back.n, g.n) + 1
+    have, want = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    have[:back.n + 1] = back.coeffs
+    want[:g.n + 1] = g.coeffs
+    diff = np.abs(have - want)
     return float(diff[0] + 2.0 * diff[1:].sum())
 
 
@@ -330,7 +335,7 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     value0 = coeffs[0]
     coeffs = coeffs * (value0.conjugate() / abs(value0))
     coeffs[0] = abs(coeffs[0])
-    f = Poly(tuple(coeffs))
+    f = Poly(tuple(coeffs.tolist()))
     resid = _round_trip(f, g)
     if not resid / l1 <= TOL_SPECTRAL:
         raise SelfCheckFailed(f"the factor's round trip {resid:.3e} "
@@ -382,12 +387,10 @@ def _polish(target: np.ndarray, cofactor: np.ndarray,
     res = residual(coeffs)
     norm = float(np.linalg.norm(res))
     nq = len(cofactor)
-    layout = None
     for _ in range(POLISH_STEPS):
         if norm <= floor:
             break
-        if layout is None:
-            layout = _jacobian_layout(n, len(coeffs) - 1, nq, len(circle_part))
+        layout = _jacobian_layout(n, len(coeffs) - 1, nq, len(circle_part))
         step = np.linalg.lstsq(_jacobian(coeffs, circle_part, angles, halves,
                                          weight, layout),
                                -res, rcond=None)[0]
@@ -405,9 +408,14 @@ def _polish(target: np.ndarray, cofactor: np.ndarray,
     return coeffs
 
 
+@functools.lru_cache(maxsize=64)
 def _jacobian_layout(n: int, deg: int, nq: int, ncircle: int) -> tuple:
     """The index structure of ``_jacobian``, fixed through one polish and
-    built only when the polish takes a step.
+    built only when a polish takes a step: one read-only table per shape,
+    as ``_unit_grid`` is per size.  A pinned benchmark pass takes 268 to
+    359 steps in 22 to 55 shapes, and a build costs about 26 us there.
+    A shape's tables take 1.7 MB at n = deg = 256 and 27 MB at 1024,
+    where one step's Jacobian and its complex form take 67 MB.
 
     It depends only on g's band n, F's degree deg, the cofactor's length nq
     and the circle part's length ncircle: the band of the Toeplitz block
@@ -420,8 +428,11 @@ def _jacobian_layout(n: int, deg: int, nq: int, ncircle: int) -> tuple:
     k = np.arange(n + 1)[:, None]
     j = np.arange(deg + 1)[None, :]
     lag = j - k
-    return (in_band, np.clip(shift, 0, ncircle - 1), lag >= 0,
-            np.clip(lag, 0, deg), j + k, np.zeros(n + 1, dtype=complex))
+    layout = (in_band, np.clip(shift, 0, ncircle - 1), lag >= 0,
+              np.clip(lag, 0, deg), j + k, np.zeros(n + 1, dtype=complex))
+    for table in layout:
+        table.flags.writeable = False
+    return layout
 
 
 def _jacobian(coeffs: np.ndarray, circle_part: np.ndarray,
@@ -520,10 +531,13 @@ def _inner_multiples(f: Poly, inner: BlaschkeProduct,
     size = 1 << (2 * int(top.max()) + 2).bit_length()
     zeta = _unit_grid(size)
     rows = np.fft.ifft(c, size, norm="forward") * zeta ** low
+    clist = c.tolist()
     for (a, m), ks in zip(inner.zeros, combos[:, 1:].T):
         target = 1.0 / a.conjugate()
-        r = complex(_newton_polish(target, npp.polyder(c, m - 1).tolist(),
-                                   npp.polyder(c, m).tolist(),
+        # q' from q is npp.polyder(c, m) bit for bit while m <= deg f;
+        # past that, either derivative stops the polish before its step
+        q = _derivative(clist, m - 1)
+        r = complex(_newton_polish(target, q, _derivative(q, 1),
                                    MIRROR_MATCH_TOL * max(1.0, abs(target))))
         rows = rows * (-r * (zeta - 1.0 / r.conjugate())
                        / (zeta - r)) ** ks[:, None]

@@ -310,7 +310,7 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
         raise SelfCheckFailed(
             f"the spectral factor times an inner divisor of its lift: {exc}"
         ) from exc
-    return [KernelElement(n, _normalize_lowest(Poly(tuple(row))))
+    return [KernelElement(n, _normalize_lowest(Poly(tuple(row.tolist()))))
             for row in rows]
 
 

@@ -284,8 +284,9 @@ def trig_from_modulus_squared(f: Poly) -> TrigPoly:
     if f.is_null:
         return TrigPoly(0, (0j,))
     c = f.as_array()
+    cc = np.conj(c)
     n = f.degree
-    coeffs = [complex(np.dot(c[k:], np.conj(c[: len(c) - k]))) for k in range(n + 1)]
+    coeffs = [complex(np.dot(c[k:], cc[: len(c) - k])) for k in range(n + 1)]
     # the mean is summed with fsum so it is independent of coefficient
     # order: the companion map then preserves it bit for bit
     coeffs[0] = complex(math.fsum(modulus_squared_terms(f)), 0.0)
@@ -541,11 +542,43 @@ def _horner(coeffs: Sequence, z):
     cost of numpy scalar arithmetic.  A Newton quotient of two such values
     must still be taken in ``np.complex128``: Python's complex division
     rounds differently.
+
+    Which scalar rewrites keep every bit (CPython 3.11, numpy 2.4; 1e5
+    random normal operands each):
+    - +, - and * of ``np.complex128`` scalars equal those of Python complex,
+      mixed operand types and float factors included: 0 mismatches.  So a
+      scalar loop may trade numpy scalars for Python numbers.
+    - The same * on numpy arrays does not: the SIMD loops fuse
+      multiply-adds, and 44% of the products differ in their last bits.
+      Never vectorize a scalar loop on a bit-identical path.
+    - Complex division differs between numpy and Python: 43% of the
+      quotients.  Keep each division in the type it has.  This bites where
+      the type is implicit: ``list(np.convolve(...))`` holds numpy scalars
+      and ``.tolist()`` Python ones, so in ``factor._factorization``, where
+      the phase value0 / abs(value0) divides whichever it gets, the switch
+      moved the outer part of 68 of the 240 pinned census inputs.
     """
     acc = coeffs[-1] + z * 0
     for c in coeffs[-2::-1]:
         acc = c + acc * z
     return acc
+
+
+def _derivative(q: list, m: int) -> list:
+    """The m-th derivative of the coefficient list q, as
+    ``npp.polyder(q, m).tolist()`` gives it bit for bit, at a sixth of its
+    cost on short lists.
+
+    Each order multiplies c_k by k as polyder does, after polyder's scaling
+    by scl = 1: exact on finite values, but it turns an overflowed (inf, y)
+    into (inf, nan), and the plain k * c would not.  An order at least
+    len(q) is polyder's q[0] * 0.
+    """
+    if m >= len(q):
+        return [q[0] * 0]
+    for _ in range(m):
+        q = [k * (c * 1) for k, c in enumerate(q)][1:]
+    return q
 
 
 def _polish(center: complex, q: list, qd: list, step_cap: float) -> complex:
@@ -589,6 +622,25 @@ def _residual_ok(clist: list, aclist: list, a: complex) -> bool:
             <= 10.0 * TOL_ROOT * _horner(aclist[::-1], abs(w)))
 
 
+def _judge(clist: list, aclist: list, a: complex) -> None:
+    """Raise unless the root a meets ``_residual_ok``: RootOverflow when
+    its relative residual is not finite, NonConvergence otherwise."""
+    if _residual_ok(clist, aclist, a):
+        return
+    # a finite point outside the circle is judged on p(a) / a**d, as
+    # _aberth judges it, so its powers cannot overflow
+    w, step = (1 / a, -1) if 1 < abs(a) < math.inf else (a, 1)
+    resid = abs(_horner(clist[::step], w))
+    scale = _horner(aclist[::step], abs(w))
+    if not math.isfinite(resid / scale):
+        raise RootOverflow(
+            f"root {a} has residual {resid} at scale {scale}: the "
+            f"coefficients overflow double precision")
+    raise NonConvergence(
+        f"root {a} fails the residual test after at most {MAX_ROOT_ITER} "
+        f"iterations (relative residual {resid / scale:.3e})")
+
+
 def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
     """Single-linkage merge tree of points with pairwise distances dist.
 
@@ -616,7 +668,8 @@ def _single_linkage_tree(dist: np.ndarray) -> list[dict]:
             i = parent[i]
         return i
 
-    iu, ju = np.triu_indices(npts, 1)
+    # the pairs i < j in np.triu_indices(npts, 1)'s order, without its cost
+    iu, ju = np.nonzero(np.arange(npts)[:, None] < np.arange(npts))
     pair_dist = dist[iu, ju]
     for e in np.argsort(pair_dist, kind="stable"):
         ra, rb = find(int(iu[e])), find(int(ju[e]))
@@ -701,20 +754,23 @@ def _cluster_points(points: np.ndarray,
     A node's diameter is at least the distance it was merged at, so a node
     merged beyond CLUSTER_CAP is rejected without the diameter, as the
     test would reject it.
+
+    Each returned root is judged once, where it is placed and in the order
+    returned: an accepted mirror or merged node by the test that accepted
+    it, every other root by ``_judge``, which raises RootOverflow or
+    NonConvergence for the first one that misses the residual bound.
     """
     pts = list(points)
-    if len(pts) == 1:
-        return [(complex(pts[0]), 1)]
-
     c0 = np.asarray(coeffs, dtype=complex)
     ac = np.abs(c0)
     aclist = ac.tolist()
     # derivative coefficient lists, built only as deep as a tested cluster
     derivs = [c0.tolist()]
+    clist = derivs[0]
 
     def deriv(k: int) -> list:
         while len(derivs) <= k:
-            derivs.append(npp.polyder(derivs[-1]).tolist())
+            derivs.append(_derivative(derivs[-1], 1))
         return derivs[k]
 
     dist = np.abs(np.asarray(pts)[:, None] - np.asarray(pts)[None, :])
@@ -731,10 +787,18 @@ def _cluster_points(points: np.ndarray,
     partner = (_mirror_partners(pts, lone)
                if np.array_equal(np.conj(c0[::-1]), c0) else {})
     placed = {i: complex(polish(i)) for i in lone if i not in partner}
+    mirrored = set()
     for i, j in partner.items():
         b = 1.0 / placed[j].conjugate()
-        placed[i] = (b if _residual_ok(deriv(0), aclist, b)
-                     else complex(polish(i)))
+        if _residual_ok(clist, aclist, b):
+            placed[i] = b
+            mirrored.add(i)
+        else:
+            placed[i] = complex(polish(i))
+    # in the order returned; an accepted mirror was judged by its test
+    for i in lone:
+        if i not in mirrored:
+            _judge(clist, aclist, placed[i])
     out: list[tuple[complex, int]] = [(placed[i], 1) for i in lone]
 
     rest = np.flatnonzero(crowded)
@@ -748,7 +812,9 @@ def _cluster_points(points: np.ndarray,
     def try_accept(mem: list[int]) -> tuple[complex, int] | None:
         m = len(mem)
         if m == 1:
-            return (polish(mem[0]), 1)
+            a = polish(mem[0])
+            _judge(clist, aclist, complex(a))
+            return (a, 1)
         diam = dist[np.ix_(mem, mem)].max()
         if diam > CLUSTER_CAP:
             return None
@@ -766,7 +832,7 @@ def _cluster_points(points: np.ndarray,
             recomposed = np.convolve(recomposed, [-polished, 1.0])
         perturbation = float(np.abs(recomposed - c0).max())
         if (perturbation <= MERGE_BACKWARD_TOL * float(ac.max())
-                and _residual_ok(deriv(0), aclist, complex(polished))):
+                and _residual_ok(clist, aclist, complex(polished))):
             return (polished, m)
         return None
 
@@ -817,20 +883,21 @@ def _roots_cached(c: tuple) -> RootSet:
     closed form (degree 2) or ``_aberth``'s points, which
     ``_cluster_points`` places; on exactly conjugate-palindromic c (every
     lift) it returns the outside root of a lone reflected pair as the
-    mirror of its polished inside partner.  Every
-    root, mirrors included, must then meet the residual bound below, and a
-    self-inversive c has its near-circle roots snapped
+    mirror of its polished inside partner.  Every root, mirrors included,
+    meets the residual bound (``_residual_ok``), judged once where it is
+    placed, and a self-inversive c then has its near-circle roots snapped
     (``_snap_self_inversive``).
     """
     found: list[tuple[complex, int]] = []
     d = len(c) - 1
     carr = np.asarray(c, dtype=complex)
     # coefficients near the float range overflow inside the solve; the
-    # roots then come out non-finite, which the residual check below
-    # reports as RootOverflow instead of a warning per operation
+    # roots then come out non-finite, which the residual check reports as
+    # RootOverflow instead of a warning per operation
     with np.errstate(all="ignore"):
         if d == 1:
             found = [(complex(-c[0] / c[1]), 1)]
+            _judge(carr.tolist(), np.abs(carr).tolist(), found[0][0])
         elif d == 2:
             a2, a1, a0 = c[2], c[1], c[0]
             disc = np.sqrt(complex(a1 * a1 - 4 * a2 * a0))
@@ -844,31 +911,11 @@ def _roots_cached(c: tuple) -> RootSet:
         elif d > 0:
             # the points of a multiple root are left spread, and only
             # the clustering's polished centers meet the residual bound:
-            # failure is judged on those below
+            # failure is judged on those
             found = _cluster_points(_aberth(carr, TOL_ROOT, MAX_ROOT_ITER),
                                     carr)
-
-    if found:
-        clist = carr.tolist()
-        aclist = np.abs(carr).tolist()
-        for a, m in found:
-            if not _residual_ok(clist, aclist, complex(a)):
-                # a finite point outside the circle is judged on p(a) / a**d,
-                # as _aberth judges it, so its powers cannot overflow
-                w, step = ((1 / complex(a), -1) if 1 < abs(a) < math.inf
-                           else (complex(a), 1))
-                resid = abs(_horner(clist[::step], w))
-                scale = _horner(aclist[::step], abs(w))
-                if not math.isfinite(resid / scale):
-                    raise RootOverflow(
-                        f"root {complex(a)} has residual {resid} at scale "
-                        f"{scale}: the coefficients overflow double precision")
-                raise NonConvergence(
-                    f"root {complex(a)} fails the residual test after at "
-                    f"most {MAX_ROOT_ITER} iterations (relative residual "
-                    f"{resid / scale:.3e})")
-        if d >= 2 and (lam := self_inversive_phase(carr)) is not None:
-            found = _snap_self_inversive(found, carr, lam)
+    if d >= 2 and (lam := self_inversive_phase(carr)) is not None:
+        found = _snap_self_inversive(found, carr, lam)
     return _root_set(found, 0)
 
 

@@ -540,6 +540,25 @@ def test_polish_at_the_floor_builds_no_jacobian(jacobian_calls):
     assert np.array_equal(again, polished)
 
 
+def test_jacobian_layout_is_one_read_only_table_per_shape():
+    # a polish of the same shape reads the cached layout: its tables refuse
+    # writes, and a second polish returns the cold build's coefficients
+    factor._jacobian_layout.cache_clear()
+    _, _, cold = _perturbed_polish()
+    assert factor._jacobian_layout.cache_info().misses == 1
+    _, _, warm = _perturbed_polish()
+    info = factor._jacobian_layout.cache_info()
+    assert info.misses == 1 and info.hits > 0
+    assert warm.tobytes() == cold.tobytes()
+    # F of degree 5 at band 5: a cofactor of 4 and a circle part of 3 terms
+    layout = factor._jacobian_layout(5, 5, 4, 3)
+    assert factor._jacobian_layout.cache_info().misses == 1
+    for table in layout:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+
+
 def test_census_pass_builds_fewer_jacobians_than_polishes(monkeypatch,
                                                           jacobian_calls):
     # work guard in counts, not seconds: most root-built factors start at
@@ -585,6 +604,29 @@ def test_build_at_the_floor_expands_once(monkeypatch, jacobian_calls):
     assert jacobian_calls[0] == 0
     assert expansions[0] == 1
     assert resid / factor._l1(g) <= 1e-15
+
+
+def _coefficient_round_trip(f, g):
+    # reference: the round trip summed over coeff(k), frequency by frequency
+    back = trig_from_modulus_squared(f)
+    diff = np.abs([back.coeff(k) - g.coeff(k)
+                   for k in range(max(back.n, g.n) + 1)])
+    return float(diff[0] + 2.0 * diff[1:].sum())
+
+
+def test_round_trip_matches_the_coefficient_sum_bit_for_bit():
+    # g's own factor, where the difference cancels to rounding, and random
+    # F of degree below, at and above g's band
+    rng = np.random.default_rng(9001)
+    for n in range(1, 13):
+        g = random_boundary_modulus(n, 0, n // 2, n - n // 2, rng)
+        fs = [fejer_riesz(g)] + [
+            Poly(tuple(rng.standard_normal(deg + 1)
+                       + 1j * rng.standard_normal(deg + 1)))
+            for deg in (n - 1, n, n + 1)]
+        for f in fs:
+            got = factor._round_trip(f, g)
+            assert got.hex() == _coefficient_round_trip(f, g).hex()
 
 
 def test_spectral_factor_carries_the_round_trip_it_was_accepted_by():
@@ -702,8 +744,9 @@ def test_expander_grid_is_one_read_only_table_per_size():
         assert zeta is factor._unit_grid(size)
         assert not zeta.flags.writeable
         assert zeta.tobytes() == want.tobytes()
+    # k = 0 is the empty product, which _zero_poly returns without an FFT
     rng = np.random.default_rng(25)
-    for k in range(1, 12):
+    for k in range(12):
         zeros = rng.uniform(0.2, 2.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
         size = 1 << (2 * k + 1).bit_length()
         zeta = np.exp(2j * np.pi * np.arange(size) / size)

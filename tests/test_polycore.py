@@ -15,13 +15,15 @@ from numpy.polynomial import polynomial as npp
 
 import hkl
 from hkl import polycore
-from hkl.errors import (BandExceeded, InternalInvariantError, NotNonnegative,
-                        NullInput, RootOverflow)
+from hkl.errors import (BandExceeded, InternalInvariantError,
+                        NonConvergence, NotNonnegative, NullInput,
+                        RootOverflow)
 from hkl.factor import _zero_poly, inner_outer
 from hkl.gen import random_boundary_modulus
 from hkl.polycore import (CLUSTER_CAP, EPS_CIRCLE, MERGE_BACKWARD_TOL,
                           TOL_ROOT, Poly, Region, Root, TrigPoly, _aberth,
-                          _cluster_points, _horner, _polish, _residual_ok,
+                          _cluster_points, _derivative, _horner, _polish,
+                          _residual_ok,
                           _single_linkage_tree, _snap_self_inversive,
                           circle_minima, lift, nonneg_check, nonneg_tol,
                           poly_mul, refine_circle_angle,
@@ -337,6 +339,46 @@ def test_single_linkage_tree_matches_pairwise_merging():
             assert dist[np.ix_(mem, mem)].max() >= node["distance"]
 
 
+def _triu_linkage_tree(dist):
+    # reference: the Kruskal tree as built with the pairs of
+    # np.triu_indices(npts, 1)
+    npts = len(dist)
+    clusters = [{"members": [i], "children": None, "distance": 0.0}
+                for i in range(npts)]
+    parent, node_of = list(range(npts)), list(range(npts))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    iu, ju = np.triu_indices(npts, 1)
+    pair_dist = dist[iu, ju]
+    for e in np.argsort(pair_dist, kind="stable"):
+        ra, rb = find(int(iu[e])), find(int(ju[e]))
+        if ra == rb:
+            continue
+        ca, cb = sorted((node_of[ra], node_of[rb]))
+        clusters.append({
+            "members": clusters[ca]["members"] + clusters[cb]["members"],
+            "children": (ca, cb), "distance": float(pair_dist[e])})
+        parent[rb] = ra
+        node_of[ra] = len(clusters) - 1
+    return clusters
+
+
+def test_single_linkage_tree_visits_pairs_in_triu_order():
+    # ties are visited in pair order, which shapes the tree: small integer
+    # distances tie often, so an order other than np.triu_indices(n, 1)'s
+    # shows as another tree
+    rng = np.random.default_rng(33)
+    for npts in range(2, 41):
+        dist = rng.integers(1, 4, (npts, npts)).astype(float)
+        dist = np.minimum(dist, dist.T)
+        np.fill_diagonal(dist, 0.0)
+        assert _single_linkage_tree(dist) == _triu_linkage_tree(dist)
+
+
 def _three_polyval_aberth(c, tol, max_iter):
     # reference: the iteration from points on one circle, with p, p' and
     # the backward-error scale each evaluated by its own npp.polyval call
@@ -538,6 +580,58 @@ def test_lift_polishes_each_reflected_pair_once(monkeypatch, solve_counter):
         assert calls[0] == degree
 
 
+def test_lift_judges_each_root_once(monkeypatch, solve_counter):
+    # work guard in counts: a lift with lone reflected pairs and one merged
+    # double circle root tests each returned root against the residual
+    # bound once: the inside roots where placed, their mirrors as they are
+    # accepted and the merged root by the test that accepted it
+    calls = [0]
+    residual_ok = polycore._residual_ok
+
+    def counted(*args):
+        calls[0] += 1
+        return residual_ok(*args)
+
+    monkeypatch.setattr(polycore, "_residual_ok", counted)
+    rng = np.random.default_rng(6586)
+    for degree in (4, 7, 10):
+        f = random_outer_poly(rng, degree, circle=1)
+        calls[0] = 0
+        rs = roots(lift(trig_from_modulus_squared(f)))
+        assert [r.multiplicity for r in rs.on_circle] == [2]
+        assert len(rs.inside) == len(rs.outside) == degree - 1
+        assert calls[0] == len(rs) == 2 * degree - 1
+
+
+def _off_points(zeros):
+    # points 1e-3 off each zero, in the given order, for a stubbed _aberth
+    pts = np.array([z * (1.0 + 1e-3) for z in zeros])
+    return lambda c, tol, max_iter: pts
+
+
+def test_roots_judge_rejected_mirrors_and_lone_roots(monkeypatch,
+                                                     solve_counter):
+    # points 1e-3 off the roots, left there by a polish that returns its
+    # center: every root misses the residual bound.  On a lift each mirror
+    # is rejected and its root falls back to its own polish, which is
+    # judged: the first root judged is then an outside one
+    monkeypatch.setattr(polycore, "_polish", lambda center, *rest: center)
+    outside = [1.5, -1.3j, 1.2 + 0.9j]
+    g = trig_from_modulus_squared(Poly(tuple(np.poly(outside)[::-1])))
+    monkeypatch.setattr(polycore, "_aberth", _off_points(
+        outside + [1.0 / np.conj(z) for z in outside]))
+    with pytest.raises(NonConvergence) as err:
+        roots(lift(g))
+    named = complex(str(err.value).split()[1])
+    assert named == complex(1.5 * (1.0 + 1e-3))
+    # cubics with no reflection symmetry: lone roots are judged, and so are
+    # crowded points that the cut leaves one by one, the merges rejected
+    for zeros in ([1.5, -0.5j, 0.3 + 0.2j], [1.5, 1.504, 1.508]):
+        monkeypatch.setattr(polycore, "_aberth", _off_points(zeros))
+        with pytest.raises(NonConvergence):
+            roots(Poly(tuple(np.poly(zeros)[::-1])))
+
+
 _ROOTSET_DIGEST = """
 import hashlib, json, sys
 from hkl.polycore import _roots_cached
@@ -599,6 +693,25 @@ def test_horner_bit_identical_to_polyval():
             assert _bits(_horner(c.tolist(), x)) == _bits(npp.polyval(x, c))
             assert (_bits(_horner(ac.tolist(), abs(z)))
                     == _bits(npp.polyval(abs(z), ac)))
+
+
+def test_derivative_lists_match_polyder_bit_for_bit():
+    # polyder scales by scl = 1 before each order: exact on finite values,
+    # but (inf, y) becomes (inf, nan); the special values reach that, and
+    # orders at least len(q) give polyder's q[0] * 0
+    rng = np.random.default_rng(21)
+    special = np.array([0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 5e-324, np.inf])
+    for degree in range(1, 33):
+        normal = (rng.standard_normal(degree + 1)
+                  + 1j * rng.standard_normal(degree + 1))
+        odd = [complex(x, y) for x, y in zip(rng.choice(special, degree + 1),
+                                             rng.choice(special, degree + 1))]
+        for c in (normal.tolist(), odd):
+            for m in range(1, 6):
+                with np.errstate(all="ignore"):
+                    want = npp.polyder(np.array(c), m).tolist()
+                assert [_bits(v) for v in _derivative(c, m)] == \
+                    [_bits(v) for v in want]
 
 
 def _polyval_polish(center, q, qd, step_cap):
