@@ -23,6 +23,11 @@ the round trip that the library accepted its factor by.  The ``factor``
 and ``solutions`` residuals are the CLI's own checks on the ``--grid``
 points, relative to the input's size s = max(1, max |c_k|).
 
+``domination``'s flag is a quadrature heuristic: it compares midpoint sums
+of |f| / sqrt(g) (``numeric.domination_integral``) and can read a
+log-divergent integral as CONVERGENT.  ``rigidity``'s multiplicity rule
+(``geometry.rigidity_check``) decides domination exactly.
+
 The argument parser is built once per process, on the first ``main``
 call, and reused: parsing never changes it, and each call gets a fresh
 namespace, so callers that run ``main`` many times in one process (tests,
@@ -470,7 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("g")
     common(sp, grid=False)
 
-    sp = sub.add_parser("domination")
+    about = ("midpoint sums of |f| / sqrt(g); the flag is a quadrature "
+             "heuristic, and `hkl rigidity`'s multiplicity rule decides "
+             "domination exactly")
+    sp = sub.add_parser("domination", help=about, description=about)
     sp.add_argument("kernel")
     sp.add_argument("trig")
     common(sp)

@@ -88,16 +88,22 @@ class BlaschkeProduct:
         return self.m0 == 0 and not self.zeros
 
     def numerator(self) -> Poly:
-        return Poly(tuple(self.lam * self._zero_part())).shifted(self.m0)
+        return Poly(tuple(self.fraction()[0]))
 
     def denominator(self) -> Poly:
         """prod (1 - conj(a) z)**mult: the conjugated reverse of the
         numerator's zero part."""
-        return Poly(tuple(np.conj(self._zero_part()[::-1])))
+        return Poly(tuple(self.fraction()[1]))
 
-    def _zero_part(self) -> np.ndarray:
-        return _zero_poly([a for a, _ in self.zeros],
+    def fraction(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients of numerator and denominator, from one
+        expansion P = prod (z - a)**mult (``_zero_poly``): lambda z**m0 P,
+        and the conjugated reverse of P zero-padded to the same length."""
+        part = _zero_poly([a for a, _ in self.zeros],
                           [m for _, m in self.zeros])
+        num = np.concatenate([np.zeros(self.m0, dtype=complex),
+                              self.lam * part])
+        return num, np.pad(np.conj(part[::-1]), (0, self.m0))
 
     def __call__(self, zeta):
         return blaschke_eval(self, zeta)
@@ -268,7 +274,7 @@ def _spectral_build(a) -> SpectralFactor:
     outside = () if a.minima is not None else a.lift_roots.outside
     cofactor = _zero_poly([r.location for r in outside],
                           [r.multiplicity for r in outside])
-    f, resid = _factor_from_zeros(g, cofactor, a.circle_zeros)
+    f, resid = _factor_from_zeros(g, cofactor, a.circle_factor)
     if a.scale > 1.0:
         # near the top of the double range the polish's residual norms
         # overflow, so F is built for unit; times sqrt(s) it is g's F
@@ -288,6 +294,22 @@ def _round_trip(f: Poly, g: TrigPoly) -> float:
     return float(diff[0] + 2.0 * diff[1:].sum())
 
 
+def _circle_factor(zeros: tuple | None) -> tuple | None:
+    """(angles, halves, part) of circle zeros (t, m), m even: the angles t,
+    the half multiplicities m/2 and part = prod (z - exp(i t))**(m/2) by
+    ``_zero_poly``, all read-only; None for None (an odd circle zero is
+    left).  The builder takes them in this form, so g's analysis record
+    expands g's circle part once for its F and both split halves."""
+    if zeros is None:
+        return None
+    angles = np.array([t for t, _ in zeros])
+    halves = np.array([m // 2 for _, m in zeros], dtype=int)
+    part = _zero_poly(np.exp(1j * angles), halves)
+    for table in (angles, halves, part):
+        table.flags.writeable = False
+    return angles, halves, part
+
+
 def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
                        circle: tuple | None) -> tuple[Poly, float]:
     """The spectral factor of g with the given zeros, and its round trip.
@@ -295,12 +317,13 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     The one builder and acceptance rule of every spectral factor, for
     ``fejer_riesz`` and for the halves of ``geometry.split_nonextreme``.
     F starts as cofactor(z) * prod (z - exp(i t))**(m/2) over the circle
-    zeros (t, m) of ``circle`` (as ``_analysis`` reads them), scaled to
-    the mean of g, is polished on g's coefficients (``_polish``, down to
-    the floor eps * (|g_0| + 2 sum |g_k|)) and is returned with F(0) real
-    positive: rotated, then set to its modulus.  The circle part is
-    expanded once (``_zero_poly``) and handed to the polish, so a start at
-    the floor costs one expansion and no Jacobian.
+    zeros (t, m) that ``circle`` holds in ``_circle_factor``'s form (as
+    ``_analysis`` reads and expands them), scaled to the mean of g, is
+    polished on g's coefficients (``_polish``, down to the floor
+    eps * (|g_0| + 2 sum |g_k|)) and is returned with F(0) real positive:
+    rotated, then set to its modulus.  The circle part comes expanded and
+    is handed to the polish, so a start at the floor expands nothing and
+    builds no Jacobian.
 
     A nonconstant self-inversive cofactor (``self_inversive_phase``; the
     split halves' lam N +/- D) makes F self-inversive: F* = mu F, F* the
@@ -316,13 +339,11 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     """
     if circle is None:
         raise PairingFailure("an odd circle zero is left unmerged")
-    angles = np.array([t for t, _ in circle])
-    halves = np.array([m // 2 for _, m in circle], dtype=int)
+    angles, halves, circle_part = circle
     degree = len(cofactor) - 1 + int(halves.sum())
     if degree > g.n:
         raise PairingFailure(
             f"the factor's degree {degree} exceeds the band {g.n} of g")
-    circle_part = _zero_poly(np.exp(1j * angles), halves)
     start = np.convolve(cofactor, circle_part)
     scale = math.sqrt(g.mean / float(np.vdot(start, start).real))
     l1 = _l1(g)
@@ -524,10 +545,20 @@ def _inner_multiples(f: Poly, inner: BlaschkeProduct,
     Raises NotDivisible when a row's tail above deg f + k0, which only a
     product that is not a polynomial has, exceeds TOL_DIVIDE times f's
     largest coefficient.
+
+    An inner factor without zeros, z**m0 alone, takes no FFT: every row is
+    f shifted, the coefficients the FFT path writes over its rows.  With no
+    b_i every product is a polynomial, so the tail check, which only the
+    FFT's rounding could reach, cannot raise there.
     """
     c = f.as_array()
     combos = np.asarray(combos, dtype=int)
     low, top = combos[:, :1], len(c) - 1 + combos[:, :1]
+    if not inner.zeros:
+        out = np.zeros((len(combos), int(top.max()) + 1), dtype=complex)
+        for row, k0 in zip(out, low[:, 0].tolist()):
+            row[k0:k0 + len(c)] = c
+        return out
     size = 1 << (2 * int(top.max()) + 2).bit_length()
     zeta = _unit_grid(size)
     rows = np.fft.ifft(c, size, norm="forward") * zeta ** low

@@ -53,11 +53,11 @@ from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                      NotDivisible, NotInV, NotOnBoundary, NotUnitNorm,
                      NullInput, SelfCheckFailed)
 from .factor import (BlaschkeProduct, _divisor_exponents, _factor_from_zeros,
-                     _factorization, _inner_multiples, fejer_riesz)
+                     _inner_multiples, fejer_riesz)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
 from .polycore import (Poly, TrigPoly, _analysis, _count_minima,
-                       circle_minima, lift, nonneg_tol, require_nonnegative,
+                       circle_minima, nonneg_tol, require_nonnegative,
                        roots, trig_add, trig_mul, trig_scale,
                        trig_from_modulus_squared, unlift)
 
@@ -97,7 +97,9 @@ def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     (``circle_count``), so a g with every zero on the circle is decided
     with no root solve, and otherwise the lift's disk roots.  The outer
     part is the lift with that inner factor divided out, as
-    ``inner_outer`` builds it.
+    ``inner_outer`` builds it.  Both are built once per order n in g's
+    record (``factorization``), so the extreme test that
+    ``split_nonextreme`` repeats reads them.
 
     A negative g raises NotNonnegative with a point where g < -tol; any
     other g outside V (null, band above n, mean above 1) raises NotInV.
@@ -106,7 +108,7 @@ def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     mem = membership_V(g, n)
     if mem.status is Membership.NOT_IN_V:
         raise NotInV(mem.reason)
-    fac = _factorization(lift(g, n), _analysis(g).inner(n))
+    fac = _analysis(g).factorization(n)
     norm_ok = abs(g.mean - 1.0) <= NORM_TOL
     return ExtremeCertificate(
         verdict=norm_ok and fac.inner.is_trivial,
@@ -205,11 +207,10 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
     g2 = trig_scale(g2, 1.0 / norm2)
 
     # each half's factor is prod (z - w)**(m/2) (lam N +/- D) over g's
-    # circle zeros (w, m), with D zero-padded to the length of N
-    circle = _analysis(g).circle_zeros
-    num = inner.numerator().as_array()
-    den = inner.denominator().as_array()
-    den = np.pad(den, (0, len(num) - len(den)))
+    # circle zeros (w, m), expanded once in g's record, with D zero-padded
+    # to the length of N
+    circle = _analysis(g).circle_factor
+    num, den = inner.fraction()
     f1, resid1 = _split_half(g1, n, circle, lam * num + den)
     f2, resid2 = _split_half(g2, n, circle, lam * num - den)
 
@@ -236,9 +237,9 @@ def split_nonextreme(g: TrigPoly, n: int) -> SplitCertificate:
 def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
                 p: np.ndarray) -> tuple[Poly, float]:
     """Factor and round trip of the split half gj: the factor
-    prod (z - w)**(m/2) p over g's circle zeros ``circle`` (None when an
-    odd circle root was left), built and certified extreme as in
-    ``split_nonextreme``."""
+    prod (z - w)**(m/2) p over g's circle zeros ``circle`` (g's expanded
+    ``circle_factor``, None when an odd circle root was left), built and
+    certified extreme as in ``split_nonextreme``."""
     f, resid = _factor_from_zeros(gj, p, circle)
     if (resid > nonneg_tol(gj)
             and (gj.effective_band != n or _circle_count(gj) is None)):
@@ -310,19 +311,21 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
         raise SelfCheckFailed(
             f"the spectral factor times an inner divisor of its lift: {exc}"
         ) from exc
-    return [KernelElement(n, _normalize_lowest(Poly(tuple(row.tolist()))))
-            for row in rows]
+    return [KernelElement(n, _normalize_lowest(row.tolist())) for row in rows]
 
 
-def _normalize_lowest(f: Poly) -> Poly:
-    """f rotated so its lowest nonzero coefficient c is real positive; c is
-    then set to its modulus, which the rotation leaves only up to rounding."""
-    for k, c in enumerate(f.coeffs):
+def _normalize_lowest(coeffs: list) -> Poly:
+    """The polynomial of ``coeffs`` (Python complex) rotated so its lowest
+    nonzero coefficient c is real positive, c then set to its modulus,
+    which the rotation leaves only up to rounding: one Poly, with the
+    phase and products in Python complex, as ``Poly.scaled`` takes them."""
+    for k, c in enumerate(coeffs):
         if c != 0:
-            rotated = f.scaled(c.conjugate() / abs(c)).coeffs
-            return Poly(rotated[:k] + (complex(abs(rotated[k])),)
-                        + rotated[k + 1:])
-    return f
+            phase = c.conjugate() / abs(c)
+            rotated = [phase * a for a in coeffs]
+            rotated[k] = complex(abs(rotated[k]))
+            return Poly(tuple(rotated))
+    return Poly(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

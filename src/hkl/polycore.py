@@ -1181,11 +1181,16 @@ class _Analysis:
     unit = g / s, s = max(1, max |g_k|), the g that ``nonneg_check`` and
     ``circle_count`` check and ``factor.fejer_riesz`` factors, and solves
     lift(unit) at most once, only for a g the count declines.  No grid of
-    values is kept."""
+    values is kept.  A result at a model order n (``inner``,
+    ``factorization``) is built once per n, and kept only when the build
+    returns: an error is raised again on every call."""
 
     def __init__(self, g: TrigPoly):
+        self.g = g
         self.scale = max(1.0, max(map(abs, g.coeffs)))
         self.unit = g if self.scale == 1.0 else trig_scale(g, 1.0 / self.scale)
+        self._inners: dict = {}
+        self._factorizations: dict = {}
 
     @functools.cached_property
     def _scan(self) -> tuple[float, float, np.ndarray | None]:
@@ -1247,16 +1252,46 @@ class _Analysis:
                       r.multiplicity) for r in on_circle)
 
     @functools.cached_property
+    def circle_factor(self):
+        """g's circle zeros as ``factor._factor_from_zeros`` takes them
+        (``factor._circle_factor``: angles, half multiplicities and
+        prod (z - exp(i t))**(m/2), read-only), expanded once for g's F and
+        both halves of its split; None with ``circle_zeros``."""
+        from .factor import _circle_factor   # factor imports this module
+        return _circle_factor(self.circle_zeros)
+
+    @functools.cached_property
     def spectral(self):
         """``factor.spectral_factor(g)`` for a nonnegative g."""
-        from .factor import _spectral_build   # factor imports this module
+        from .factor import _spectral_build
         return _spectral_build(self)
 
     def inner(self, n: int):
-        """The inner factor of lift(g, n) with lambda = 1: z**(n - eb) when
-        the count decides, else the lift's disk roots times z**(n - g.n),
-        the power of z by which lift(g, n) and lift(g) differ.  Raises
-        BandExceeded for eb > n, as lift(g, n) does."""
+        """The inner factor of lift(g, n) with lambda = 1 (``_build_inner``),
+        built once per n."""
+        return self._once(self._inners, self._build_inner, n)
+
+    def factorization(self, n: int):
+        """``factor._factorization`` of lift(g, n), g as given, with
+        ``inner(n)``: the outer part and phase of ``geometry.is_extreme``,
+        built once per n."""
+        return self._once(self._factorizations, self._build_factorization, n)
+
+    @staticmethod
+    def _once(memo: dict, build, n: int):
+        found = memo.get(n)
+        if found is None:    # no build returns None
+            found = memo[n] = build(n)
+        return found
+
+    def _build_factorization(self, n: int):
+        from .factor import _factorization
+        return _factorization(lift(self.g, n), self.inner(n))
+
+    def _build_inner(self, n: int):
+        """z**(n - eb) when the count decides, else the lift's disk roots
+        times z**(n - g.n), the power of z by which lift(g, n) and lift(g)
+        differ.  Raises BandExceeded for eb > n, as lift(g, n) does."""
         from .factor import BlaschkeProduct, _inner_part
         band = self.unit.effective_band
         if band > n:

@@ -164,6 +164,25 @@ def jittered_extreme_point(n, seed):
     """
     rng = np.random.default_rng(seed)
     w = np.exp(2j * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n)
+    return _unit_element_from_zeros(w)
+
+
+def jittered_inside_zero_point(n, seed):
+    """(f, g) as ``jittered_extreme_point`` gives them, but f has n - 1
+    jittered circle zeros and one zero a inside the disk, |a| = 0.5 at a
+    random angle: g is a boundary point that is not extreme, and the inner
+    factor of its lift at order n is the Blaschke factor at a."""
+    rng = np.random.default_rng(seed)
+    k = n - 1
+    w = np.exp(2j * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k)
+    a = 0.5 * np.exp(2j * np.pi * rng.uniform())
+    return _unit_element_from_zeros(np.append(w, a))
+
+
+def _unit_element_from_zeros(w):
+    """(f, g): f = prod (z - w_j) from one FFT of its values, with unit norm
+    and f(0) > 0, and g = |f|^2 scaled to mean 1."""
+    n = len(w)
     size = 1 << (2 * n + 1).bit_length()
     zeta = np.exp(2j * np.pi * np.arange(size) / size)
     c = np.fft.fft(np.prod(zeta[:, None] - w[None, :], axis=1))[:n + 1] / size
@@ -243,16 +262,24 @@ def random_unit_element(n, census, seed):
 
 
 @pytest.fixture
-def solve_counter(monkeypatch):
+def cold_analysis():
+    """Empties the memo of analysis records (``polycore._analysis``), so
+    every g the test reads has its record, and each result in it, built
+    afresh: a count of a record's work then counts builds, whatever
+    earlier tests left in the memo."""
+    polycore._analysis.cache_clear()
+
+
+@pytest.fixture
+def solve_counter(monkeypatch, cold_analysis):
     """Root solves during the test, counted by degree.
 
     ``polycore._roots_cached`` is replaced by an empty cache of the same
     size around the same solver, so each cache miss is one solve; the
     Counter maps the degree of the deflated polynomial to its solves.  The
-    memo of the analysis records above it is emptied too, so a g checked by
+    records above it start cold too (``cold_analysis``), so a g checked by
     an earlier test is solved again here.
     """
-    polycore._analysis.cache_clear()
     counts = collections.Counter()
     cached = polycore._roots_cached
     solve = cached.__wrapped__

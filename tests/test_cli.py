@@ -461,6 +461,15 @@ def test_parser_is_built_once_and_reused(files, capsys):
     assert code == 0 and out.encode() == fresh
 
 
+def _memo_inputs():
+    """(g, w, x): an order-3 modulus with a double circle zero, the boundary
+    samples w of a strictly positive modulus, and an order-3 element x."""
+    rng = np.random.default_rng(5)
+    g = random_boundary_modulus(3, 1, 1, 1, rng)
+    w = np.sqrt(random_boundary_modulus(3, 0, 0, 3, rng).grid_values(64))
+    return g, w, random_kernel_element(3, 1, 1, 1, rng)
+
+
 @pytest.mark.parametrize("argv", [["spectral"], ["solutions", "--n", "3"],
                                   ["outer-grid"], ["domination"]])
 def test_memoized_analysis_repeats_fresh_output(files, capsys, argv):
@@ -470,13 +479,9 @@ def test_memoized_analysis_repeats_fresh_output(files, capsys, argv):
     # (x against g) keep no memo but print bits of the numeric layer's FFTs
     # and midpoint sums
     write, _ = files
-    rng = np.random.default_rng(5)
-    g = random_boundary_modulus(3, 1, 1, 1, rng)
-    w = np.sqrt(random_boundary_modulus(3, 0, 0, 3, rng).grid_values(64))
+    g, w, x = _memo_inputs()
     inputs = {"outer-grid": [write("w.json", Grid(w))],
-              "domination": [write("x.json",
-                                   random_kernel_element(3, 1, 1, 1, rng)),
-                             write("g.json", g)]}
+              "domination": [write("x.json", x), write("g.json", g)]}
     argv = argv[:1] + inputs.get(argv[0], [write("g.json", g)]) + argv[1:]
     env = dict(os.environ,
                PYTHONPATH=str(Path(hkl.__file__).resolve().parents[1]))
@@ -485,6 +490,35 @@ def test_memoized_analysis_repeats_fresh_output(files, capsys, argv):
     for _ in range(2):
         code, out, err = run(capsys, argv)
         assert code == 0 and err == "" and out.encode() == fresh
+
+
+def test_domination_pair_of_the_memo_test_is_log_divergent(files, capsys):
+    # the exact multiplicity rule: g has a double zero on the circle where
+    # f does not vanish, so |f| / sqrt(g) ~ 1 / |theta - t| there and the
+    # integral diverges; the midpoint sums are the ones the flag reads
+    write, _ = files
+    g, _, x = _memo_inputs()
+    zeros = polycore._analysis(g).circle_zeros
+    assert [m for _, m in zeros] == [2]
+    assert abs(x.f(np.exp(1j * zeros[0][0]))) > 1.0
+    code, out, _ = run(capsys, ["domination", write("x.json", x),
+                                write("g.json", g)])
+    assert code == 0
+    assert [round(e, 2) for e in json.loads(out)["estimates"]] == \
+        [7.79, 3.91, 5.30, 9.08]
+
+
+@pytest.mark.xfail(strict=True, reason="the flag compares the coarsest and "
+                   "the finest midpoint sum only, and a coarse midpoint near "
+                   "g's zero inflates the coarsest: this log-divergent pair "
+                   "reads CONVERGENT")
+def test_domination_flags_a_log_divergent_pair(files, capsys):
+    write, _ = files
+    g, _, x = _memo_inputs()
+    code, out, _ = run(capsys, ["domination", write("x.json", x),
+                                write("g.json", g)])
+    assert code == 0
+    assert json.loads(out)["flag"] == "DIVERGENT"
 
 
 @pytest.mark.parametrize("grid", ["0", "3", "100", "-4", "x", str(2**40)])

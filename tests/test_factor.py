@@ -560,12 +560,12 @@ def test_jacobian_layout_is_one_read_only_table_per_shape():
 
 
 def test_census_pass_builds_fewer_jacobians_than_polishes(monkeypatch,
-                                                          jacobian_calls):
+                                                          jacobian_calls,
+                                                          cold_analysis):
     # work guard in counts, not seconds: most root-built factors start at
     # g's rounding floor and take no step, so a pass builds fewer Jacobians
     # than it polishes.  A polish that stops only on a rejected step builds
     # at least one Jacobian per call
-    polycore._analysis.cache_clear()
     polishes = [0]
     polish = factor._polish
 
@@ -585,8 +585,8 @@ def test_census_pass_builds_fewer_jacobians_than_polishes(monkeypatch,
 
 def test_build_at_the_floor_expands_once(monkeypatch, jacobian_calls):
     # work guard in counts: a factor whose start is already at g's rounding
-    # floor takes no step, so its circle part is expanded once and the
-    # product of linear factors is never expanded again
+    # floor takes no step, so its circle part is expanded once, before the
+    # build (``_circle_factor``), and the builder expands nothing again
     cofactor = np.array([-1.5 * np.exp(0.3j), 1.0])
     circle = ((0.7, 2), (2.5, 4))
     f = np.convolve(cofactor, np.convolve(
@@ -600,7 +600,8 @@ def test_build_at_the_floor_expands_once(monkeypatch, jacobian_calls):
         expansions[0] += 1
         return expand(*args)
     monkeypatch.setattr(factor, "_zero_poly", counted)
-    built, resid = factor._factor_from_zeros(g, cofactor, circle)
+    built, resid = factor._factor_from_zeros(g, cofactor,
+                                             factor._circle_factor(circle))
     assert jacobian_calls[0] == 0
     assert expansions[0] == 1
     assert resid / factor._l1(g) <= 1e-15
@@ -643,10 +644,9 @@ def test_spectral_factor_carries_the_round_trip_it_was_accepted_by():
     assert _max_err(big.factor, rec.factor.scaled(2.0)) <= 1e-14
 
 
-def test_fejer_memoizes_one_entry_per_g(monkeypatch):
+def test_fejer_memoizes_one_entry_per_g(monkeypatch, cold_analysis):
     # max |g_k| = 4 > 1: the memo holds one record for g, which analyses
     # g / 4, and a repeated call reads the factor built in it
-    polycore._analysis.cache_clear()
     builds = []
     build = factor._factor_from_zeros
     monkeypatch.setattr(factor, "_factor_from_zeros",
@@ -699,6 +699,11 @@ def test_blaschke_numerator_and_denominator():
         <= 1e-14
     assert np.allclose(den.as_array(), np.conj(num.as_array()[2:][::-1] / 1j),
                        rtol=0, atol=1e-15)
+    # both from one expansion, D zero-padded to N's length
+    top, bottom = b.fraction()
+    assert len(top) == len(bottom) == 9
+    assert top.tobytes() == num.as_array().tobytes()
+    assert bottom.tobytes() == np.pad(den.as_array(), (0, 2)).tobytes()
 
 
 def test_blaschke_rejects_outside_zero():
@@ -790,6 +795,47 @@ def test_blaschke_mul_swaps_root():
 def test_blaschke_mul_trivial():
     f = Poly((1, 2j, 3))
     assert blaschke_mul_poly(f, BlaschkeProduct()).coeffs == f.coeffs
+
+
+def _fft_rows(f, combos):
+    """Reference: the rows the FFT path of ``_inner_multiples`` gives for an
+    inner factor without zeros, whose rows it then writes f over."""
+    c = f.as_array()
+    combos = np.asarray(combos, dtype=int)
+    low, top = combos[:, :1], len(c) - 1 + combos[:, :1]
+    size = 1 << (2 * int(top.max()) + 2).bit_length()
+    zeta = factor._unit_grid(size)
+    rows = np.fft.ifft(c, size, norm="forward") * zeta ** low
+    out = np.fft.fft(rows, axis=1, norm="forward")
+    k = np.arange(size)
+    out[(k < low) | (k > top)] = 0
+    for i in range(len(combos)):
+        out[i, low[i, 0]:top[i, 0] + 1] = c
+    return out[:, :int(top.max()) + 1]
+
+
+def test_inner_multiples_of_a_power_of_z_take_no_fft(monkeypatch):
+    # z**m0 alone: each row is f shifted, bit for bit the FFT path's rows
+    # (dtype, width and exact zeros included), with no FFT taken
+    rng = np.random.default_rng(34)
+    cases = []
+    for deg in range(1, 17):
+        f = Poly(tuple(rng.standard_normal(deg + 1)
+                       + 1j * rng.standard_normal(deg + 1)))
+        for m0 in range(5):
+            inner = BlaschkeProduct(m0)
+            for combos in (factor._divisor_exponents(inner), [[m0]]):
+                cases.append((f, inner, combos, _fft_rows(f, combos)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an FFT was taken")
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    for f, inner, combos, want in cases:
+        got = factor._inner_multiples(f, inner, combos)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_blaschke_mul_not_divisible():

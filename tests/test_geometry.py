@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -327,6 +328,79 @@ def test_pipeline_analyses_each_g_once(solve_counter, census):
     assert polycore._analysis.cache_info().misses == 1
 
 
+def test_pipeline_builds_each_order_result_once(monkeypatch, cold_analysis):
+    # census (1, 2, 1): inside and circle zeros.  From a cold record, the
+    # extreme test, the split (whose own extreme test is a lookup) and the
+    # list build the order-n factorization once and expand g's circle part
+    # prod (z - w)**(m/2) once, for F and both halves
+    n = 4
+    g = random_boundary_modulus(n, 1, 2, 1, np.random.default_rng(17))
+    built, expanded = [], []
+    factorization, expand = factor._factorization, factor._zero_poly
+    monkeypatch.setattr(factor, "_factorization",
+                        lambda p, inner: built.append(p)
+                        or factorization(p, inner))
+    monkeypatch.setattr(factor, "_zero_poly",
+                        lambda zeros, mults: expanded.append((zeros, mults))
+                        or expand(zeros, mults))
+    assert not is_extreme(g, n).verdict
+    split_nonextreme(g, n)
+    assert len(enumerate_solutions(g, n)) == 4
+    assert built == [lift(g, n)]
+    zeros = polycore._analysis(g).circle_zeros
+    assert [m for _, m in zeros] == [2, 2]
+    points = np.exp(1j * np.array([t for t, _ in zeros]))
+    assert sum(np.array_equal(np.asarray(z), points)
+               and np.array_equal(np.asarray(m), [1, 1])
+               for z, m in expanded) == 1
+    # the shared expansion, its angles and halves are read-only
+    for table in polycore._analysis(g).circle_factor:
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+
+
+def _certificates(g, n):
+    return (repr(is_extreme(g, n)), repr(split_nonextreme(g, n)),
+            repr(enumerate_solutions(g, n)))
+
+
+def test_orders_of_one_record_answer_as_fresh_records(cold_analysis):
+    # one record serves two orders, interleaved; each order's certificates
+    # are bit for bit those a fresh record gives at that order alone
+    g = random_boundary_modulus(4, 1, 2, 1, np.random.default_rng(17))
+    n1, n2 = 4, 6
+    shared = [(_certificates(g, n1), _certificates(g, n2)) for _ in range(2)]
+    fresh = []
+    for n in (n1, n2):
+        polycore._analysis.cache_clear()
+        fresh.append(_certificates(g, n))
+    assert shared[0] == shared[1] == tuple(fresh)
+    assert len(fresh[1][2]) > len(fresh[0][2])    # z**2 more in the inner
+
+
+def test_order_errors_are_raised_on_every_call(cold_analysis):
+    # only a result that was built is kept: the same error on each call
+    high = TrigPoly(1, (1.2, 0.3))                 # mean above 1
+    negative = TrigPoly(1, (1.0, 0.6))             # 1 + 1.2 cos < 0
+    band = random_boundary_modulus(4, 1, 2, 1, np.random.default_rng(17))
+    x = KernelElement(3, Poly((0.5,)))
+    record = polycore._analysis(band)
+    for _ in range(3):
+        with pytest.raises(NotInV):
+            is_extreme(high, 1)
+        with pytest.raises(NotNonnegative):
+            is_extreme(negative, 1)
+        with pytest.raises(NotInV):
+            is_extreme(band, 3)                    # eb = 4 > n = 3
+        with pytest.raises(BandExceeded):
+            rigidity_check(band, 3, x)
+        with pytest.raises(BandExceeded):
+            record.inner(3)
+        with pytest.raises(BandExceeded):
+            record.factorization(3)
+    assert not is_extreme(band, 4).verdict         # a valid order still builds
+
+
 def test_pipeline_looks_up_a_declined_lift_once(monkeypatch, solve_counter):
     # a g with an inside zero, which the circle count declines, through the
     # census sequence: its lift's roots are looked up once, by the one
@@ -439,16 +513,18 @@ def test_decompose_solves_one_lift(solve_counter):
 
 
 @pytest.mark.parametrize("census", [(1, 2, 1), (0, 4, 0)])
-def test_decompose_analyses_the_lift_once(monkeypatch, census):
-    # the split's own extreme test decides rigidity: one reading of the
-    # lift's inner factor, rigid or not
-    calls = []
-    reader = polycore._Analysis.inner
-    monkeypatch.setattr(polycore._Analysis, "inner",
-                        lambda a, n: calls.append(a) or reader(a, n))
+def test_decompose_analyses_the_lift_once(monkeypatch, cold_analysis, census):
+    # the split's own extreme test decides rigidity: from a cold record, one
+    # build of the lift's inner factor and of the factorization, rigid or not
+    builds = collections.Counter()
+    for name in ("_build_inner", "_build_factorization"):
+        build = getattr(polycore._Analysis, name)
+        monkeypatch.setattr(polycore._Analysis, name,
+                            lambda a, n, name=name, build=build:
+                            builds.update([name]) or build(a, n))
     dec = decompose_modulus(random_unit_element(4, census, 0))
     assert dec.rigid == (census == (0, 4, 0))
-    assert len(calls) == 1
+    assert builds == {"_build_inner": 1, "_build_factorization": 1}
 
 
 def test_enumerate_and_rigidity_build_no_outer_part(monkeypatch,
@@ -459,13 +535,37 @@ def test_enumerate_and_rigidity_build_no_outer_part(monkeypatch,
         raise AssertionError("outer part built")
     monkeypatch.setattr(factor, "inner_outer", refuse)
     monkeypatch.setattr(factor, "_factorization", refuse)
-    monkeypatch.setattr(geometry, "_factorization", refuse)
     for g, n, _ in small_census_suite[:30]:
         enumerate_solutions(g, n)
         try:
             rigidity_check(g, n, KernelElement(n, fejer_riesz(g)))
         except InnerFactorPresent:
             pass
+
+
+def _three_construction_row(row):
+    # reference: a listed element as built by Poly, Poly.scaled and a
+    # third Poly with the lowest coefficient set to its modulus
+    f = Poly(tuple(row.tolist()))
+    for k, c in enumerate(f.coeffs):
+        if c != 0:
+            rotated = f.scaled(c.conjugate() / abs(c)).coeffs
+            return Poly(rotated[:k] + (complex(abs(rotated[k])),)
+                        + rotated[k + 1:])
+    return f
+
+
+def test_listed_elements_match_the_three_construction_rows(small_census_suite):
+    # one Poly per row, bit for bit the elements the three constructions
+    # gave, including rows with exact zeros below k0 and above deg F + k0
+    for g, n, _ in small_census_suite:
+        inner = polycore._analysis(g).inner(n)
+        rows = factor._inner_multiples(fejer_riesz(g), inner,
+                                       factor._divisor_exponents(inner))
+        want = [_three_construction_row(row) for row in rows]
+        assert repr(enumerate_solutions(g, n)) == repr(
+            [KernelElement(n, f) for f in want])
+    assert _three_construction_row(np.zeros(3, dtype=complex)) == Poly()
 
 
 def _all_on_circle(small_census_suite):

@@ -5,23 +5,26 @@ library's own (never one that blames a valid input).
 The inputs are built without expanding roots one by one: jittered
 equispaced extreme points (every zero of f on the circle, so g is extreme),
 the same points of a lower order d below the model order (deficit points,
-never extreme) and strictly positive g = 1 + a small band-n term (never
-extreme).  Larger orders than these take seconds each and are left out of
-the suite.
+never extreme), the same points with one zero moved inside the disk
+(boundary points with an inside zero, never extreme) and strictly positive
+g = 1 + a small band-n term (never extreme).  Larger orders than these take
+seconds each and are left out of the suite.
 """
 
 import numpy as np
 import pytest
 
-from conftest import _flat_band_modulus, jittered_extreme_point
+from conftest import (_flat_band_modulus, jittered_extreme_point,
+                      jittered_inside_zero_point)
 
 from hkl import factor
 from hkl.errors import InternalInvariantError
 from hkl.factor import TOL_SPECTRAL, spectral_factor
-from hkl.geometry import enumerate_solutions, is_extreme
+from hkl.geometry import enumerate_solutions, is_extreme, split_nonextreme
 
 LADDER = (8, 16, 32, 64, 128)
 TOL_MODULUS = 1e-9     # | |f|^2 - g | on 4096 points, per listed solution
+TOL_SPLIT = 1e-10      # a split's midpoint residual and |norm - 1|
 
 
 def _family(name, n):
@@ -71,3 +74,36 @@ def test_deficit_points_list_every_solution(n, solve_counter):
     for x in sols:
         assert np.abs(np.abs(x.f(zeta)) ** 2 - gv).max() <= TOL_MODULUS
     assert not solve_counter
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_boundary_points_with_an_inside_zero_split_and_list_two(n):
+    # one zero a inside the disk: the lift's inner factor is the Blaschke
+    # factor at a, so g is not extreme, splits, and has two solutions, F
+    # and F times that factor.  The count declines, so the lift is solved
+    g = jittered_inside_zero_point(n, n)[1]
+    try:
+        cert = is_extreme(g, n)
+    except InternalInvariantError:
+        pass
+    else:
+        assert cert.norm_ok and not cert.verdict
+    try:
+        split = split_nonextreme(g, n)
+    except InternalInvariantError:
+        pass
+    else:
+        ch = split.checks
+        assert ch.extreme1 and ch.extreme2
+        assert ch.midpoint_residual <= TOL_SPLIT
+        assert max(abs(ch.norm1 - 1), abs(ch.norm2 - 1)) <= TOL_SPLIT
+    try:
+        sols = enumerate_solutions(g, n)
+    except InternalInvariantError:
+        pass
+    else:
+        assert len(sols) == 2
+        zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        gv = g.grid_values(4096)
+        for x in sols:
+            assert np.abs(np.abs(x.f(zeta)) ** 2 - gv).max() <= TOL_MODULUS

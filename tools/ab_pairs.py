@@ -1,0 +1,160 @@
+"""Alternating parent/change runs of the benchmark, and the gain rule.
+
+Run from anywhere inside the repository:
+
+    python3 tools/ab_pairs.py --parent HEAD~1 --workload census --pairs 10
+    python3 tools/ab_pairs.py --parent 06c8c1d --workload census \\
+        --pool-seed 6586 --seed-base 101
+
+The parent revision is exported with ``git archive`` into a temporary
+directory, and ``bench/run.py --trace 0`` runs from that tree and from the
+working tree (the repository this file sits in) in pairs.  Both runs of a
+pair take the same ``--workload``, ``--seed``, ``--seconds`` and
+``--pool-seed``; pair i uses seed ``--seed-base`` + i - 1, and the parent
+runs first on odd pairs, the change first on even ones.  Each run is
+printed as it ends.  The tool stops, with exit code 1, on the first run
+that is not ``correct``.
+
+The summary gives, for each end-to-end metric that ``BENCHMARK.json``
+declares, each side's median and quartiles, and the pairs the change won
+(strictly better in the metric's direction; a tie counts for neither).
+The gain rule holds for a metric when the change won at least nine tenths
+of the pairs and the change's median is better than the parent's by more
+than the distance between the parent's quartiles.
+
+Only the temporary directory is written to: each side's bytecode goes
+to its own empty cache there (PYTHONPYCACHEPREFIX), so both sides start
+as a fresh checkout does and neither tree gains or reads a __pycache__.
+That matters: a module compiled from source leaves the heap larger than
+one loaded from bytecode, and on ``cli`` that alone moved a pass's minor
+page faults from about 600 to 28000 or 46000.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WIN_SHARE = 0.9      # the share of pairs the change must win
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), quartiles by the inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
+    """The comparison of one metric over (parent, change) pairs.
+
+    ``better`` is "higher" or "lower".  Returns each side's quartiles,
+    the pairs won by the change, the parent's quartile spread, the median
+    gap in the better direction, and whether the gain rule holds.
+    """
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower', not {better!r}")
+    sign = 1.0 if better == "higher" else -1.0
+    parent = quartiles([p for p, _ in pairs])
+    change = quartiles([c for _, c in pairs])
+    wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    spread = parent[2] - parent[0]
+    gap = sign * (change[1] - parent[1])
+    return {"parent": parent, "change": change, "wins": wins,
+            "pairs": len(pairs), "spread": spread, "gap": gap,
+            "gain": wins >= WIN_SHARE * len(pairs) and gap > spread}
+
+
+def export(rev: str, dest: Path) -> None:
+    """The tree of revision ``rev`` of this repository, written to dest."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
+                           rev], check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def bench(tree: Path, pycache: Path, args, seed: int) -> dict:
+    """The final JSON line of one ``bench/run.py --trace 0`` run in tree,
+    with bytecode cached under pycache."""
+    cmd = [sys.executable, str(tree / "bench" / "run.py"),
+           "--workload", args.workload, "--seed", str(seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    if args.pool_seed is not None:
+        cmd += ["--pool-seed", str(args.pool_seed)]
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"bench/run.py in {tree} exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True,
+                    help="git revision to compare the working tree with")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed-base", type=int, default=1,
+                    help="seed of the first pair; pair i takes base + i - 1")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--pool-seed", type=int, default=None)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        trees = {"parent": Path(tmp, "parent"), "change": ROOT}
+        export(args.parent, trees["parent"])
+        for i in range(1, args.pairs + 1):
+            seed = args.seed_base + i - 1
+            order = ("parent", "change") if i % 2 else ("change", "parent")
+            for side in order:
+                res = bench(trees[side], Path(tmp, f"pycache-{side}"), args,
+                            seed)
+                values = {k: v["value"] for k, v in res["metrics"].items()}
+                runs[side].append(values)
+                shown = " ".join(f"{d['name']}={values[d['name']]:.6g}"
+                                 for d in declared if d["name"] in values)
+                print(f"pair {i} seed {seed} {side:<6} correct="
+                      f"{res['correct']} failed={res['failed']} {shown}",
+                      flush=True)
+                if not res["correct"]:
+                    print(f"error: the {side} run of pair {i} is not correct",
+                          file=sys.stderr)
+                    return 1
+
+    print(f"{args.workload}: {args.pairs} pairs, {args.seconds:g} s per run, "
+          f"parent {args.parent}")
+    for d in declared:
+        name = d["name"]
+        if name not in runs["parent"][0]:
+            continue
+        s = summarize([(p[name], c[name]) for p, c in
+                       zip(runs["parent"], runs["change"])], d["better"])
+        (pq1, pm, pq3), (cq1, cm, cq3) = s["parent"], s["change"]
+        print(f"{name:<18} parent {pm:.6g} [{pq1:.6g}, {pq3:.6g}]  change "
+              f"{cm:.6g} [{cq1:.6g}, {cq3:.6g}]  change won {s['wins']}/"
+              f"{s['pairs']} ({d['better']} is better)  gap {s['gap']:.4g} "
+              f"vs spread {s['spread']:.4g}  gain rule "
+              f"{'holds' if s['gain'] else 'does not hold'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
