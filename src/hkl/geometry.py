@@ -56,10 +56,10 @@ from .factor import (BlaschkeProduct, _divisor_exponents, _factor_from_zeros,
                      _inner_multiples, fejer_riesz)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
-from .polycore import (Poly, TrigPoly, _analysis, _count_minima,
-                       circle_minima, nonneg_tol, require_nonnegative,
-                       roots, trig_add, trig_mul, trig_scale,
-                       trig_from_modulus_squared, unlift)
+from .polycore import (Poly, TrigPoly, _analysis, _check_band,
+                       _count_minima, circle_minima, nonneg_tol,
+                       require_nonnegative, roots, trig_add, trig_mul,
+                       trig_scale, trig_from_modulus_squared, unlift)
 
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
@@ -300,9 +300,7 @@ def enumerate_solutions(g: TrigPoly, n: int) -> list[KernelElement]:
     """
     if g.is_null:
         raise NullInput("the zero function: every solution is the zero element")
-    if g.effective_band > n:
-        raise BandExceeded(
-            f"band limit {g.effective_band} exceeds model order {n}")
+    _check_band(g.effective_band, n)
     base = fejer_riesz(g)   # raises NotNonnegative for a negative g
     inner = _analysis(g).inner(n)
     try:
@@ -485,9 +483,7 @@ def perturbation_search(g: TrigPoly, n: int, *, trials: int = 10_000,
             n_constraints=SEARCH_GRID + (1 + 2 * len(_LADDER)) * len(zeros),
             route=PerturbationSearch.CIRCLE_COUNT)
     require_nonnegative(g)
-    if g.effective_band > n:   # lift(g, n) does not exist
-        raise BandExceeded(f"frequency {-g.effective_band} does not fit "
-                           f"below model order {n}")
+    _check_band(g.effective_band, n)
     return _sampled_search(g, n, _analysis(g).lift_roots.on_circle,
                            trials=trials, seed=seed, grid_size=SEARCH_GRID)
 

@@ -306,17 +306,20 @@ def lift(g: TrigPoly, n: int | None = None) -> Poly:
     """
     if n is None:
         n = g.n
+    _check_band(g.effective_band, n)
     arr = [0j] * (n + g.n + 1)
     for k in range(-g.n, g.n + 1):
         c = g.coeff(k)
-        if c == 0:
-            continue
-        pos = n + k
-        if pos < 0:
-            raise BandExceeded(
-                f"frequency {k} does not fit below model order {n}")
-        arr[pos] = c
+        if c != 0:
+            arr[n + k] = c
     return Poly(tuple(arr))
+
+
+def _check_band(band: int, n: int) -> None:
+    """BandExceeded unless a g of this ``effective_band`` lifts at order n."""
+    if band > n:
+        raise BandExceeded(
+            f"frequency {-band} does not fit below model order {n}")
 
 
 def unlift(p: Poly, n: int) -> TrigPoly:
@@ -856,12 +859,10 @@ def roots(p: Poly) -> RootSet:
     Raises NullInput for the zero polynomial and NonConvergence when the
     iteration budget is exhausted without meeting the residual target.
     A nonzero constant has no roots: the empty RootSet is returned.
-    Results are cached on the deflated coefficients, p with its leading
-    zeros (powers of z) removed, and the powers of z are added back as a
-    root at 0.  The analysis pipelines ask for the same lift repeatedly,
-    and ``lift(g)`` and ``lift(g, n)`` differ only by a power of z, so
-    powers of z never cause a second solve and the two lifts agree by
-    construction.
+    p's leading zeros (powers of z) come back as one root at 0, so
+    ``lift(g)`` and ``lift(g, n)`` get the same solve and agree by
+    construction.  Nothing is cached: g's record (``_analysis``) keeps
+    the roots of its lift.
     """
     if p.is_null:
         raise NullInput("the zero polynomial has no root set")
@@ -869,15 +870,12 @@ def roots(p: Poly) -> RootSet:
     m0 = 0
     while c[m0] == 0:
         m0 += 1
-    found = _roots_cached(c[m0:])
-    if not m0:
-        return found
-    return _root_set([(r.location, r.multiplicity) for r in found], m0)
+    return _root_set(_solve(c[m0:]), m0)
 
 
-@functools.lru_cache(maxsize=512)
-def _roots_cached(c: tuple) -> RootSet:
-    """The RootSet of the polynomial with coefficients c, c[0] != 0.
+def _solve(c: tuple) -> list[tuple[complex, int]]:
+    """The roots, as (location, multiplicity), of the polynomial with
+    coefficients c, a tuple of Python complex with c[0] != 0.
 
     Degree 1 is solved in closed form.  Higher degrees start from the
     closed form (degree 2) or ``_aberth``'s points, which
@@ -916,14 +914,14 @@ def _roots_cached(c: tuple) -> RootSet:
                                     carr)
     if d >= 2 and (lam := self_inversive_phase(carr)) is not None:
         found = _snap_self_inversive(found, carr, lam)
-    return _root_set(found, 0)
+    return found
 
 
 def _root_set(found: list[tuple[complex, int]], m0: int) -> RootSet:
     """The RootSet of ``found`` and an m0-fold root at 0, sorted by location.
 
-    Near-origin clusters fold into the exact power of z, so a set that
-    already has a root at 0 can be passed back in with more of them.
+    A root of ``found`` within ORIGIN_TOL of 0 is a rounded power of z: it
+    joins the m0-fold root at 0.
     """
     merged: list[tuple[complex, int]] = []
     for a, m in found:
@@ -1170,8 +1168,9 @@ def require_nonnegative(g: TrigPoly) -> None:
 
 @functools.lru_cache(maxsize=512)
 def _analysis(g: TrigPoly) -> _Analysis:
-    """g's analysis record, keyed on g as given (the frozen TrigPoly, like
-    ``_roots_cached``): every public call on one g reads the same record."""
+    """g's analysis record, keyed on g as given (the frozen TrigPoly):
+    every public call on one g reads the same record, the one place where
+    a lift's roots are kept."""
     return _Analysis(g)
 
 
@@ -1294,9 +1293,7 @@ class _Analysis:
         differ.  Raises BandExceeded for eb > n, as lift(g, n) does."""
         from .factor import BlaschkeProduct, _inner_part
         band = self.unit.effective_band
-        if band > n:
-            raise BandExceeded(
-                f"frequency {-band} does not fit below model order {n}")
+        _check_band(band, n)
         if self.minima is not None:
             return BlaschkeProduct(n - band)
         found = _inner_part(self.lift_roots)

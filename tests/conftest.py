@@ -1,5 +1,4 @@
 import collections
-import functools
 
 import numpy as np
 import pytest
@@ -274,21 +273,17 @@ def cold_analysis():
 def solve_counter(monkeypatch, cold_analysis):
     """Root solves during the test, counted by degree.
 
-    ``polycore._roots_cached`` is replaced by an empty cache of the same
-    size around the same solver, so each cache miss is one solve; the
-    Counter maps the degree of the deflated polynomial to its solves.  The
-    records above it start cold too (``cold_analysis``), so a g checked by
-    an earlier test is solved again here.
+    ``polycore._solve`` is wrapped by a counter, so each call is one
+    solve; the Counter maps the degree of the deflated polynomial to its
+    solves.  The analysis records start cold (``cold_analysis``), so a g
+    checked by an earlier test is solved again here.
     """
     counts = collections.Counter()
-    cached = polycore._roots_cached
-    solve = cached.__wrapped__
+    solve = polycore._solve
 
-    def counted(c, *args):
+    def counted(c):
         counts[len(c) - 1] += 1
-        return solve(c, *args)
+        return solve(c)
 
-    maxsize = cached.cache_parameters()["maxsize"]
-    monkeypatch.setattr(polycore, "_roots_cached",
-                        functools.lru_cache(maxsize=maxsize)(counted))
+    monkeypatch.setattr(polycore, "_solve", counted)
     return counts

@@ -1,6 +1,7 @@
 """The summary of ``tools/ab_pairs.py`` on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,69 @@ def test_nine_of_ten_is_enough():
 def test_unknown_direction_is_refused():
     with pytest.raises(ValueError):
         ab_pairs.summarize([(1.0, 2.0)], "faster")
+
+
+def test_a_fall_within_the_relative_bound_holds():
+    # -50 1/s on a parent median of 422.5 is 12% worse, under the 25%
+    # bound, and the parent's spread 22.5 is under the bound's 105.6
+    pairs = [(p, p - 50.0) for p in PARENT]
+    assert ab_pairs.no_regression(pairs, "higher", 0.25, "1/s") == "holds"
+
+
+def test_a_fall_past_the_relative_bound_does_not_hold():
+    pairs = [(p, 0.6 * p) for p in PARENT]
+    assert ab_pairs.no_regression(pairs, "higher", 0.25, "1/s") \
+        == "does not hold"
+
+
+def test_a_rise_in_latency_is_judged_against_the_parent_median():
+    parent = [2.0, 2.1, 2.2, 2.05, 2.15, 2.0, 2.1, 2.2, 2.05, 2.15]
+    within = [(p, p + 0.4) for p in parent]
+    past = [(p, p + 0.6) for p in parent]
+    assert ab_pairs.no_regression(within, "lower", 0.25, "ms") == "holds"
+    assert ab_pairs.no_regression(past, "lower", 0.25, "ms") \
+        == "does not hold"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # quartiles 200 and 400 around a median of 300: the spread 200 is
+    # over the bound's 75, so an unchanged median tells nothing ...
+    parent = [100.0, 200.0, 300.0, 400.0, 500.0]
+    same = [(p, p) for p in parent]
+    assert ab_pairs.no_regression(same, "higher", 0.25, "1/s") \
+        == "unresolved"
+    worse = [(p, p - 150.0) for p in parent]
+    assert ab_pairs.no_regression(worse, "higher", 0.25, "1/s") \
+        == "unresolved"
+    # ... unless every change run is better than every parent run
+    above = [(p, p + 500.0) for p in parent]
+    assert ab_pairs.no_regression(above, "higher", 0.25, "1/s") == "holds"
+
+
+def test_fraction_and_digits_bounds_are_absolute():
+    ones = [(1.0, 1.0)] * 10
+    assert ab_pairs.no_regression(ones, "higher", 0.002, "fraction") \
+        == "holds"
+    lost = [(1.0, 0.999)] * 10
+    assert ab_pairs.no_regression(lost, "higher", 0.002, "fraction") \
+        == "holds"
+    many = [(1.0, 0.99)] * 10
+    assert ab_pairs.no_regression(many, "higher", 0.002, "fraction") \
+        == "does not hold"
+    digits = [(4.799, 4.75)] * 10
+    assert ab_pairs.no_regression(digits, "higher", 0.1, "digits") \
+        == "holds"
+    fewer = [(4.799, 4.6)] * 10
+    assert ab_pairs.no_regression(fewer, "higher", 0.1, "digits") \
+        == "does not hold"
+
+
+def test_a_unit_with_no_bound_rule_is_refused():
+    with pytest.raises(ValueError):
+        ab_pairs.no_regression([(1.0, 1.0)], "lower", 0.1, "count")
+
+
+def test_every_declared_metric_has_a_bound_rule():
+    declared = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    units = ab_pairs.RELATIVE_UNITS + ab_pairs.ABSOLUTE_UNITS
+    assert all(d["unit"] in units for d in declared["end_to_end"])

@@ -1,9 +1,11 @@
-"""The keyword options and error classes of the library: each one is used.
+"""The keyword options, caches and error classes of the library: each one
+is used.
 
 A parameter with a default that no caller sets is a configuration nobody
 runs; the tolerances of the certificates are module constants instead.
 This test lists every defaulted parameter of the functions defined in the
-library's modules, so an option cannot come back unnoticed.  Likewise an
+library's modules, so an option cannot come back unnoticed.  So does a
+memo: the functions behind a functools cache are listed too.  Likewise an
 error class that nothing raises is a failure mode nobody can meet.
 """
 
@@ -23,6 +25,16 @@ OPTIONS = {
     ("geometry", "perturbation_search", "seed"),
     ("cli", "_handle", "prefix"),
     ("cli", "main", "argv"),
+}
+
+# (module, function) of each function behind a functools cache, each hit on
+# every benchmark workload that calls it; a lift's roots are kept only in
+# g's analysis record
+CACHES = {
+    ("polycore", "_analysis"),
+    ("factor", "_unit_grid"),
+    ("factor", "_jacobian_layout"),
+    ("cli", "build_parser"),
 }
 
 
@@ -45,9 +57,28 @@ def test_defaulted_parameters_are_the_listed_options():
     assert _defaulted_parameters() == OPTIONS
 
 
-def test_root_memo_is_keyed_on_the_coefficients_alone():
+def _cached_functions():
+    # module-level functions and the methods of the module's classes
+    found = set()
+    for name in MODULES:
+        mod = importlib.import_module(f"hkl.{name}")
+        for attr, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            scopes = [(attr, obj)]
+            if inspect.isclass(obj):
+                scopes += [(f"{attr}.{a}", o) for a, o in vars(obj).items()]
+            found |= {(name, a) for a, o in scopes if hasattr(o, "cache_info")}
+    return found
+
+
+def test_functools_caches_are_the_listed_caches():
+    assert _cached_functions() == CACHES
+
+
+def test_root_solver_takes_the_coefficients_alone():
     polycore = importlib.import_module("hkl.polycore")
-    assert list(inspect.signature(polycore._roots_cached).parameters) == ["c"]
+    assert list(inspect.signature(polycore._solve).parameters) == ["c"]
 
 
 def test_every_error_class_is_raised_in_the_library():

@@ -582,7 +582,7 @@ def test_zeros_on_the_circle_need_no_root_solve(monkeypatch, solve_counter,
     # each call answers with no root solve, from a cold memo
     def refuse(c):
         raise AssertionError(f"root solve of degree {len(c) - 1}")
-    monkeypatch.setattr(polycore, "_roots_cached", refuse)
+    monkeypatch.setattr(polycore, "_solve", refuse)
     members = _all_on_circle(small_census_suite)
     assert sum(g.effective_band < n for g, n in members) >= 5
     for g, n in members:
@@ -1203,7 +1203,7 @@ def test_circle_count_solves_no_polynomial(monkeypatch):
 
     def no_solve(c):
         raise AssertionError("the circle count solved a polynomial")
-    monkeypatch.setattr(polycore, "_roots_cached", no_solve)
+    monkeypatch.setattr(polycore, "_solve", no_solve)
     for g, n in cases:
         res = perturbation_search(g, n, trials=10_000, seed=0)
         assert res.route == PerturbationSearch.CIRCLE_COUNT

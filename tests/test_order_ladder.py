@@ -7,8 +7,9 @@ equispaced extreme points (every zero of f on the circle, so g is extreme),
 the same points of a lower order d below the model order (deficit points,
 never extreme), the same points with one zero moved inside the disk
 (boundary points with an inside zero, never extreme) and strictly positive
-g = 1 + a small band-n term (never extreme).  Larger orders than these take
-seconds each and are left out of the suite.
+g = 1 + a small band-n term (never extreme).  On the extreme points every
+call answers from the circle count with no root solve.  Larger orders than
+these take seconds each and are left out of the suite.
 """
 
 import numpy as np
@@ -19,8 +20,12 @@ from conftest import (_flat_band_modulus, jittered_extreme_point,
 
 from hkl import factor
 from hkl.errors import InternalInvariantError
-from hkl.factor import TOL_SPECTRAL, spectral_factor
-from hkl.geometry import enumerate_solutions, is_extreme, split_nonextreme
+from hkl.factor import TOL_SPECTRAL, fejer_riesz, spectral_factor
+from hkl.geometry import (PerturbationSearch, RigidityResult,
+                          decompose_modulus, enumerate_solutions, is_extreme,
+                          perturbation_search, rigidity_check,
+                          split_nonextreme)
+from hkl.kernel import KernelElement
 
 LADDER = (8, 16, 32, 64, 128)
 TOL_MODULUS = 1e-9     # | |f|^2 - g | on 4096 points, per listed solution
@@ -56,6 +61,23 @@ def test_every_order_answers_within_tolerance_or_names_its_failure(
     if extreme:
         # the circle count decides: no lift is solved
         assert not solve_counter
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_extreme_points_search_and_check_rigidity_with_no_solve(
+        n, solve_counter):
+    # the circle count decides the perturbation search, the rigidity of a
+    # multiple of F and the decomposition of the unit-norm F
+    g = jittered_extreme_point(n, n)[1]
+    search = perturbation_search(g, n)
+    assert search.route == PerturbationSearch.CIRCLE_COUNT
+    assert search.max_norm == 0.0
+    base = fejer_riesz(g)
+    rigid = rigidity_check(g, n, KernelElement(n, base.scaled(0.5)))
+    assert rigid.kind == RigidityResult.CONSTANT_MULTIPLE
+    assert abs(rigid.constant - 0.5) <= 1e-12
+    assert decompose_modulus(KernelElement(n, base)).rigid
+    assert not solve_counter
 
 
 @pytest.mark.parametrize("n", LADDER)

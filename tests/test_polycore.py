@@ -282,15 +282,14 @@ def test_roots_of_shifted_poly_bit_identical():
             assert got.total_multiplicity == p.degree + k
 
 
-def test_shifted_lifts_share_one_solve(solve_counter):
-    # lift(g, n) with g.n < n is lift(g) times a power of z: one solve
+def test_shifted_lift_roots_are_the_base_roots_plus_the_origin():
+    # lift(g, n) with g.n < n is lift(g) times a power of z: the same
+    # roots, bit for bit, and n - g.n more at 0
     g = random_boundary_modulus(6, 1, 3, 2, np.random.default_rng(6586))
     n = g.n + 3
     assert lift(g, n).coeffs == lift(g).shifted(3).coeffs
     base = roots(lift(g))
-    assert solve_counter == {2 * g.n: 1}
     shifted = roots(lift(g, n))
-    assert solve_counter == {2 * g.n: 1}
     assert _exact(shifted) == _exact(_plus_origin(base, 3))
 
 
@@ -546,12 +545,11 @@ def test_lone_points_match_the_full_tree_cut():
             assert min(abs(a - b) for b, _ in ref_out) <= 1e-9 * abs(a)
 
 
-def test_lift_polishes_each_reflected_pair_once(monkeypatch, solve_counter):
+def test_lift_polishes_each_reflected_pair_once(monkeypatch):
     # work guard in counts: the lift of |f|^2, f with k separated simple
     # zeros off the circle, has k reflected pairs of lone points.  Each
     # inside root is polished and its outside partner is its exact mirror:
-    # k polishes, where polishing both made 2k.  solve_counter gives the
-    # test an empty root memo, so every lift here is solved
+    # k polishes, where polishing both made 2k
     calls = [0]
     polish = polycore._polish
 
@@ -580,7 +578,7 @@ def test_lift_polishes_each_reflected_pair_once(monkeypatch, solve_counter):
         assert calls[0] == degree
 
 
-def test_lift_judges_each_root_once(monkeypatch, solve_counter):
+def test_lift_judges_each_root_once(monkeypatch):
     # work guard in counts: a lift with lone reflected pairs and one merged
     # double circle root tests each returned root against the residual
     # bound once: the inside roots where placed, their mirrors as they are
@@ -609,8 +607,7 @@ def _off_points(zeros):
     return lambda c, tol, max_iter: pts
 
 
-def test_roots_judge_rejected_mirrors_and_lone_roots(monkeypatch,
-                                                     solve_counter):
+def test_roots_judge_rejected_mirrors_and_lone_roots(monkeypatch):
     # points 1e-3 off the roots, left there by a polish that returns its
     # center: every root misses the residual bound.  On a lift each mirror
     # is rejected and its root falls back to its own polish, which is
@@ -634,11 +631,11 @@ def test_roots_judge_rejected_mirrors_and_lone_roots(monkeypatch,
 
 _ROOTSET_DIGEST = """
 import hashlib, json, sys
-from hkl.polycore import _roots_cached
+from hkl.polycore import Poly, roots
 digest = hashlib.sha256()
 for pairs in json.load(sys.stdin):
     c = tuple(complex(float.fromhex(x), float.fromhex(y)) for x, y in pairs)
-    digest.update(repr(_roots_cached(c)).encode())
+    digest.update(repr(roots(Poly(c))).encode())
 print(digest.hexdigest())
 """
 

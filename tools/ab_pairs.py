@@ -1,4 +1,5 @@
-"""Alternating parent/change runs of the benchmark, and the gain rule.
+"""Alternating parent/change runs of the benchmark, the gain rule and the
+no-regression verdict.
 
 Run from anywhere inside the repository:
 
@@ -20,7 +21,14 @@ declares, each side's median and quartiles, and the pairs the change won
 (strictly better in the metric's direction; a tie counts for neither).
 The gain rule holds for a metric when the change won at least nine tenths
 of the pairs and the change's median is better than the parent's by more
-than the distance between the parent's quartiles.
+than the distance between the parent's quartiles.  The no-regression
+verdict compares the same numbers with the metric's ``BENCHMARK.json``
+bound, relative to the parent's median for the units 1/s, ms, s and MB
+and absolute for fraction and digits.  When the parent's quartile spread
+is wider than the bound, the verdict is "unresolved", unless every change
+run is better than every parent run ("holds"); otherwise it "holds" when
+the change's median is worse than the parent's by at most the bound, and
+"does not hold" when it is worse by more.
 
 Only the temporary directory is written to: each side's bytecode goes
 to its own empty cache there (PYTHONPYCACHEPREFIX), so both sides start
@@ -45,6 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WIN_SHARE = 0.9      # the share of pairs the change must win
+RELATIVE_UNITS = ("1/s", "ms", "s", "MB")   # bound times the parent's median
+ABSOLUTE_UNITS = ("fraction", "digits")     # bound as it stands
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -73,6 +83,26 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     return {"parent": parent, "change": change, "wins": wins,
             "pairs": len(pairs), "spread": spread, "gap": gap,
             "gain": wins >= WIN_SHARE * len(pairs) and gap > spread}
+
+
+def no_regression(pairs: list[tuple[float, float]], better: str,
+                  bound: float, unit: str) -> str:
+    """The no-regression verdict of one metric over (parent, change) pairs:
+    "holds", "unresolved" or "does not hold", as the module docstring
+    says.  A unit with no bound rule raises ValueError."""
+    s = summarize(pairs, better)
+    if unit in RELATIVE_UNITS:
+        allowed = bound * abs(s["parent"][1])
+    elif unit in ABSOLUTE_UNITS:
+        allowed = bound
+    else:
+        raise ValueError(f"no bound rule for unit {unit!r}")
+    if s["spread"] > allowed:
+        sign = 1.0 if better == "higher" else -1.0
+        every = (min(sign * c for _, c in pairs)
+                 > max(sign * p for p, _ in pairs))
+        return "holds" if every else "unresolved"
+    return "holds" if s["gap"] >= -allowed else "does not hold"
 
 
 def export(rev: str, dest: Path) -> None:
@@ -145,14 +175,16 @@ def main(argv=None) -> int:
         name = d["name"]
         if name not in runs["parent"][0]:
             continue
-        s = summarize([(p[name], c[name]) for p, c in
-                       zip(runs["parent"], runs["change"])], d["better"])
+        pairs = [(p[name], c[name]) for p, c in
+                 zip(runs["parent"], runs["change"])]
+        s = summarize(pairs, d["better"])
         (pq1, pm, pq3), (cq1, cm, cq3) = s["parent"], s["change"]
         print(f"{name:<18} parent {pm:.6g} [{pq1:.6g}, {pq3:.6g}]  change "
               f"{cm:.6g} [{cq1:.6g}, {cq3:.6g}]  change won {s['wins']}/"
               f"{s['pairs']} ({d['better']} is better)  gap {s['gap']:.4g} "
               f"vs spread {s['spread']:.4g}  gain rule "
-              f"{'holds' if s['gain'] else 'does not hold'}")
+              f"{'holds' if s['gain'] else 'does not hold'}  no regression "
+              f"{no_regression(pairs, d['better'], d['bound'], d['unit'])}")
     return 0
 
 
