@@ -23,10 +23,10 @@ the round trip that the library accepted its factor by.  The ``factor``
 and ``solutions`` residuals are the CLI's own checks on the ``--grid``
 points, relative to the input's size s = max(1, max |c_k|).
 
-``domination``'s flag is a quadrature heuristic: it compares midpoint sums
-of |f| / sqrt(g) (``numeric.domination_integral``) and can read a
-log-divergent integral as CONVERGENT.  ``rigidity``'s multiplicity rule
-(``geometry.rigidity_check``) decides domination exactly.
+``domination`` decides by the multiplicity rule that ``rigidity`` applies
+(``numeric.domination_integral``): DIVERGENT with the circle zero of g
+where f vanishes to too low an order as ``witness``, else CONVERGENT with
+the integral of |f| / sqrt(g) from midpoint sums as ``value``.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: parsing never changes it, and each call gets a fresh
@@ -341,10 +341,8 @@ def cmd_domination(args):
                    "trig": jsonio.trig_to_json(g)},
         "flag": "DIVERGENT" if res.divergent else "CONVERGENT",
         "value": None if res.divergent else res.value,
-        # a midpoint sum at a zero of g is inf: printed as null
-        "estimates": [e if math.isfinite(e) else None
-                      for e in res.estimates],
-        "sizes": list(res.sizes),
+        "witness": None if res.witness is None
+        else jsonio.complex_pair(res.witness),
     }
 
     def boundary() -> Grid:
@@ -475,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("g")
     common(sp, grid=False)
 
-    about = ("midpoint sums of |f| / sqrt(g); the flag is a quadrature "
-             "heuristic, and `hkl rigidity`'s multiplicity rule decides "
-             "domination exactly")
+    about = ("whether |f| / sqrt(g) is integrable, by the multiplicity "
+             "rule of `hkl rigidity`, with a circle zero of g as witness "
+             "or the integral's value from midpoint sums")
     sp = sub.add_parser("domination", help=about, description=about)
     sp.add_argument("kernel")
     sp.add_argument("trig")

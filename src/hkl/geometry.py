@@ -21,7 +21,9 @@ space (boundary functions g >= 0 with band <= n and mean <= 1):
   factor times the inner divisors of the lift's inner part
                                                        (enumerate_solutions)
 * when the lift is outer, any kernel element merely dominated by
-  sqrt(g) is a constant multiple of the spectral factor     (rigidity_check)
+  sqrt(g) is a constant multiple of the spectral factor; domination is
+  decided by one multiplicity rule (``_undominated_zero``), which
+  ``numeric.domination_integral`` applies too          (rigidity_check)
 * at an extreme point no mean-free band-n h keeps g +/- h >= 0: when g's
   circle zeros have multiplicities adding up to 2n, h must vanish at each
   to its full order, so z**n h is divisible by the lift and h = c g with
@@ -51,18 +53,19 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import (AlreadyExtreme, BandExceeded, InnerFactorPresent,
                      NotDivisible, NotInV, NotOnBoundary, NotUnitNorm,
-                     NullInput, SelfCheckFailed)
+                     NullInput, PairingFailure, SelfCheckFailed)
 from .factor import (BlaschkeProduct, _divisor_exponents, _factor_from_zeros,
                      _inner_multiples, fejer_riesz)
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
-from .polycore import (Poly, TrigPoly, _analysis, _check_band,
+from .polycore import (CLUSTER_CAP, Poly, TrigPoly, _analysis, _check_band,
                        _count_minima, circle_minima, nonneg_tol,
                        require_nonnegative, roots, trig_add, trig_mul,
                        trig_scale, trig_from_modulus_squared, unlift)
 
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
-ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to circle zeros of g
+ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to double circle
+                        # zeros of g; ROOT_MATCH_TOL**(1/m) at 2m-fold ones
 TOL_REMAINDER = 1e-9    # x.f / F's remainder and nonconstant part, relative
 TOL_UNIT_NORM = 1e-10   # |h2_norm - 1| a kernel element may have to be split
 SEARCH_GRID = 4096      # uniform constraint points of the perturbation search
@@ -350,13 +353,10 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement) -> RigidityResult:
 
     x.f is divided by F = ``fejer_riesz(g)`` first: a constant multiple of
     F, within TOL_REMAINDER, is dominated and is CONSTANT_MULTIPLE with no
-    root solve.  Any other x.f must be NOT_DOMINATED.  Domination
-    (finiteness of the integral of |f|/sqrt(g)) is decided by an exact
-    multiplicity rule: at a circle zero of g with multiplicity 2m
-    (g's analysis record) the integrand behaves like |z - zeta|**(k - m)
-    where k is f's zero multiplicity there, integrable iff k >= m.  No
-    mean-1 hypothesis is needed, so this check bypasses the membership
-    test on purpose.
+    root solve.  Any other x.f must be NOT_DOMINATED, with the circle zero
+    of g where the multiplicity rule (``_undominated_zero``) finds
+    domination failing as witness.  No mean-1 hypothesis is needed, so
+    this check bypasses the membership test on purpose.
 
     An x.f of degree above n is outside the order-n space and raises
     BandExceeded before any work.  A dominated x.f that is not a constant
@@ -385,15 +385,51 @@ def rigidity_check(g: TrigPoly, n: int, x: KernelElement) -> RigidityResult:
         return RigidityResult(RigidityResult.CONSTANT_MULTIPLE,
                               constant=complex(quo[0]), remainder=rem_norm)
 
-    f_roots = roots(x.f) if x.f.degree > 0 else None
-    for t, m in _analysis(g).circle_zeros:   # not None: fejer_riesz raised
-        zc = complex(np.exp(1j * t))
-        have = f_roots.multiplicity_near(zc, ROOT_MATCH_TOL) if f_roots else 0
-        if have < m // 2:
-            return RigidityResult(RigidityResult.NOT_DOMINATED, witness=zc)
+    witness = _undominated_zero(g, x.f)
+    if witness is not None:
+        return RigidityResult(RigidityResult.NOT_DOMINATED, witness=witness)
     raise SelfCheckFailed(
         f"a dominated kernel element is not a multiple of the spectral "
         f"factor: remainder {max(rem_norm, nonconst):.3e}")
+
+
+def _undominated_zero(g: TrigPoly, f: Poly) -> complex | None:
+    """The first circle zero of g where f is not dominated by sqrt(g), or
+    None when the integral of |f| / sqrt(g) is finite.
+
+    The multiplicity rule: at a circle zero zeta of g of multiplicity 2m
+    the integrand behaves like |z - zeta|**(k - m), k the order to which f
+    vanishes at zeta, so it is integrable iff k >= m.  g's circle zeros
+    are read from its analysis record; k counts the zeros of ``roots(f)``
+    within ROOT_MATCH_TOL**(1/m) of zeta, solved only when g has a circle
+    zero.  Rounding g moves a 2m-fold zero by about eps**(1/2m), so the
+    distance widens with m: 1e-6, 1e-3 and 1e-2 for m = 1, 2, 3.
+
+    Raises NullInput for a null g, NotNonnegative for a negative one, and
+    PairingFailure when the record leaves an odd circle zero of g or when
+    f has a zero within CLUSTER_CAP of a zero of g where it falls short,
+    but not within that distance: the two cannot then be told apart.
+    """
+    if g.is_null:
+        raise NullInput("domination needs a non-null modulus")
+    require_nonnegative(g)
+    zeros = _analysis(g).circle_zeros
+    if zeros is None:
+        raise PairingFailure("an odd circle zero of g is left unmerged")
+    if not zeros or f.is_null:
+        return None
+    f_roots = roots(f) if f.degree > 0 else None
+    for t, m in zeros:
+        zc = complex(np.exp(1j * t))
+        near = ROOT_MATCH_TOL ** (2 / m)
+        have = f_roots.multiplicity_near(zc, near) if f_roots else 0
+        if have < m // 2:
+            if f_roots and f_roots.multiplicity_near(zc, CLUSTER_CAP) > have:
+                raise PairingFailure(
+                    f"a zero of f lies near the circle zero {zc:.6f} of g "
+                    f"but not within {near:.1e} of it")
+            return zc
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ not just the exact polynomial model.  The outer-function construction here
 is the cepstral/Hilbert-transform one (exp of log-modulus plus i times its
 harmonic conjugate); it needs strict positivity, which is exactly where the
 root-based engine takes over.  Each path checks the other on the overlap.
+``domination_integral`` is the exception: its verdict is the exact
+engine's multiplicity rule, and only its value comes from samples.
 
 Fourier convention: coefficient k is the k-th Fourier coefficient of the
 sampled function (forward transform divided by N), with indices above N/2
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooSmall
+from .errors import PairingFailure, TooSmall
+from .geometry import _undominated_zero
 from .kernel import KernelElement
-from .polycore import TrigPoly
+from .polycore import TrigPoly, _analysis, nonneg_check
 
 W_FLOOR = 1e-8
 DEFAULT_GRID = 4096
@@ -154,45 +157,46 @@ def symbol_condition_test(phi: Grid, g: Grid) -> SymbolTest:
 
 @dataclass(frozen=True)
 class DominationEstimate:
-    value: float
-    divergent: bool
-    estimates: tuple
-    sizes: tuple
+    value: float                  # the integral, inf when not dominated
+    divergent: bool               # f is not dominated by sqrt(g)
+    witness: complex | None       # circle zero of g where domination fails
 
 
 def domination_integral(x: KernelElement, g: TrigPoly) -> DominationEstimate:
-    """Quadrature witness for the domination integral of |f| / sqrt(g).
+    """The integral of |f| / sqrt(g), or inf when it diverges.
 
-    Midpoint sums at 16, 32, 64 and 128 points, by one evaluation on the
-    union of midpoints, which never land on the dyadic grid: an integrable
-    endpoint singularity inflates the estimate gradually instead of
-    dividing by zero.  DIVERGENT when the estimate grows by a factor of 1.5
-    or more from the coarsest sum to the finest (or leaves the finite
-    range); otherwise the Richardson update of the two finest is reported.
+    Whether it diverges is decided by the multiplicity rule that
+    :func:`hkl.geometry.rigidity_check` applies
+    (``geometry._undominated_zero``): DIVERGENT, with g's first circle zero
+    where f vanishes to too low an order as witness.  A dominated pair's
+    value is the Richardson update of the midpoint sums at 64 and 128
+    points, from one evaluation on the union of midpoints, which never
+    land on the dyadic grid.
 
-    A borderline (logarithmically divergent) integrand gains only a fixed
-    increment per doubling, so the growth test can resolve it only from a
-    small base; the base of 16 points is calibrated for that.  It aliases:
-    f = (1 + z**16) / sqrt(2) vanishes on all 16 midpoints, so it reads
-    DIVERGENT for g = 1 and for g = 1 + cos(16 theta), where it is bounded.
-    The exact multiplicity rule in :func:`hkl.geometry.rigidity_check` is
-    authoritative; this flag is corroborating evidence only.
+    Raises NullInput for a null g, NotNonnegative for a negative one, and
+    PairingFailure when the rule cannot be read: an odd circle zero of g
+    is left, or g comes within tolerance of 0 (``nonneg_check``) while its
+    analysis record lists no circle zero, as when the lift's roots at a
+    zero of order 8 scatter too far to be merged.
     """
-    sizes = (16, 32, 64, 128)
+    witness = _undominated_zero(g, x.f)
+    if witness is not None:
+        return DominationEstimate(math.inf, True, witness)
+    if not _analysis(g).circle_zeros:
+        cert = nonneg_check(g)
+        if cert.min_value <= cert.tol:
+            raise PairingFailure(
+                f"g dips to {cert.min_value:.3e} at theta="
+                f"{cert.argmin_theta:.6f}, within tolerance of 0, but no "
+                "circle zero of g was found there")
     theta = np.concatenate([2.0 * np.pi * (np.arange(m) + 0.5) / m
-                            for m in sizes])
+                            for m in (64, 128)])
     with np.errstate(divide="ignore", invalid="ignore"):
         fa = np.abs(x.f(np.exp(1j * theta)))
         gv = np.maximum(g.values(theta), 0.0)
         vals = np.where(fa == 0, 0.0, fa / np.sqrt(gv))
-    estimates = [float(np.mean(part))
-                 for part in np.split(vals, np.cumsum(sizes)[:-1])]
-    first, last = estimates[0], estimates[-1]
-    divergent = (not all(math.isfinite(e) for e in estimates)
-                 or (first > 0 and last / first >= 1.5))
-    value = math.inf if divergent else last + (last - estimates[-2]) / 3.0
-    return DominationEstimate(value=value, divergent=divergent,
-                              estimates=tuple(estimates), sizes=sizes)
+    coarse, fine = (float(np.mean(part)) for part in np.split(vals, [64]))
+    return DominationEstimate(fine + (fine - coarse) / 3.0, False, None)
 
 
 def write_boundary_csv(path, gr: Grid) -> None:

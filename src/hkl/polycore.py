@@ -1049,10 +1049,11 @@ def circle_count(g: TrigPoly) -> np.ndarray | None:
     A g the count cannot decide declines on its values on the
     ``nonneg_check`` grid alone, before g' is taken or an angle refined
     (``_grid_declines``), h the grid's cell: when the smallest sample
-    exceeds tol + n**2 l1 h**2 / 8, when fewer than n samples lie below
-    both their neighbours, or when the parabola through such a sample and
-    its two neighbours has its vertex above tol + 0.065 n**3 l1 h**3.  A
-    local minimum of g within tol of 0 lies between those neighbours,
+    exceeds tol + n**2 l1 h**2 / 8 (``_zero_free``), when fewer than n
+    samples lie below both their neighbours, or when the parabola through
+    such a sample and its two neighbours has its vertex above
+    tol + 0.065 n**3 l1 h**3.  A local minimum of g within tol of 0 lies
+    between those neighbours,
     where the parabola misses g by at most sup|g'''| h**3 / (9 sqrt 3) <=
     0.0642 n**3 l1 h**3.  Minima closer than about two cells show as one
     sample, so they decline too.
@@ -1066,6 +1067,17 @@ def circle_count(g: TrigPoly) -> np.ndarray | None:
 _NEIGHBOURS = np.array([[0], [1], [2]])   # a sample and its neighbours
 
 
+def _zero_free(g: TrigPoly, low: float, size: int) -> bool:
+    """True when low, g's smallest value on the ``size``-point grid,
+    exceeds tol + n**2 l1 h**2 / 8, h the grid's cell: then g > tol on the
+    whole circle, so g has no circle zero and no sign change.  At g's
+    minimum g' = 0 and |g''| <= n**2 l1, and the nearest sample is within
+    h / 2 of it, so that sample exceeds the minimum by at most the bound's
+    second term."""
+    h = 2.0 * math.pi / size
+    return low > nonneg_tol(g) + _l1(g) * (g.effective_band * h) ** 2 / 8.0
+
+
 def _grid_declines(g: TrigPoly, vals: np.ndarray, low: float) -> bool:
     """True when g's values on the grid, whose minimum is low, show fewer
     than n local minima or one that is no zero of g, by the bounds of
@@ -1073,10 +1085,9 @@ def _grid_declines(g: TrigPoly, vals: np.ndarray, low: float) -> bool:
     n = g.effective_band
     if not n:
         return False
-    tol, l1, h = nonneg_tol(g), _l1(g), 2.0 * math.pi / len(vals)
-    # a zero within tol has a sample within h / 2 of it
-    if low > tol + l1 * (n * h) ** 2 / 8.0:
+    if _zero_free(g, low, len(vals)):
         return True
+    tol, l1, h = nonneg_tol(g), _l1(g), 2.0 * math.pi / len(vals)
     # the samples below both their neighbours, wrapped[j + 1] for each j
     wrapped = np.concatenate((vals[-1:], vals, vals[:1]))
     down = wrapped[1:] < wrapped[:-1]
@@ -1132,7 +1143,9 @@ def nonneg_check(g: TrigPoly) -> NonnegCertificate:
     A dense grid scan catches gross negativity; a sign change too narrow
     for any fixed grid is found at the minima of g.  When ``circle_count``
     decides, its n minima are all of g's local minima, so the smallest
-    value over the grid and those minima is g's minimum.  Otherwise the
+    value over the grid and those minima is g's minimum.  When the grid's
+    smallest sample shows g > tol everywhere (``_zero_free``), there is no
+    sign change to find and no root is solved.  Otherwise the
     odd-multiplicity circle roots of the lift mark the narrow sign changes
     (a real trig polynomial changes sign exactly at its odd circle zeros),
     and from each such root Newton on g' (``refine_circle_angle``) reaches
@@ -1179,7 +1192,9 @@ class _Analysis:
     first time it is read and computed again if that raised.  It analyses
     unit = g / s, s = max(1, max |g_k|), the g that ``nonneg_check`` and
     ``circle_count`` check and ``factor.fejer_riesz`` factors, and solves
-    lift(unit) at most once, only for a g the count declines.  No grid of
+    lift(unit) at most once, only for a g the count declines: for
+    ``nonneg`` and ``circle_zeros`` only when the grid does not show
+    unit > tol everywhere (``_zero_free``).  No grid of
     values is kept.  A result at a model order n (``inner``,
     ``factorization``) is built once per n, and kept only when the build
     returns: an error is raised again on every call."""
@@ -1192,22 +1207,25 @@ class _Analysis:
         self._factorizations: dict = {}
 
     @functools.cached_property
-    def _scan(self) -> tuple[float, float, np.ndarray | None]:
+    def _scan(self) -> tuple[float, float, np.ndarray | None, bool]:
         """unit's smallest value and its angle over the ``nonneg_check``
-        grid (the first on a tie) and the count's minima, and the count."""
+        grid (the first on a tie) and the count's minima, the count, and
+        whether the grid's smallest sample shows unit > tol everywhere
+        (``_zero_free``)."""
         g = self.unit
         size = nonneg_grid_size(g)
         vals = g.grid_values(size)
         j = int(np.argmin(vals))
         low, theta = float(vals[j]), 2.0 * math.pi * j / size
+        zero_free = _zero_free(g, low, size)
         counted = None if _grid_declines(g, vals, low) else _count_minima(g)
         if counted is None:
-            return low, theta, None
+            return low, theta, None, zero_free
         minima, values = counted
         for value, t in zip(values.tolist(), minima.tolist()):
             if value < low:
                 low, theta = value, t
-        return low, theta, minima
+        return low, theta, minima, zero_free
 
     @property
     def minima(self) -> np.ndarray | None:
@@ -1219,8 +1237,8 @@ class _Analysis:
         g = self.unit
         low, theta = 0.0, 0.0
         if not g.is_null:
-            low, theta, minima = self._scan
-            if minima is None:
+            low, theta, minima, zero_free = self._scan
+            if minima is None and not zero_free:
                 for r in self.lift_roots.on_circle:
                     if r.multiplicity % 2:
                         t = refine_circle_angle(g, float(np.angle(r.location)))
@@ -1238,11 +1256,14 @@ class _Analysis:
     @functools.cached_property
     def circle_zeros(self) -> tuple[tuple[float, int], ...] | None:
         """(angle, multiplicity) of each circle zero of g, all even, or None
-        for an odd one left: the count's angles as double zeros, else the
-        lift's circle roots, refined on unit, which the snap of ``roots``
-        has merged where rounding split a double zero."""
+        for an odd one left: the count's angles as double zeros, none when
+        the grid shows g > tol everywhere, else the lift's circle roots,
+        refined on unit, which the snap of ``roots`` has merged where
+        rounding split a double zero."""
         if self.minima is not None:
             return tuple((t, 2) for t in self.minima.tolist())
+        if self._scan[3]:     # zero-free
+            return ()
         on_circle = self.lift_roots.on_circle
         if any(r.multiplicity % 2 for r in on_circle):
             return None

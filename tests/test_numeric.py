@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from conftest import random_outer_poly
 
-from hkl.errors import TooSmall
+from hkl import factor, polycore
+from hkl.errors import (InternalInvariantError, NotNonnegative, NullInput,
+                        PairingFailure, TooSmall)
 from hkl.factor import fejer_riesz
-from hkl.gen import random_boundary_modulus
+from hkl.gen import random_boundary_modulus, random_kernel_element
+from hkl.geometry import ROOT_MATCH_TOL, RigidityResult, rigidity_check
 from hkl.kernel import KernelElement
 from hkl.numeric import (DominationEstimate, Grid, _conjugate,
                          analyticity_defect, domination_integral, grid_fft,
                          grid_ifft, harmonic_conjugate, outer_from_modulus,
                          symbol_condition_test, write_boundary_csv)
-from hkl.polycore import Poly, TrigPoly, trig_from_modulus_squared, trig_scale
+from hkl.polycore import (Poly, TrigPoly, nonneg_tol,
+                          trig_from_modulus_squared, trig_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +248,11 @@ def test_domination_divergent_witness():
 
 
 def _separate_midpoint_sums(x, g):
-    """The four midpoint sums, each with its own evaluation of f and g."""
+    """The 64- and 128-point midpoint sums, each with its own evaluation of
+    f and g."""
     sums = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for m in (16, 32, 64, 128):
+        for m in (64, 128):
             theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
             fa = np.abs(x.f(np.exp(1j * theta)))
             gv = np.maximum(g.values(theta), 0.0)
@@ -257,8 +262,9 @@ def _separate_midpoint_sums(x, g):
 
 
 def test_domination_sums_equal_separate_evaluations_bit_for_bit():
-    # one evaluation on the union of midpoints gives each sum the bits of
-    # its own evaluation, convergent, divergent and infinite alike
+    # one evaluation on the union of midpoints gives a dominated pair's
+    # value the bits of two separate evaluations; a pair that is not
+    # dominated has value inf and a witness
     rng = np.random.default_rng(32)
     r = 1 / math.sqrt(2)
     pairs = [(KernelElement(1, Poly((r, -r))), TrigPoly(1, (1.0, 0.5))),
@@ -272,12 +278,129 @@ def test_domination_sums_equal_separate_evaluations_bit_for_bit():
         f = Poly(tuple(rng.standard_normal(deg + 1)
                        + 1j * rng.standard_normal(deg + 1)))
         pairs.append((KernelElement(n, f), g))
+    dominated = 0
     for x, g in pairs:
         got = domination_integral(x, g)
-        assert list(map(repr, got.estimates)) == \
-            list(map(repr, _separate_midpoint_sums(x, g)))
+        if got.divergent:
+            assert got.value == math.inf and got.witness is not None
+            continue
+        coarse, fine = _separate_midpoint_sums(x, g)
+        assert repr(got.value) == repr(fine + (fine - coarse) / 3.0)
+        assert got.witness is None
+        dominated += 1
+    assert dominated >= 5
     assert domination_integral(*pairs[0]).divergent
-    assert domination_integral(*pairs[1]).estimates[0] == math.inf
+    assert domination_integral(*pairs[1]).divergent
+
+
+def _log_divergent_pairs():
+    """300 pairs (x, g): g has one double circle zero and x's zeros all lie
+    inside the disk, so |f| / sqrt(g) ~ 1 / |theta - t| near the zero and
+    the integral diverges; the flag of the midpoint-growth test read 203
+    of them as CONVERGENT."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        g = random_boundary_modulus(n, 0, 1, n - 1, rng)
+        out.append((random_kernel_element(n, n, 0, 0, rng), g))
+    return out
+
+
+def test_domination_of_log_divergent_pairs_is_refused_with_a_zero_of_g():
+    for x, g in _log_divergent_pairs():
+        res = domination_integral(x, g)
+        assert res.divergent and res.value == math.inf
+        zeros = polycore._analysis(g).circle_zeros
+        assert min(abs(res.witness - np.exp(1j * t)) for t, _ in zeros) \
+            <= ROOT_MATCH_TOL
+        assert abs(g.values(np.angle(res.witness))) <= nonneg_tol(g)
+
+
+def test_domination_and_rigidity_name_the_same_witness():
+    # g is extreme (n circle zeros), so rigidity applies, and x, with its
+    # zeros inside the disk, is not dominated
+    rng = np.random.default_rng(36)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        g = random_boundary_modulus(n, 0, n, 0, rng)
+        x = random_kernel_element(n, n, 0, 0, rng)
+        rigid = rigidity_check(g, n, x)
+        assert rigid.kind == RigidityResult.NOT_DOMINATED
+        assert rigid.witness == domination_integral(x, g).witness
+
+
+def test_domination_reads_no_alias_of_the_midpoints():
+    # f = (1 + z**16) / sqrt(2) vanishes on all 16 midpoints of a 16-point
+    # rule; against g = 1 and g = 1 + cos(16 theta) = |f|**2 it is dominated
+    r = 1 / math.sqrt(2)
+    x = KernelElement(16, Poly((r,) + (0.0,) * 15 + (r,)))
+    flat = domination_integral(x, TrigPoly(0, (1.0,)))
+    assert not flat.divergent and flat.witness is None
+    # the mean of |f| = sqrt(2) |cos(8 theta)|
+    assert flat.value == pytest.approx(2 * math.sqrt(2) / math.pi, rel=1e-3)
+    same = domination_integral(
+        x, TrigPoly(16, (1.0,) + (0.0,) * 15 + (0.5,)))
+    assert not same.divergent and same.value == pytest.approx(1.0, abs=1e-12)
+
+
+def _vanishing_order_pair(m, k, rng):
+    """(x, g) at order 8: g = |p|**2 / mean with p = (z - zeta)**m times
+    8 - m zeros outside the disk, so g has a zero of multiplicity 2m at
+    zeta on the circle, and f = (z - zeta)**k times 8 - k zeros outside,
+    of unit norm; f is dominated by sqrt(g) iff k >= m."""
+    zeta = np.exp(2j * np.pi * rng.uniform())
+
+    def outside(count):
+        return list(rng.uniform(1.25, 2.0, count)
+                    * np.exp(2j * np.pi * rng.uniform(size=count)))
+
+    p = factor._zero_poly([zeta] + outside(8 - m), [m] + [1] * (8 - m))
+    g = trig_from_modulus_squared(Poly(tuple(p)))
+    q = factor._zero_poly([zeta] + outside(8 - k), [k] + [1] * (8 - k))
+    return (KernelElement(8, Poly(tuple(q / np.linalg.norm(q)))),
+            trig_scale(g, 1.0 / g.mean))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_domination_by_vanishing_order_is_right_or_refused(m):
+    # 40 draws for each k = 0..4: never a wrong verdict.  A zero of order
+    # 2m <= 4 is always decided.  At order 6 the lift's roots may scatter
+    # and the rule refuses (92 of 200 here); at order 8 it nearly always
+    # does (198 PairingFailure and 1 NonConvergence of 200 here)
+    rng = np.random.default_rng(24 + m)
+    refused = 0
+    for k in range(5):
+        for _ in range(40):
+            x, g = _vanishing_order_pair(m, k, rng)
+            try:
+                res = domination_integral(x, g)
+            except InternalInvariantError:
+                assert m >= 3
+                refused += 1
+                continue
+            assert res.divergent is (k < m)
+    if m == 4:
+        assert refused >= 190
+
+
+def test_domination_refuses_a_g_that_dips_to_0_with_no_circle_zero(
+        monkeypatch):
+    # with g's double zero at pi hidden from its record, g still comes
+    # within tolerance of 0 there: no verdict rather than a wrong one
+    g = TrigPoly(1, (1.0, 0.5))
+    monkeypatch.setattr(polycore._analysis(g), "circle_zeros", ())
+    r = 1 / math.sqrt(2)
+    with pytest.raises(PairingFailure, match="no circle zero"):
+        domination_integral(KernelElement(1, Poly((r, -r))), g)
+
+
+def test_domination_refuses_a_null_or_negative_g():
+    x = KernelElement(1, Poly((1.0,)))
+    with pytest.raises(NullInput):
+        domination_integral(x, TrigPoly(1, (0.0, 0.0)))
+    with pytest.raises(NotNonnegative):
+        domination_integral(x, TrigPoly(1, (1.0, 0.75)))
 
 
 def test_domination_zero_element():

@@ -8,8 +8,10 @@ the same points of a lower order d below the model order (deficit points,
 never extreme), the same points with one zero moved inside the disk
 (boundary points with an inside zero, never extreme) and strictly positive
 g = 1 + a small band-n term (never extreme).  On the extreme points every
-call answers from the circle count with no root solve.  Larger orders than
-these take seconds each and are left out of the suite.
+call answers from the circle count with no root solve, and on the strictly
+positive g the nonnegativity check, the circle zeros and the domination
+integral answer from the grid with none.  Larger orders than these take
+seconds each and are left out of the suite.
 """
 
 import numpy as np
@@ -18,14 +20,15 @@ import pytest
 from conftest import (_flat_band_modulus, jittered_extreme_point,
                       jittered_inside_zero_point)
 
-from hkl import factor
+from hkl import factor, polycore
 from hkl.errors import InternalInvariantError
 from hkl.factor import TOL_SPECTRAL, fejer_riesz, spectral_factor
 from hkl.geometry import (PerturbationSearch, RigidityResult,
                           decompose_modulus, enumerate_solutions, is_extreme,
                           perturbation_search, rigidity_check,
                           split_nonextreme)
-from hkl.kernel import KernelElement
+from hkl.kernel import KernelElement, companion, h2_norm
+from hkl.numeric import domination_integral
 
 LADDER = (8, 16, 32, 64, 128)
 TOL_MODULUS = 1e-9     # | |f|^2 - g | on 4096 points, per listed solution
@@ -129,3 +132,39 @@ def test_boundary_points_with_an_inside_zero_split_and_list_two(n):
         gv = g.grid_values(4096)
         for x in sols:
             assert np.abs(np.abs(x.f(zeta)) ** 2 - gv).max() <= TOL_MODULUS
+
+
+@pytest.fixture
+def no_solve(monkeypatch, cold_analysis):
+    """Any root solve during the test fails it."""
+    def refuse(c):
+        raise AssertionError(f"a degree-{len(c) - 1} polynomial was solved")
+    monkeypatch.setattr(polycore, "_solve", refuse)
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_positive_points_check_and_dominate_with_no_solve(n, no_solve):
+    # g >= 0.6: the grid's smallest sample clears the zero-free bound, so g
+    # has no circle zero and no sign change, and every f is dominated
+    g = _flat_band_modulus(n, n)
+    assert polycore.nonneg_check(g).nonnegative
+    assert polycore._analysis(g).circle_zeros == ()
+    x = KernelElement(n, jittered_extreme_point(n, n)[0])
+    res = domination_integral(x, g)
+    assert not res.divergent and res.witness is None
+    assert 0.0 < res.value < np.inf
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_companion_keeps_norm_modulus_and_domination(n, no_solve):
+    # an isometric involution with |companion(x)| = |x| on the circle, so
+    # x and its companion have one domination integral
+    x = KernelElement(n, jittered_inside_zero_point(n, n)[0])
+    y = companion(x)
+    assert companion(y) == x
+    assert abs(h2_norm(y) - h2_norm(x)) <= 1e-12
+    zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    assert np.abs(np.abs(y.f(zeta)) - np.abs(x.f(zeta))).max() <= 1e-12
+    g = _flat_band_modulus(n, n)
+    assert domination_integral(y, g).value == \
+        pytest.approx(domination_integral(x, g).value, rel=1e-12)
