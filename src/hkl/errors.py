@@ -84,9 +84,10 @@ class PairingFailure(InternalInvariantError):
     """Zeros of a lifted nonnegative function failed to pair: an odd
     circle zero left, or outside and circle zeros that would give a
     spectral factor a degree above the band of g.  The domination rule
-    raises it too, for a zero of f that it can neither match to a circle
-    zero of g nor tell apart from it, and for a g within tolerance of 0
-    whose circle zeros were not found."""
+    raises it too, for a g within tolerance of 0 whose circle zeros were
+    not found, and for a zero of f near a circle zero of g whose lift
+    roots scattered, so that the two can neither be matched nor told
+    apart."""
 
 
 class RootOverflow(InternalInvariantError):

@@ -59,9 +59,9 @@ from .factor import (BlaschkeProduct, _divisor_exponents, _factor_from_zeros,
 from .kernel import (NORM_TOL, KernelElement, Membership, h2_norm,
                      membership_V)
 from .polycore import (CLUSTER_CAP, Poly, TrigPoly, _analysis, _check_band,
-                       _count_minima, circle_minima, nonneg_tol,
-                       require_nonnegative, roots, trig_add, trig_mul,
-                       trig_scale, trig_from_modulus_squared, unlift)
+                       _count_minima, circle_minima, nonneg_check,
+                       nonneg_tol, require_nonnegative, roots, trig_add,
+                       trig_mul, trig_scale, trig_from_modulus_squared, unlift)
 
 TOL_ROT = 1e-10         # |c| below this counts as a vanishing rotation integral
 ROOT_MATCH_TOL = 1e-6   # matching a kernel element's zeros to double circle
@@ -406,17 +406,33 @@ def _undominated_zero(g: TrigPoly, f: Poly) -> complex | None:
     distance widens with m: 1e-6, 1e-3 and 1e-2 for m = 1, 2, 3.
 
     Raises NullInput for a null g, NotNonnegative for a negative one, and
-    PairingFailure when the record leaves an odd circle zero of g or when
-    f has a zero within CLUSTER_CAP of a zero of g where it falls short,
-    but not within that distance: the two cannot then be told apart.
+    PairingFailure where the record cannot be read: an odd circle zero of
+    g is left; g comes within tolerance of 0 (``nonneg_check``) but the
+    record lists no circle zero; or f falls short at zeta and has a zero
+    within CLUSTER_CAP of it, while the lift of g has more roots than
+    zeta's multiplicity within CLUSTER_CAP of it.  The last is a zero of
+    order 6 or more whose lift roots scattered, some off the circle, so
+    neither its order nor f's zeros there can be matched.  A zero that
+    the circle count lists, or whose lift roots merged, is matched as it
+    is.  ``rigidity_check`` and ``numeric.domination_integral`` share
+    these refusals with the rule.
     """
     if g.is_null:
         raise NullInput("domination needs a non-null modulus")
     require_nonnegative(g)
-    zeros = _analysis(g).circle_zeros
+    record = _analysis(g)
+    zeros = record.circle_zeros
     if zeros is None:
         raise PairingFailure("an odd circle zero of g is left unmerged")
-    if not zeros or f.is_null:
+    if not zeros:
+        cert = nonneg_check(g)
+        if cert.min_value <= cert.tol:
+            raise PairingFailure(
+                f"g dips to {cert.min_value:.3e} at theta="
+                f"{cert.argmin_theta:.6f}, within tolerance of 0, but no "
+                "circle zero of g was found there")
+        return None
+    if f.is_null:
         return None
     f_roots = roots(f) if f.degree > 0 else None
     for t, m in zeros:
@@ -424,10 +440,14 @@ def _undominated_zero(g: TrigPoly, f: Poly) -> complex | None:
         near = ROOT_MATCH_TOL ** (2 / m)
         have = f_roots.multiplicity_near(zc, near) if f_roots else 0
         if have < m // 2:
-            if f_roots and f_roots.multiplicity_near(zc, CLUSTER_CAP) > have:
+            if (f_roots and f_roots.multiplicity_near(zc, CLUSTER_CAP) > have
+                    and record.minima is None
+                    and record.lift_roots.multiplicity_near(
+                        zc, CLUSTER_CAP) > m):
                 raise PairingFailure(
-                    f"a zero of f lies near the circle zero {zc:.6f} of g "
-                    f"but not within {near:.1e} of it")
+                    f"the lift's roots near the circle zero {zc:.6f} of g "
+                    f"scatter, and a zero of f lies near them but not "
+                    f"within {near:.1e}")
             return zc
     return None
 

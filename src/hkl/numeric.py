@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PairingFailure, TooSmall
+from .errors import TooSmall
 from .geometry import _undominated_zero
 from .kernel import KernelElement
-from .polycore import TrigPoly, _analysis, nonneg_check
+from .polycore import TrigPoly
 
 W_FLOOR = 1e-8
 DEFAULT_GRID = 4096
@@ -174,21 +174,12 @@ def domination_integral(x: KernelElement, g: TrigPoly) -> DominationEstimate:
     land on the dyadic grid.
 
     Raises NullInput for a null g, NotNonnegative for a negative one, and
-    PairingFailure when the rule cannot be read: an odd circle zero of g
-    is left, or g comes within tolerance of 0 (``nonneg_check``) while its
-    analysis record lists no circle zero, as when the lift's roots at a
-    zero of order 8 scatter too far to be merged.
+    PairingFailure when the rule cannot be read from g's analysis record,
+    as when the lift's roots at a zero of order 6 or 8 scatter.
     """
     witness = _undominated_zero(g, x.f)
     if witness is not None:
         return DominationEstimate(math.inf, True, witness)
-    if not _analysis(g).circle_zeros:
-        cert = nonneg_check(g)
-        if cert.min_value <= cert.tol:
-            raise PairingFailure(
-                f"g dips to {cert.min_value:.3e} at theta="
-                f"{cert.argmin_theta:.6f}, within tolerance of 0, but no "
-                "circle zero of g was found there")
     theta = np.concatenate([2.0 * np.pi * (np.arange(m) + 0.5) / m
                             for m in (64, 128)])
     with np.errstate(divide="ignore", invalid="ignore"):

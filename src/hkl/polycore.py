@@ -1078,15 +1078,12 @@ def _zero_free(g: TrigPoly, low: float, size: int) -> bool:
     return low > nonneg_tol(g) + _l1(g) * (g.effective_band * h) ** 2 / 8.0
 
 
-def _grid_declines(g: TrigPoly, vals: np.ndarray, low: float) -> bool:
-    """True when g's values on the grid, whose minimum is low, show fewer
-    than n local minima or one that is no zero of g, by the bounds of
-    ``circle_count``."""
+def _grid_declines(g: TrigPoly, vals: np.ndarray) -> bool:
+    """True when g's values on the grid show fewer than n local minima or
+    one that is no zero of g, by the parabola bound of ``circle_count``;
+    for a g of band n >= 1 that the grid does not show zero-free
+    (``_zero_free``, the count's first test)."""
     n = g.effective_band
-    if not n:
-        return False
-    if _zero_free(g, low, len(vals)):
-        return True
     tol, l1, h = nonneg_tol(g), _l1(g), 2.0 * math.pi / len(vals)
     # the samples below both their neighbours, wrapped[j + 1] for each j
     wrapped = np.concatenate((vals[-1:], vals, vals[:1]))
@@ -1211,14 +1208,16 @@ class _Analysis:
         """unit's smallest value and its angle over the ``nonneg_check``
         grid (the first on a tie) and the count's minima, the count, and
         whether the grid's smallest sample shows unit > tol everywhere
-        (``_zero_free``)."""
+        (``_zero_free``).  A constant unit is counted: no minima."""
         g = self.unit
         size = nonneg_grid_size(g)
         vals = g.grid_values(size)
         j = int(np.argmin(vals))
         low, theta = float(vals[j]), 2.0 * math.pi * j / size
         zero_free = _zero_free(g, low, size)
-        counted = None if _grid_declines(g, vals, low) else _count_minima(g)
+        declines = g.effective_band > 0 and (zero_free
+                                             or _grid_declines(g, vals))
+        counted = None if declines else _count_minima(g)
         if counted is None:
             return low, theta, None, zero_free
         minima, values = counted
@@ -1260,9 +1259,10 @@ class _Analysis:
         the grid shows g > tol everywhere, else the lift's circle roots,
         refined on unit, which the snap of ``roots`` has merged where
         rounding split a double zero."""
-        if self.minima is not None:
-            return tuple((t, 2) for t in self.minima.tolist())
-        if self._scan[3]:     # zero-free
+        _, _, minima, zero_free = self._scan
+        if minima is not None:
+            return tuple((t, 2) for t in minima.tolist())
+        if zero_free:
             return ()
         on_circle = self.lift_roots.on_circle
         if any(r.multiplicity % 2 for r in on_circle):

@@ -837,16 +837,17 @@ def test_spectral_factors_high_orders(files, capsys, g):
 
 
 def test_rigidity_counterexample_exits_3(files, capsys, monkeypatch):
-    # with g's circle zero hidden, a kernel element that is not dominated
-    # looks like a counterexample: the library's own failure, one error line
+    # with g's circle zero moved from -1 to 1, where f vanishes, a kernel
+    # element that is not dominated looks like a counterexample: the
+    # library's own failure, one error line
     write, _ = files
     g = TrigPoly(1, (1.0, 0.5))
     gpath = write("g.json", g)
     r = 1 / math.sqrt(2)
     fpath = write("f.json", KernelElement(1, Poly((r, -r))))
-    # hidden once g's factor is built with it
+    # moved once g's factor is built with it
     factor.fejer_riesz(g)
-    monkeypatch.setattr(polycore._analysis(g), "circle_zeros", ())
+    monkeypatch.setattr(polycore._analysis(g), "circle_zeros", ((0.0, 2),))
     code, out, err = run(capsys, ["rigidity", gpath, fpath, "--n", "1"])
     _assert_one_error(code, out, err, 3, "SelfCheckFailed")
 

@@ -748,12 +748,12 @@ def test_rigidity_not_dominated():
 
 
 def test_rigidity_counterexample_raises(monkeypatch):
-    # with g's circle zero hidden once its factor is built, x looks
-    # dominated but is no multiple of the factor: an internal bug, raised
-    # rather than returned
+    # with g's circle zero moved from -1 to 1, where x vanishes, once its
+    # factor is built, x looks dominated but is no multiple of the factor:
+    # an internal bug, raised rather than returned
     g = TrigPoly(1, (1.0, 0.5))
     fejer_riesz(g)
-    monkeypatch.setattr(polycore._analysis(g), "circle_zeros", ())
+    monkeypatch.setattr(polycore._analysis(g), "circle_zeros", ((0.0, 2),))
     r = 1 / math.sqrt(2)
     with pytest.raises(SelfCheckFailed, match="not a multiple"):
         rigidity_check(g, 1, KernelElement(1, Poly((r, -r))))

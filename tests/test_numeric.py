@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_outer_poly
 
 from hkl import factor, polycore
-from hkl.errors import (InternalInvariantError, NotNonnegative, NullInput,
+from hkl.errors import (NonConvergence, NotNonnegative, NullInput,
                         PairingFailure, TooSmall)
 from hkl.factor import fejer_riesz
 from hkl.gen import random_boundary_modulus, random_kernel_element
@@ -362,37 +362,64 @@ def _vanishing_order_pair(m, k, rng):
             trig_scale(g, 1.0 / g.mean))
 
 
+# at each m: the most PairingFailure refusals allowed, the fewest required,
+# and the NonConvergence raises allowed, of the 200 pairs
+_VANISHING_ORDER_REFUSALS = {1: (0, 0, 0), 2: (0, 0, 0), 3: (100, 80, 0),
+                             4: (200, 190, 1)}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_domination_by_vanishing_order_is_right_or_refused(m):
     # 40 draws for each k = 0..4: never a wrong verdict.  A zero of order
     # 2m <= 4 is always decided.  At order 6 the lift's roots may scatter
     # and the rule refuses (92 of 200 here); at order 8 it nearly always
-    # does (198 PairingFailure and 1 NonConvergence of 200 here)
+    # does (198 of 200 here, and one lift solve raises NonConvergence)
     rng = np.random.default_rng(24 + m)
-    refused = 0
+    refused = unsolved = 0
     for k in range(5):
         for _ in range(40):
             x, g = _vanishing_order_pair(m, k, rng)
             try:
                 res = domination_integral(x, g)
-            except InternalInvariantError:
-                assert m >= 3
+            except PairingFailure:
                 refused += 1
                 continue
+            except NonConvergence:
+                unsolved += 1
+                continue
             assert res.divergent is (k < m)
-    if m == 4:
-        assert refused >= 190
+    most, fewest, most_unsolved = _VANISHING_ORDER_REFUSALS[m]
+    assert fewest <= refused <= most
+    assert unsolved <= most_unsolved
+
+
+def test_domination_of_an_isolated_double_zero_near_a_zero_of_f():
+    # g = 1 + cos(theta) has a clean double zero at -1 and f = z + 0.999 a
+    # zero 1e-3 from it, too far to match: f(-1) != 0, so f is not
+    # dominated, and both readers of the rule name -1
+    g = TrigPoly(1, (1.0, 0.5))
+    x = KernelElement(1, Poly((0.999, 1.0)))
+    rigid = rigidity_check(g, 1, x)
+    dom = domination_integral(x, g)
+    assert rigid.kind == RigidityResult.NOT_DOMINATED
+    assert dom.divergent and dom.value == math.inf
+    assert rigid.witness == dom.witness == pytest.approx(-1.0)
 
 
 def test_domination_refuses_a_g_that_dips_to_0_with_no_circle_zero(
         monkeypatch):
     # with g's double zero at pi hidden from its record, g still comes
-    # within tolerance of 0 there: no verdict rather than a wrong one
+    # within tolerance of 0 there: no verdict rather than a wrong one, from
+    # both readers of the rule
     g = TrigPoly(1, (1.0, 0.5))
+    fejer_riesz(g)
     monkeypatch.setattr(polycore._analysis(g), "circle_zeros", ())
     r = 1 / math.sqrt(2)
+    x = KernelElement(1, Poly((r, -r)))
     with pytest.raises(PairingFailure, match="no circle zero"):
-        domination_integral(KernelElement(1, Poly((r, -r))), g)
+        domination_integral(x, g)
+    with pytest.raises(PairingFailure, match="no circle zero"):
+        rigidity_check(g, 1, x)
 
 
 def test_domination_refuses_a_null_or_negative_g():
