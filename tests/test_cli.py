@@ -992,10 +992,11 @@ def test_argv_fuzz_exits_0_2_or_3_with_one_error_line(fuzz_files, data):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("grid", [4, 16, 4096])
+@pytest.mark.parametrize("grid", [4, 8, 16, 4096])
 def test_solutions_residual_is_the_grid_maximum(files, capsys, grid):
     # the residual is max | |f|^2 - g | over exp(2 pi i j / grid), by FFT;
-    # a 4-point grid is coarser than g's band and than each factor's degree
+    # a 4-point grid is coarser than g's band and than each factor's degree,
+    # and on 8 points the 9 coefficients fold exactly twice
     write, _ = files
     g = random_boundary_modulus(8, 3, 2, 3, np.random.default_rng(3))
     path = write("g.json", g)
@@ -1029,7 +1030,7 @@ def _circle_values_one_by_one(polys, size):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("grid", [4, 16, 4096])
+@pytest.mark.parametrize("grid", [4, 8, 16, 4096])
 def test_solutions_batched_residuals_match_one_by_one(files, capsys,
                                                       monkeypatch, grid):
     # the residuals of all elements come from one batched inverse FFT; the
@@ -1045,3 +1046,28 @@ def test_solutions_batched_residuals_match_one_by_one(files, capsys,
     monkeypatch.setattr(cli, "_circle_values", _circle_values_one_by_one)
     code, one_by_one, _ = run(capsys, argv)
     assert code == 0 and batched == one_by_one
+
+
+@pytest.mark.parametrize("grid, calls, rows", [(4096, 16, 4), (65536, 64, 1)])
+def test_solutions_batches_hold_at_most_batch_values(files, capsys,
+                                                     monkeypatch, grid,
+                                                     calls, rows):
+    # one batch of every element raised the benchmark's peak memory by 31%:
+    # no batch holds more than BATCH_VALUES values, or one row on a grid
+    # wider than that
+    write, _ = files
+    g = random_boundary_modulus(8, 3, 2, 3, np.random.default_rng(3))
+    path = write("g.json", g)
+    seen = []
+    circle_values = cli._circle_values
+
+    def spy(polys, size):
+        seen.append((len(polys), size))
+        return circle_values(polys, size)
+
+    monkeypatch.setattr(cli, "_circle_values", spy)
+    code, out, _ = run(capsys, ["solutions", path, "--n", "8",
+                                "--grid", str(grid)])
+    assert code == 0 and json.loads(out)["count"] == 64
+    assert max(1, cli.BATCH_VALUES // grid) == rows
+    assert seen == [(rows, grid)] * calls

@@ -14,6 +14,8 @@ integral answer from the grid with none.  Larger orders than these take
 seconds each and are left out of the suite.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,14 @@ from conftest import (_flat_band_modulus, jittered_extreme_point,
                       jittered_inside_zero_point)
 
 from hkl import factor, polycore
+from hkl.cli import main
 from hkl.errors import InternalInvariantError
 from hkl.factor import TOL_SPECTRAL, fejer_riesz, spectral_factor
 from hkl.geometry import (PerturbationSearch, RigidityResult,
                           decompose_modulus, enumerate_solutions, is_extreme,
                           perturbation_search, rigidity_check,
                           split_nonextreme)
+from hkl.jsonio import dumps, instance_to_json
 from hkl.kernel import KernelElement, companion, h2_norm
 from hkl.numeric import domination_integral
 
@@ -134,6 +138,44 @@ def test_boundary_points_with_an_inside_zero_split_and_list_two(n):
             assert np.abs(np.abs(x.f(zeta)) ** 2 - gv).max() <= TOL_MODULUS
 
 
+def _grid_residual(coeffs, g, grid):
+    """max | |f|^2 - g | over s at exp(2 pi i j / grid), by np.polyval and
+    g's cosine sum in long double, whose rounding stays far under the
+    double FFT's at order 128."""
+    ld = np.longdouble
+    theta = 8 * np.arctan(ld(1)) * np.arange(grid, dtype=ld) / grid
+    fv = np.polyval(np.array(coeffs[::-1], dtype=np.clongdouble),
+                    np.exp(1j * theta))
+    gv = np.full(grid, ld(g.coeffs[0].real))
+    for k in range(1, g.n + 1):
+        c = g.coeffs[k]
+        gv += 2 * (ld(c.real) * np.cos(k * theta)
+                   - ld(c.imag) * np.sin(k * theta))
+    s = max(1.0, max(abs(c) for c in g.coeffs))
+    return float(np.abs(np.abs(fv) ** 2 - gv).max()) / s
+
+
+@pytest.mark.parametrize("grid", [4096, 64])
+@pytest.mark.parametrize("n", LADDER)
+def test_boundary_points_with_an_inside_zero_list_two_from_the_cli(
+        tmp_path, capsys, n, grid):
+    # ``hkl solutions`` lists F and F times the Blaschke factor at a, each
+    # within its tolerance, and each printed residual is the grid maximum;
+    # on 64 points the order-128 coefficients fold three times
+    g = jittered_inside_zero_point(n, n)[1]
+    path = tmp_path / "g.json"
+    path.write_text(dumps(instance_to_json(g)))
+    code = main(["solutions", str(path), "--n", str(n), "--grid", str(grid)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["count"] == len(doc["solutions"]) == 2
+    for entry in doc["solutions"]:
+        assert entry["residual_ok"]
+        coeffs = [complex(re, im)
+                  for re, im in entry["element"]["poly"]["coeffs"]]
+        assert abs(entry["modulus_residual"]
+                   - _grid_residual(coeffs, g, grid)) <= 1e-14
+
+
 @pytest.fixture
 def no_solve(monkeypatch, cold_analysis):
     """Any root solve during the test fails it."""
@@ -152,7 +194,12 @@ def test_positive_points_check_and_dominate_with_no_solve(n, no_solve):
     x = KernelElement(n, jittered_extreme_point(n, n)[0])
     res = domination_integral(x, g)
     assert not res.divergent and res.witness is None
-    assert 0.0 < res.value < np.inf
+    # the sums resolve |f| / sqrt(g) at every order: within 1e-2 of a
+    # 65536-point midpoint sum
+    theta = 2.0 * np.pi * (np.arange(65536) + 0.5) / 65536
+    ref = float(np.mean(np.abs(x.f(np.exp(1j * theta)))
+                        / np.sqrt(g.values(theta))))
+    assert abs(res.value - ref) <= 1e-2 * ref
 
 
 @pytest.mark.parametrize("n", LADDER)

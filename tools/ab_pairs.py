@@ -6,6 +6,7 @@ Run from anywhere inside the repository:
     python3 tools/ab_pairs.py --parent HEAD~1 --workload census --pairs 10
     python3 tools/ab_pairs.py --parent 06c8c1d --workload census \\
         --pool-seed 6586 --seed-base 101
+    python3 tools/ab_pairs.py --parent HEAD~1 --workload all --pairs 3
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, and ``bench/run.py --trace 0`` runs from that tree and from the
@@ -14,7 +15,9 @@ pair take the same ``--workload``, ``--seed``, ``--seconds`` and
 ``--pool-seed``; pair i uses seed ``--seed-base`` + i - 1, and the parent
 runs first on odd pairs, the change first on even ones.  Each run is
 printed as it ends.  The tool stops, with exit code 1, on the first run
-that is not ``correct``.
+that is not ``correct``.  ``--workload all`` runs the pairs of every
+workload that ``BENCHMARK.json`` declares, one workload after another, and
+prints each workload's summary block after its pairs.
 
 The summary gives, for each end-to-end metric that ``BENCHMARK.json``
 declares, each side's median and quartiles, and the pairs the change won
@@ -33,9 +36,15 @@ the change's median is worse than the parent's by at most the bound, and
 Only the temporary directory is written to: each side's bytecode goes
 to its own empty cache there (PYTHONPYCACHEPREFIX), so both sides start
 as a fresh checkout does and neither tree gains or reads a __pycache__.
-That matters: a module compiled from source leaves the heap larger than
-one loaded from bytecode, and on ``cli`` that alone moved a pass's minor
-page faults from about 600 to 28000 or 46000.  Standard library only.
+That matters: a module compiled from source leaves a different heap than
+one loaded from bytecode, and NumPy temporaries can then fault fresh
+pages on one side only.  While ``solutions`` reduced every batch of
+residuals over a length-1 fold axis, one pinned ``cli`` pass once took
+about 600 minor page faults on one side and 28000 or 46000 on the other.
+Since it folds only coefficients wider than the grid, a pass takes about
+480 to 500 faults compiled and loaded alike (one BLAS thread, 2-core
+x86-64 host); the caches stay per side, as the heaps still differ.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -113,11 +122,19 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def bench(tree: Path, pycache: Path, args, seed: int) -> dict:
-    """The final JSON line of one ``bench/run.py --trace 0`` run in tree,
-    with bytecode cached under pycache."""
+def expand(choice: str, workloads: list[dict]) -> list[str]:
+    """The workloads that ``--workload choice`` runs: for "all", every one
+    of ``workloads`` (BENCHMARK.json's list) in its order, else choice."""
+    if choice == "all":
+        return [w["name"] for w in workloads]
+    return [choice]
+
+
+def bench(tree: Path, pycache: Path, args, workload: str, seed: int) -> dict:
+    """The final JSON line of one ``bench/run.py --trace 0`` run of workload
+    in tree, with bytecode cached under pycache."""
     cmd = [sys.executable, str(tree / "bench" / "run.py"),
-           "--workload", args.workload, "--seed", str(seed),
+           "--workload", workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     if args.pool_seed is not None:
         cmd += ["--pool-seed", str(args.pool_seed)]
@@ -132,44 +149,36 @@ def bench(tree: Path, pycache: Path, args, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True,
-                    help="git revision to compare the working tree with")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed-base", type=int, default=1,
-                    help="seed of the first pair; pair i takes base + i - 1")
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--pool-seed", type=int, default=None)
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+def run_pairs(workload: str, trees: dict, tmp: str, args,
+              declared: list[dict]) -> dict | None:
+    """Each side's metric values over the pairs of one workload, each run
+    printed as it ends; None after the first run that is not correct."""
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        trees = {"parent": Path(tmp, "parent"), "change": ROOT}
-        export(args.parent, trees["parent"])
-        for i in range(1, args.pairs + 1):
-            seed = args.seed_base + i - 1
-            order = ("parent", "change") if i % 2 else ("change", "parent")
-            for side in order:
-                res = bench(trees[side], Path(tmp, f"pycache-{side}"), args,
-                            seed)
-                values = {k: v["value"] for k, v in res["metrics"].items()}
-                runs[side].append(values)
-                shown = " ".join(f"{d['name']}={values[d['name']]:.6g}"
-                                 for d in declared if d["name"] in values)
-                print(f"pair {i} seed {seed} {side:<6} correct="
-                      f"{res['correct']} failed={res['failed']} {shown}",
-                      flush=True)
-                if not res["correct"]:
-                    print(f"error: the {side} run of pair {i} is not correct",
-                          file=sys.stderr)
-                    return 1
+    for i in range(1, args.pairs + 1):
+        seed = args.seed_base + i - 1
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        for side in order:
+            res = bench(trees[side], Path(tmp, f"pycache-{side}"), args,
+                        workload, seed)
+            values = {k: v["value"] for k, v in res["metrics"].items()}
+            runs[side].append(values)
+            shown = " ".join(f"{d['name']}={values[d['name']]:.6g}"
+                             for d in declared if d["name"] in values)
+            print(f"pair {i} seed {seed} {side:<6} correct="
+                  f"{res['correct']} failed={res['failed']} {shown}",
+                  flush=True)
+            if not res["correct"]:
+                print(f"error: the {side} run of pair {i} is not correct",
+                      file=sys.stderr)
+                return None
+    return runs
 
-    print(f"{args.workload}: {args.pairs} pairs, {args.seconds:g} s per run, "
+
+def print_summary(workload: str, runs: dict, args,
+                  declared: list[dict]) -> None:
+    """One workload's summary block: a header line and one line per
+    declared metric."""
+    print(f"{workload}: {args.pairs} pairs, {args.seconds:g} s per run, "
           f"parent {args.parent}")
     for d in declared:
         name = d["name"]
@@ -184,7 +193,36 @@ def main(argv=None) -> int:
               f"{s['pairs']} ({d['better']} is better)  gap {s['gap']:.4g} "
               f"vs spread {s['spread']:.4g}  gain rule "
               f"{'holds' if s['gain'] else 'does not hold'}  no regression "
-              f"{no_regression(pairs, d['better'], d['bound'], d['unit'])}")
+              f"{no_regression(pairs, d['better'], d['bound'], d['unit'])}",
+              flush=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True,
+                    help="git revision to compare the working tree with")
+    ap.add_argument("--workload", required=True,
+                    help="a workload of BENCHMARK.json, or all of them "
+                         "in turn with 'all'")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed-base", type=int, default=1,
+                    help="seed of the first pair; pair i takes base + i - 1")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--pool-seed", type=int, default=None)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = spec["end_to_end"]
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        trees = {"parent": Path(tmp, "parent"), "change": ROOT}
+        export(args.parent, trees["parent"])
+        for workload in expand(args.workload, spec["workloads"]):
+            runs = run_pairs(workload, trees, tmp, args, declared)
+            if runs is None:
+                return 1
+            print_summary(workload, runs, args, declared)
     return 0
 
 
