@@ -40,8 +40,8 @@ from .errors import (NotDivisible, NullInput, PairingFailure, PoleHit,
                      SelfCheckFailed)
 from .polycore import (EPS_CIRCLE, Poly, RootSet, TrigPoly, _analysis,
                        _derivative, _l1, _polish as _newton_polish,
-                       require_nonnegative, roots, self_inversive_phase,
-                       synthetic_divide, trig_from_modulus_squared)
+                       require_nonnegative, roots, synthetic_divide,
+                       trig_from_modulus_squared)
 
 TOL_DIVIDE = 1e-9    # relative tail bound of a product f * J built from values
 POLE_TOL = 1e-12
@@ -274,7 +274,7 @@ def _spectral_build(a) -> SpectralFactor:
     outside = () if a.minima is not None else a.lift_roots.outside
     cofactor = _zero_poly([r.location for r in outside],
                           [r.multiplicity for r in outside])
-    f, resid = _factor_from_zeros(g, cofactor, a.circle_factor)
+    f, resid = _factor_from_zeros(g, cofactor, a.circle_factor, False)
     if a.scale > 1.0:
         # near the top of the double range the polish's residual norms
         # overflow, so F is built for unit; times sqrt(s) it is g's F
@@ -311,7 +311,8 @@ def _circle_factor(zeros: tuple | None) -> tuple | None:
 
 
 def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
-                       circle: tuple | None) -> tuple[Poly, float]:
+                       circle: tuple | None,
+                       self_inversive: bool) -> tuple[Poly, float]:
     """The spectral factor of g with the given zeros, and its round trip.
 
     The one builder and acceptance rule of every spectral factor, for
@@ -325,12 +326,14 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     is handed to the polish, so a start at the floor expands nothing and
     builds no Jacobian.
 
-    A nonconstant self-inversive cofactor (``self_inversive_phase``; the
-    split halves' lam N +/- D) makes F self-inversive: F* = mu F, F* the
-    conjugated reverse.  The polish moves the cofactor freely and can push
-    its circle zeros off the circle, so F is projected back,
-    F -> (F + conj(mu) F*) / 2 with mu the phase of <F, F*>.  Circle zeros
-    outside the cofactor move by their angles alone and stay on it.
+    ``self_inversive`` says that the cofactor is built self-inversive, as
+    a split half's lam N +/- D is (``geometry._split_half``), and then so
+    is F: F* = mu F, F* the conjugated reverse.  The polish moves the
+    cofactor freely and can push its circle zeros off the circle, so F is
+    projected back, F -> (F + conj(mu) F*) / 2 with mu the phase of
+    <F, F*>.  Circle zeros outside the cofactor move by their angles alone
+    and stay on it.  ``fejer_riesz``'s cofactor, of outside roots, is not
+    self-inversive.
 
     Raises PairingFailure when ``circle`` is None (an odd circle zero is
     left) or F's degree would exceed g's band n, and SelfCheckFailed when
@@ -349,7 +352,7 @@ def _factor_from_zeros(g: TrigPoly, cofactor: np.ndarray,
     l1 = _l1(g)
     coeffs = _polish(np.asarray(g.coeffs), cofactor * scale, circle_part,
                      angles, halves, np.finfo(float).eps * l1)
-    if len(cofactor) > 1 and self_inversive_phase(cofactor) is not None:
+    if self_inversive:
         star = np.conj(coeffs[::-1])
         mu = np.vdot(coeffs, star)
         coeffs = (coeffs + (mu.conjugate() / abs(mu)) * star) / 2

@@ -88,8 +88,8 @@ class ExtremeCertificate:
 def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     """Extreme iff the mean is 1 and the lift z**n g has trivial inner factor.
 
-    The mean is 1 when it is within NORM_TOL of 1, the tolerance of
-    ``membership_V``'s boundary verdict.
+    The mean is 1 when ``membership_V`` puts g on the boundary: within
+    NORM_TOL of 1.
 
     Equivalently (tested as an oracle): every root of the lift lies on the
     unit circle and the mean is 1.  Scaling g below norm 1 destroys
@@ -112,7 +112,7 @@ def is_extreme(g: TrigPoly, n: int) -> ExtremeCertificate:
     if mem.status is Membership.NOT_IN_V:
         raise NotInV(mem.reason)
     fac = _analysis(g).factorization(n)
-    norm_ok = abs(g.mean - 1.0) <= NORM_TOL
+    norm_ok = mem.status is Membership.IN_V_BOUNDARY
     return ExtremeCertificate(
         verdict=norm_ok and fac.inner.is_trivial,
         norm_ok=norm_ok,
@@ -243,7 +243,7 @@ def _split_half(gj: TrigPoly, n: int, circle: tuple | None,
     prod (z - w)**(m/2) p over g's circle zeros ``circle`` (g's expanded
     ``circle_factor``, None when an odd circle root was left), built and
     certified extreme as in ``split_nonextreme``."""
-    f, resid = _factor_from_zeros(gj, p, circle)
+    f, resid = _factor_from_zeros(gj, p, circle, True)
     if (resid > nonneg_tol(gj)
             and (gj.effective_band != n or _circle_count(gj) is None)):
         raise SelfCheckFailed(
@@ -550,7 +550,8 @@ def _circle_count(g: TrigPoly) -> np.ndarray | None:
     mean(g) > 0, so g >= -tol; else None.
 
     The rule of ``polycore.circle_count`` decides first, taken on g as
-    given with no grid of g (``polycore._count_minima``): n local minima
+    given with no grid of g (``polycore._count_minima``) on g's minima
+    (``circle_minima``, scanned once for both steps): n local minima
     that are double zeros of g within tolerance are all of the lift's
     zeros, found with no root solve.  Every local minimum of such a g is
     one of its zeros: g' has at most 2n zeros, a zero of g of order 2m
@@ -560,13 +561,13 @@ def _circle_count(g: TrigPoly) -> np.ndarray | None:
     then the lift's circle roots and their multiplicities decide (the
     ``circle_zeros`` of g's analysis record).
     """
-    counted = _count_minima(g)
+    minima = circle_minima(g)
+    counted = _count_minima(g, minima)
     if counted is not None:
         return counted[0]
     if g.mean <= 0:
         return None
     n, tol = g.effective_band, nonneg_tol(g)
-    minima = circle_minima(g)
     if (minima is None or len(minima) >= n
             or np.any(np.abs(g.values(minima)) > tol)):
         return None

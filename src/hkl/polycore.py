@@ -36,9 +36,12 @@ at scalar points in plain Python (``_horner``), bit-identical to
 Most points have no other point within CLUSTER_CAP; such a lone point is
 a simple root whatever the merge tree, so it is polished directly and the
 tree is built over the other points only.  A lift z**n g is exactly
-self-inversive, so its off-circle zeros come in reflected pairs
-(a, 1/conj(a)): of a pair of lone points only the inside one is
-polished, and the outside root is its exact mirror.
+conjugate-palindromic, which the solve checks once (``_solve``), so its
+off-circle zeros come in reflected pairs (a, 1/conj(a)): of a pair of
+lone points only the inside one is polished, and the outside root is its
+exact mirror.  A lift's roots near the circle are then snapped by g's
+tolerance (``_snap_self_inversive``).  No other polynomial is mirrored or
+snapped, whatever its symmetry.
 """
 
 from __future__ import annotations
@@ -387,7 +390,7 @@ class RootSet:
                    if abs(r.location - point) <= tol)
 
 
-SNAP_BAND = 1e-4   # self-inversive snap range; see _snap_self_inversive
+SNAP_BAND = 1e-4   # the lift's snap range; see _snap_self_inversive
 
 
 def _classify(a: complex) -> Region:
@@ -397,38 +400,20 @@ def _classify(a: complex) -> Region:
     return Region.INSIDE if r < 1.0 else Region.OUTSIDE
 
 
-def self_inversive_phase(c: np.ndarray) -> complex | None:
-    """The lambda with conj(c[::-1]) = lambda * c and |lambda| = 1, or None.
+def _snap_self_inversive(found: list[tuple[complex, int]],
+                         c: np.ndarray) -> list[tuple[complex, int]]:
+    """Place the near-circle roots of the lift c = z**n g (``_solve``).
 
-    Such a polynomial is self-inversive: its zeros lie on the unit circle
-    or in reflected pairs (a, 1/conj(a)).  The test is relative to the
-    largest coefficient, at 1e-12.
-    """
-    rev = np.conj(c[::-1])
-    k = int(np.argmax(np.abs(c)))
-    lam = complex(rev[k] / c[k])
-    if abs(abs(lam) - 1.0) > 1e-12:
-        return None
-    if float(np.abs(rev - lam * c).max()) > 1e-12 * float(np.abs(c).max()):
-        return None
-    return lam
-
-
-def _snap_self_inversive(found: list[tuple[complex, int]], c: np.ndarray,
-                         lam: complex) -> list[tuple[complex, int]]:
-    """Place the near-circle roots of the self-inversive polynomial c.
-
-    An m-fold circle root of c is an m-fold zero of its real function
-    q(t) = sqrt(lam) e^(-idt/2) c(e^(it)), here at unit scale (g / max|g_k|
-    for a lift z**n g; for odd degree d, q(2s), with integer frequencies).
-    Rounding splits a double circle zero into two simple roots on or near
-    the circle, but it is a simple zero of q'.  So each root within
-    SNAP_BAND of the circle but off it, and each odd root on it, goes by
-    Newton on q' from its angle (``refine_circle_angle``).  Roots that
-    reach one angle, within EPS_CIRCLE, are one circle root with the summed
-    multiplicity where |q| <= nonneg_tol(q), and a genuine reflected pair,
-    kept, where |q| is larger.  A root alone at its angle is projected onto
-    the circle.  Even roots on the circle are kept bit for bit.
+    An m-fold circle root of c is an m-fold zero of g, here at unit scale:
+    q = g / max|g_k|, whose coefficients are c[n:] / max|c|.  Rounding
+    splits a double circle zero into two simple roots on or near the
+    circle, but it is a simple zero of q'.  So each root within SNAP_BAND
+    of the circle but off it, and each odd root on it, goes by Newton on q'
+    from its angle (``refine_circle_angle``).  Roots that reach one angle,
+    within EPS_CIRCLE, are one circle root with the summed multiplicity
+    where |q| <= nonneg_tol(q), and a genuine reflected pair, kept, where
+    |q| is larger.  A root alone at its angle is projected onto the circle.
+    Even roots on the circle are kept bit for bit.
     """
     out, spots = [], []
     for a, m in found:
@@ -437,12 +422,9 @@ def _snap_self_inversive(found: list[tuple[complex, int]], c: np.ndarray,
         (out if keep else spots).append((a, m))
     if not spots:
         return out
-    d = len(c) - 1
-    step = 1 + d % 2
-    qc = np.zeros(step * d // 2 + 1, dtype=complex)
-    qc[d % 2::step] = np.sqrt(lam) * c[(d + 1) // 2:] / np.abs(c).max()
-    q = TrigPoly(len(qc) - 1, tuple(qc))
-    spots = [(a, m, step * refine_circle_angle(q, float(np.angle(a)) / step))
+    n = (len(c) - 1) // 2
+    q = TrigPoly(n, tuple(c[n:] / np.abs(c).max()))
+    spots = [(a, m, refine_circle_angle(q, float(np.angle(a))))
              for a, m in spots]
     while spots:
         hits = [abs(math.remainder(t - spots[0][2], 2.0 * math.pi))
@@ -452,7 +434,7 @@ def _snap_self_inversive(found: list[tuple[complex, int]], c: np.ndarray,
         a, m, t = grp[0]
         if len(grp) == 1:
             out.append((a if abs(abs(a) - 1) <= EPS_CIRCLE else a / abs(a), m))
-        elif abs(float(q.values(t / step))) <= nonneg_tol(q):
+        elif abs(float(q.values(t))) <= nonneg_tol(q):
             out.append((complex(np.exp(1j * t)), sum(s[1] for s in grp)))
         else:
             out.extend((a, m) for a, m, _ in grp)
@@ -719,16 +701,16 @@ def _mirror_partners(pts: list, lone: list[int]) -> dict[int, int]:
     return partner
 
 
-def _cluster_points(points: np.ndarray,
-                    coeffs: np.ndarray) -> list[tuple[complex, int]]:
+def _cluster_points(points: np.ndarray, coeffs: np.ndarray,
+                    is_lift: bool) -> list[tuple[complex, int]]:
     """Single-linkage agglomeration, then a top-down cut of the merge tree.
 
     A point with no other point within CLUSTER_CAP is a simple root under
     the cut whatever the tree, as every node holding it and another point
     was merged beyond the cap.  So each such lone point is polished on its
     own, and the tree and the cut run over the other points only.  When
-    the coefficients are exactly conjugate-palindromic, as every lift
-    z**n g is, the zeros come in reflected pairs (a, 1/conj(a)): a lone
+    the coefficients are a lift z**n g (``is_lift``, as ``_solve``
+    decides), the zeros come in reflected pairs (a, 1/conj(a)): a lone
     outside point paired with a lone inside one (``_mirror_partners``)
     becomes 1/conj(a) of the polished inside root, not a second polish.  A
     mirror that misses the residual bound is polished from its own point.
@@ -787,8 +769,7 @@ def _cluster_points(points: np.ndarray,
 
     # lone roots are Python complex, so a mirror is 1 / conj(a) in Python
     # arithmetic whatever type the polish returned
-    partner = (_mirror_partners(pts, lone)
-               if np.array_equal(np.conj(c0[::-1]), c0) else {})
+    partner = _mirror_partners(pts, lone) if is_lift else {}
     placed = {i: complex(polish(i)) for i in lone if i not in partner}
     mirrored = set()
     for i, j in partner.items():
@@ -879,16 +860,21 @@ def _solve(c: tuple) -> list[tuple[complex, int]]:
 
     Degree 1 is solved in closed form.  Higher degrees start from the
     closed form (degree 2) or ``_aberth``'s points, which
-    ``_cluster_points`` places; on exactly conjugate-palindromic c (every
-    lift) it returns the outside root of a lone reflected pair as the
-    mirror of its polished inside partner.  Every root, mirrors included,
-    meets the residual bound (``_residual_ok``), judged once where it is
-    placed, and a self-inversive c then has its near-circle roots snapped
-    (``_snap_self_inversive``).
+    ``_cluster_points`` places.  Every root meets the residual bound
+    (``_residual_ok``), judged once where it is placed.
+
+    c is decided once to be a lift z**n g or not: of even degree and
+    exactly conjugate-palindromic, as ``lift`` builds it.  Two steps hold
+    for lifts alone and read that decision: ``_cluster_points`` returns
+    the outside root of a lone reflected pair as the mirror of its
+    polished inside partner, and ``_snap_self_inversive`` places the
+    near-circle roots by g's tolerance.  Any other c, self-inversive or
+    not, keeps the roots the clustering placed.
     """
     found: list[tuple[complex, int]] = []
     d = len(c) - 1
     carr = np.asarray(c, dtype=complex)
+    is_lift = d % 2 == 0 and np.array_equal(np.conj(carr[::-1]), carr)
     # coefficients near the float range overflow inside the solve; the
     # roots then come out non-finite, which the residual check reports as
     # RootOverflow instead of a warning per operation
@@ -905,15 +891,15 @@ def _solve(c: tuple) -> list[tuple[complex, int]]:
             q = -(a1 - disc) / 2
             r1 = q / a2
             r2 = a0 / q if q != 0 else -a1 / a2 - r1
-            found = _cluster_points(np.array([r1, r2]), carr)
+            found = _cluster_points(np.array([r1, r2]), carr, is_lift)
         elif d > 0:
             # the points of a multiple root are left spread, and only
             # the clustering's polished centers meet the residual bound:
             # failure is judged on those
             found = _cluster_points(_aberth(carr, TOL_ROOT, MAX_ROOT_ITER),
-                                    carr)
-    if d >= 2 and (lam := self_inversive_phase(carr)) is not None:
-        found = _snap_self_inversive(found, carr, lam)
+                                    carr, is_lift)
+    if is_lift:
+        found = _snap_self_inversive(found, carr)
     return found
 
 
@@ -1099,16 +1085,18 @@ def _grid_declines(g: TrigPoly, vals: np.ndarray) -> bool:
     return bool(np.any(vertex > tol + 0.065 * l1 * (n * h) ** 3))
 
 
-def _count_minima(g: TrigPoly) -> tuple[np.ndarray, np.ndarray] | None:
+def _count_minima(g: TrigPoly, minima: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """``circle_count``'s rule on g as given, unmemoized and without the
-    grid: g's n minima (``circle_minima``) and g's values there when each
-    is a double zero of g within tolerance and the mean is > 0; else None.
-    For a caller that has no grid of g, such as the perturbation search.
+    grid: g's n minima ``minima``, as ``circle_minima(g)`` gives them,
+    and g's values there when each is a double zero of g within tolerance
+    and the mean is > 0; else None.  For a caller that has no grid of g,
+    such as the perturbation search, which reads the same minima again
+    when the rule declines.
     """
     n, tol = g.effective_band, nonneg_tol(g)
     if g.mean <= 0:
         return None
-    minima = circle_minima(g)
     if minima is None or len(minima) != n:
         return None
     value = g.values(minima)
@@ -1217,7 +1205,7 @@ class _Analysis:
         zero_free = _zero_free(g, low, size)
         declines = g.effective_band > 0 and (zero_free
                                              or _grid_declines(g, vals))
-        counted = None if declines else _count_minima(g)
+        counted = None if declines else _count_minima(g, circle_minima(g))
         if counted is None:
             return low, theta, None, zero_free
         minima, values = counted

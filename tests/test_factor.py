@@ -153,7 +153,7 @@ def test_circle_count_decides_a_g_whose_minima_are_double_zeros():
     # n = 9: all nine minima are double zeros within tolerance, two of them
     # at grid cells 3755.8 and 3757.3 of 4096
     g = _near_touching(5, 600)[194]
-    assert len(polycore._count_minima(g)[0]) == 9
+    assert len(polycore._count_minima(g, polycore.circle_minima(g))[0]) == 9
     assert circle_count(g) is not None
 
 
@@ -612,7 +612,8 @@ def test_build_at_the_floor_expands_once(monkeypatch, jacobian_calls):
         return expand(*args)
     monkeypatch.setattr(factor, "_zero_poly", counted)
     built, resid = factor._factor_from_zeros(g, cofactor,
-                                             factor._circle_factor(circle))
+                                             factor._circle_factor(circle),
+                                             False)
     assert jacobian_calls[0] == 0
     assert expansions[0] == 1
     assert resid / factor._l1(g) <= 1e-15

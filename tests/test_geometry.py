@@ -267,8 +267,8 @@ def test_split_halves_over_the_bound_keep_their_factors(monkeypatch,
         raise AssertionError("the split re-solved a half")
     build = geometry._factor_from_zeros
 
-    def over_the_bound(g, cofactor, circle):
-        f, resid = build(g, cofactor, circle)
+    def over_the_bound(g, cofactor, circle, self_inversive):
+        f, resid = build(g, cofactor, circle, self_inversive)
         return f, resid + 1e-6
     monkeypatch.setattr(geometry, "_factor_from_zeros", over_the_bound)
     monkeypatch.setattr(geometry, "fejer_riesz", refuse)
@@ -288,7 +288,8 @@ def test_split_half_neither_check_certifies_is_internal(monkeypatch):
     # declines: the half is not certified, and the split names its round
     # trip instead of returning it
     monkeypatch.setattr(geometry, "nonneg_tol", lambda g: -1.0)
-    monkeypatch.setattr(geometry, "_count_minima", lambda g: None)
+    monkeypatch.setattr(geometry, "_count_minima",
+                        lambda g, minima: None)
     g = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(131))
     with pytest.raises(SelfCheckFailed, match="round trip .* circle count"):
         split_nonextreme(g, 5)
@@ -1262,6 +1263,28 @@ def test_circle_count_falls_back_to_the_lift_at_a_fourfold_zero():
     assert len(circle_minima(g)) == 4
     assert (perturbation_search(g, 5, trials=0).route
             == PerturbationSearch.CIRCLE_COUNT)
+
+
+def test_circle_count_scans_the_minima_once(monkeypatch):
+    # a point that is not extreme, and the fourfold zero of the test above:
+    # the count's rule and its fallback read one scan of g's minima
+    calls = [0]
+    scan = polycore.circle_minima
+
+    def counted(g):
+        calls[0] += 1
+        return scan(g)
+    for module in (polycore, geometry):
+        monkeypatch.setattr(module, "circle_minima", counted)
+    f = poly_mul(poly_mul(Poly((-1, 1)), Poly((-1, 1))),
+                 poly_mul(Poly((1, 1)), Poly((1j, 1))))
+    fourfold = trig_from_modulus_squared(poly_mul(f, Poly((-1j, 1))))
+    inside = random_boundary_modulus(5, 1, 3, 1, np.random.default_rng(131))
+    for g, decided in ((inside, False), (fourfold, True)):
+        polycore._analysis(g).circle_zeros   # the record's own scan
+        calls[0] = 0
+        assert (_circle_count(g) is not None) == decided
+        assert calls[0] == 1
 
 
 def test_circle_count_reads_the_order_of_g_not_its_stored_band():

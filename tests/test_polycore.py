@@ -18,7 +18,7 @@ from hkl import polycore
 from hkl.errors import (BandExceeded, InternalInvariantError,
                         NonConvergence, NotNonnegative, NullInput,
                         RootOverflow)
-from hkl.factor import _zero_poly, inner_outer
+from hkl.factor import _zero_poly, fejer_riesz, inner_outer
 from hkl.gen import random_boundary_modulus
 from hkl.polycore import (CLUSTER_CAP, EPS_CIRCLE, MERGE_BACKWARD_TOL,
                           TOL_ROOT, Poly, Region, Root, TrigPoly, _aberth,
@@ -28,7 +28,7 @@ from hkl.polycore import (CLUSTER_CAP, EPS_CIRCLE, MERGE_BACKWARD_TOL,
                           circle_minima, lift, nonneg_check, nonneg_tol,
                           poly_mul, refine_circle_angle,
                           require_nonnegative, roots,
-                          self_inversive_phase, synthetic_divide, trig_add,
+                          synthetic_divide, trig_add,
                           trig_from_modulus_squared, trig_mul, trig_scale,
                           unlift)
 
@@ -416,6 +416,11 @@ def _three_polyval_aberth(c, tol, max_iter):
     return z
 
 
+def _is_lift(c):
+    # the decision of _solve: even degree and conjugate-palindromic
+    return len(c) % 2 == 1 and np.array_equal(np.conj(c[::-1]), c)
+
+
 def _aberth_cases():
     # deflated coefficient arrays (c[0] != 0) of degree 3..24: simple
     # random roots, and lifts of |f|^2 whose circle zeros of f are double
@@ -436,8 +441,9 @@ def test_aberth_clusters_match_three_polyval_reference():
     # the power-matrix evaluation and the companion starts move the points
     # at the rounding level only: clustered, they are the reference's roots
     for c in _aberth_cases():
-        new = _cluster_points(_aberth(c, 1e-12, 200), c)
-        ref = _cluster_points(_three_polyval_aberth(c, 1e-12, 200), c)
+        new = _cluster_points(_aberth(c, 1e-12, 200), c, _is_lift(c))
+        ref = _cluster_points(_three_polyval_aberth(c, 1e-12, 200), c,
+                              _is_lift(c))
         matched = []
         for a, m in new:
             j = min(range(len(ref)), key=lambda j: abs(ref[j][0] - a))
@@ -522,14 +528,14 @@ def test_lone_points_match_the_full_tree_cut():
     # reference's or the exact mirror of an inside root, near the same zero
     for c in _aberth_cases():
         pts = _aberth(c, 1e-12, 200)
-        new, ref = _cluster_points(pts, c), _tree_cluster_points(pts, c)
-        if not np.array_equal(np.conj(c[::-1]), c):
+        new = _cluster_points(pts, c, _is_lift(c))
+        ref = _tree_cluster_points(pts, c)
+        if not _is_lift(c):
             assert _sorted_bits(new) == _sorted_bits(ref)
             continue
-        lam = self_inversive_phase(c)
         for stage_new, stage_ref in ((new, ref),
-                                     (_snap_self_inversive(new, c, lam),
-                                      _snap_self_inversive(ref, c, lam))):
+                                     (_snap_self_inversive(new, c),
+                                      _snap_self_inversive(ref, c))):
             assert (_sorted_bits(r for r in stage_new
                                  if abs(r[0]) <= 1 + EPS_CIRCLE)
                     == _sorted_bits(r for r in stage_ref
@@ -748,7 +754,7 @@ def _snap_lift(zeros, found):
     # root list ``found`` given for it
     g = trig_from_modulus_squared(Poly(tuple(np.poly(zeros)[::-1])))
     c = lift(g).as_array()
-    return g, _snap_self_inversive(found, c, self_inversive_phase(c))
+    return g, _snap_self_inversive(found, c)
 
 
 def test_snap_merges_by_newton_on_the_derivative():
@@ -773,6 +779,55 @@ def test_snap_merges_by_newton_on_the_derivative():
     found = [((1.0 + 1e-6) * w, 2), (-w, 2)]
     _, snapped = _snap_lift([w, -w], found)
     assert snapped == [(-w, 2), (found[0][0] / abs(found[0][0]), 2)]
+
+
+@pytest.fixture
+def snap_calls(monkeypatch):
+    calls = [0]
+    snap = polycore._snap_self_inversive
+
+    def counted(*args):
+        calls[0] += 1
+        return snap(*args)
+    monkeypatch.setattr(polycore, "_snap_self_inversive", counted)
+    return calls
+
+
+def _phase(c):
+    # mu with conj(c[::-1]) = mu c, from the largest coefficient
+    k = int(np.argmax(np.abs(c)))
+    return complex(np.conj(c[::-1])[k] / c[k])
+
+
+def test_snap_places_the_roots_of_a_lift(snap_calls):
+    g = random_boundary_modulus(4, 1, 2, 1, np.random.default_rng(7))
+    roots(lift(g))
+    assert snap_calls[0] == 1
+
+
+def test_snap_leaves_other_self_inversive_polynomials(snap_calls):
+    # self-inversive, but no lift: an extreme point's factor, of even
+    # degree and phase 0.41 - 0.91i, and a lift times 1j, of phase -1
+    f = fejer_riesz(random_boundary_modulus(
+        4, 0, 4, 0, np.random.default_rng(7))).as_array()
+    c = lift(random_boundary_modulus(
+        4, 1, 2, 1, np.random.default_rng(7))).as_array() * 1j
+    for p in (f, c):
+        mu = _phase(p)
+        assert len(p) % 2 == 1 and abs(mu - 1.0) > 1e-3
+        assert np.abs(np.conj(p[::-1]) - mu * p).max() <= 1e-12
+    assert all(r.region is Region.ON_CIRCLE and r.multiplicity == 1
+               for r in roots(Poly(tuple(f))).roots)
+    assert (sum(r.multiplicity for r in roots(Poly(tuple(c))).roots)
+            == len(c) - 1)
+    # 1 + z + ... + z**5, odd degree: the sixth roots of unity but 1
+    rs = roots(Poly((1,) * 6)).roots
+    want = np.exp(2j * np.pi * np.arange(1, 6) / 6)
+    assert [r.multiplicity for r in rs] == [1] * 5
+    assert all(r.region is Region.ON_CIRCLE for r in rs)
+    got = np.array([r.location for r in rs])
+    assert np.abs(got[:, None] - want).min(axis=0).max() <= 1e-12
+    assert snap_calls[0] == 0
 
 
 # ---------------------------------------------------------------------------
