@@ -8,6 +8,11 @@ caller's fault).  A failure writes one line ``error: <Type>: <message>``
 to stderr and nothing to stdout.  Output is deterministic byte for byte
 for identical inputs, flags and seed.
 
+``COMMANDS`` declares each command once: its handler, its input files in
+order with the type each must hold, and whether it takes ``--n``.  The
+parser is built from that table, and ``_output`` loads the inputs in the
+order listed, so a handler receives loaded instances and reads no file.
+
 Everything after argument parsing runs inside ``_handle``, the one place
 where an exception becomes an exit code and an error line: loading the
 inputs, the command's handler, serializing its output, writing the
@@ -128,13 +133,13 @@ def _size(coeffs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (output dict, boundary or None); the boundary is a
-# zero-argument callable that samples the Grid for --csv, so nothing is
-# sampled without it.  A failure is raised, never returned.
+# command handlers: take the parsed arguments and the loaded inputs, and
+# return (output dict, boundary or None); the boundary is a zero-argument
+# callable that samples the Grid for --csv, so nothing is sampled without
+# it.  A failure is raised, never returned.
 # ---------------------------------------------------------------------------
 
-def cmd_factor(args):
-    p = _load(args.input, Poly)
+def cmd_factor(args, p: Poly):
     fac = inner_outer(p)
     zeta = np.exp(2j * np.pi * np.arange(args.grid) / args.grid)
     # finite roots can still overflow here, with coefficients near the top
@@ -159,8 +164,7 @@ def cmd_factor(args):
     return out, _poly_boundary(p, args.grid)
 
 
-def cmd_spectral(args):
-    g = _load(args.input, TrigPoly)
+def cmd_spectral(args, g: TrigPoly):
     rec = spectral_factor(g)
     out = {
         "command": "spectral",
@@ -174,8 +178,7 @@ def cmd_spectral(args):
     return out, _poly_boundary(rec.factor, args.grid)
 
 
-def cmd_companion(args):
-    x = _load(args.input, KernelElement)
+def cmd_companion(args, x: KernelElement):
     y = companion(x)
     out = {
         "command": "companion",
@@ -185,8 +188,7 @@ def cmd_companion(args):
     return out, _poly_boundary(y.f, args.grid)
 
 
-def cmd_norm(args):
-    x = _load(args.input, KernelElement)
+def cmd_norm(args, x: KernelElement):
     out = {
         "command": "norm",
         "input": jsonio.kernel_to_json(x),
@@ -195,8 +197,7 @@ def cmd_norm(args):
     return out, _poly_boundary(x.f, args.grid)
 
 
-def cmd_extreme(args):
-    g = _load(args.input, TrigPoly)
+def cmd_extreme(args, g: TrigPoly):
     cert = geometry.is_extreme(g, args.n)
     out = {
         "command": "extreme",
@@ -212,8 +213,7 @@ def cmd_extreme(args):
     return out, _trig_boundary(g, args.grid)
 
 
-def cmd_split(args):
-    g = _load(args.input, TrigPoly)
+def cmd_split(args, g: TrigPoly):
     cert = geometry.split_nonextreme(g, args.n)
     out = {
         "command": "split",
@@ -235,8 +235,7 @@ def cmd_split(args):
     return out, _trig_boundary(cert.g1, args.grid)
 
 
-def cmd_decompose(args):
-    x = _load(args.input, KernelElement)
+def cmd_decompose(args, x: KernelElement):
     dec = geometry.decompose_modulus(x)
     out = {"command": "decompose", "input": jsonio.kernel_to_json(x),
            "rigid": dec.rigid}
@@ -251,8 +250,7 @@ def cmd_decompose(args):
     return out, _poly_boundary(dec.f1.f, args.grid)
 
 
-def cmd_solutions(args):
-    g = _load(args.input, TrigPoly)
+def cmd_solutions(args, g: TrigPoly):
     sols = geometry.enumerate_solutions(g, args.n)
     # the residual is the largest | |f|^2 - g | over s at the grid's points
     # exp(2 pi i j / grid), so any --grid works, also one of 2 g.n points or
@@ -286,9 +284,7 @@ def cmd_solutions(args):
     return out, boundary
 
 
-def cmd_rigidity(args):
-    g = _load(args.trig, TrigPoly)
-    x = _load(args.kernel, KernelElement)
+def cmd_rigidity(args, g: TrigPoly, x: KernelElement):
     res = geometry.rigidity_check(g, args.n, x)
     out = {
         "command": "rigidity",
@@ -306,8 +302,7 @@ def cmd_rigidity(args):
     return out, _trig_boundary(g, args.grid)
 
 
-def cmd_outer_grid(args):
-    w = _load(args.input, Grid)
+def cmd_outer_grid(args, w: Grid):
     result = numeric.outer_from_modulus(w)
     defect = numeric.analyticity_defect(result)
     out = {
@@ -321,9 +316,7 @@ def cmd_outer_grid(args):
     return out, lambda: result
 
 
-def cmd_symbol_test(args):
-    phi = _load(args.phi, Grid)
-    g = _load(args.g, Grid)
+def cmd_symbol_test(args, phi: Grid, g: Grid):
     res = numeric.symbol_condition_test(phi, g)
     out = {
         "command": "symbol-test",
@@ -337,9 +330,7 @@ def cmd_symbol_test(args):
         np.conj(g.points) * np.conj(phi.values) * g.values.real)
 
 
-def cmd_domination(args):
-    x = _load(args.kernel, KernelElement)
-    g = _load(args.trig, TrigPoly)
+def cmd_domination(args, x: KernelElement, g: TrigPoly):
     res = numeric.domination_integral(x, g)
     out = {
         "command": "domination",
@@ -390,8 +381,7 @@ def cmd_gen(args):
     return out, boundary
 
 
-def cmd_baseline_split(args):
-    g = _load(args.input, TrigPoly)
+def cmd_baseline_split(args, g: TrigPoly):
     g1, g2 = geometry.baseline_split(g)
     out = {
         "command": "baseline-split",
@@ -408,34 +398,60 @@ def cmd_baseline_split(args):
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+# name: (handler, its input files in order as (argument, type) pairs,
+# whether it takes --n)
 COMMANDS = {
-    "factor": (cmd_factor, 1),
-    "spectral": (cmd_spectral, 1),
-    "companion": (cmd_companion, 1),
-    "norm": (cmd_norm, 1),
-    "extreme": (cmd_extreme, 1),
-    "split": (cmd_split, 1),
-    "decompose": (cmd_decompose, 1),
-    "solutions": (cmd_solutions, 1),
-    "rigidity": (cmd_rigidity, 2),
-    "outer-grid": (cmd_outer_grid, 1),
-    "symbol-test": (cmd_symbol_test, 2),
-    "domination": (cmd_domination, 2),
-    "gen": (cmd_gen, 0),
-    "baseline-split": (cmd_baseline_split, 1),
+    "factor": (cmd_factor, (("input", Poly),), False),
+    "spectral": (cmd_spectral, (("input", TrigPoly),), False),
+    "companion": (cmd_companion, (("input", KernelElement),), False),
+    "norm": (cmd_norm, (("input", KernelElement),), False),
+    "baseline-split": (cmd_baseline_split, (("input", TrigPoly),), False),
+    "extreme": (cmd_extreme, (("input", TrigPoly),), True),
+    "split": (cmd_split, (("input", TrigPoly),), True),
+    "solutions": (cmd_solutions, (("input", TrigPoly),), True),
+    "decompose": (cmd_decompose, (("input", KernelElement),), False),
+    "rigidity": (cmd_rigidity,
+                 (("trig", TrigPoly), ("kernel", KernelElement)), True),
+    "outer-grid": (cmd_outer_grid, (("input", Grid),), False),
+    "symbol-test": (cmd_symbol_test, (("phi", Grid), ("g", Grid)), False),
+    "domination": (cmd_domination,
+                   (("kernel", KernelElement), ("trig", TrigPoly)), False),
+    "gen": (cmd_gen, (), True),
 }
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per row of COMMANDS: a one-file command takes an
+    optional ``input`` (stdin as ``-``) and ``--batch``, a two-file command
+    its files as required positionals; ``--grid`` goes to every command
+    that reads no Grid input, ``--csv`` to every command."""
     parser = argparse.ArgumentParser(
         prog="hkl",
         description="certified moduli and extreme points for polynomial "
                     "model spaces; JSON in, certificates out")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, grid=True, batchable=False):
-        if grid:
+    for name, (_, inputs, takes_n) in COMMANDS.items():
+        if name == "domination":
+            about = ("whether |f| / sqrt(g) is integrable, by the "
+                     "multiplicity rule of `hkl rigidity`, with a circle zero "
+                     "of g as witness or the integral's value from midpoint "
+                     "sums")
+            sp = sub.add_parser(name, help=about, description=about)
+        else:
+            sp = sub.add_parser(name)
+        batchable = len(inputs) == 1
+        for arg, _ in inputs:
+            sp.add_argument(arg, nargs="?" if batchable else None)
+        if takes_n:
+            sp.add_argument("--n", type=order, required=True)
+        if name == "gen":
+            sp.add_argument("--zeros", type=str, default="",
+                            help="inside:k,circle:j,outside:l")
+            sp.add_argument("--emit", choices=("kernel", "trig"),
+                            default="kernel")
+            sp.add_argument("--seed", type=int, default=0)
+        if all(want is not Grid for _, want in inputs):
             sp.add_argument("--grid", type=grid_size, default=4096,
                             help="boundary sample count (power of two)")
         # a batch writes one output per input, and no boundary
@@ -446,55 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
             output.add_argument("--batch", type=str, default=None,
                                 help="process every *.json in a directory, "
                                      "except earlier *.out.json outputs")
-
-    for name in ("factor", "spectral", "companion", "norm", "baseline-split"):
-        sp = sub.add_parser(name)
-        sp.add_argument("input", nargs="?", default=None)
-        common(sp, batchable=True)
-
-    for name in ("extreme", "split", "solutions"):
-        sp = sub.add_parser(name)
-        sp.add_argument("input", nargs="?", default=None)
-        sp.add_argument("--n", type=order, required=True)
-        common(sp, batchable=True)
-
-    sp = sub.add_parser("decompose")
-    sp.add_argument("input", nargs="?", default=None)
-    common(sp, batchable=True)
-
-    sp = sub.add_parser("rigidity")
-    sp.add_argument("trig")
-    sp.add_argument("kernel")
-    sp.add_argument("--n", type=order, required=True)
-    common(sp)
-
-    # --grid only where a handler reads it: these two take their grids
-    # from their inputs
-    sp = sub.add_parser("outer-grid")
-    sp.add_argument("input", nargs="?", default=None)
-    common(sp, grid=False, batchable=True)
-
-    sp = sub.add_parser("symbol-test")
-    sp.add_argument("phi")
-    sp.add_argument("g")
-    common(sp, grid=False)
-
-    about = ("whether |f| / sqrt(g) is integrable, by the multiplicity "
-             "rule of `hkl rigidity`, with a circle zero of g as witness "
-             "or the integral's value from midpoint sums")
-    sp = sub.add_parser("domination", help=about, description=about)
-    sp.add_argument("kernel")
-    sp.add_argument("trig")
-    common(sp)
-
-    sp = sub.add_parser("gen")
-    sp.add_argument("--n", type=order, required=True)
-    sp.add_argument("--zeros", type=str, default="",
-                    help="inside:k,circle:j,outside:l")
-    sp.add_argument("--emit", choices=("kernel", "trig"), default="kernel")
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-
     return parser
 
 
@@ -522,8 +489,9 @@ def _handle(job, prefix: str = "") -> int:
 def _output(args) -> str:
     """The command's output text; its --csv boundary is written only once
     the output is serialized."""
-    handler, _ = COMMANDS[args.command]
-    out, boundary = handler(args)
+    handler, inputs, _ = COMMANDS[args.command]
+    out, boundary = handler(
+        args, *[_load(getattr(args, arg), want) for arg, want in inputs])
     text = dumps(out) + "\n"
     if args.csv and boundary is not None:
         write_boundary_csv(args.csv, boundary())

@@ -238,24 +238,21 @@ def blaschke_from_json(d: dict) -> BlaschkeProduct:
 # Instance files
 # ---------------------------------------------------------------------------
 
-_DECODERS = {
-    "poly": poly_from_json,
-    "trig": trig_from_json,
-    "kernel": kernel_from_json,
-    "grid": grid_from_json,
+# kind: (type, encoder, decoder), the one table of instance payloads; the
+# kind of a type is looked up in _KINDS, derived from it
+_CODECS = {
+    "poly": (Poly, poly_to_json, poly_from_json),
+    "trig": (TrigPoly, trig_to_json, trig_from_json),
+    "kernel": (KernelElement, kernel_to_json, kernel_from_json),
+    "grid": (Grid, grid_to_json, grid_from_json),
 }
-
-_ENCODERS = {
-    Poly: ("poly", poly_to_json),
-    TrigPoly: ("trig", trig_to_json),
-    KernelElement: ("kernel", kernel_to_json),
-    Grid: ("grid", grid_to_json),
-}
+_KINDS = {t: kind for kind, (t, _, _) in _CODECS.items()}
 
 
 def instance_to_json(obj) -> dict:
-    kind, enc = _ENCODERS[type(obj)]
-    return {"version": VERSION, "type": kind, "payload": enc(obj)}
+    kind = _KINDS[type(obj)]
+    _, encode, _ = _CODECS[kind]
+    return {"version": VERSION, "type": kind, "payload": encode(obj)}
 
 
 def instance_from_json(d: dict):
@@ -264,10 +261,11 @@ def instance_from_json(d: dict):
         raise ValueError(f"unsupported version {d['version']!r}, "
                          f"expected {VERSION!r}")
     kind = d["type"]
-    if not isinstance(kind, str) or kind not in _DECODERS:
+    if not isinstance(kind, str) or kind not in _CODECS:
         raise ValueError(f"unknown payload type {kind!r}")
+    _, _, decode = _CODECS[kind]
     try:
-        return _DECODERS[kind](d["payload"])
+        return decode(d["payload"])
     except OverflowError as exc:
         # an int beyond the float range, or a complex number of larger modulus
         raise ValueError(f"a number exceeds double precision: {exc}") from None

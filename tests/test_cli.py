@@ -536,8 +536,8 @@ def test_bad_grid_exits_2_before_any_work(files, capsys, command, grid):
 
 
 def test_grid_only_on_commands_that_read_it(capsys):
-    for command, (_, arity) in COMMANDS.items():
-        argv = [command] + ["x.json", "y.json"][:arity]
+    for command, (_, inputs, _) in COMMANDS.items():
+        argv = [command] + ["x.json", "y.json"][:len(inputs)]
         if command in ("extreme", "split", "solutions", "rigidity", "gen"):
             argv += ["--n", "1"]
         if command in ("outer-grid", "symbol-test"):
@@ -602,11 +602,43 @@ FLAGS = {
 }
 
 
+# the positional input files of each command, in order, with the instance
+# type each must hold; a reordered row of COMMANDS would swap input files
+# silently, which FLAGS does not see
+INPUTS = {
+    "factor": [("input", Poly)],
+    "spectral": [("input", TrigPoly)],
+    "companion": [("input", KernelElement)],
+    "norm": [("input", KernelElement)],
+    "baseline-split": [("input", TrigPoly)],
+    "extreme": [("input", TrigPoly)],
+    "split": [("input", TrigPoly)],
+    "solutions": [("input", TrigPoly)],
+    "decompose": [("input", KernelElement)],
+    "rigidity": [("trig", TrigPoly), ("kernel", KernelElement)],
+    "outer-grid": [("input", Grid)],
+    "symbol-test": [("phi", Grid), ("g", Grid)],
+    "domination": [("kernel", KernelElement), ("trig", TrigPoly)],
+    "gen": [],
+}
+
+
+def test_each_command_takes_its_pinned_inputs_in_order():
+    assert {command: list(inputs)
+            for command, (_, inputs, _) in COMMANDS.items()} == INPUTS
+    # the parser's positionals are the table's, in the same order
+    assert {command: [a.dest for a in _subparser(command)._actions
+                      if not a.option_strings]
+            for command in COMMANDS} == {
+        command: [arg for arg, _ in inputs]
+        for command, inputs in INPUTS.items()}
+
+
 def test_each_command_takes_its_pinned_flags(capsys):
     assert {command: set(_subparser(command)._option_string_actions)
             for command in COMMANDS} == FLAGS
-    for command, (_, arity) in COMMANDS.items():
-        argv = [command] + ["x.json", "y.json"][:arity]
+    for command, (_, inputs, _) in COMMANDS.items():
+        argv = [command] + ["x.json", "y.json"][:len(inputs)]
         if "--n" in FLAGS[command]:
             argv += ["--n", "1"]
         with pytest.raises(SystemExit) as exc:

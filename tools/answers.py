@@ -22,6 +22,10 @@ class and message:
 - ``cli/1414``, ``cli/2135``: the exit code, stdout and stderr of
   ``hkl extreme``, ``split``, ``solutions`` and ``spectral`` on each
   instance file, every command on every instance;
+- ``commands/1414``: the exit code, stdout and stderr of every ``hkl``
+  command on the first 20 ``cli/1414`` moduli g, from files that
+  ``instance_files`` derives from g's coefficients alone, and of three
+  failing lines (``command_lines``);
 - ``near_touching/5``: ``fejer_riesz``, the split at mean 1 and the
   lift's RootSet of ``near_touching(5, 600)``, the family of
   ``tests/test_factor.py``'s ``_near_touching``.
@@ -36,8 +40,13 @@ Each side runs in its own interpreter with one BLAS thread,
 from its own tree; the near-touching inputs are built by that tree's
 ``hkl``, as the test builds them.  The parent is exported with
 ``tools/ab_pairs.py``'s ``export`` into a temporary directory, the only
-place written to.  With ``--parent`` each set is marked ``identical`` or
-``differs``.  Standard library and numpy only.
+place written to, and the ``commands`` set writes its input files into a
+temporary directory of its own.  Each side reports the set's digest and
+one sha256 per instance, of the ``repr`` of that instance's answers.
+With ``--parent`` each set is marked ``identical`` or ``differs``, and
+under a set that differs a second line gives the count of instances whose
+digests differ and the first 20 of their indices.  Standard library and
+numpy only.
 """
 
 from __future__ import annotations
@@ -53,7 +62,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# set name: (bench workload or None, seed of the inputs, instances)
+# set name: (a bench workload, "commands" or "near_touching"; seed of the
+# inputs; instances)
 SETS = {
     "census/1812": ("census", 1812, 240),
     "census/6586": ("census", 6586, 240),
@@ -64,8 +74,10 @@ SETS = {
     "gridsearch/5926": ("gridsearch", 5926, 280),
     "cli/1414": ("cli", 1414, 170),
     "cli/2135": ("cli", 2135, 170),
-    "near_touching/5": (None, 5, 600),
+    "commands/1414": ("commands", 1414, 20),
+    "near_touching/5": ("near_touching", 5, 600),
 }
+MOVED_SHOWN = 20    # indices listed under a set that differs
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
@@ -109,6 +121,92 @@ def near_touching(seed: int, count: int) -> list:
     return out
 
 
+def _instance(kind: str, payload: dict) -> str:
+    """An hkl-1 instance file, written with json so that both sides read
+    the same bytes (floats by their shortest repr, which reads back
+    exactly)."""
+    return json.dumps({"version": "hkl-1", "type": kind, "payload": payload})
+
+
+def instance_files(text: str) -> dict:
+    """{file name: text} of one ``commands`` instance, from the
+    coefficients c_0..c_n of its modulus g (the instance file ``text``)
+    alone: g itself, p = c_0 + c_1 z + ... + c_n z^n, x = p / ||p||_2 of
+    model order n, and on 64 points the grids w = 1 + g, phi = p / max |p|
+    and g."""
+    import numpy as np
+    payload = json.loads(text)["payload"]
+    n = payload["n"]
+    c = np.array([complex(*payload["coeffs"][str(k)]) for k in range(n + 1)])
+    theta = 2 * np.pi * np.arange(64) / 64
+    gv = c[0].real + 2 * sum((c[k] * np.exp(1j * k * theta)).real
+                             for k in range(1, n + 1))
+    pv = np.polyval(c[::-1], np.exp(1j * theta))
+
+    def pairs(values):
+        return [[float(v.real), float(v.imag)] for v in values]
+
+    def grid(values):
+        return _instance("grid", {"N": len(values), "values": pairs(values)})
+
+    return {"g.json": text,
+            "p.json": _instance("poly", {"coeffs": pairs(c)}),
+            "x.json": _instance("kernel", {"n": n, "poly": {
+                "coeffs": pairs(c / np.sqrt(np.sum(np.abs(c) ** 2)))}}),
+            "w.json": grid(1.0 + gv),
+            "phi.json": grid(pv / np.abs(pv).max()),
+            "gr.json": grid(gv)}
+
+
+def command_lines(n: int, i: int) -> list[list[str]]:
+    """The command lines run on the files of instance i of the
+    ``commands`` set (of model order n): every ``hkl`` command (stdin
+    carries g), then a missing file, a Poly where a TrigPoly is expected,
+    and a model order below the band limit of g."""
+    n = str(n)
+    zeros = f"inside:{i % 3},circle:{i % 4},outside:{i % 2}"
+    return [["factor", "p.json"],
+            ["spectral", "-"],
+            ["companion", "x.json"],
+            ["norm", "x.json"],
+            ["baseline-split", "g.json"],
+            ["extreme", "g.json", "--n", n],
+            ["split", "g.json", "--n", n],
+            ["solutions", "g.json", "--n", n],
+            ["decompose", "x.json"],
+            ["rigidity", "g.json", "x.json", "--n", n],
+            ["outer-grid", "w.json"],
+            ["symbol-test", "phi.json", "gr.json"],
+            ["domination", "x.json", "g.json"],
+            ["gen", "--n", n, "--zeros", zeros, "--seed", str(i),
+             "--emit", ("kernel", "trig")[i % 2]],
+            ["extreme", "missing.json", "--n", n],
+            ["extreme", "p.json", "--n", n],
+            ["extreme", "g.json", "--n", "2"]]
+
+
+def command_answers(seed: int, count: int) -> list:
+    """(exit code, stdout, stderr) of each ``command_lines`` run of the
+    first ``count`` ``cli`` moduli of ``seed``, through in-process
+    ``hkl.cli.main``, with the instance's files in the working directory
+    (a temporary one, so that every path printed is the same on both
+    sides)."""
+    import workloads
+    out = []
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="answers_commands_") as tmp:
+        os.chdir(tmp)
+        try:
+            for i, inst in enumerate(workloads.cli_inputs(seed, count)):
+                for name, text in instance_files(inst.text).items():
+                    Path(name).write_text(text)
+                out.append(tuple(workloads._cli_call(argv, inst.text)
+                                 for argv in command_lines(inst.n, i)))
+        finally:
+            os.chdir(home)
+    return out
+
+
 def answers(name: str, count: int) -> list:
     """The answers of the first ``count`` instances of set ``name``, from
     the ``hkl`` and ``bench/workloads.py`` on sys.path."""
@@ -121,7 +219,9 @@ def answers(name: str, count: int) -> list:
         return roots(lift(g))
 
     workload, seed, _ = SETS[name]
-    if workload is None:
+    if workload == "commands":
+        return command_answers(seed, count)
+    if workload == "near_touching":
         return [(_answer(fejer_riesz, g),
                  _answer(split_nonextreme, trig_scale(g, 1.0 / g.mean), g.n),
                  _answer(lift_roots, g))
@@ -153,13 +253,18 @@ def answers(name: str, count: int) -> list:
     return out
 
 
-def digest(records: list) -> str:
+def digest(records) -> str:
     return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+def digests(records: list) -> list:
+    """[the set's digest, [one digest per instance]]."""
+    return [digest(records), [digest(r) for r in records]]
 
 
 def side_digests(tree: Path, pycache: Path, names: list[str],
                  count: int | None) -> dict:
-    """{set: digest} of tree, from one pinned interpreter (``--tree``)."""
+    """{set: digests} of tree, from one pinned interpreter (``--tree``)."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--tree",
            str(tree), "--sets", *names]
     if count is not None:
@@ -177,17 +282,26 @@ def side_digests(tree: Path, pycache: Path, names: list[str],
 
 def summary(change: dict, parent: dict | None) -> list[str]:
     """One line per set of change: its digest, and with a parent, whether
-    the parent's digest is the same."""
+    the parent's digest is the same; under a set that differs, the count
+    of instances whose digests differ and the first MOVED_SHOWN of their
+    indices."""
     width = max(map(len, change))
     lines = []
-    for name, sha in change.items():
+    for name, (sha, shas) in change.items():
         if parent is None:
             lines.append(f"{name:<{width}}  {sha}")
-        elif parent[name] == sha:
+            continue
+        parent_sha, parent_shas = parent[name]
+        if parent_sha == sha:
             lines.append(f"{name:<{width}}  {sha}  identical")
-        else:
-            lines.append(f"{name:<{width}}  {sha}  differs "
-                         f"(parent {parent[name]})")
+            continue
+        lines.append(f"{name:<{width}}  {sha}  differs (parent {parent_sha})")
+        moved = [i for i, (a, b) in enumerate(zip(shas, parent_shas))
+                 if a != b]
+        shown = ", ".join(map(str, moved[:MOVED_SHOWN]))
+        more = ", ..." if len(moved) > MOVED_SHOWN else ""
+        lines.append(f"{'':<{width}}  {len(moved)} of {len(shas)} "
+                     f"instances differ: {shown}{more}")
     return lines
 
 
@@ -211,7 +325,7 @@ def main(argv=None) -> int:
             ap.error("--tree runs only under the pinned environment")
         sys.path[:0] = [str(args.tree / "src"), str(args.tree / "bench")]
         print(json.dumps({
-            name: digest(answers(name, args.count or SETS[name][2]))
+            name: digests(answers(name, args.count or SETS[name][2]))
             for name in args.sets}))
         return 0
 
