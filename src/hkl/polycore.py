@@ -20,11 +20,13 @@ clustering step is not an optimization: without it, coefficient noise splits
 an exact double circle zero into a spurious inside/outside pair and the
 inner-outer split becomes wrong.
 
-The Aberth iteration starts from the eigenvalues of the companion
-matrix.  They are the roots to a backward error near rounding, so the
-iteration usually meets its convergence test on the first step; it takes
-that step and stops.  Where the companion matrix is not finite, or its
-eigenvalues are not all finite and nonzero, the points start on one
+Every degree takes this one path; there is no closed form.  The Aberth
+iteration starts from the eigenvalues of the companion matrix of
+c / max|c|, or of the balanced c_k s^k where that division would turn a
+coefficient into 0.  They are the roots to a backward error near rounding,
+so the iteration usually meets its convergence test on the first step; it
+takes that step and stops.  Where the companion matrix is not finite, or
+its eigenvalues are not all finite and nonzero, the points start on one
 circle instead.  Each step evaluates p, z p' and the backward-error scale
 with one power matrix; a point outside the unit circle goes through the
 reversed powers of 1/z, so no power exceeds 1 in modulus.  The points of
@@ -455,6 +457,12 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     report it as the caller's bad input.  A zero start would never move,
     as the correction below is a multiple of z.
 
+    Only where c / max|c| turns a nonzero coefficient into 0, as for
+    (1e-300, 1, 1e300), does the iteration run on the balanced c_k s^k,
+    s = (|c0/cd|)^(1/d), when they keep every nonzero entry; the points
+    come back times s, and the backward-error test is unchanged by it.
+    (1e-300, 1, 1e300, 1), whose spread takes two scales, keeps c / max|c|.
+
     The iteration stops after the step on which every point meets the
     relative backward error |p(z)| <= tol * sum |c_k| |z|^k, or after
     max_iter steps.  At a multiple root the points then lie spread over its
@@ -469,27 +477,36 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     (p and z p' inside), so the Newton correction is z P / Q on every row,
     and |E| @ |c| is the backward-error scale with the same factor.
     """
-    c = c / np.abs(c).max()
     d = len(c) - 1
-    z = None
+    scale = None
     with np.errstate(all="ignore"):
+        normed = c / np.abs(c).max()
+        if np.count_nonzero(normed) < np.count_nonzero(c):
+            # c_k s^k / max_j |c_j s^j| in log space, s^k unformed
+            logs = np.log(np.abs(c))
+            log_s = (logs[0] - logs[-1]) / d
+            logs += log_s * np.arange(d + 1)
+            balanced = np.exp(logs - logs.max() + 1j * np.angle(c))
+            if np.count_nonzero(balanced) == np.count_nonzero(c):
+                normed, scale = balanced, np.exp(log_s)
+        c = normed
         companion = np.zeros((d, d), dtype=complex)
         companion.reshape(-1)[d::d + 1] = 1.0
         companion[:, -1] = -c[:-1] / c[-1]
-    if np.isfinite(companion).all():
-        try:
-            z = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError:
-            pass
-    if z is None or not (np.isfinite(z).all() and z.all()):
-        r0 = max((abs(c[0]) / abs(c[-1])) ** (1.0 / d), 1e-6)
-        z = r0 * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.77))
-    cols = np.stack([c, np.arange(d + 1) * c], axis=1)
-    ac = np.abs(c)
-    powers = np.empty((d, d + 1), dtype=complex)
-    diff = np.empty((d, d), dtype=complex)
-    diag = diff.reshape(-1)[::d + 1]
-    with np.errstate(all="ignore"):
+        z = None
+        if np.isfinite(companion).all():
+            try:
+                z = np.linalg.eigvals(companion)
+            except np.linalg.LinAlgError:
+                pass
+        if z is None or not (np.isfinite(z).all() and z.all()):
+            r0 = max((abs(c[0]) / abs(c[-1])) ** (1.0 / d), 1e-6)
+            z = r0 * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.77))
+        cols = np.stack([c, np.arange(d + 1) * c], axis=1)
+        ac = np.abs(c)
+        powers = np.empty((d, d + 1), dtype=complex)
+        diff = np.empty((d, d), dtype=complex)
+        diag = diff.reshape(-1)[::d + 1]
         for _ in range(max_iter):
             outside = np.abs(z) > 1.0
             powers[:, 0] = 1.0
@@ -515,7 +532,7 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             z = z - step
             if converged:
                 break
-    return z
+        return z if scale is None else z * scale
 
 
 def _horner(coeffs: Sequence, z):
@@ -587,36 +604,33 @@ def _polish(center: complex, q: list, qd: list, step_cap: float) -> complex:
     return a
 
 
-def _residual_ok(clist: list, aclist: list, a: complex) -> bool:
-    """|p(a)| <= 10 TOL_ROOT sum |c_k| |a|^k, the bound every root meets;
-    false for a NaN residual too.
-
-    Where that residual or scale overflows at a finite |a| > 1, the bound
-    is judged on p(a) / a**d by the reversed coefficients at 1/a, as
-    ``_aberth`` judges it, so no power exceeds 1 in modulus.
-    """
-    resid, bound = abs(_horner(clist, a)), 10.0 * TOL_ROOT * _horner(
-        aclist, abs(a))
-    if resid <= bound:
-        return True
-    overflow = not (math.isfinite(resid) and math.isfinite(bound))
-    if not (overflow and 1 < abs(a) < math.inf):
-        return False
+def _residual(clist: list, aclist: list, a: complex) -> tuple[float, float]:
+    """(|p(a)|, sum |c_k| |a|^k), which ``_residual_ok`` and ``_judge``
+    test; where it fails the bound on an overflow at a finite |a| > 1, the
+    pair of p(a) / a**d by the reversed coefficients at 1/a, as ``_aberth``
+    judges it, so no power exceeds 1 in modulus."""
+    resid, scale = abs(_horner(clist, a)), _horner(aclist, abs(a))
+    if (resid <= 10.0 * TOL_ROOT * scale
+            or (math.isfinite(resid) and math.isfinite(scale))
+            or not 1 < abs(a) < math.inf):
+        return resid, scale
     w = 1 / complex(a)
-    return (abs(_horner(clist[::-1], w))
-            <= 10.0 * TOL_ROOT * _horner(aclist[::-1], abs(w)))
+    return abs(_horner(clist[::-1], w)), _horner(aclist[::-1], abs(w))
+
+
+def _residual_ok(clist: list, aclist: list, a: complex) -> bool:
+    """|p(a)| <= 10 TOL_ROOT sum |c_k| |a|^k, the bound every root meets,
+    on the pair of ``_residual``; false for a NaN residual too."""
+    resid, scale = _residual(clist, aclist, a)
+    return resid <= 10.0 * TOL_ROOT * scale
 
 
 def _judge(clist: list, aclist: list, a: complex) -> None:
     """Raise unless the root a meets ``_residual_ok``: RootOverflow when
     its relative residual is not finite, NonConvergence otherwise."""
-    if _residual_ok(clist, aclist, a):
+    resid, scale = _residual(clist, aclist, a)
+    if resid <= 10.0 * TOL_ROOT * scale:
         return
-    # a finite point outside the circle is judged on p(a) / a**d, as
-    # _aberth judges it, so its powers cannot overflow
-    w, step = (1 / a, -1) if 1 < abs(a) < math.inf else (a, 1)
-    resid = abs(_horner(clist[::step], w))
-    scale = _horner(aclist[::step], abs(w))
     if not math.isfinite(resid / scale):
         raise RootOverflow(
             f"root {a} has residual {resid} at scale {scale}: the "
@@ -851,15 +865,16 @@ def roots(p: Poly) -> RootSet:
     m0 = 0
     while c[m0] == 0:
         m0 += 1
-    return _root_set(_solve(c[m0:]), m0)
+    return _root_set(_solve(c[m0:]) if len(c) > m0 + 1 else [], m0)
 
 
 def _solve(c: tuple) -> list[tuple[complex, int]]:
     """The roots, as (location, multiplicity), of the polynomial with
-    coefficients c, a tuple of Python complex with c[0] != 0.
+    coefficients c, a tuple of Python complex with c[0] != 0 and degree
+    at least 1.
 
-    Degree 1 is solved in closed form.  Higher degrees start from the
-    closed form (degree 2) or ``_aberth``'s points, which
+    One path for every degree, with no closed form: ``_aberth``'s points,
+    balanced where c / max|c| would lose a coefficient, which
     ``_cluster_points`` places.  Every root meets the residual bound
     (``_residual_ok``), judged once where it is placed.
 
@@ -871,33 +886,17 @@ def _solve(c: tuple) -> list[tuple[complex, int]]:
     near-circle roots by g's tolerance.  Any other c, self-inversive or
     not, keeps the roots the clustering placed.
     """
-    found: list[tuple[complex, int]] = []
     d = len(c) - 1
     carr = np.asarray(c, dtype=complex)
     is_lift = d % 2 == 0 and np.array_equal(np.conj(carr[::-1]), carr)
     # coefficients near the float range overflow inside the solve; the
     # roots then come out non-finite, which the residual check reports as
-    # RootOverflow instead of a warning per operation
+    # RootOverflow instead of a warning per operation.  The points of a
+    # multiple root are left spread, and only the clustering's polished
+    # centers meet the residual bound: failure is judged on those
     with np.errstate(all="ignore"):
-        if d == 1:
-            found = [(complex(-c[0] / c[1]), 1)]
-            _judge(carr.tolist(), np.abs(carr).tolist(), found[0][0])
-        elif d == 2:
-            a2, a1, a0 = c[2], c[1], c[0]
-            disc = np.sqrt(complex(a1 * a1 - 4 * a2 * a0))
-            # pick the sign that avoids cancellation in -a1 -+ disc
-            if (a1.conjugate() * disc).real > 0:
-                disc = -disc
-            q = -(a1 - disc) / 2
-            r1 = q / a2
-            r2 = a0 / q if q != 0 else -a1 / a2 - r1
-            found = _cluster_points(np.array([r1, r2]), carr, is_lift)
-        elif d > 0:
-            # the points of a multiple root are left spread, and only
-            # the clustering's polished centers meet the residual bound:
-            # failure is judged on those
-            found = _cluster_points(_aberth(carr, TOL_ROOT, MAX_ROOT_ITER),
-                                    carr, is_lift)
+        found = _cluster_points(_aberth(carr, TOL_ROOT, MAX_ROOT_ITER),
+                                carr, is_lift)
     if is_lift:
         found = _snap_self_inversive(found, carr)
     return found

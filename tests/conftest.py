@@ -167,15 +167,16 @@ def jittered_extreme_point(n, seed):
 
 
 def jittered_inside_zero_point(n, seed):
-    """(f, g) as ``jittered_extreme_point`` gives them, but f has n - 1
-    jittered circle zeros and one zero a inside the disk, |a| = 0.5 at a
-    random angle: g is a boundary point that is not extreme, and the inner
-    factor of its lift at order n is the Blaschke factor at a."""
+    """(f, g, a): f and g as ``jittered_extreme_point`` gives them, but f
+    has n - 1 jittered circle zeros and one zero a inside the disk,
+    |a| = 0.5 at a random angle: g is a boundary point that is not extreme,
+    and the inner factor of f, and of its lift at order n, is the Blaschke
+    factor at a."""
     rng = np.random.default_rng(seed)
     k = n - 1
     w = np.exp(2j * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k)
     a = 0.5 * np.exp(2j * np.pi * rng.uniform())
-    return _unit_element_from_zeros(np.append(w, a))
+    return _unit_element_from_zeros(np.append(w, a)) + (complex(a),)
 
 
 def _unit_element_from_zeros(w):

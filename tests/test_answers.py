@@ -22,25 +22,47 @@ A, B = "a" * 64, "b" * 64
 
 
 def test_summary_marks_each_set_against_the_parent():
-    change = {"census/1812": [A, [A, B]], "near_touching/5": [B, [A, B, B]]}
-    parent = {"census/1812": [A, [A, B]], "near_touching/5": [A, [A, A, A]]}
+    ok = "returned"
+    change = {"census/1812": [A, [A, B], [ok, ok]],
+              "near_touching/5": [B, [A, B, B], [ok, ok, "NonConvergence"]]}
+    parent = {"census/1812": [A, [A, B], [ok, ok]],
+              "near_touching/5": [A, [A, A, A], [ok, ok, ok]]}
     assert answers.summary(change, parent) == [
         f"census/1812      {A}  identical",
         f"near_touching/5  {B}  differs (parent {A})",
         "                 2 of 3 instances differ: 1, 2",
+        "                 1 of them change outcome kind: 2",
     ]
 
 
 def test_summary_lists_the_first_moved_instances_and_their_count():
-    change = {"cli/1414": [A, [B] * 25]}
-    parent = {"cli/1414": [B, [A] + [B] * 3 + [A] * 21]}
+    change = {"cli/1414": [A, [B] * 25, ["exit 0"] * 25]}
+    parent = {"cli/1414": [B, [A] + [B] * 3 + [A] * 21, ["exit 0"] * 25]}
     lines = answers.summary(change, parent)
     assert lines[1] == ("          22 of 25 instances differ: 0, "
                         + ", ".join(map(str, range(4, 23))) + ", ...")
+    assert lines[2] == "          0 of them change outcome kind"
 
 
 def test_summary_without_a_parent_lists_the_digests():
-    assert answers.summary({"cli/1414": [A, [A]]}, None) == [f"cli/1414  {A}"]
+    assert answers.summary({"cli/1414": [A, [A], ["exit 0"]]}, None) == [
+        f"cli/1414  {A}"]
+
+
+def test_kinds_are_read_from_the_recorded_strings():
+    # a call that returned, one that raised, a CLI call that exited 0 and
+    # one whose error line names its class, and the harness's failure type
+    assert answers.kinds("census", [
+        ("RootSet(roots=())", "NonConvergence: root 1j fails"),
+        ("NullInput: ", "IsExtremeCertificate(verdict=True)")]) == [
+        "returned NonConvergence", "NullInput returned"]
+    assert answers.kinds("cli", [
+        ((0, '{"verdict": true}', ""),
+         (2, "", "error: NotInV: g is not in V\n"))]) == [
+        "exit 0 exit 2 NotInV"]
+    assert answers.kinds("gridsearch", [(None, "(1, 2)"),
+                                        ("OverTolerance:cepstral", "None")]) \
+        == ["ok", "OverTolerance:cepstral"]
 
 
 def test_digests_keep_the_set_digest_beside_one_per_instance():

@@ -25,7 +25,8 @@ from conftest import (_flat_band_modulus, jittered_extreme_point,
 from hkl import factor, polycore
 from hkl.cli import main
 from hkl.errors import InternalInvariantError
-from hkl.factor import TOL_SPECTRAL, fejer_riesz, spectral_factor
+from hkl.factor import (TOL_SPECTRAL, blaschke_eval, fejer_riesz,
+                        inner_outer, spectral_factor)
 from hkl.geometry import (PerturbationSearch, RigidityResult,
                           decompose_modulus, enumerate_solutions, is_extreme,
                           perturbation_search, rigidity_check,
@@ -136,6 +137,22 @@ def test_boundary_points_with_an_inside_zero_split_and_list_two(n):
         gv = g.grid_values(4096)
         for x in sols:
             assert np.abs(np.abs(x.f(zeta)) ** 2 - gv).max() <= TOL_MODULUS
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_boundary_points_with_an_inside_zero_factor_as_inner_times_outer(n):
+    # the library path of ``hkl factor``: f's inner factor is the one
+    # Blaschke factor at a, and its n - 1 circle zeros stay in the outer
+    # part, so B O is f on the circle
+    f, _, a = jittered_inside_zero_point(n, n)
+    fac = inner_outer(f)
+    assert fac.inner.m0 == 0 and len(fac.inner.zeros) == 1
+    (zero, mult), = fac.inner.zeros
+    assert mult == 1 and abs(zero - a) <= 1e-9
+    zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    fv = f(zeta)
+    assert np.abs(blaschke_eval(fac.inner, zeta) * fac.outer(zeta) - fv).max() \
+        <= 1e-9 * np.abs(fv).max()
 
 
 def _grid_residual(coeffs, g, grid):

@@ -129,13 +129,22 @@ def test_roots_null_and_constant():
 
 
 def test_roots_overflow_is_named_not_nan():
-    # a1 * a1 overflows in the quadratic formula and both roots come out
-    # NaN; they must fail the residual check (pytest turns warnings into
-    # errors, so this also checks that no numpy warning escapes)
-    with pytest.raises(RootOverflow):
-        roots(Poly((1e308, 1e308, 1e308)))
-    # the same polynomial scaled into range has finite roots
-    assert len(roots(Poly((1.0, 1.0, 1.0)))) == 2
+    # a1 * a1 would overflow in the quadratic formula; the one path solves
+    # the polynomial at unit scale, whose roots are the primitive cube
+    # roots of unity
+    w = cmath.exp(2j * math.pi / 3)
+    rs = roots(Poly((1e308, 1e308, 1e308)))
+    assert rs.total_multiplicity == 2
+    for r in rs:
+        assert min(abs(r.location - w), abs(r.location - w.conjugate())) \
+            <= 1e-15
+    # coefficients spread over two scales, which one balancing cannot
+    # bring into range, still fail: with a named error, never a NaN root,
+    # and with no numpy warning (pytest turns warnings into errors)
+    for c in ((1e-300, 1, 1e300, 1), (1e-300, 1, 1e300, 1e300),
+              (1e-200, 1, 1e200, 1e-5)):
+        with pytest.raises(NonConvergence):
+            roots(Poly(c))
 
 
 def test_roots_far_point_is_judged_on_reversed_coefficients():
@@ -590,13 +599,13 @@ def test_lift_judges_each_root_once(monkeypatch):
     # bound once: the inside roots where placed, their mirrors as they are
     # accepted and the merged root by the test that accepted it
     calls = [0]
-    residual_ok = polycore._residual_ok
+    residual = polycore._residual
 
     def counted(*args):
         calls[0] += 1
-        return residual_ok(*args)
+        return residual(*args)
 
-    monkeypatch.setattr(polycore, "_residual_ok", counted)
+    monkeypatch.setattr(polycore, "_residual", counted)
     rng = np.random.default_rng(6586)
     for degree in (4, 7, 10):
         f = random_outer_poly(rng, degree, circle=1)
@@ -675,6 +684,65 @@ def test_roots_extreme_coefficient_ratios_are_internal_errors(coeffs):
 
 def test_roots_extreme_quadratic_keeps_its_degree():
     assert roots(Poly((1e-300, 1, 1e300))).total_multiplicity == 2
+
+
+# one path at low degree: linear and quadratic roots against the roots they
+# were built from, not against roots of the rounded coefficients
+LOW_MODULI = 10.0 ** np.arange(-6, 7)
+
+
+def _placed(rs, zeros, tol):
+    # each (a, m) is the nearest root, with multiplicity m, within tol |a|
+    assert sorted(r.multiplicity for r in rs) == sorted(m for _, m in zeros)
+    for a, m in zeros:
+        r = min(rs, key=lambda r: abs(r.location - a))
+        assert r.multiplicity == m
+        assert abs(r.location - a) <= tol * abs(a)
+
+
+def _polar(rng, r):
+    return complex(r * np.exp(2j * np.pi * rng.uniform()))
+
+
+def test_one_path_places_linear_and_simple_quadratic_roots():
+    rng = np.random.default_rng(41)
+    for r in LOW_MODULI:
+        a = _polar(rng, r)
+        lead = complex(rng.standard_normal(), rng.standard_normal())
+        _placed(roots(Poly((-a * lead, lead))), [(a, 1)], 1e-12)
+        for r2 in LOW_MODULI:
+            b = _polar(rng, r2)
+            if abs(a - b) < 0.1 * max(abs(a), abs(b)):
+                continue
+            p = Poly((a * b * lead, -(a + b) * lead, lead))
+            _placed(roots(p), [(a, 1), (b, 1)], 1e-12)
+
+
+def test_one_path_merges_a_double_quadratic_root():
+    # rounding moves a double root by about sqrt(eps); at |a| = 1e6 that is
+    # past CLUSTER_CAP, so the range stops at 1e5
+    rng = np.random.default_rng(42)
+    for r in LOW_MODULI[:-1]:
+        a = _polar(rng, r)
+        lead = complex(rng.standard_normal(), rng.standard_normal())
+        _placed(roots(Poly((a * a * lead, -2 * a * lead, lead))), [(a, 2)],
+                1e-7)
+
+
+def test_one_path_solves_the_lifts_of_order_one():
+    # |z - a|^2 lifted at order 1 has the reflected pair (a, 1/conj(a));
+    # |z - u|^2 with |u| = 1 has the double circle zero u
+    rng = np.random.default_rng(43)
+    for r in LOW_MODULI[LOW_MODULI < 1]:
+        a = _polar(rng, r)
+        rs = roots(lift(trig_from_modulus_squared(Poly((-a, 1)))))
+        _placed(rs, [(a, 1), (1 / a.conjugate(), 1)], 1e-12)
+        assert [len(rs.inside), len(rs.outside)] == [1, 1]
+    for _ in range(8):
+        u = _polar(rng, 1.0)
+        rs = roots(lift(trig_from_modulus_squared(Poly((-1.7 * u, 1.7)))))
+        _placed(rs, [(u, 2)], 1e-7)
+        assert rs.roots[0].region is Region.ON_CIRCLE
 
 
 def _bits(v):

@@ -45,7 +45,14 @@ temporary directory of its own.  Each side reports the set's digest and
 one sha256 per instance, of the ``repr`` of that instance's answers.
 With ``--parent`` each set is marked ``identical`` or ``differs``, and
 under a set that differs a second line gives the count of instances whose
-digests differ and the first 20 of their indices.  Standard library and
+digests differ and the first 20 of their indices, and a third line the
+count and first 20 indices of those whose outcome kind moved.  An
+instance's outcome kind is read from its recorded strings (``kinds``):
+per call, the error class it raised or that it returned, the CLI's exit
+code and the error class of its error line, or the benchmark harness's
+failure type; so a move of kind is a call that now raises where it
+returned, or the reverse, or a changed error class or exit code, and any
+other differing instance moved its bits alone.  Standard library and
 numpy only.
 """
 
@@ -55,6 +62,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -262,9 +270,33 @@ def digests(records: list) -> list:
     return [digest(records), [digest(r) for r in records]]
 
 
+_ERROR = re.compile(r"(\w+): ")                 # an ``_answer`` that raised
+_CLI_ERROR = re.compile(r"error: (\w+): ")      # the CLI's error line
+
+
+def kinds(workload: str, records: list) -> list[str]:
+    """The outcome kind of each instance of a set of ``workload``, read from
+    its recorded strings: the harness's failure type for ``gridsearch``
+    ("ok" when it passed), and otherwise one token per call, joined by
+    spaces: "exit CODE", with the error class of a CLI call's error line,
+    or the error class an ``_answer`` raised, or "returned"."""
+    def call(answer) -> str:
+        if isinstance(answer, tuple):
+            code, _, stderr = answer
+            err = _CLI_ERROR.search(stderr)
+            return f"exit {code}" + (f" {err.group(1)}" if err else "")
+        err = _ERROR.match(answer)
+        return err.group(1) if err else "returned"
+
+    if workload == "gridsearch":
+        return [error or "ok" for error, _ in records]
+    return [" ".join(map(call, record)) for record in records]
+
+
 def side_digests(tree: Path, pycache: Path, names: list[str],
                  count: int | None) -> dict:
-    """{set: digests} of tree, from one pinned interpreter (``--tree``)."""
+    """{set: digests + [kinds]} of tree, from one pinned interpreter
+    (``--tree``)."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--tree",
            str(tree), "--sets", *names]
     if count is not None:
@@ -280,28 +312,35 @@ def side_digests(tree: Path, pycache: Path, names: list[str],
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _indices(moved: list[int]) -> str:
+    shown = ", ".join(map(str, moved[:MOVED_SHOWN]))
+    return shown + (", ..." if len(moved) > MOVED_SHOWN else "")
+
+
 def summary(change: dict, parent: dict | None) -> list[str]:
     """One line per set of change: its digest, and with a parent, whether
     the parent's digest is the same; under a set that differs, the count
     of instances whose digests differ and the first MOVED_SHOWN of their
-    indices."""
+    indices, then the same of those among them whose outcome kind moved.
+    A set's record is [digest, instance digests, instance kinds]."""
     width = max(map(len, change))
     lines = []
-    for name, (sha, shas) in change.items():
+    for name, (sha, shas, outcome) in change.items():
         if parent is None:
             lines.append(f"{name:<{width}}  {sha}")
             continue
-        parent_sha, parent_shas = parent[name]
+        parent_sha, parent_shas, parent_outcome = parent[name]
         if parent_sha == sha:
             lines.append(f"{name:<{width}}  {sha}  identical")
             continue
         lines.append(f"{name:<{width}}  {sha}  differs (parent {parent_sha})")
         moved = [i for i, (a, b) in enumerate(zip(shas, parent_shas))
                  if a != b]
-        shown = ", ".join(map(str, moved[:MOVED_SHOWN]))
-        more = ", ..." if len(moved) > MOVED_SHOWN else ""
+        turned = [i for i in moved if outcome[i] != parent_outcome[i]]
         lines.append(f"{'':<{width}}  {len(moved)} of {len(shas)} "
-                     f"instances differ: {shown}{more}")
+                     f"instances differ: {_indices(moved)}")
+        lines.append(f"{'':<{width}}  {len(turned)} of them change outcome "
+                     f"kind" + (f": {_indices(turned)}" if turned else ""))
     return lines
 
 
@@ -324,9 +363,11 @@ def main(argv=None) -> int:
         if os.environ.get("PYTHONHASHSEED") != "0":
             ap.error("--tree runs only under the pinned environment")
         sys.path[:0] = [str(args.tree / "src"), str(args.tree / "bench")]
-        print(json.dumps({
-            name: digests(answers(name, args.count or SETS[name][2]))
-            for name in args.sets}))
+        out = {}
+        for name in args.sets:
+            records = answers(name, args.count or SETS[name][2])
+            out[name] = digests(records) + [kinds(SETS[name][0], records)]
+        print(json.dumps(out))
         return 0
 
     with tempfile.TemporaryDirectory(prefix="answers_") as tmp:
