@@ -57,7 +57,7 @@ from .factor import TOL_SPECTRAL, blaschke_eval, inner_outer, spectral_factor
 from .jsonio import dumps, instance_to_json
 from .kernel import NORM_TOL, KernelElement, companion, h2_norm
 from .numeric import TOL_SYMBOL, Grid, write_boundary_csv
-from .polycore import Poly, TrigPoly, trig_from_modulus_squared
+from .polycore import Poly, TrigPoly, _on_circle, trig_from_modulus_squared
 
 TOL_RESIDUAL = 1e-9     # the factor and solutions residuals over s
 # values per batched FFT of ``solutions``' residuals (256 KiB of complex).
@@ -344,8 +344,9 @@ def cmd_domination(args, x: KernelElement, g: TrigPoly):
 
     def boundary() -> Grid:
         theta = 2.0 * np.pi * np.arange(args.grid) / args.grid
-        fa = np.abs(x.f(np.exp(1j * theta)))
-        gv = np.maximum(g.values(theta), 1e-300)
+        z = np.exp(1j * theta)
+        fa = np.abs(x.f(z))
+        gv = np.maximum(_on_circle(g, z), 1e-300)
         return Grid((fa / np.sqrt(gv)).astype(complex))
     return out, boundary
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import TooSmall
 from .geometry import _undominated_zero
 from .kernel import KernelElement
-from .polycore import TrigPoly
+from .polycore import TrigPoly, _on_circle
 
 W_FLOOR = 1e-8
 DEFAULT_GRID = 4096
@@ -190,9 +190,10 @@ def domination_integral(x: KernelElement, g: TrigPoly) -> DominationEstimate:
         m *= 2
     theta = np.concatenate([2.0 * np.pi * (np.arange(k) + 0.5) / k
                             for k in (m, 2 * m)])
+    z = np.exp(1j * theta)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fa = np.abs(x.f(np.exp(1j * theta)))
-        gv = np.maximum(g.values(theta), 0.0)
+        fa = np.abs(x.f(z))
+        gv = np.maximum(_on_circle(g, z), 0.0)
         vals = np.where(fa == 0, 0.0, fa / np.sqrt(gv))
     coarse, fine = (float(np.mean(part)) for part in np.split(vals, [m]))
     return DominationEstimate(fine + (fine - coarse) / 3.0, False, None)

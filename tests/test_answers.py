@@ -23,21 +23,25 @@ A, B = "a" * 64, "b" * 64
 
 def test_summary_marks_each_set_against_the_parent():
     ok = "returned"
-    change = {"census/1812": [A, [A, B], [ok, ok]],
-              "near_touching/5": [B, [A, B, B], [ok, ok, "NonConvergence"]]}
-    parent = {"census/1812": [A, [A, B], [ok, ok]],
-              "near_touching/5": [A, [A, A, A], [ok, ok, ok]]}
+    calls = [[A, B]] * 6
+    change = {"census/1812": [A, [A, B], [ok, ok], calls],
+              "near_touching/5": [B, [A, B, B], [ok, ok, "NonConvergence"],
+                                  [[A] * 3, [A, B, A], [A, A, B]]]}
+    parent = {"census/1812": [A, [A, B], [ok, ok], calls],
+              "near_touching/5": [A, [A, A, A], [ok, ok, ok], [[A] * 3] * 3]}
     assert answers.summary(change, parent) == [
         f"census/1812      {A}  identical",
         f"near_touching/5  {B}  differs (parent {A})",
         "                 2 of 3 instances differ: 1, 2",
         "                 1 of them change outcome kind: 2",
+        "                 by call: split_nonextreme 1, roots 1",
     ]
 
 
 def test_summary_lists_the_first_moved_instances_and_their_count():
-    change = {"cli/1414": [A, [B] * 25, ["exit 0"] * 25]}
-    parent = {"cli/1414": [B, [A] + [B] * 3 + [A] * 21, ["exit 0"] * 25]}
+    change = {"cli/1414": [A, [B] * 25, ["exit 0"] * 25, [[B] * 25] * 4]}
+    parent = {"cli/1414": [B, [A] + [B] * 3 + [A] * 21, ["exit 0"] * 25,
+                           [[A] * 25] * 4]}
     lines = answers.summary(change, parent)
     assert lines[1] == ("          22 of 25 instances differ: 0, "
                         + ", ".join(map(str, range(4, 23))) + ", ...")
@@ -45,8 +49,37 @@ def test_summary_lists_the_first_moved_instances_and_their_count():
 
 
 def test_summary_without_a_parent_lists_the_digests():
-    assert answers.summary({"cli/1414": [A, [A], ["exit 0"]]}, None) == [
+    assert answers.summary({"cli/1414": [A, [A], ["exit 0"], [[A]] * 4]},
+                           None) == [
         f"cli/1414  {A}"]
+
+
+def test_summary_counts_the_differing_instances_per_call():
+    # three census instances: nonneg_check moved on two, roots on one, and
+    # no other call; a call that moved nowhere is not listed
+    ok = "returned"
+    same = [A, A, A]
+    change = {"census/6586": [A, [A, B, B], [ok] * 3,
+                              [same] * 4 + [[A, B, A], [A, B, B]]]}
+    parent = {"census/6586": [B, [A, A, A], [ok] * 3, [same] * 6]}
+    assert answers.summary(change, parent)[-1] == (
+        "             by call: roots 1, nonneg_check 2")
+
+
+def test_call_digests_are_one_per_call_per_instance(monkeypatch):
+    monkeypatch.syspath_prepend(str(_PATH.parents[1] / "bench"))
+    records = [("1", (0, "out", "")), ("2", (2, "", "err"))]
+    d = answers.digest
+    assert answers.call_digests(records) == [
+        [d("1"), d("2")], [d((0, "out", "")), d((2, "", "err"))]]
+    # each set's records name one call per answer
+    for name, (workload, _, _) in answers.SETS.items():
+        if workload != "commands":
+            assert len(answers.call_names(workload)) == len(
+                answers.answers(name, 1)[0])
+    names = answers.call_names("commands")
+    assert names == tuple(COMMANDS) + answers.FAILING
+    assert len(names) == len(answers.command_lines(8, 0))
 
 
 def test_kinds_are_read_from_the_recorded_strings():

@@ -72,6 +72,18 @@ def test_every_order_answers_within_tolerance_or_names_its_failure(
 
 
 @pytest.mark.parametrize("n", LADDER)
+@pytest.mark.parametrize("name", ["jittered", "flat"])
+def test_values_agree_with_the_grid_at_every_order(name, n):
+    # Horner in z at the rounded grid angles against one inverse FFT:
+    # within the FFT's (n + 1 + log2 size) eps l1(g)
+    g = _family(name, n)[0]
+    size = polycore.nonneg_grid_size(g)
+    theta = 2 * np.pi * np.arange(size) / size
+    bound = (n + 1 + np.log2(size)) * np.finfo(float).eps * polycore._l1(g)
+    assert np.abs(g.values(theta) - g.grid_values(size)).max() <= bound
+
+
+@pytest.mark.parametrize("n", LADDER)
 def test_extreme_points_search_and_check_rigidity_with_no_solve(
         n, solve_counter):
     # the circle count decides the perturbation search, the rigidity of a

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_outer_poly
+from conftest import (jittered_extreme_point, jittered_inside_zero_point,
+                      random_outer_poly)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
@@ -1186,6 +1187,44 @@ def test_refine_circle_angle_bit_identical_to_reference():
                         == _refine_reference(g, float(t)).hex())
 
 
+def _circle_minima_reference(g):
+    # reference: g' as a validated TrigPoly, its grid_values, np.roll
+    n = g.effective_band
+    if n == 0:
+        return np.empty(0)
+    size = polycore.nonneg_grid_size(g)
+    deriv = TrigPoly(g.n, (0j,) + tuple(1j * k * c for k, c in
+                                        enumerate(g.coeffs[1:], start=1)))
+    d1 = deriv.grid_values(size)
+    cells = np.flatnonzero((d1 < 0) & (np.roll(d1, -1) >= 0))
+    if len(cells) > n:
+        return None
+    width = 2.0 * math.pi / size
+    theta = np.array([refine_circle_angle(g, (j + 0.5) * width)
+                      for j in cells.tolist()])
+    if np.any(theta < cells * width) or np.any(theta > (cells + 1) * width):
+        return None
+    return theta
+
+
+def test_circle_minima_bit_identical_to_reference():
+    # its cells are the refiner's starts, whose angles become the circle
+    # zeros of F: on extreme points, on g with inside and outside zeros
+    # and on g with random coefficients, of either sign
+    rng = np.random.default_rng(1024)
+    for n in range(1, 65):
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        for g in (jittered_extreme_point(n, n)[1],
+                  jittered_inside_zero_point(n, n)[1],
+                  TrigPoly(n, (c[0].real,) + tuple(c[1:]))):
+            got, want = circle_minima(g), _circle_minima_reference(g)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # trig helpers
 # ---------------------------------------------------------------------------
@@ -1230,6 +1269,36 @@ def test_grid_values_match_values_at_the_grid_angles(n):
             <= bound, size
     with pytest.raises(ValueError):
         g.grid_values(2 * n)
+
+
+def _exact_values(g, theta, mpmath):
+    """g at each floating-point angle of theta, summed at 30 digits."""
+    with mpmath.workdps(30):
+        cs = [mpmath.mpc(c.real, c.imag) for c in g.coeffs]
+        return np.array([float(cs[0].real + 2 * mpmath.re(mpmath.fsum(
+            cs[k] * mpmath.expj(k * mpmath.mpf(t))
+            for k in range(1, g.n + 1))))
+            for t in np.ravel(theta)]).reshape(np.shape(theta))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 13, 128])
+def test_values_match_an_exact_sum_within_the_horner_bound(n):
+    # Horner's rule in z = exp(i theta): each of the n steps rounds by a
+    # few eps of a partial sum of modulus <= l1(g), and z itself by about
+    # one, so the value is within (n + 1) 3 eps l1(g) of g at the angle
+    # as rounded; at random angles (negative ones too) and at the grid's
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(100 + n)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    g = TrigPoly(n, (c[0].real,) + tuple(c[1:]))
+    bound = (n + 1) * 3 * np.finfo(float).eps * polycore._l1(g)
+    size = max(64, 2 * n + 1)
+    for theta in (rng.uniform(-2 * np.pi, 4 * np.pi, 64),
+                  2 * np.pi * np.arange(size) / size,
+                  float(rng.uniform(0, 2 * np.pi))):
+        got = g.values(theta)
+        assert got.shape == np.shape(theta) and got.dtype == float
+        assert np.abs(got - _exact_values(g, theta, mpmath)).max() <= bound
 
 
 def test_trig_add_scale():

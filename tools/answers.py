@@ -45,8 +45,11 @@ temporary directory of its own.  Each side reports the set's digest and
 one sha256 per instance, of the ``repr`` of that instance's answers.
 With ``--parent`` each set is marked ``identical`` or ``differs``, and
 under a set that differs a second line gives the count of instances whose
-digests differ and the first 20 of their indices, and a third line the
-count and first 20 indices of those whose outcome kind moved.  An
+digests differ and the first 20 of their indices, a third line the
+count and first 20 indices of those whose outcome kind moved, and a
+fourth the count of differing instances per call (``call_names``), from
+one more sha256 per call of each instance, for example
+``by call: nonneg_check 73``.  An
 instance's outcome kind is read from its recorded strings (``kinds``):
 per call, the error class it raised or that it returned, the CLI's exit
 code and the error class of its error line, or the benchmark harness's
@@ -85,6 +88,17 @@ SETS = {
     "commands/1414": ("commands", 1414, 20),
     "near_touching/5": ("near_touching", 5, 600),
 }
+# the calls of one instance's answers, in order; the ``commands`` set's
+# are its command lines' (``call_names``)
+CALLS = {
+    "census": ("is_extreme", "split_nonextreme", "enumerate_solutions",
+               "fejer_riesz", "roots", "nonneg_check"),
+    "spectral": ("spectral_factor", "roots"),
+    "gridsearch": ("failure", "answer"),
+    "cli": ("extreme", "split", "solutions", "spectral"),
+    "near_touching": ("fejer_riesz", "split_nonextreme", "roots"),
+}
+FAILING = ("missing_file", "wrong_type", "order_below_band")
 MOVED_SHOWN = 20    # indices listed under a set that differs
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
@@ -193,6 +207,14 @@ def command_lines(n: int, i: int) -> list[list[str]]:
             ["extreme", "g.json", "--n", "2"]]
 
 
+def call_names(workload: str) -> tuple[str, ...]:
+    """The name of each call of an instance's answers in a set of
+    ``workload``: for ``commands``, each command, then ``FAILING``."""
+    if workload == "commands":
+        return tuple(argv[0] for argv in command_lines(0, 0)[:-3]) + FAILING
+    return CALLS[workload]
+
+
 def command_answers(seed: int, count: int) -> list:
     """(exit code, stdout, stderr) of each ``command_lines`` run of the
     first ``count`` ``cli`` moduli of ``seed``, through in-process
@@ -270,6 +292,11 @@ def digests(records: list) -> list:
     return [digest(records), [digest(r) for r in records]]
 
 
+def call_digests(records: list) -> list:
+    """[one digest per instance] per call, the calls in record order."""
+    return [[digest(answer) for answer in call] for call in zip(*records)]
+
+
 _ERROR = re.compile(r"(\w+): ")                 # an ``_answer`` that raised
 _CLI_ERROR = re.compile(r"error: (\w+): ")      # the CLI's error line
 
@@ -295,8 +322,8 @@ def kinds(workload: str, records: list) -> list[str]:
 
 def side_digests(tree: Path, pycache: Path, names: list[str],
                  count: int | None) -> dict:
-    """{set: digests + [kinds]} of tree, from one pinned interpreter
-    (``--tree``)."""
+    """{set: digests + [kinds, call digests]} of tree, from one pinned
+    interpreter (``--tree``)."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--tree",
            str(tree), "--sets", *names]
     if count is not None:
@@ -321,15 +348,17 @@ def summary(change: dict, parent: dict | None) -> list[str]:
     """One line per set of change: its digest, and with a parent, whether
     the parent's digest is the same; under a set that differs, the count
     of instances whose digests differ and the first MOVED_SHOWN of their
-    indices, then the same of those among them whose outcome kind moved.
-    A set's record is [digest, instance digests, instance kinds]."""
+    indices, then the same of those among them whose outcome kind moved,
+    then the count per call of the instances whose answer to it differs.
+    A set's record is [digest, instance digests, instance kinds, call
+    digests]."""
     width = max(map(len, change))
     lines = []
-    for name, (sha, shas, outcome) in change.items():
+    for name, (sha, shas, outcome, calls) in change.items():
         if parent is None:
             lines.append(f"{name:<{width}}  {sha}")
             continue
-        parent_sha, parent_shas, parent_outcome = parent[name]
+        parent_sha, parent_shas, parent_outcome, parent_calls = parent[name]
         if parent_sha == sha:
             lines.append(f"{name:<{width}}  {sha}  identical")
             continue
@@ -341,6 +370,11 @@ def summary(change: dict, parent: dict | None) -> list[str]:
                      f"instances differ: {_indices(moved)}")
         lines.append(f"{'':<{width}}  {len(turned)} of them change outcome "
                      f"kind" + (f": {_indices(turned)}" if turned else ""))
+        counts = [sum(a != b for a, b in zip(mine, theirs))
+                  for mine, theirs in zip(calls, parent_calls)]
+        lines.append(f"{'':<{width}}  by call: " + ", ".join(
+            f"{call} {count}" for call, count
+            in zip(call_names(SETS[name][0]), counts) if count))
     return lines
 
 
@@ -366,7 +400,8 @@ def main(argv=None) -> int:
         out = {}
         for name in args.sets:
             records = answers(name, args.count or SETS[name][2])
-            out[name] = digests(records) + [kinds(SETS[name][0], records)]
+            out[name] = digests(records) + [kinds(SETS[name][0], records),
+                                            call_digests(records)]
         print(json.dumps(out))
         return 0
 
